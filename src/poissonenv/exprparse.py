@@ -320,10 +320,6 @@ def format_tensor(t):
     return _join_terms(bits)
 
 
-def format_lie(a):
-    return format_poisson(PoissonElement.from_lie(a))
-
-
 # -- JSON forms ---------------------------------------------------------------
 
 

@@ -11,6 +11,13 @@ product transports concatenation through the symmetrization map e:
 B(a, b) = e^{-1}(e(a) e(b)); its graded component B_p lowers sym degree by p
 and raises star degree by p.  B_0 is the commutative product and B_1 is half
 the Poisson bracket.
+
+B is computed in PBW coordinates, one monomial pair at a time: e of each
+monomial comes from ``pbw.sym_pbw``, the product e(m1) e(m2) is the sum of
+the PBW normal forms ``pbw.normal(t1 + t2)`` of the concatenated factor
+tuples, and one triangular peel ``pbw.e_inverse_pbw`` maps it back.
+``symmetrize`` and ``e_inverse`` are e and e^{-1} through the word basis of
+the tensor algebra; they are the independent reference B is tested against.
 """
 
 from __future__ import annotations
@@ -247,16 +254,25 @@ def _star_monomials(m1, m2):
     key = (m1.factors, m2.factors)
     hit = _STAR_MONO_CACHE.get(key)
     if hit is None:
-        t = pbw.symmetrize_factors(m1.factors) * pbw.symmetrize_factors(
-            m2.factors
-        )
-        hit = e_inverse(t).terms
+        e2 = pbw.sym_pbw(m2.factors)
+        prod = {}
+        for t1, c1 in pbw.sym_pbw(m1.factors).items():
+            for t2, c2 in e2.items():
+                _merge(prod, pbw.normal(t1 + t2), c1 * c2)
+        hit = {PoissonMonomial(t): c for t, c in pbw.e_inverse_pbw(prod).items()}
         _STAR_MONO_CACHE[key] = hit
     return hit
 
 
 def star_product(a, b):
-    """The PBW quantized product B(a, b) = e^{-1}(e(a) e(b))."""
+    """The PBW quantized product B(a, b) = e^{-1}(e(a) e(b)).
+
+    Each monomial pair is multiplied in PBW coordinates: e(m1) and e(m2)
+    from ``pbw.sym_pbw``, their product by normal ordering the concatenated
+    factor tuples, and e^{-1} by one triangular peel (``pbw.e_inverse_pbw``).
+    The word-space ``e_inverse(symmetrize(a) * symmetrize(b))`` gives the
+    same element.
+    """
     out = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
@@ -282,10 +298,6 @@ def star_component(a, b, p):
 def bigraded_component(a, p, q):
     """Projection onto sym degree p and star degree q."""
     return a.bigraded_part(p, q)
-
-
-def poisson_one():
-    return PoissonElement.one()
 
 
 def generators(n_gens):

@@ -357,11 +357,3 @@ def kernel(m):
             )
             ech.sort(key=lambda rt: min(rt[0]))
     return out
-
-
-def span_rank(vectors):
-    """Rank of the span of an iterable of dict-rows or SparseVectors."""
-    ech = Echelon()
-    for v in vectors:
-        ech.add(v.entries if isinstance(v, SparseVector) else v)
-    return ech.rank

@@ -9,10 +9,19 @@ the straightening rule
 
 where the bracket term has one factor fewer, so the rewriting terminates.
 
-Symmetrization e and its inverse live here too.  e of a k-factor monomial is
-the sorted product plus terms with fewer factors, so e is unitriangular with
-respect to the factor count; e_inverse peels the top factor count, subtracts
-its symmetrization and recurses.
+Symmetrization e and its inverse live here too.  ``sym_pbw`` gives e of a
+k-factor monomial in PBW coordinates: the sorted product plus terms with fewer
+factors, so e is unitriangular with respect to the factor count.  The one
+inverse, ``e_inverse_pbw``, peels a PBW vector from the top: it takes the
+terms of maximal factor count as they stand, subtracts their symmetrizations
+and repeats on the strictly shorter rest.  ``e_inverse_word`` is that peel
+applied to ``word_to_pbw(word)``, and the star product in ``freepoisson``
+applies it to a product of two ``sym_pbw`` vectors.
+
+``symmetrize_factors`` computes e in the word basis straight from its
+definition, the average over factor orders.  Together with
+``e_inverse_word`` it is the word-space reference that the PBW-coordinate
+star product is tested against.
 """
 
 from __future__ import annotations
@@ -36,11 +45,6 @@ def _merge(acc, terms, scale=1):
         else:
             acc.pop(k, None)
     return acc
-
-
-def is_normal(factors):
-    keys = [f.sort_key for f in factors]
-    return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
 
 
 _NORMAL_CACHE = {}
@@ -75,13 +79,6 @@ def normal(factors):
 def word_to_pbw(word):
     """A word, seen as a product of letter factors, in PBW normal form."""
     return normal(tuple(generator(i) for i in word))
-
-
-def tensor_to_pbw(t):
-    out = {}
-    for w, c in t.terms.items():
-        _merge(out, word_to_pbw(w), c)
-    return out
 
 
 def pbw_to_tensor(factors):
@@ -173,33 +170,41 @@ def sym_pbw(factors):
     return dict(hit)
 
 
-_EINV_WORD_CACHE = {}
+def e_inverse_pbw(vec):
+    """e^{-1} of a PBW vector, as a dict factor-tuple -> coefficient.
 
-
-def e_inverse_word(word):
-    """e^{-1} of a single word, as a dict factor-tuple -> coefficient.
-
-    Triangular induction on the factor count: the top part of the PBW normal
-    form is already symmetric-leading, so subtracting its symmetrization
-    strictly lowers the maximal factor count.
+    ``vec`` maps nondecreasing factor tuples to coefficients and is not
+    modified.  Triangular induction on the factor count: a PBW monomial t is
+    the only term of its factor count in e(t), so the top part of the vector
+    is its own e^{-1} there, and subtracting its symmetrization strictly
+    lowers the maximal factor count.
     """
-    word = tuple(word)
-    hit = _EINV_WORD_CACHE.get(word)
-    if hit is not None:
-        return dict(hit)
-    current = word_to_pbw(word)
+    current = dict(vec)
     result = {}
-    guard = len(word) + 1
+    guard = max(map(len, current), default=0) + 1
     while current:
         guard -= 1
         if guard < 0:  # pragma: no cover - triangularity violated
             raise RuntimeError("e_inverse failed to terminate")
         top_count = max(len(t) for t in current)
         top = {t: c for t, c in current.items() if len(t) == top_count}
+        result.update(top)  # earlier rounds only added longer tuples
         for t, c in top.items():
-            _merge(result, {t: c})
             _merge(current, sym_pbw(t), -c)
         if any(len(t) >= top_count for t in current):  # pragma: no cover
             raise RuntimeError("symmetrization is not unitriangular")
-    _EINV_WORD_CACHE[word] = result
-    return dict(result)
+    return result
+
+
+_EINV_WORD_CACHE = {}
+
+
+def e_inverse_word(word):
+    """e^{-1} of a single word, as a dict factor-tuple -> coefficient
+    (memoized): the peel ``e_inverse_pbw`` of the word's PBW normal form."""
+    word = tuple(word)
+    hit = _EINV_WORD_CACHE.get(word)
+    if hit is None:
+        hit = e_inverse_pbw(word_to_pbw(word))
+        _EINV_WORD_CACHE[word] = hit
+    return dict(hit)

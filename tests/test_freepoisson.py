@@ -1,7 +1,13 @@
 import itertools as it
 import random
 from fractions import Fraction
+from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poissonenv import pbw
+from poissonenv.exprparse import parse
 from poissonenv.freelie import LieBasisElement, TensorElement, _tensor_vector
 from poissonenv.freepoisson import (
     PoissonElement,
@@ -136,6 +142,52 @@ def test_star_product_unit():
 def test_star_product_reversed():
     expected = multiply(gen(1), gen(2)) - Fraction(1, 2) * lie((1, 2))
     assert star_product(gen(2), gen(1)) == expected
+
+
+_COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2))
+
+
+@st.composite
+def _star_pairs(draw):
+    """Two 1-2-term elements in 2-3 generators, pair total degree <= 5."""
+    n_gens = draw(st.sampled_from((2, 3)))
+    ta = draw(st.integers(1, 4))
+    tb = draw(st.integers(1, 5 - ta))
+
+    def element(total):
+        pool = [m for q in range(total) for m in monomials_star_total(n_gens, q, total)]
+        monos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True))
+        out = PoissonElement.zero()
+        for m in monos:
+            out = out + PoissonElement.monomial(m, draw(st.sampled_from(_COEFFS)))
+        return out
+
+    return element(ta), element(tb)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_star_pairs())
+def test_star_product_matches_word_space_oracle(pair):
+    # B is computed in PBW coordinates; the word-space e and e^-1 are the
+    # independent reference
+    a, b = pair
+    assert star_product(a, b) == e_inverse(symmetrize(a) * symmetrize(b))
+
+
+def test_e_inverse_pbw_inverts_sym_pbw():
+    for total in range(5):
+        for q in range(max(total, 1)):
+            for m in monomials_star_total(3, q, total):
+                assert pbw.e_inverse_pbw(pbw.sym_pbw(m.factors)) == {m.factors: 1}
+
+
+def test_star_product_frozen_4x3():
+    # frozen from the word-space implementation of the star product
+    path = Path(__file__).parent / "data" / "star_x1x1x2x3_x1x2x3.txt"
+    expected = parse(path.read_text(), 3)
+    got = star_product(parse("x1*x2*x3*x1", 3), parse("x2*x3*x1", 3))
+    assert len(got.terms) == 188
+    assert got == expected
 
 
 def test_star_component_zero_is_product():
