@@ -6,9 +6,12 @@ bracketing.  The grading is shifted: a basis element of word length k has
 star degree k - 1, so the generators themselves sit in degree 0 and the
 bracket adds degrees plus one.
 
-Bracket rewriting goes through the tensor algebra: expand both sides as
-noncommutative polynomials and solve an exact linear system against the
-expanded Lyndon basis of the matching word length.
+Brackets of basis elements are rewritten in the Lyndon basis by the
+classical recursion on standard factorizations (Reutenauer, *Free Lie
+Algebras*, 1993, ch. 4-5), which never leaves the basis.  The tensor algebra
+gives the independent reference: ``rewrite_in_basis`` expands into words and
+solves an exact linear system against the expanded Lyndon basis of the
+matching word length.
 """
 
 from __future__ import annotations
@@ -42,16 +45,25 @@ def _standard_factorization(word):
 class LieBasisElement:
     """A Lyndon word together with its standard bracketing.
 
-    ``bracketing`` is a nested structure: a bare int for a letter, or a pair
-    ``(left, right)`` of sub-bracketings.  Instances are immutable by
-    convention and interned by word, so equality and hashing are cheap.
+    ``left`` and ``right`` are the basis elements of the standard
+    factorization (both None for a letter).  ``bracketing`` is the same tree
+    as nested words: a bare int for a letter, or a pair ``(left, right)`` of
+    sub-bracketings.  Instances are immutable by convention and interned by
+    word, so equality and hashing are cheap.
     """
 
-    __slots__ = ("word", "bracketing", "star_degree", "sort_key", "_hash")
+    __slots__ = (
+        "word", "left", "right", "bracketing", "star_degree", "sort_key", "_hash"
+    )
 
-    def __init__(self, word, bracketing):
+    def __init__(self, word, left=None, right=None):
         self.word = word
-        self.bracketing = bracketing
+        self.left = left
+        self.right = right
+        if left is None:
+            self.bracketing = word[0]
+        else:
+            self.bracketing = (left.bracketing, right.bracketing)
         self.star_degree = len(word) - 1
         self.sort_key = (len(word), word)
         self._hash = hash(word)
@@ -63,7 +75,11 @@ class LieBasisElement:
         if elt is None:
             if not is_lyndon(word):
                 raise ValueError(f"{word} is not a Lyndon word")
-            elt = cls(word, _bracketing_of(word))
+            if len(word) == 1:
+                elt = cls(word)
+            else:
+                u, v = _standard_factorization(word)
+                elt = cls(word, cls.from_word(u), cls.from_word(v))
             _ELEMENT_CACHE[word] = elt
         return elt
 
@@ -82,19 +98,6 @@ class LieBasisElement:
 
 
 _ELEMENT_CACHE = {}
-_BRACKETING_CACHE = {}
-
-
-def _bracketing_of(word):
-    tree = _BRACKETING_CACHE.get(word)
-    if tree is None:
-        if len(word) == 1:
-            tree = word[0]
-        else:
-            u, v = _standard_factorization(word)
-            tree = (_bracketing_of(u), _bracketing_of(v))
-        _BRACKETING_CACHE[word] = tree
-    return tree
 
 
 def generator(i):
@@ -383,27 +386,46 @@ _BRACKET_CACHE = {}
 
 
 def bracket_basis(a, b):
-    """[a, b] for basis elements, expressed in the Lyndon basis (memoized)."""
+    """[a, b] for basis elements, expressed in the Lyndon basis (memoized).
+
+    The classical rewriting on standard factorizations: for a < b, if a is a
+    letter or the right standard factor a'' of a = (a', a'') satisfies
+    a'' >= b, then ab is Lyndon with standard factorization (a, b) and the
+    bracket is that single basis element; otherwise Jacobi gives
+    [a, b] = [a', [a'', b]] - [a'', [a', b]].  The coefficients are integers.
+    ``rewrite_in_basis`` of the tensor commutator is the reference.
+    """
     if a.word == b.word:
         return LieElement.zero()
     key = (a.word, b.word)
     out = _BRACKET_CACHE.get(key)
     if out is None:
-        ta, tb = expand_to_tensor(a), expand_to_tensor(b)
-        out = rewrite_in_basis(ta * tb - tb * ta, max(max(a.word), max(b.word)))
-        if out is None:  # pragma: no cover - the bracket left LV
-            raise RuntimeError("commutator of Lie elements left LV")
+        if a.word > b.word:
+            out = -bracket_basis(b, a)
+        elif a.left is None or a.right.word >= b.word:
+            # (a, b) is the standard factorization of ab: intern it as such
+            word = a.word + b.word
+            elt = _ELEMENT_CACHE.setdefault(word, LieBasisElement(word, a, b))
+            out = LieElement.basis(elt)
+        else:
+            terms = (
+                lie_bracket(LieElement.basis(a.left), bracket_basis(a.right, b))
+                - lie_bracket(LieElement.basis(a.right), bracket_basis(a.left, b))
+            ).terms
+            # list the terms in basis order, as lyndon_basis_of_length does
+            order = sorted(terms, key=lambda k: k.sort_key)
+            out = LieElement({k: terms[k] for k in order})
         _BRACKET_CACHE[key] = out
     return out
 
 
 def lie_bracket(a, b):
     """Lie bracket of two Lie elements, in the Lyndon basis."""
-    out = LieElement.zero()
+    out = {}
     for x, cx in a.terms.items():
         for y, cy in b.terms.items():
-            out = out + (cx * cy) * bracket_basis(x, y)
-    return out
+            _merge_terms(out, bracket_basis(x, y).terms, cx * cy)
+    return LieElement(out)
 
 
 def left_normed_tensor(letters):

@@ -76,6 +76,15 @@ def _tuple_total(t):
     return sum(len(f.word) for f in t)
 
 
+def _merge_row(out, row, scale):
+    for k, c in row:
+        x = out.get(k, 0) + scale * c
+        if x:
+            out[k] = x
+        else:
+            out.pop(k, None)
+
+
 class UWindow:
     """Q_X^(d) modulo total degree > max_total, in PBW coordinates."""
 
@@ -89,7 +98,9 @@ class UWindow:
                 for m in monomials_star_total(n_gens, q, total):
                     self.tuples.append(m.factors)
         self.index = {t: i for i, t in enumerate(self.tuples)}
+        self.totals = [_tuple_total(t) for t in self.tuples]
         self.letters = [(generator(i),) for i in range(1, n_gens + 1)]
+        self._rows = {}
         self._chain = None
 
     def mono_mul(self, t1, t2):
@@ -99,31 +110,35 @@ class UWindow:
                 out[self.index[t]] = c
         return out
 
-    def _vec_terms(self, row):
-        return [(self.tuples[i], c) for i, c in row.items()]
+    def _row(self, i, j):
+        """Items of the product of basis vectors i and j (memoized)."""
+        row = self._rows.get((i, j))
+        if row is None:
+            row = tuple(self.mono_mul(self.tuples[i], self.tuples[j]).items())
+            self._rows[(i, j)] = row
+        return row
+
+    def _pairs(self, v, w):
+        """(i, j, c_i * c_j) over the index pairs of v and w inside the window."""
+        totals = self.totals
+        for i, c1 in v.items():
+            room = self.max_total - totals[i]
+            for j, c2 in w.items():
+                if totals[j] <= room:
+                    yield i, j, c1 * c2
 
     def mul(self, v, w):
         out = {}
-        for t1, c1 in self._vec_terms(v):
-            for t2, c2 in self._vec_terms(w):
-                if _tuple_total(t1) + _tuple_total(t2) > self.max_total:
-                    continue
-                for i, c in self.mono_mul(t1, t2).items():
-                    x = out.get(i, 0) + c1 * c2 * c
-                    if x:
-                        out[i] = x
-                    else:
-                        out.pop(i, None)
+        for i, j, c12 in self._pairs(v, w):
+            _merge_row(out, self._row(i, j), c12)
         return out
 
     def commutator(self, v, w):
-        out = dict(self.mul(v, w))
-        for i, c in self.mul(w, v).items():
-            x = out.get(i, 0) - c
-            if x:
-                out[i] = x
-            else:
-                out.pop(i, None)
+        """[v, w] in one pass: row(i, j) - row(j, i) for every index pair."""
+        out = {}
+        for i, j, c12 in self._pairs(v, w):
+            _merge_row(out, self._row(i, j), c12)
+            _merge_row(out, self._row(j, i), -c12)
         return out
 
     def letter_vec(self, i):
@@ -349,7 +364,7 @@ def star_ideal_topology_check(n_gens, d, m, alpha=None, extra_totals=2):
     )
 
     def vec_total(v):
-        return _tuple_total(win.tuples[next(iter(v))])
+        return win.totals[next(iter(v))]
 
     def right_close(seeds, cap):
         # every J-power element is total-homogeneous; vectors whose total
@@ -451,7 +466,7 @@ def quantized_window_algebra(n_gens, d, max_total):
     product = {}
     for i, t1 in enumerate(win.tuples):
         for j, t2 in enumerate(win.tuples):
-            if _tuple_total(t1) + _tuple_total(t2) > max_total:
+            if win.totals[i] + win.totals[j] > max_total:
                 continue
             row = win.mono_mul(t1, t2)
             if row:

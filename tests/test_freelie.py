@@ -2,11 +2,15 @@ import itertools as it
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from poissonenv.freelie import (
     LieBasisElement,
     LieElement,
     TensorElement,
     _tensor_vector,
+    bracket_basis,
     expand_to_tensor,
     is_lyndon,
     lie_bracket,
@@ -137,6 +141,61 @@ def test_jacobi_identity_random():
             + lie_bracket(c, lie_bracket(a, b))
         )
         assert j.is_zero()
+
+
+def _pairs_up_to(n_gens, max_total):
+    pool = [b for l in range(1, max_total) for b in lyndon_basis_of_length(n_gens, l)]
+    return [
+        (a, b) for a in pool for b in pool if len(a.word) + len(b.word) <= max_total
+    ]
+
+
+def test_standard_factors_are_stored():
+    for b in lyndon_basis_of_length(3, 5):
+        assert b.left.word + b.right.word == b.word
+        assert b.bracketing == (b.left.bracketing, b.right.bracketing)
+    x2 = LieBasisElement.from_word((2,))
+    assert x2.left is None and x2.right is None and x2.bracketing == 2
+
+
+def test_bracket_basis_matches_tensor_solve():
+    # the Lyndon recursion against the word-space solve, every ordered pair
+    for a, b in _pairs_up_to(3, 6):
+        ta, tb = expand_to_tensor(a), expand_to_tensor(b)
+        assert bracket_basis(a, b) == rewrite_in_basis(ta * tb - tb * ta, 3)
+
+
+def test_bracket_structure_constants_are_integers():
+    for a, b in _pairs_up_to(3, 6):
+        for c in bracket_basis(a, b).terms.values():
+            assert c.denominator == 1
+
+
+@st.composite
+def _lie_elements(draw, count):
+    """``count`` Lie elements of 1-3 terms over 2-3 generators, word length <= 3."""
+    n_gens = draw(st.sampled_from((2, 3)))
+    pool = [b for l in (1, 2, 3) for b in lyndon_basis_of_length(n_gens, l)]
+    coeffs = st.sampled_from((Fraction(1), Fraction(-2), Fraction(3, 2)))
+    out = []
+    for _ in range(count):
+        basis = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        out.append(LieElement({b: draw(coeffs) for b in basis}))
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(_lie_elements(3))
+def test_bracket_antisymmetry_and_jacobi_property(elts):
+    a, b, c = elts
+    assert lie_bracket(a, b) == -1 * lie_bracket(b, a)
+    assert lie_bracket(a, a).is_zero()
+    j = (
+        lie_bracket(a, lie_bracket(b, c))
+        + lie_bracket(b, lie_bracket(c, a))
+        + lie_bracket(c, lie_bracket(a, b))
+    )
+    assert j.is_zero()
 
 
 def test_bracket_star_degree_additive_plus_one():

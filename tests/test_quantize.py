@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from poissonenv.freepoisson import (
 )
 from poissonenv.quantize import (
     QuantizedAlgebra,
+    UWindow,
+    _tuple_total,
     bx_component,
     commutator_filtration_Q,
     graded_of_Q,
@@ -254,3 +257,67 @@ def test_engine_matches_generic_filtration():
         assert engine.rank == len(generic_rows)
         for row in generic_rows:
             assert engine.contains(row)
+
+
+def _reference_mul(win, v, w):
+    # per-tuple product: recompute totals and the monomial product every pair
+    out = {}
+    for i, c1 in v.items():
+        for j, c2 in w.items():
+            t1, t2 = win.tuples[i], win.tuples[j]
+            if _tuple_total(t1) + _tuple_total(t2) > win.max_total:
+                continue
+            for k, c in win.mono_mul(t1, t2).items():
+                out[k] = out.get(k, 0) + c1 * c2 * c
+    return {k: c for k, c in out.items() if c}
+
+
+def _reference_commutator(win, v, w):
+    out = dict(_reference_mul(win, v, w))
+    for k, c in _reference_mul(win, w, v).items():
+        out[k] = out.get(k, 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 6), (3, 1, 5)])
+def test_u_window_mul_and_commutator_match_per_tuple_reference(shape):
+    win = UWindow(*shape)
+    rng = random.Random(sum(shape))
+
+    def rand_vec(cap):
+        # indices of total <= cap, so that some pairs fit the window
+        pool = [i for i, t in enumerate(win.totals) if t <= cap]
+        return {
+            i: Fraction(rng.choice((1, -1, 2, -3)), rng.choice((1, 2)))
+            for i in rng.sample(pool, rng.randint(1, 4))
+        }
+
+    nonzero = 0
+    for _ in range(40):
+        v, w = rand_vec(3), rand_vec(win.max_total)
+        if rng.random() < 0.5:
+            v, w = w, v
+        prod = win.mul(v, w)
+        assert prod == _reference_mul(win, v, w)
+        assert win.commutator(v, w) == _reference_commutator(win, v, w)
+        nonzero += bool(prod)
+    assert nonzero >= 20
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 6), (3, 1, 5)])
+def test_u_window_truncation_edge(shape):
+    # index pairs with t1 + t2 = max_total survive, one more is dropped
+    win = UWindow(*shape)
+    top = win.max_total
+    by_total = {}
+    for i, t in enumerate(win.totals):
+        by_total.setdefault(t, []).append(i)
+    for t1 in range(1, top + 1):
+        u = {by_total[t1][-1]: Fraction(2)}
+        kept = {by_total[top - t1][0]: Fraction(1)}
+        dropped = {by_total[top + 1 - t1][0]: Fraction(1)}
+        assert win.mul(u, kept) and win.mul(u, kept) == _reference_mul(win, u, kept)
+        assert win.mul(u, dropped) == {} and win.commutator(u, dropped) == {}
+        mixed = {**kept, **dropped}
+        assert win.mul(u, mixed) == _reference_mul(win, u, mixed)
+        assert win.commutator(u, mixed) == _reference_commutator(win, u, mixed)
