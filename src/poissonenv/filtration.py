@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .linalg import Echelon, SparseMatrix, SparseVector, SpanSolver
 
@@ -32,13 +33,63 @@ def _merge(acc, terms, scale=1):
     return acc
 
 
+def _table_mul(table, v, w):
+    """Product of coordinate dicts under a structure-constant table."""
+    out = {}
+    for i, ci in v.items():
+        for j, cj in w.items():
+            row = table.get((i, j))
+            if row:
+                _merge(out, row, ci * cj)
+    return out
+
+
+def _is_index(x, dim):
+    return type(x) is int and 0 <= x < dim
+
+
+def _integer_table(table):
+    """``table`` times the lcm of its denominators, as int rows without zeros.
+
+    Returns the scaled table and the scale.  The validated identities are
+    homogeneous in the structure constants, so they hold for the scaled table
+    (with the unit law comparing against the scale) iff they hold for
+    ``table``.
+    """
+    scale = lcm(1, *(c.denominator for row in table.values() for c in row.values()))
+    out = {}
+    for key, row in table.items():
+        row = {k: c.numerator * (scale // c.denominator) for k, c in row.items() if c}
+        if row:
+            out[key] = row
+    return out, scale
+
+
+def _support(table, dim):
+    """``out[a]`` = {b : table[a, b] != 0}."""
+    out = [set() for _ in range(dim)]
+    for a, b in table:
+        out[a].add(b)
+    return out
+
+
 class TruncatedAlgebra:
     """Finite-rank unital algebra with sparse structure constants.
 
     ``product[(i, j)]`` is the coordinate dict of basis_i * basis_j; an
-    optional ``bracket`` table makes it a Poisson algebra.  The constructor
-    verifies associativity, the unit law and (when present) antisymmetry,
-    Jacobi and Leibniz on all basis triples.
+    optional ``bracket`` table makes it a Poisson algebra.
+
+    Every construction validates the tables: first that ``unit`` and every
+    table index lie in [0, dim), then the unit law, associativity and (when a
+    bracket is present) antisymmetry, Jacobi and Leibniz on all basis triples,
+    raising ``ValueError`` at the first failing one.  The checks run on
+    integer copies of the tables, each scaled by the lcm of its denominators
+    (every identity is homogeneous in the constants, so none changes).  They
+    visit only the triples where some side of the identity can be nonzero,
+    found from the nonzero pattern of the tables, and skip associativity
+    triples through the unit, which the unit law settles.  The visited
+    triples keep (i, j, k) order, so the reported triple is the first
+    failing one of the full O(dim^3) loop.
     """
 
     def __init__(self, dim, labels, unit, product, bracket=None, validate=True):
@@ -56,32 +107,12 @@ class TruncatedAlgebra:
 
     # -- arithmetic on coordinate dicts ------------------------------------
     def mul(self, v, w):
-        out = {}
-        for i, ci in v.items():
-            for j, cj in w.items():
-                c = ci * cj
-                for k, s in self.product.get((i, j), {}).items():
-                    x = out.get(k, 0) + c * s
-                    if x:
-                        out[k] = x
-                    else:
-                        out.pop(k, None)
-        return out
+        return _table_mul(self.product, v, w)
 
     def brk(self, v, w):
         if self.bracket is None:
             raise ValueError("algebra carries no bracket")
-        out = {}
-        for i, ci in v.items():
-            for j, cj in w.items():
-                c = ci * cj
-                for k, s in self.bracket.get((i, j), {}).items():
-                    x = out.get(k, 0) + c * s
-                    if x:
-                        out[k] = x
-                    else:
-                        out.pop(k, None)
-        return out
+        return _table_mul(self.bracket, v, w)
 
     def commutator(self, v, w):
         return _merge(dict(self.mul(v, w)), self.mul(w, v), -1)
@@ -92,43 +123,85 @@ class TruncatedAlgebra:
     def unit_vec(self):
         return {self.unit: Fraction(1)}
 
+    def _check_indices(self):
+        dim = self.dim
+        if not _is_index(self.unit, dim):
+            raise ValueError(f"unit {self.unit!r} is not a basis index in [0, {dim})")
+        tables = [("product", self.product)]
+        if self.bracket is not None:
+            tables.append(("bracket", self.bracket))
+        for name, table in tables:
+            for key, row in table.items():
+                if not (
+                    type(key) is tuple
+                    and len(key) == 2
+                    and all(_is_index(x, dim) for x in key)
+                ):
+                    raise ValueError(
+                        f"{name} entry {key!r} has an index outside [0, {dim})"
+                    )
+                for k in row:
+                    if not _is_index(k, dim):
+                        raise ValueError(
+                            f"{name} entry {key!r} -> {k!r} has an index "
+                            f"outside [0, {dim})"
+                        )
+
     def _validate(self):
-        e = self.unit_vec()
-        for i in range(self.dim):
-            v = self.basis_vec(i)
-            if self.mul(e, v) != v or self.mul(v, e) != v:
+        self._check_indices()
+        dim = self.dim
+        basis = [{i: 1} for i in range(dim)]
+        P, p_scale = _integer_table(self.product)
+        p_right = _support(P, dim)
+        for i in range(dim):
+            want = {i: p_scale}
+            if P.get((self.unit, i)) != want or P.get((i, self.unit)) != want:
                 raise ValueError(f"unit law fails at basis {i}")
-        for i in range(self.dim):
-            vi = self.basis_vec(i)
-            for j in range(self.dim):
-                vj = self.basis_vec(j)
-                ij = self.mul(vi, vj)
-                for k in range(self.dim):
-                    vk = self.basis_vec(k)
-                    if self.mul(ij, vk) != self.mul(vi, self.mul(vj, vk)):
+        # with the unit law holding, every triple containing the unit is
+        # associative; otherwise (e_i e_j) e_k and e_i (e_j e_k) are 0 unless
+        # e_j e_k != 0 or e_m e_k != 0 for some m in e_i e_j
+        rest = [i for i in range(dim) if i != self.unit]
+        for i in rest:
+            for j in rest:
+                ij = P.get((i, j), {})
+                ks = set(p_right[j])
+                for m in ij:
+                    ks |= p_right[m]
+                ks.discard(self.unit)
+                for k in sorted(ks):
+                    lhs = _table_mul(P, ij, basis[k])
+                    if lhs != _table_mul(P, basis[i], P.get((j, k), {})):
                         raise ValueError(f"associativity fails at {(i, j, k)}")
         if self.bracket is None:
             return
-        for i in range(self.dim):
-            vi = self.basis_vec(i)
-            for j in range(self.dim):
-                vj = self.basis_vec(j)
-                if _merge(dict(self.brk(vi, vj)), self.brk(vj, vi)):
+        B, _ = _integer_table(self.bracket)
+        b_right = _support(B, dim)
+        for i in range(dim):
+            for j in range(dim):
+                if _merge(dict(B.get((i, j), {})), B.get((j, i), {})):
                     raise ValueError(f"bracket not antisymmetric at {(i, j)}")
-        for i in range(self.dim):
-            vi = self.basis_vec(i)
-            for j in range(self.dim):
-                vj = self.basis_vec(j)
-                for k in range(self.dim):
-                    vk = self.basis_vec(k)
-                    jac = dict(self.brk(vi, self.brk(vj, vk)))
-                    _merge(jac, self.brk(vj, self.brk(vk, vi)))
-                    _merge(jac, self.brk(vk, self.brk(vi, vj)))
+        # the bracket is antisymmetric from here, so {e_a, e_b} != 0 iff
+        # {e_b, e_a} != 0.  When {e_i, -} = 0 every Jacobi and Leibniz term
+        # of (i, j, k) is 0; otherwise a term can be nonzero only for k with
+        # e_j e_k, {e_j, e_k} or {e_i, e_k} != 0, or e_m e_k or {e_m, e_k}
+        # != 0 for some m in {e_i, e_j}
+        for i in range(dim):
+            if not b_right[i]:
+                continue
+            for j in range(dim):
+                ij = B.get((i, j), {})
+                ks = p_right[j] | b_right[j] | b_right[i]
+                for m in ij:
+                    ks |= p_right[m] | b_right[m]
+                for k in sorted(ks):
+                    jac = _table_mul(B, basis[i], B.get((j, k), {}))
+                    _merge(jac, _table_mul(B, basis[j], B.get((k, i), {})))
+                    _merge(jac, _table_mul(B, basis[k], ij))
                     if jac:
                         raise ValueError(f"Jacobi fails at {(i, j, k)}")
-                    leib = dict(self.brk(vi, self.mul(vj, vk)))
-                    _merge(leib, self.mul(vj, self.brk(vi, vk)), -1)
-                    _merge(leib, self.mul(self.brk(vi, vj), vk), -1)
+                    leib = _table_mul(B, basis[i], P.get((j, k), {}))
+                    _merge(leib, _table_mul(P, basis[j], B.get((i, k), {})), -1)
+                    _merge(leib, _table_mul(P, ij, basis[k]), -1)
                     if leib:
                         raise ValueError(f"Leibniz fails at {(i, j, k)}")
 
@@ -401,16 +474,19 @@ class EndoMap:
 
     matrix: SparseMatrix
 
+    @cached_property
+    def _by_column(self):
+        cols = {}
+        for (i, j), c in self.matrix.entries.items():
+            cols.setdefault(j, {})[i] = c
+        return cols
+
     def apply(self, vec):
         out = {}
         for j, c in vec.items():
-            for (i, jj), m in self.matrix.entries.items():
-                if jj == j:
-                    x = out.get(i, 0) + c * m
-                    if x:
-                        out[i] = x
-                    else:
-                        out.pop(i, None)
+            col = self._by_column.get(j)
+            if col:
+                _merge(out, col, c)
         return out
 
     @classmethod
@@ -422,10 +498,7 @@ class EndoMap:
         return cls(SparseMatrix(dim, dim, entries))
 
     def columns(self):
-        cols = [dict() for _ in range(self.matrix.cols)]
-        for (i, j), c in self.matrix.entries.items():
-            cols[j][i] = c
-        return cols
+        return [dict(self._by_column.get(j, {})) for j in range(self.matrix.cols)]
 
 
 @dataclass
@@ -537,13 +610,7 @@ def exp_nilpotent_endo(alg, derivation_cols):
     ``dim`` iterations, which holds for every degree-raising derivation of a
     truncated graded algebra.
     """
-
-    def apply_cols(cols, vec):
-        out = {}
-        for j, c in vec.items():
-            _merge(out, cols[j], c)
-        return out
-
+    derivation = EndoMap.from_columns(alg.dim, derivation_cols)
     columns = []
     for i in range(alg.dim):
         total = dict(alg.basis_vec(i))
@@ -553,7 +620,7 @@ def exp_nilpotent_endo(alg, derivation_cols):
             k += 1
             if k > alg.dim:
                 raise ValueError("derivation is not nilpotent")
-            term = apply_cols(derivation_cols, term)
+            term = derivation.apply(term)
             _merge(total, {m: c / factorial(k) for m, c in term.items()})
         columns.append(total)
     return EndoMap.from_columns(alg.dim, columns)

@@ -104,6 +104,17 @@ def test_filtration_command(tmp_path, capsys):
     assert "nil-Poisson filtration ranks:" in out
 
 
+def test_filtration_rejects_out_of_range_index(tmp_path, capsys):
+    data = poisson_window_algebra(2, 1, 3).to_json_dict()
+    data["product"].append([data["dim"] + 5, 1, 1, "1"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "filtration", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"product entry ({data['dim'] + 5}, 1)" in err
+
+
 def test_graded_command(capsys):
     code, out, _ = run_cli(capsys, "graded", "-n", "2", "-d", "1", "-N", "1")
     assert code == 0

@@ -3,10 +3,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonenv.filtration import (
     EndoMap,
     TruncatedAlgebra,
+    _merge,
     associated_graded,
     chain_is_admissible,
     commutator_filtration,
@@ -18,6 +21,7 @@ from poissonenv.filtration import (
 )
 from poissonenv.freepoisson import monomials_star_total
 from poissonenv.quantize import (
+    envelope_window_algebra,
     poisson_window_algebra,
     quantized_window_algebra,
 )
@@ -296,5 +300,258 @@ def test_serialization_round_trip():
 
 def test_validation_catches_bad_structure():
     bad = {(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1)}}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"unit law fails at basis 1"):
         TruncatedAlgebra(2, ["1", "x"], 0, bad)  # (x*1 undefined -> unit law)
+
+
+# -- validation against the triple-loop reference ------------------------------
+
+
+def reference_validate(alg):
+    """The plain O(dim^3) check on Fraction basis vectors, through ``mul`` and
+    ``brk``: the reference for ``TruncatedAlgebra._validate``.  Returns the
+    message of the first failure, or None."""
+    e = alg.unit_vec()
+    for i in range(alg.dim):
+        v = alg.basis_vec(i)
+        if alg.mul(e, v) != v or alg.mul(v, e) != v:
+            return f"unit law fails at basis {i}"
+    for i in range(alg.dim):
+        vi = alg.basis_vec(i)
+        for j in range(alg.dim):
+            vj = alg.basis_vec(j)
+            ij = alg.mul(vi, vj)
+            for k in range(alg.dim):
+                vk = alg.basis_vec(k)
+                if alg.mul(ij, vk) != alg.mul(vi, alg.mul(vj, vk)):
+                    return f"associativity fails at {(i, j, k)}"
+    if alg.bracket is None:
+        return None
+    for i in range(alg.dim):
+        vi = alg.basis_vec(i)
+        for j in range(alg.dim):
+            vj = alg.basis_vec(j)
+            if _merge(dict(alg.brk(vi, vj)), alg.brk(vj, vi)):
+                return f"bracket not antisymmetric at {(i, j)}"
+    for i in range(alg.dim):
+        vi = alg.basis_vec(i)
+        for j in range(alg.dim):
+            vj = alg.basis_vec(j)
+            for k in range(alg.dim):
+                vk = alg.basis_vec(k)
+                jac = dict(alg.brk(vi, alg.brk(vj, vk)))
+                _merge(jac, alg.brk(vj, alg.brk(vk, vi)))
+                _merge(jac, alg.brk(vk, alg.brk(vi, vj)))
+                if jac:
+                    return f"Jacobi fails at {(i, j, k)}"
+                leib = dict(alg.brk(vi, alg.mul(vj, vk)))
+                _merge(leib, alg.mul(vj, alg.brk(vi, vk)), -1)
+                _merge(leib, alg.mul(alg.brk(vi, vj), vk), -1)
+                if leib:
+                    return f"Leibniz fails at {(i, j, k)}"
+    return None
+
+
+def validation_outcomes(alg, product, bracket):
+    """(reference message, constructor message) for the given tables."""
+    unchecked = TruncatedAlgebra(
+        alg.dim, alg.labels, alg.unit, product, bracket, validate=False
+    )
+    try:
+        TruncatedAlgebra(alg.dim, alg.labels, alg.unit, product, bracket)
+        got = None
+    except ValueError as exc:
+        got = str(exc)
+    return reference_validate(unchecked), got
+
+
+def _quadric_envelope_algebra():
+    from poissonenv.envelope import EnvelopePresentation
+    from poissonenv.freepoisson import PoissonElement, multiply
+
+    x1 = PoissonElement.generator(1)
+    x2 = PoissonElement.generator(2)
+    pres = EnvelopePresentation(2, (multiply(x1, x2),), 1, 3)
+    return envelope_window_algebra(pres, 3)
+
+
+def _graded_algebra():
+    alg = quantized_window_algebra(2, 1, 3)
+    return associated_graded(alg, commutator_filtration(alg))
+
+
+SMALL_ALGEBRAS = {
+    "quantized": quantized_window_algebra(2, 1, 3),
+    "envelope": _quadric_envelope_algebra(),
+    "graded": _graded_algebra(),
+}
+CORRUPT_COEFFS = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3)]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_validation_matches_reference_on_corruptions(data):
+    alg = SMALL_ALGEBRAS[data.draw(st.sampled_from(sorted(SMALL_ALGEBRAS)))]
+    product = {k: dict(v) for k, v in alg.product.items()}
+    bracket = None
+    if alg.bracket is not None:
+        bracket = {k: dict(v) for k, v in alg.bracket.items()}
+    kinds = ["product"] if bracket is None else ["product", "bracket", "mirrored"]
+    index = st.integers(0, alg.dim - 1)
+    for _ in range(data.draw(st.integers(1, 2))):
+        kind = data.draw(st.sampled_from(kinds))
+        i, j, k = data.draw(index), data.draw(index), data.draw(index)
+        c = data.draw(st.sampled_from(CORRUPT_COEFFS))
+        (product if kind == "product" else bracket).setdefault((i, j), {})[k] = c
+        if kind == "mirrored":
+            # the bracket stays antisymmetric, so Jacobi and Leibniz are reached
+            bracket.setdefault((j, i), {})[k] = -c
+    ref, got = validation_outcomes(alg, product, bracket)
+    assert got == ref
+
+
+@pytest.mark.parametrize(
+    "which, corruptions, message",
+    [
+        ("envelope", [(6, 0, 7, 2)], "Leibniz fails at (0, 1, 3)"),
+        ("envelope", [(2, 4, 1, 1), (5, 7, 1, 2)], "Jacobi fails at (1, 2, 7)"),
+        ("graded", [(8, 2, 4, -1)], "Jacobi fails at (1, 2, 8)"),
+        ("graded", [(0, 9, 0, -1)], "Leibniz fails at (0, 1, 9)"),
+    ],
+)
+def test_validation_reports_first_failing_triple(which, corruptions, message):
+    # antisymmetric bracket corruptions whose first failing triple is reached
+    # through a single term of Jacobi or Leibniz
+    alg = SMALL_ALGEBRAS[which]
+    bracket = {k: dict(v) for k, v in alg.bracket.items()}
+    for i, j, k, c in corruptions:
+        bracket.setdefault((i, j), {})[k] = Fraction(c)
+        bracket.setdefault((j, i), {})[k] = -Fraction(c)
+    assert validation_outcomes(alg, alg.product, bracket) == (message, message)
+
+
+def test_small_algebras_validate():
+    for alg in SMALL_ALGEBRAS.values():
+        assert validation_outcomes(alg, alg.product, alg.bracket) == (None, None)
+
+
+def _dual_numbers():
+    """k[x]/(x^2): product tables of 1, x."""
+    one = Fraction(1)
+    return {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
+
+
+def _square_zero(n):
+    """k + V with V*V = 0, dim V = n: product tables on 1, v_1, ..., v_n."""
+    product = {(0, 0): {0: Fraction(1)}}
+    for a in range(1, n + 1):
+        product[(0, a)] = {a: Fraction(1)}
+        product[(a, 0)] = {a: Fraction(1)}
+    return product
+
+
+@pytest.mark.parametrize(
+    "dim, product, bracket, message",
+    [
+        # (x y) y = x but x (y y) = 0
+        (
+            3,
+            {**_square_zero(2), (1, 2): {1: Fraction(1)}},
+            None,
+            "associativity fails at (1, 2, 2)",
+        ),
+        # {x, x} = x
+        (
+            2,
+            _dual_numbers(),
+            {(1, 1): {1: Fraction(1)}},
+            "bracket not antisymmetric at (1, 1)",
+        ),
+        # {a, b} = a, {a, c} = b: antisymmetric, Jacobi(a, b, c) = -b
+        (
+            4,
+            _square_zero(3),
+            {
+                (1, 2): {1: Fraction(1)},
+                (2, 1): {1: Fraction(-1)},
+                (1, 3): {2: Fraction(1)},
+                (3, 1): {2: Fraction(-1)},
+            },
+            "Jacobi fails at (1, 2, 3)",
+        ),
+        # {1, x} = x: Jacobi holds in dimension 2, Leibniz needs {x, 1} = 0
+        (
+            2,
+            _dual_numbers(),
+            {(0, 1): {1: Fraction(1)}, (1, 0): {1: Fraction(-1)}},
+            "Leibniz fails at (1, 0, 0)",
+        ),
+        # {x, y} = a, a c = d: only {x, y} c is nonzero at (x, y, c)
+        (
+            6,
+            {**_square_zero(5), (3, 4): {5: Fraction(1)}},
+            {(1, 2): {3: Fraction(1)}, (2, 1): {3: Fraction(-1)}},
+            "Leibniz fails at (1, 2, 4)",
+        ),
+    ],
+)
+def test_validation_rejects_each_identity(dim, product, bracket, message):
+    labels = [f"b{i}" for i in range(dim)]
+    with pytest.raises(ValueError) as exc:
+        TruncatedAlgebra(dim, labels, 0, product, bracket)
+    assert str(exc.value) == message
+    alg = TruncatedAlgebra(dim, labels, 0, product, bracket, validate=False)
+    assert reference_validate(alg) == message
+
+
+def test_validation_with_fractional_constants():
+    alg = poisson_window_algebra(2, 1, 3)
+    third = {k: {m: c / 3 for m, c in row.items()} for k, row in alg.bracket.items()}
+    scaled = TruncatedAlgebra(alg.dim, alg.labels, alg.unit, alg.product, third)
+    assert nil_poisson_filtration(scaled).ranks() == nil_poisson_filtration(alg).ranks()
+    product = {key: dict(row) for key, row in alg.product.items()}
+    key = next(key for key in sorted(product) if alg.unit not in key)
+    product[key][next(iter(product[key]))] += Fraction(1, 2)
+    ref, got = validation_outcomes(alg, product, third)
+    assert ref is not None and got == ref
+
+
+def test_validation_rejects_out_of_range_indices():
+    alg = poisson_window_algebra(2, 1, 3)
+    dim = alg.dim
+    good = alg.to_json_dict()
+    cases = [
+        ("product", [dim + 5, 1, 1, "1"]),
+        ("product", [1, -1, 1, "1"]),
+        ("product", [1, 1, dim, "1"]),
+        ("bracket", [1, 2, dim + 1, "0"]),
+    ]
+    for table, entry in cases:
+        data = json.loads(json.dumps(good))
+        data[table].append(entry)
+        pattern = rf"^{table} entry .* outside \[0, {dim}\)"
+        with pytest.raises(ValueError, match=pattern):
+            TruncatedAlgebra.load(io.StringIO(json.dumps(data)))
+    data = dict(good, unit=dim)
+    with pytest.raises(ValueError, match=rf"^unit {dim} is not a basis index"):
+        TruncatedAlgebra.load(io.StringIO(json.dumps(data)))
+    bad_key = {**_dual_numbers(), (1, 1): {"x": Fraction(1)}}
+    with pytest.raises(ValueError, match=r"^product entry \(1, 1\) -> 'x' has"):
+        TruncatedAlgebra(2, ["1", "x"], 0, bad_key)
+
+
+def test_endo_apply_matches_entry_scan():
+    alg = poisson_window_algebra(2, 2, 4)
+    label_index = {lab: i for i, lab in enumerate(alg.labels)}
+    cols = hamiltonian_derivation(alg, {label_index["(12)"]: Fraction(1)})
+    f = exp_nilpotent_endo(alg, cols)
+    vecs = [alg.basis_vec(i) for i in range(alg.dim)]
+    vecs.append({i: Fraction(i + 1, 2) for i in range(alg.dim)})
+    for vec in vecs:
+        expected = {}
+        for j, c in vec.items():
+            for (i, jj), m in f.matrix.entries.items():
+                if jj == j:
+                    _merge(expected, {i: m}, c)
+        assert f.apply(vec) == expected
+    assert f.columns() == [f.apply(v) for v in vecs[:-1]]
