@@ -30,7 +30,7 @@ from .freepoisson import (
     multiply,
     poisson_bracket,
 )
-from .linalg import Echelon, SparseMatrix, SparseVector
+from .linalg import Echelon, SparseMatrix, SparseVector, merge
 
 
 @dataclass(frozen=True)
@@ -378,12 +378,7 @@ def _de_rham(p):
     for m, c in p.terms.items():
         for i, f in enumerate(m.factors):
             rest = PoissonMonomial.of(m.factors[:i] + m.factors[i + 1 :])
-            key = (rest, f)
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
+            merge(out, [((rest, f), c)])
     return out
 
 

@@ -20,17 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import factorial, lcm
 
-from .linalg import Echelon, SparseMatrix, SparseVector, SpanSolver
-
-
-def _merge(acc, terms, scale=1):
-    for k, v in terms.items():
-        w = acc.get(k, 0) + scale * v
-        if w:
-            acc[k] = w
-        else:
-            acc.pop(k, None)
-    return acc
+from .linalg import Echelon, SparseMatrix, SparseVector, SpanSolver, merge
 
 
 def _table_mul(table, v, w):
@@ -40,7 +30,7 @@ def _table_mul(table, v, w):
         for j, cj in w.items():
             row = table.get((i, j))
             if row:
-                _merge(out, row, ci * cj)
+                merge(out, row.items(), ci * cj)
     return out
 
 
@@ -63,6 +53,12 @@ def _integer_table(table):
         if row:
             out[key] = row
     return out, scale
+
+
+def _nonzero(table):
+    """Copy of a structure-constant table without zero coefficients or empty rows."""
+    rows = ((key, {k: c for k, c in row.items() if c}) for key, row in table.items())
+    return {key: row for key, row in rows if row}
 
 
 def _support(table, dim):
@@ -96,13 +92,13 @@ class TruncatedAlgebra:
         self.dim = dim
         self.labels = list(labels)
         self.unit = unit
-        self.product = {k: dict(v) for k, v in product.items() if v}
-        self.bracket = (
-            None if bracket is None else {k: dict(v) for k, v in bracket.items() if v}
-        )
+        self.product = _nonzero(product)
+        self.bracket = None if bracket is None else _nonzero(bracket)
         if len(self.labels) != dim:
             raise ValueError("label count must match dim")
         if validate:
+            # indices are checked on the tables as given, zero entries included
+            self._check_indices(product, bracket)
             self._validate()
 
     # -- arithmetic on coordinate dicts ------------------------------------
@@ -115,7 +111,7 @@ class TruncatedAlgebra:
         return _table_mul(self.bracket, v, w)
 
     def commutator(self, v, w):
-        return _merge(dict(self.mul(v, w)), self.mul(w, v), -1)
+        return merge(self.mul(v, w), self.mul(w, v).items(), -1)
 
     def basis_vec(self, i):
         return {i: Fraction(1)}
@@ -123,13 +119,13 @@ class TruncatedAlgebra:
     def unit_vec(self):
         return {self.unit: Fraction(1)}
 
-    def _check_indices(self):
+    def _check_indices(self, product, bracket):
         dim = self.dim
         if not _is_index(self.unit, dim):
             raise ValueError(f"unit {self.unit!r} is not a basis index in [0, {dim})")
-        tables = [("product", self.product)]
-        if self.bracket is not None:
-            tables.append(("bracket", self.bracket))
+        tables = [("product", product)]
+        if bracket is not None:
+            tables.append(("bracket", bracket))
         for name, table in tables:
             for key, row in table.items():
                 if not (
@@ -148,7 +144,6 @@ class TruncatedAlgebra:
                         )
 
     def _validate(self):
-        self._check_indices()
         dim = self.dim
         basis = [{i: 1} for i in range(dim)]
         P, p_scale = _integer_table(self.product)
@@ -178,7 +173,7 @@ class TruncatedAlgebra:
         b_right = _support(B, dim)
         for i in range(dim):
             for j in range(dim):
-                if _merge(dict(B.get((i, j), {})), B.get((j, i), {})):
+                if merge(dict(B.get((i, j), {})), B.get((j, i), {}).items()):
                     raise ValueError(f"bracket not antisymmetric at {(i, j)}")
         # the bracket is antisymmetric from here, so {e_a, e_b} != 0 iff
         # {e_b, e_a} != 0.  When {e_i, -} = 0 every Jacobi and Leibniz term
@@ -195,13 +190,13 @@ class TruncatedAlgebra:
                     ks |= p_right[m] | b_right[m]
                 for k in sorted(ks):
                     jac = _table_mul(B, basis[i], B.get((j, k), {}))
-                    _merge(jac, _table_mul(B, basis[j], B.get((k, i), {})))
-                    _merge(jac, _table_mul(B, basis[k], ij))
+                    merge(jac, _table_mul(B, basis[j], B.get((k, i), {})).items())
+                    merge(jac, _table_mul(B, basis[k], ij).items())
                     if jac:
                         raise ValueError(f"Jacobi fails at {(i, j, k)}")
                     leib = _table_mul(B, basis[i], P.get((j, k), {}))
-                    _merge(leib, _table_mul(P, basis[j], B.get((i, k), {})), -1)
-                    _merge(leib, _table_mul(P, ij, basis[k]), -1)
+                    merge(leib, _table_mul(P, basis[j], B.get((i, k), {})).items(), -1)
+                    merge(leib, _table_mul(P, ij, basis[k]).items(), -1)
                     if leib:
                         raise ValueError(f"Leibniz fails at {(i, j, k)}")
 
@@ -227,9 +222,12 @@ class TruncatedAlgebra:
     @classmethod
     def from_json_dict(cls, data, validate=True):
         def table(rows):
+            # entries for the same (i, j, k) add up; the constructor drops the
+            # zero sums once the index check has seen every entry
             t = {}
             for i, j, k, c in rows:
-                t.setdefault((i, j), {})[k] = Fraction(c)
+                row = t.setdefault((i, j), {})
+                row[k] = row.get(k, 0) + Fraction(c)
             return t
 
         return cls(
@@ -278,28 +276,32 @@ class FiltrationChain:
         return [len(p) for p in self.pieces]
 
 
-def _ideal_closure(alg, seeds):
+def ideal_closure(mul, multipliers, seeds):
+    """Echelon spanning the two-sided ideal generated by ``seeds``: a
+    worklist closing the span under ``mul`` by each of ``multipliers`` on
+    the left and on the right.  The multipliers must generate the algebra.
+    """
     ech = Echelon()
     queue = [dict(s) for s in seeds]
-    basis = [alg.basis_vec(i) for i in range(alg.dim)]
     while queue:
         v = queue.pop()
         if not v or not ech.add(v):
             continue
-        for b in basis:
-            left = alg.mul(b, v)
+        for b in multipliers:
+            left = mul(b, v)
             if left:
                 queue.append(left)
-            right = alg.mul(v, b)
+            right = mul(v, b)
             if right:
                 queue.append(right)
     return ech
 
 
 def _filtration(alg, pair_map):
+    basis = [alg.basis_vec(i) for i in range(alg.dim)]
     full = Echelon()
-    for i in range(alg.dim):
-        full.add(alg.basis_vec(i))
+    for b in basis:
+        full.add(b)
     chain = [full]
     while True:
         n = len(chain) - 1
@@ -322,23 +324,19 @@ def _filtration(alg, pair_map):
             # the ideal closure nests inside the sum: each summand is closed
             # on its own before the pieces are added up
             if gens:
-                for row in _ideal_closure(alg, gens).basis():
+                for row in ideal_closure(alg.mul, basis, gens).basis():
                     new.add(row)
         if new.rank == chain[-1].rank:
             # descending chain: equal rank means equal span; stable from here
             return FiltrationChain(
-                pieces=[e_basis(c) for c in chain],
+                pieces=[c.basis() for c in chain],
                 stable_is_zero=(new.rank == 0),
             )
         chain.append(new)
         if new.rank == 0:
             return FiltrationChain(
-                pieces=[e_basis(c) for c in chain], stable_is_zero=True
+                pieces=[c.basis() for c in chain], stable_is_zero=True
             )
-
-
-def e_basis(ech):
-    return ech.basis()
 
 
 def commutator_filtration(alg):
@@ -486,7 +484,7 @@ class EndoMap:
         for j, c in vec.items():
             col = self._by_column.get(j)
             if col:
-                _merge(out, col, c)
+                merge(out, col.items(), c)
         return out
 
     @classmethod
@@ -556,7 +554,7 @@ def endo_contraction_check(alg, f, chain, use_bracket=True):
     f1 = chain.piece_echelon(1)
 
     def D(vec):
-        return _merge(dict(f.apply(vec)), vec, -1)
+        return merge(f.apply(vec), vec.items(), -1)
 
     identity_mod_f1 = all(
         f1.contains(D(alg.basis_vec(i))) for i in range(alg.dim)
@@ -568,16 +566,16 @@ def endo_contraction_check(alg, f, chain, use_bracket=True):
         for j in range(alg.dim):
             vj = alg.basis_vec(j)
             lhs = dict(D(pair(vi, vj)))
-            _merge(lhs, pair(D(vi), vj), -1)
-            _merge(lhs, pair(vi, D(vj)), -1)
-            _merge(lhs, pair(D(vi), D(vj)))
+            merge(lhs, pair(D(vi), vj).items(), -1)
+            merge(lhs, pair(vi, D(vj)).items(), -1)
+            merge(lhs, pair(D(vi), D(vj)).items())
             if lhs:
                 identities = False
                 break
             lhs = dict(D(alg.mul(vi, vj)))
-            _merge(lhs, alg.mul(vi, D(vj)), -1)
-            _merge(lhs, alg.mul(vj, D(vi)), -1)
-            _merge(lhs, alg.mul(D(vi), D(vj)))
+            merge(lhs, alg.mul(vi, D(vj)).items(), -1)
+            merge(lhs, alg.mul(vj, D(vi)).items(), -1)
+            merge(lhs, alg.mul(D(vi), D(vj)).items())
             if lhs:
                 identities = False
                 break
@@ -621,7 +619,7 @@ def exp_nilpotent_endo(alg, derivation_cols):
             if k > alg.dim:
                 raise ValueError("derivation is not nilpotent")
             term = derivation.apply(term)
-            _merge(total, {m: c / factorial(k) for m, c in term.items()})
+            merge(total, term.items(), Fraction(1, factorial(k)))
         columns.append(total)
     return EndoMap.from_columns(alg.dim, columns)
 

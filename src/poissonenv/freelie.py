@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Echelon, SparseVector, SpanSolver
+from .linalg import Combination, Echelon, SparseVector, SpanSolver, merge
 
 Word = tuple  # tuple of 1-based generator indices
 
@@ -105,28 +105,13 @@ def generator(i):
     return LieBasisElement.from_word((i,))
 
 
-def _merge_terms(acc, terms, scale=1):
-    for k, v in terms.items():
-        w = acc.get(k, 0) + scale * v
-        if w:
-            acc[k] = w
-        else:
-            acc.pop(k, None)
-    return acc
-
-
-class TensorElement:
+class TensorElement(Combination):
     """Exact rational combination of noncommutative words (element of TV).
 
     The empty word is the unit.  ``*`` is the concatenation product.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {
-            tuple(w): Fraction(c) for w, c in (terms or {}).items() if c
-        }
+    __slots__ = ()
 
     @classmethod
     def word(cls, w, coeff=1):
@@ -136,33 +121,8 @@ class TensorElement:
     def one(cls):
         return cls({(): Fraction(1)})
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        return TensorElement(_merge_terms(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return TensorElement(_merge_terms(dict(self.terms), other.terms, -1))
-
-    def __neg__(self):
-        return TensorElement({w: -c for w, c in self.terms.items()})
-
-    def __rmul__(self, c):
-        c = Fraction(c)
-        if not c:
-            return TensorElement()
-        return TensorElement({w: c * v for w, v in self.terms.items()})
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
@@ -170,7 +130,7 @@ class TensorElement:
         out = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                _merge_terms(out, {w1 + w2: c1 * c2})
+                merge(out, [(w1 + w2, c1 * c2)])
         return TensorElement(out)
 
     def word_lengths(self):
@@ -190,42 +150,14 @@ class TensorElement:
         return " + ".join(bits)
 
 
-class LieElement:
+class LieElement(Combination):
     """Exact rational combination of Lyndon basis elements."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {b: Fraction(c) for b, c in (terms or {}).items() if c}
+    __slots__ = ()
 
     @classmethod
     def basis(cls, elt, coeff=1):
         return cls({elt: Fraction(coeff)})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, LieElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        return LieElement(_merge_terms(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return LieElement(_merge_terms(dict(self.terms), other.terms, -1))
-
-    def __neg__(self):
-        return LieElement({b: -c for b, c in self.terms.items()})
-
-    def __rmul__(self, c):
-        c = Fraction(c)
-        if not c:
-            return LieElement()
-        return LieElement({b: c * v for b, v in self.terms.items()})
 
     def star_degrees(self):
         return sorted({b.star_degree for b in self.terms})
@@ -327,10 +259,10 @@ def expand_to_tensor(a):
     """Image of a Lie element under the inclusion LV in TV."""
     if isinstance(a, LieBasisElement):
         return _expand_tree(a.bracketing)
-    out = TensorElement()
+    out = {}
     for b, c in a.terms.items():
-        out = out + c * _expand_tree(b.bracketing)
-    return out
+        merge(out, _expand_tree(b.bracketing).terms.items(), c)
+    return TensorElement(out)
 
 
 def _word_index(word, n_gens):
@@ -424,7 +356,7 @@ def lie_bracket(a, b):
     out = {}
     for x, cx in a.terms.items():
         for y, cy in b.terms.items():
-            _merge_terms(out, bracket_basis(x, y).terms, cx * cy)
+            merge(out, bracket_basis(x, y).terms.items(), cx * cy)
     return LieElement(out)
 
 

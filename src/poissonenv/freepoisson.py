@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from . import pbw
 from .freelie import TensorElement, bracket_basis, generator
+from .linalg import Combination, merge
 
 
 class PoissonMonomial:
@@ -85,27 +86,10 @@ class PoissonMonomial:
 MONOMIAL_ONE = PoissonMonomial(())
 
 
-def _merge(acc, terms, scale=1):
-    for k, v in terms.items():
-        w = acc.get(k, 0) + scale * v
-        if w:
-            acc[k] = w
-        else:
-            acc.pop(k, None)
-    return acc
-
-
-class PoissonElement:
+class PoissonElement(Combination):
     """Exact rational combination of Poisson monomials."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls):
-        return cls()
+    __slots__ = ()
 
     @classmethod
     def one(cls, coeff=1):
@@ -123,27 +107,6 @@ class PoissonElement:
     def from_lie(cls, a):
         """Embed a Lie element as a sum of single-factor monomials."""
         return cls({PoissonMonomial((b,)): c for b, c in a.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, PoissonElement) and self.terms == other.terms
-
-    def __add__(self, other):
-        return PoissonElement(_merge(dict(self.terms), other.terms))
-
-    def __sub__(self, other):
-        return PoissonElement(_merge(dict(self.terms), other.terms, -1))
-
-    def __neg__(self):
-        return PoissonElement({m: -c for m, c in self.terms.items()})
-
-    def __rmul__(self, c):
-        c = Fraction(c)
-        if not c:
-            return PoissonElement()
-        return PoissonElement({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PoissonElement):
@@ -197,7 +160,7 @@ def multiply(a, b):
     out = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            _merge(out, {PoissonMonomial.of(m1.factors + m2.factors): c1 * c2})
+            merge(out, [(PoissonMonomial.of(m1.factors + m2.factors), c1 * c2)])
     return PoissonElement(out)
 
 
@@ -215,7 +178,7 @@ def _bracket_monomials(m1, m2):
         for j, g in enumerate(m2.factors):
             rest2 = m2.factors[:j] + m2.factors[j + 1 :]
             for b, c in bracket_basis(f, g).terms.items():
-                _merge(out, {PoissonMonomial.of(rest1 + rest2 + (b,)): c})
+                merge(out, [(PoissonMonomial.of(rest1 + rest2 + (b,)), c)])
     _BRACKET_MONO_CACHE[key] = out
     return out
 
@@ -226,7 +189,7 @@ def poisson_bracket(a, b):
     out = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            _merge(out, _bracket_monomials(m1, m2), c1 * c2)
+            merge(out, _bracket_monomials(m1, m2).items(), c1 * c2)
     return PoissonElement(out)
 
 
@@ -243,7 +206,7 @@ def e_inverse(t):
     out = {}
     for w, c in t.terms.items():
         for factors, v in pbw.e_inverse_word(w).items():
-            _merge(out, {PoissonMonomial(factors): c * v})
+            merge(out, [(PoissonMonomial(factors), c * v)])
     return PoissonElement(out)
 
 
@@ -258,7 +221,7 @@ def _star_monomials(m1, m2):
         prod = {}
         for t1, c1 in pbw.sym_pbw(m1.factors).items():
             for t2, c2 in e2.items():
-                _merge(prod, pbw.normal(t1 + t2), c1 * c2)
+                merge(prod, pbw.normal(t1 + t2).items(), c1 * c2)
         hit = {PoissonMonomial(t): c for t, c in pbw.e_inverse_pbw(prod).items()}
         _STAR_MONO_CACHE[key] = hit
     return hit
@@ -276,7 +239,7 @@ def star_product(a, b):
     out = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            _merge(out, _star_monomials(m1, m2), c1 * c2)
+            merge(out, _star_monomials(m1, m2).items(), c1 * c2)
     return PoissonElement(out)
 
 

@@ -1,10 +1,13 @@
 """Exact sparse linear algebra over the rationals.
 
 Scalars are arbitrary-precision ``fractions.Fraction`` values (always reduced,
-positive denominator).  Vectors and matrices store only nonzero entries.
-Everything here is deterministic: elimination picks the smallest available
-column, and among candidate pivot rows the numerator with the smallest bit
-length wins.  No floating point anywhere.
+positive denominator).  Vectors, matrices and combinations store only nonzero
+entries.  This module owns how a sparse exact row is updated and eliminated:
+``merge`` is the one add-and-drop-zero step, ``Combination`` the one base of
+the algebra elements, and ``Echelon`` the one elimination routine (rank,
+kernel and span solving feed their rows through it).  Elimination is
+deterministic: it always clears the smallest available column.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
@@ -16,6 +19,68 @@ Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def merge(acc, items, scale=1):
+    """Fold ``scale * c`` into ``acc[k]`` for every pair (k, c) of ``items``.
+
+    ``acc`` is a dict of nonzero coefficients and stays one: a key whose sum
+    is zero is dropped.  Returns ``acc``.
+    """
+    get = acc.get
+    for k, c in items:
+        w = get(k)
+        if w is None:
+            w = c * scale
+            if w:
+                acc[k] = w
+        else:
+            w += c * scale
+            if w:
+                acc[k] = w
+            else:
+                del acc[k]
+    return acc
+
+
+class Combination:
+    """Exact rational combination of hashable keys, the base of the algebra
+    elements: ``terms`` maps each key to its nonzero Fraction coefficient.
+
+    Arithmetic returns the type of the left operand.  Equality holds only
+    between elements of the same type, so elements of different algebras
+    never compare equal; subclasses that define ``__hash__`` are hashable.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __add__(self, other):
+        return type(self)(merge(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return type(self)(merge(dict(self.terms), other.terms.items(), -1))
+
+    def __neg__(self):
+        return type(self)({k: -c for k, c in self.terms.items()})
+
+    def __rmul__(self, c):
+        c = Fraction(c)
+        if not c:
+            return type(self)()
+        return type(self)({k: c * v for k, v in self.terms.items()})
 
 
 class DimensionMismatch(ValueError):
@@ -60,14 +125,7 @@ class SparseVector:
     def __add__(self, other):
         if self.dim != other.dim:
             raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        out = dict(self.entries)
-        for i, v in other.entries.items():
-            w = out.get(i, ZERO) + v
-            if w:
-                out[i] = w
-            else:
-                out.pop(i, None)
-        return SparseVector(self.dim, out)
+        return SparseVector(self.dim, merge(dict(self.entries), other.entries.items()))
 
     def __sub__(self, other):
         return self + (-1) * other
@@ -138,53 +196,22 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
-def _pivot_key(value):
-    # Deterministic pivot preference: small numerator bit length, then small
-    # denominator bit length.
-    return (value.numerator.bit_length(), value.denominator.bit_length())
-
-
 def rank(m):
-    """Rank over the rationals by exact Gaussian elimination.
-
-    Pivot choice: smallest column index first, then the candidate entry whose
-    numerator has the smallest bit length (ties broken by denominator bit
-    length, then row order), so results and intermediate states are
-    reproducible.
-    """
-    rows = [r for r in m.row_dicts() if r]
-    rk = 0
-    while rows:
-        col = min(min(r) for r in rows)
-        cand = [i for i, r in enumerate(rows) if col in r]
-        best = min(cand, key=lambda i: (_pivot_key(rows[i][col]), i))
-        pivot_row = rows.pop(best)
-        pv = pivot_row[col]
-        rk += 1
-        nxt = []
-        for r in rows:
-            x = r.get(col)
-            if x:
-                f = x / pv
-                for c, v in pivot_row.items():
-                    w = r.get(c, ZERO) - f * v
-                    if w:
-                        r[c] = w
-                    else:
-                        r.pop(c, None)
-            if r:
-                nxt.append(r)
-        rows = nxt
-    return rk
+    """Rank over the rationals: the rows of ``m`` fed into an ``Echelon``."""
+    ech = Echelon()
+    for row in m.row_dicts():
+        ech.add(row)
+    return ech.rank
 
 
 class Echelon:
     """Incremental row-echelon container for span/membership computations.
 
     Rows are stored normalized with pivot coefficient 1, keyed by pivot
-    column.  ``col_key`` optionally reorders columns (smaller key = eliminated
-    first), which is how subspace-with-coordinate-subspace intersections are
-    carved out.
+    column, newest pivot last.  Elimination always clears the smallest
+    column of the row being reduced.  ``col_key`` optionally reorders
+    columns (smaller key = eliminated first), which is how
+    subspace-with-coordinate-subspace intersections are carved out.
     """
 
     def __init__(self, col_key=None):
@@ -195,29 +222,34 @@ class Echelon:
     def rank(self):
         return len(self.rows)
 
+    def _lead(self, row):
+        """Subtract pivot rows from ``row`` in place, smallest column first,
+        until that column has no pivot; return it (None once ``row`` is 0).
+
+        Subtracting a pivot row only introduces entries at key-larger
+        columns, so the sweep terminates.
+        """
+        rows, key = self.rows, self._key
+        while row:
+            col = min(row, key=key)
+            piv = rows.get(col)
+            if piv is None:
+                return col
+            merge(row, piv.items(), -row[col])
+        return None
+
     def reduce(self, row):
         """Return the residue of ``row`` (a dict) after elimination."""
         row = dict(row)
-        while row:
-            col = min(row, key=self._key)
-            piv = self.rows.get(col)
-            if piv is None:
-                return row
-            f = row[col]
-            for c, v in piv.items():
-                w = row.get(c, ZERO) - f * v
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
+        self._lead(row)
         return row
 
     def add(self, row):
         """Insert ``row`` into the echelon; returns True if the rank grew."""
-        res = self.reduce(row)
-        if not res:
+        res = dict(row)
+        col = self._lead(res)
+        if col is None:
             return False
-        col = min(res, key=self._key)
         pv = res[col]
         self.rows[col] = {c: v / pv for c, v in res.items()}
         return True
@@ -226,26 +258,11 @@ class Echelon:
         return not self.reduce(row)
 
     def normal_form(self, row):
-        """Fully reduce ``row``: the result has no support on pivot columns.
-
-        Subtracting a pivot row only introduces entries at key-larger
-        columns, so a single ascending sweep terminates.
-        """
+        """Fully reduce ``row``: the result has no support on pivot columns."""
         row = dict(row)
         out = {}
-        while row:
-            col = min(row, key=self._key)
-            piv = self.rows.get(col)
-            if piv is None:
-                out[col] = row.pop(col)
-                continue
-            f = row[col]
-            for c, v in piv.items():
-                w = row.get(c, ZERO) - f * v
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
+        while (col := self._lead(row)) is not None:
+            out[col] = row.pop(col)
         return out
 
     def basis(self):
@@ -254,58 +271,40 @@ class Echelon:
 
 
 class SpanSolver:
-    """Expresses targets as exact rational combinations of fixed basis vectors."""
+    """Expresses targets as exact rational combinations of fixed basis vectors.
+
+    Basis vector i enters one ``Echelon`` tagged with an extra column
+    ``dim + i``, so every echelon row carries the combination of basis
+    vectors it stands for.  A vector whose untagged part reduces to zero
+    depends on the earlier ones and is left out; its coefficient is 0.
+    """
 
     def __init__(self, basis):
         self.basis = list(basis)
         self.dim = self.basis[0].dim if self.basis else 0
-        self._ech = []  # list of (row dict, coeff dict over basis indices)
+        self._ech = Echelon()
         for i, v in enumerate(self.basis):
             if v.dim != self.dim:
                 raise DimensionMismatch(f"{v.dim} != {self.dim}")
-            self._insert(dict(v.entries), {i: ONE})
-
-    def _reduce(self, row, coeff):
-        for prow, pcoeff in self._ech:
-            col = min(prow)
-            f = row.get(col)
-            if not f:
-                continue
-            for c, v in prow.items():
-                w = row.get(c, ZERO) - f * v
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
-            for c, v in pcoeff.items():
-                w = coeff.get(c, ZERO) - f * v
-                if w:
-                    coeff[c] = w
-                else:
-                    coeff.pop(c, None)
-        return row, coeff
-
-    def _insert(self, row, coeff):
-        row, coeff = self._reduce(row, coeff)
-        if not row:
-            return
-        pv = row[min(row)]
-        self._ech.append(
-            (
-                {c: v / pv for c, v in row.items()},
-                {c: v / pv for c, v in coeff.items()},
-            )
-        )
-        self._ech.sort(key=lambda rc: min(rc[0]))
+            _add_independent(self._ech, {**v.entries, self.dim + i: ONE}, self.dim)
 
     def solve(self, target):
         """Coefficients c with sum(c[i] * basis[i]) == target, or None."""
         if target.dim != self.dim:
             raise DimensionMismatch(f"{target.dim} != {self.dim}")
-        row, coeff = self._reduce(dict(target.entries), {})
-        if row:
+        res = self._ech.reduce(target.entries)
+        if res and min(res) < self.dim:
             return None
-        return [-coeff.get(i, ZERO) for i in range(len(self.basis))]
+        return [-res.get(self.dim + i, ZERO) for i in range(len(self.basis))]
+
+
+def _add_independent(ech, row, dim):
+    """Add ``row`` to ``ech`` unless its part below column ``dim`` reduces to
+    zero; return the residue."""
+    res = ech.reduce(row)
+    if min(res) < dim:
+        ech.add(res)
+    return res
 
 
 def solve_in_span(basis, target):
@@ -320,40 +319,14 @@ def solve_in_span(basis, target):
 def kernel(m):
     """Basis of the right kernel {x : m x = 0}, as SparseVectors.
 
-    Columns are fed through a tagged elimination; every column that reduces
-    to zero yields the combination of columns that witnesses it.
+    Column j enters one ``Echelon`` tagged with an extra column
+    ``m.rows + j``; every column that reduces to zero against the earlier
+    ones leaves the combination of columns that witnesses it.
     """
-    cols = m.transpose().row_dicts()
-    ech = []  # (reduced column, tag over original column indices)
+    ech = Echelon()
     out = []
-    for j, col in enumerate(cols):
-        row, tag = dict(col), {j: ONE}
-        for prow, ptag in ech:
-            c = min(prow)
-            f = row.get(c)
-            if not f:
-                continue
-            for k, v in prow.items():
-                w = row.get(k, ZERO) - f * v
-                if w:
-                    row[k] = w
-                else:
-                    row.pop(k, None)
-            for k, v in ptag.items():
-                w = tag.get(k, ZERO) - f * v
-                if w:
-                    tag[k] = w
-                else:
-                    tag.pop(k, None)
-        if not row:
-            out.append(SparseVector(m.cols, tag))
-        else:
-            pv = row[min(row)]
-            ech.append(
-                (
-                    {k: v / pv for k, v in row.items()},
-                    {k: v / pv for k, v in tag.items()},
-                )
-            )
-            ech.sort(key=lambda rt: min(rt[0]))
+    for j, col in enumerate(m.transpose().row_dicts()):
+        res = _add_independent(ech, {**col, m.rows + j: ONE}, m.rows)
+        if min(res) >= m.rows:
+            out.append(SparseVector(m.cols, {k - m.rows: c for k, c in res.items()}))
     return out

@@ -35,16 +35,7 @@ from .freelie import (
     expand_to_tensor,
     generator,
 )
-
-
-def _merge(acc, terms, scale=1):
-    for k, v in terms.items():
-        w = acc.get(k, 0) + scale * v
-        if w:
-            acc[k] = w
-        else:
-            acc.pop(k, None)
-    return acc
+from .linalg import merge
 
 
 _NORMAL_CACHE = {}
@@ -71,7 +62,7 @@ def normal(factors):
         swapped = factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2 :]
         out = dict(normal(swapped))
         for b, c in bracket_basis(factors[i], factors[i + 1]).terms.items():
-            _merge(out, normal(factors[:i] + (b,) + factors[i + 2 :]), c)
+            merge(out, normal(factors[:i] + (b,) + factors[i + 2 :]).items(), c)
     _NORMAL_CACHE[factors] = out
     return dict(out)
 
@@ -164,7 +155,7 @@ def sym_pbw(factors):
                 weight = Fraction(j - i, k)
                 rest = sym_pbw(factors[:i] + factors[i + 1 :])
                 for t, c in rest.items():
-                    _merge(hit, normal((f,) + t), weight * c)
+                    merge(hit, normal((f,) + t).items(), weight * c)
                 i = j
         _SYM_PBW_CACHE[factors] = hit
     return dict(hit)
@@ -190,7 +181,7 @@ def e_inverse_pbw(vec):
         top = {t: c for t, c in current.items() if len(t) == top_count}
         result.update(top)  # earlier rounds only added longer tuples
         for t, c in top.items():
-            _merge(current, sym_pbw(t), -c)
+            merge(current, sym_pbw(t).items(), -c)
         if any(len(t) >= top_count for t in current):  # pragma: no cover
             raise RuntimeError("symmetrization is not unitriangular")
     return result

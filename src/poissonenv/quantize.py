@@ -19,15 +19,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import pbw
+from .envelope import _generators_up_to, ideal_block
+from .filtration import TruncatedAlgebra, ideal_closure
 from .freelie import generator
 from .freepoisson import (
     PoissonElement,
     monomials_star_maxpoly,
     monomials_star_total,
+    multiply,
+    poisson_bracket,
     star_component,
     star_product,
 )
-from .linalg import Echelon
+from .linalg import Echelon, merge
 
 NCWord = tuple  # sequence of 1-based generator indices; empty = unit
 
@@ -76,15 +80,6 @@ def _tuple_total(t):
     return sum(len(f.word) for f in t)
 
 
-def _merge_row(out, row, scale):
-    for k, c in row:
-        x = out.get(k, 0) + scale * c
-        if x:
-            out[k] = x
-        else:
-            out.pop(k, None)
-
-
 class UWindow:
     """Q_X^(d) modulo total degree > max_total, in PBW coordinates."""
 
@@ -130,15 +125,15 @@ class UWindow:
     def mul(self, v, w):
         out = {}
         for i, j, c12 in self._pairs(v, w):
-            _merge_row(out, self._row(i, j), c12)
+            merge(out, self._row(i, j), c12)
         return out
 
     def commutator(self, v, w):
         """[v, w] in one pass: row(i, j) - row(j, i) for every index pair."""
         out = {}
         for i, j, c12 in self._pairs(v, w):
-            _merge_row(out, self._row(i, j), c12)
-            _merge_row(out, self._row(j, i), -c12)
+            merge(out, self._row(i, j), c12)
+            merge(out, self._row(j, i), -c12)
         return out
 
     def letter_vec(self, i):
@@ -151,24 +146,11 @@ class UWindow:
         return ech
 
     def ideal_close(self, seeds):
-        """Span of the two-sided ideal generated by ``seeds`` (worklist:
-        closing under product by the generators suffices, since they
-        generate the algebra)."""
-        ech = Echelon()
-        queue = [dict(s) for s in seeds]
+        """Span of the two-sided ideal generated by ``seeds``: closing under
+        product by the generators suffices, since they generate the
+        algebra."""
         letters = [self.letter_vec(i) for i in range(1, self.n_gens + 1)]
-        while queue:
-            v = queue.pop()
-            if not v or not ech.add(v):
-                continue
-            for lv in letters:
-                left = self.mul(lv, v)
-                if left:
-                    queue.append(left)
-                right = self.mul(v, lv)
-                if right:
-                    queue.append(right)
-        return ech
+        return ideal_closure(self.mul, letters, seeds)
 
     def filtration(self, levels):
         """Commutator filtration chain F_0 .. F_levels (list of Echelons).
@@ -419,9 +401,6 @@ def poisson_window_algebra(n_gens, d, max_total):
     Both excess gradings span Poisson ideals, so the quotient is an honest
     finite-rank Poisson algebra.
     """
-    from .filtration import TruncatedAlgebra
-    from .freepoisson import multiply, poisson_bracket
-
     basis = []
     for total in range(max_total + 1):
         for q in range(min(d, total) + 1):
@@ -460,8 +439,6 @@ def poisson_window_algebra(n_gens, d, max_total):
 def quantized_window_algebra(n_gens, d, max_total):
     """Q_X^(d) cut to total degree <= max_total, in PBW coordinates, as an
     associative TruncatedAlgebra (no bracket table)."""
-    from .filtration import TruncatedAlgebra
-
     win = UWindow(n_gens, d, max_total)
     product = {}
     for i, t1 in enumerate(win.tuples):
@@ -489,10 +466,6 @@ def envelope_window_algebra(pres, max_total):
     Basis vectors are the non-pivot monomials of the windowed ideal blocks;
     products and brackets are computed in SLV and reduced to normal form.
     """
-    from .envelope import _generators_up_to, ideal_block
-    from .filtration import TruncatedAlgebra
-    from .freepoisson import multiply, poisson_bracket
-
     if not pres.homogeneous:
         raise ValueError("window algebra needs a homogeneous presentation")
     d = pres.d
@@ -514,13 +487,8 @@ def envelope_window_algebra(pres, max_total):
             if m.star_degree > d or m.total_degree > max_total:
                 continue
             cols, index, ech = blocks[(m.star_degree, m.total_degree)]
-            for i, v in ech.normal_form({index[m]: c}).items():
-                key = gindex[cols[i]]
-                x = out.get(key, 0) + v
-                if x:
-                    out[key] = x
-                else:
-                    out.pop(key, None)
+            normal = ech.normal_form({index[m]: c})
+            merge(out, ((gindex[cols[i]], v) for i, v in normal.items()))
         return out
 
     product = {}

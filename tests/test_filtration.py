@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from poissonenv.filtration import (
     EndoMap,
     TruncatedAlgebra,
-    _merge,
     associated_graded,
     chain_is_admissible,
     commutator_filtration,
@@ -20,6 +19,7 @@ from poissonenv.filtration import (
     nil_poisson_filtration,
 )
 from poissonenv.freepoisson import monomials_star_total
+from poissonenv.linalg import merge
 from poissonenv.quantize import (
     envelope_window_algebra,
     poisson_window_algebra,
@@ -331,7 +331,7 @@ def reference_validate(alg):
         vi = alg.basis_vec(i)
         for j in range(alg.dim):
             vj = alg.basis_vec(j)
-            if _merge(dict(alg.brk(vi, vj)), alg.brk(vj, vi)):
+            if merge(dict(alg.brk(vi, vj)), alg.brk(vj, vi).items()):
                 return f"bracket not antisymmetric at {(i, j)}"
     for i in range(alg.dim):
         vi = alg.basis_vec(i)
@@ -340,13 +340,13 @@ def reference_validate(alg):
             for k in range(alg.dim):
                 vk = alg.basis_vec(k)
                 jac = dict(alg.brk(vi, alg.brk(vj, vk)))
-                _merge(jac, alg.brk(vj, alg.brk(vk, vi)))
-                _merge(jac, alg.brk(vk, alg.brk(vi, vj)))
+                merge(jac, alg.brk(vj, alg.brk(vk, vi)).items())
+                merge(jac, alg.brk(vk, alg.brk(vi, vj)).items())
                 if jac:
                     return f"Jacobi fails at {(i, j, k)}"
                 leib = dict(alg.brk(vi, alg.mul(vj, vk)))
-                _merge(leib, alg.mul(vj, alg.brk(vi, vk)), -1)
-                _merge(leib, alg.mul(alg.brk(vi, vj), vk), -1)
+                merge(leib, alg.mul(vj, alg.brk(vi, vk)).items(), -1)
+                merge(leib, alg.mul(alg.brk(vi, vj), vk).items(), -1)
                 if leib:
                     return f"Leibniz fails at {(i, j, k)}"
     return None
@@ -552,6 +552,19 @@ def test_endo_apply_matches_entry_scan():
         for j, c in vec.items():
             for (i, jj), m in f.matrix.entries.items():
                 if jj == j:
-                    _merge(expected, {i: m}, c)
+                    merge(expected, ((i, m),), c)
         assert f.apply(vec) == expected
     assert f.columns() == [f.apply(v) for v in vecs[:-1]]
+
+
+def test_json_entries_for_the_same_triple_add_up():
+    # k[x]/(x^2) with x*x given as 1*x and -1*x: the entries sum to x*x = 0
+    data = TruncatedAlgebra(2, ["1", "x"], 0, _dual_numbers()).to_json_dict()
+    data["product"] += [[1, 1, 1, "1"], [1, 1, 1, "-1"]]
+    alg = TruncatedAlgebra.from_json_dict(data)
+    assert alg.mul({1: Fraction(1)}, {1: Fraction(1)}) == {}
+    assert (1, 1) not in alg.product
+    assert alg.to_json_dict()["product"] == [[0, 0, 0, "1"], [0, 1, 1, "1"], [1, 0, 1, "1"]]
+    data["product"] += [[0, 1, 1, "1/2"], [0, 1, 1, "1/2"]]
+    with pytest.raises(ValueError, match=r"^unit law fails at basis 1"):
+        TruncatedAlgebra.from_json_dict(data)

@@ -9,6 +9,8 @@ from poissonenv.linalg import (
     Rational,
     SparseMatrix,
     SparseVector,
+    kernel,
+    merge,
     rank,
     solve_in_span,
 )
@@ -158,3 +160,73 @@ def test_kernel_random_matrices():
                     m.entries.get((r, c), Fraction(0)) * v[c] for c in range(cols)
                 )
                 assert total == 0
+
+
+def test_merge_folds_pairs_and_drops_zeros():
+    acc = {0: Fraction(1), 1: Fraction(2)}
+    out = merge(acc, [(1, Fraction(1)), (2, Fraction(3)), (0, Fraction(1, 2))], -2)
+    assert out is acc
+    assert acc == {2: Fraction(-6)}
+    assert merge({}, [(5, Fraction(0))]) == {}
+    assert merge({3: Fraction(1)}, [(3, Fraction(1)), (3, Fraction(-2))]) == {}
+
+
+def test_combination_equality_is_type_strict_and_only_tensors_hash():
+    from poissonenv.freelie import LieElement, TensorElement, generator
+    from poissonenv.freepoisson import PoissonElement
+
+    assert LieElement() != PoissonElement()
+    assert LieElement() == LieElement.zero()
+    x1 = LieElement.basis(generator(1))
+    assert type(x1 + x1) is LieElement and 2 * x1 == x1 + x1
+    assert (x1 - x1).is_zero() and -x1 == (-1) * x1 and (0 * x1).is_zero()
+    word = TensorElement.word((1, 2), 3)
+    assert hash(word) == hash(TensorElement({(1, 2): 3}))
+    for unhashable in (x1, PoissonElement.generator(1)):
+        with pytest.raises(TypeError):
+            hash(unhashable)
+
+
+def _random_matrix(rng, rows, cols):
+    """Small rational matrix; about half the time a row repeats a combination
+    of two earlier rows, so dependent rows are common."""
+    out = []
+    for r in range(rows):
+        if r >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(out, 2)
+            f, g = Fraction(rng.randint(-3, 3), 2), Fraction(rng.randint(-3, 3))
+            out.append([f * x + g * y for x, y in zip(a, b)])
+        else:
+            out.append(
+                [
+                    Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    if rng.random() < 0.6
+                    else Fraction(0)
+                    for _ in range(cols)
+                ]
+            )
+    return out
+
+
+def test_rank_kernel_and_span_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    rng = random.Random(2024)
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        dense = _random_matrix(rng, rows, cols)
+        m = mat(dense)
+        ref = sympy.Matrix(dense)
+        assert rank(m) == ref.rank()
+        assert len(kernel(m)) == len(ref.nullspace())
+        basis = [SparseVector(cols, dict(enumerate(r))) for r in dense]
+        coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(rows)]
+        inside = [sum(c * r[j] for c, r in zip(coeffs, dense)) for j in range(cols)]
+        outside = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+        for target in (inside, outside):
+            got = solve_in_span(basis, SparseVector(cols, dict(enumerate(target))))
+            # target in the row space <=> appending it keeps the sympy rank
+            in_span = ref.col_join(sympy.Matrix([target])).rank() == ref.rank()
+            assert (got is not None) == in_span
+            if got is not None:
+                assert ref.T * sympy.Matrix(got) == sympy.Matrix(target)
