@@ -6,8 +6,9 @@ entries.  This module owns how a sparse exact row is updated and eliminated:
 ``merge`` is the one add-and-drop-zero step, ``Combination`` the one base of
 the algebra elements, and ``Echelon`` the one elimination routine (rank,
 kernel and span solving feed their rows through it).  Elimination is
-deterministic: it always clears the smallest available column.  No floating
-point anywhere.
+deterministic: it always clears the smallest column of the row at hand, in
+the echelon's column order; there is no other pivot rule.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -197,7 +198,8 @@ class SparseMatrix:
 
 
 def rank(m):
-    """Rank over the rationals: the rows of ``m`` fed into an ``Echelon``."""
+    """Rank over the rationals: the rows of ``m`` fed into an ``Echelon``,
+    whose smallest-column rule is the only pivot rule."""
     ech = Echelon()
     for row in m.row_dicts():
         ech.add(row)
