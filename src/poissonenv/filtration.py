@@ -5,11 +5,16 @@ F_p F_q <= F_{p+q} and [F_p, F_q] <= F_{p+q+1}; its defining recursion
 
     F_{n+1} = sum_{p=1}^{n} F_p F_{n+1-p} + sum_{p=0}^{n} <[F_p, F_{n-p}]>
 
-is iterated literally, with the two-sided-ideal closure recomputed inside
-every sum.  The nil-Poisson filtration replaces commutators by the Poisson
-bracket.  Chains are iterated to stabilization; the stable value need not be
-zero (upper-triangular matrices stabilize at the strictly-upper part), and
-whether it vanishes is the nilcommutativity certificate.
+is iterated by one engine, ``filtration_pieces``, for these algebras and for
+the PBW windows of ``quantize``.  Three changes keep every span: one ideal
+closure of all the brackets replaces one per summand (a sum of ideals is the
+ideal of the union); the p = n summand goes (by antisymmetry it is the p = 0
+one); and [F_0, F_n] becomes [x, F_n] over algebra generators x (the same
+ideal, by the Leibniz rule).  The nil-Poisson filtration replaces commutators
+by the Poisson bracket.  Chains are iterated to stabilization; the stable
+value need not be zero (upper-triangular matrices stabilize at the
+strictly-upper part), and whether it vanishes is the nilcommutativity
+certificate.
 """
 
 from __future__ import annotations
@@ -118,6 +123,13 @@ class TruncatedAlgebra:
 
     def unit_vec(self):
         return {self.unit: Fraction(1)}
+
+    def generators(self):
+        """Algebra generators: all basis vectors, as no smaller set is known."""
+        return [self.basis_vec(i) for i in range(self.dim)]
+
+    def ideal_close(self, seeds):
+        return ideal_closure(self.mul, self.generators(), seeds)
 
     def _check_indices(self, product, bracket):
         dim = self.dim
@@ -230,12 +242,13 @@ class TruncatedAlgebra:
                 row[k] = row.get(k, 0) + Fraction(c)
             return t
 
+        bracket = data.get("bracket")  # [] is a zero bracket, not a missing one
         return cls(
             dim=data["dim"],
             labels=data["labels"],
             unit=data["unit"],
             product=table(data["product"]),
-            bracket=table(data["bracket"]) if data.get("bracket") else None,
+            bracket=None if bracket is None else table(bracket),
             validate=validate,
         )
 
@@ -276,67 +289,72 @@ class FiltrationChain:
         return [len(p) for p in self.pieces]
 
 
-def ideal_closure(mul, multipliers, seeds):
-    """Echelon spanning the two-sided ideal generated by ``seeds``: a
-    worklist closing the span under ``mul`` by each of ``multipliers`` on
-    the left and on the right.  The multipliers must generate the algebra.
-    """
+def span_closure(maps, seeds):
+    """Echelon spanning the smallest subspace that contains ``seeds`` and is
+    closed under every linear map in ``maps``: a worklist that applies each
+    map, in order, to every vector that raises the rank."""
     ech = Echelon()
-    queue = [dict(s) for s in seeds]
+    queue = list(seeds)
     while queue:
         v = queue.pop()
         if not v or not ech.add(v):
             continue
-        for b in multipliers:
-            left = mul(b, v)
-            if left:
-                queue.append(left)
-            right = mul(v, b)
-            if right:
-                queue.append(right)
+        for f in maps:
+            image = f(v)
+            if image:
+                queue.append(image)
     return ech
 
 
-def _filtration(alg, pair_map):
-    basis = [alg.basis_vec(i) for i in range(alg.dim)]
+def ideal_closure(mul, multipliers, seeds):
+    """Echelon spanning the two-sided ideal generated by ``seeds``: the span
+    closed under ``mul`` by each of ``multipliers`` on the left and on the
+    right.  The multipliers must generate the algebra.
+    """
+    maps = []
+    for b in multipliers:
+        maps += [lambda v, b=b: mul(b, v), lambda v, b=b: mul(v, b)]
+    return span_closure(maps, seeds)
+
+
+def filtration_pieces(alg, pair_map):
+    """Yield F_0, F_1, ... as Echelons, the last one the stable value, for
+    the antisymmetric ``pair_map``.  ``alg`` supplies ``dim``, ``basis_vec``,
+    ``mul``, ``generators()`` and ``ideal_close(seeds)``."""
     full = Echelon()
-    for b in basis:
-        full.add(b)
+    for i in range(alg.dim):
+        full.add(alg.basis_vec(i))
     chain = [full]
+    gens = alg.generators()
     while True:
+        yield chain[-1]
         n = len(chain) - 1
-        new = Echelon()
+        if chain[n].rank == 0:
+            return
+        # lazy, so the suspended generator keeps no brackets; p = 0 is
+        # [x, F_n], which p = n repeats except at n = 0
+        brackets = (
+            pair_map(v, w)
+            for p in range(max(n, 1))
+            for v in (gens if p == 0 else chain[p].basis())
+            for w in chain[n - p].basis()
+        )
+        new = alg.ideal_close(filter(None, brackets))
         for p in range(1, n + 1):
-            q = n + 1 - p
             for v in chain[p].basis():
-                for w in chain[q].basis():
+                for w in chain[n + 1 - p].basis():
                     prod = alg.mul(v, w)
                     if prod:
                         new.add(prod)
-        for p in range(0, n + 1):
-            q = n - p
-            gens = []
-            for v in chain[p].basis():
-                for w in chain[q].basis():
-                    c = pair_map(v, w)
-                    if c:
-                        gens.append(c)
-            # the ideal closure nests inside the sum: each summand is closed
-            # on its own before the pieces are added up
-            if gens:
-                for row in ideal_closure(alg.mul, basis, gens).basis():
-                    new.add(row)
-        if new.rank == chain[-1].rank:
+        if new.rank == chain[n].rank:
             # descending chain: equal rank means equal span; stable from here
-            return FiltrationChain(
-                pieces=[c.basis() for c in chain],
-                stable_is_zero=(new.rank == 0),
-            )
+            return
         chain.append(new)
-        if new.rank == 0:
-            return FiltrationChain(
-                pieces=[c.basis() for c in chain], stable_is_zero=True
-            )
+
+
+def _filtration(alg, pair_map):
+    pieces = list(filtration_pieces(alg, pair_map))
+    return FiltrationChain([p.basis() for p in pieces], pieces[-1].rank == 0)
 
 
 def commutator_filtration(alg):
@@ -556,26 +574,27 @@ def endo_contraction_check(alg, f, chain, use_bracket=True):
     def D(vec):
         return merge(f.apply(vec), vec.items(), -1)
 
-    identity_mod_f1 = all(
-        f1.contains(D(alg.basis_vec(i))) for i in range(alg.dim)
-    )
+    d_cols = [D(alg.basis_vec(i)) for i in range(alg.dim)]
+    identity_mod_f1 = all(f1.contains(col) for col in d_cols)
 
+    # every pair is checked, zero products included: f(e_i) f(e_j) and the
+    # D terms can be nonzero where e_i e_j = 0
     identities = True
     for i in range(alg.dim):
-        vi = alg.basis_vec(i)
+        vi, dvi = alg.basis_vec(i), d_cols[i]
         for j in range(alg.dim):
-            vj = alg.basis_vec(j)
+            vj, dvj = alg.basis_vec(j), d_cols[j]
             lhs = dict(D(pair(vi, vj)))
-            merge(lhs, pair(D(vi), vj).items(), -1)
-            merge(lhs, pair(vi, D(vj)).items(), -1)
-            merge(lhs, pair(D(vi), D(vj)).items())
+            merge(lhs, pair(dvi, vj).items(), -1)
+            merge(lhs, pair(vi, dvj).items(), -1)
+            merge(lhs, pair(dvi, dvj).items())
             if lhs:
                 identities = False
                 break
             lhs = dict(D(alg.mul(vi, vj)))
-            merge(lhs, alg.mul(vi, D(vj)).items(), -1)
-            merge(lhs, alg.mul(vj, D(vi)).items(), -1)
-            merge(lhs, alg.mul(D(vi), D(vj)).items())
+            merge(lhs, alg.mul(vi, dvj).items(), -1)
+            merge(lhs, alg.mul(vj, dvi).items(), -1)
+            merge(lhs, alg.mul(dvi, dvj).items())
             if lhs:
                 identities = False
                 break

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import pbw
 from .envelope import _generators_up_to, ideal_block
-from .filtration import TruncatedAlgebra, ideal_closure
+from .filtration import TruncatedAlgebra, filtration_pieces, ideal_closure, span_closure
 from .freelie import generator
 from .freepoisson import (
     PoissonElement,
@@ -95,8 +95,10 @@ class UWindow:
         self.index = {t: i for i, t in enumerate(self.tuples)}
         self.totals = [_tuple_total(t) for t in self.tuples]
         self.letters = [(generator(i),) for i in range(1, n_gens + 1)]
+        self.dim = len(self.tuples)
         self._rows = {}
-        self._chain = None
+        self._pieces = filtration_pieces(self, self.commutator)
+        self._chain = []
 
     def mono_mul(self, t1, t2):
         out = {}
@@ -136,58 +138,30 @@ class UWindow:
             merge(out, self._row(j, i), -c12)
         return out
 
-    def letter_vec(self, i):
-        return {self.index[self.letters[i - 1]]: Fraction(1)}
+    def basis_vec(self, i):
+        return {i: Fraction(1)}
 
-    def full_span(self):
-        ech = Echelon()
-        for i in range(len(self.tuples)):
-            ech.add({i: Fraction(1)})
-        return ech
+    def generators(self):
+        """The letters x_1 .. x_n, which generate the algebra."""
+        return [{self.index[t]: Fraction(1)} for t in self.letters]
 
     def ideal_close(self, seeds):
         """Span of the two-sided ideal generated by ``seeds``: closing under
         product by the generators suffices, since they generate the
         algebra."""
-        letters = [self.letter_vec(i) for i in range(1, self.n_gens + 1)]
-        return ideal_closure(self.mul, letters, seeds)
+        return ideal_closure(self.mul, self.generators(), seeds)
 
     def filtration(self, levels):
         """Commutator filtration chain F_0 .. F_levels (list of Echelons).
 
-        F_{n+1} is the sum over the products F_p F_{n+1-p} (p, q >= 1) plus
-        the two-sided ideal generated by the commutators [F_p, F_{n-p}].
-        [F_0, F_q] reduces to the generator commutators [x_i, F_q] because
-        commutation against a product peels one factor at a time.
+        The pieces come from ``filtration_pieces`` with the letters as
+        generators, drawn as far as ``levels`` needs and kept for later
+        calls; past the stable value the list repeats its last piece.
         """
-        if self._chain is None:
-            self._chain = [self.full_span()]
         chain = self._chain
         while len(chain) <= levels:
-            n = len(chain) - 1
-            bracket_gens = []
-            for i in range(1, self.n_gens + 1):
-                lv = self.letter_vec(i)
-                for v in chain[n].basis():
-                    c = self.commutator(lv, v)
-                    if c:
-                        bracket_gens.append(c)
-            for p in range(1, n):
-                q = n - p
-                for v in chain[p].basis():
-                    for w in chain[q].basis():
-                        c = self.commutator(v, w)
-                        if c:
-                            bracket_gens.append(c)
-            new = self.ideal_close(bracket_gens)
-            for p in range(1, n + 1):
-                q = n + 1 - p
-                for v in chain[p].basis():
-                    for w in chain[q].basis():
-                        prod = self.mul(v, w)
-                        if prod:
-                            new.add(prod)
-            chain.append(new)
+            piece = next(self._pieces, None)
+            chain.append(chain[-1] if piece is None else piece)
         return chain
 
     def poisson_span(self, monomials):
@@ -304,6 +278,17 @@ def graded_of_Q(alg, N):
     return out
 
 
+def _capped_right_products(win, cap):
+    """Right products by the letters on total-homogeneous vectors, as maps
+    for ``span_closure``; a product past total ``cap`` is 0, and is never
+    formed.  Closing the letters under them spans all totals 1 .. cap."""
+
+    def right(lv):
+        return lambda v: win.mul(v, lv) if win.totals[next(iter(v))] < cap else {}
+
+    return [right(lv) for lv in win.generators()]
+
+
 @dataclass
 class StarIdealReport:
     """Finite sanity check of the topology-equivalence bound: the N-th star
@@ -333,7 +318,6 @@ def star_ideal_topology_check(n_gens, d, m, alpha=None, extra_totals=2):
     power = m * alpha**d + d
     max_total = power + extra_totals
     win = u_window(n_gens, d, max_total)
-    letters = [win.letter_vec(i) for i in range(1, n_gens + 1)]
 
     target = win.poisson_span(
         [
@@ -345,40 +329,16 @@ def star_ideal_topology_check(n_gens, d, m, alpha=None, extra_totals=2):
         ]
     )
 
-    def vec_total(v):
-        return win.totals[next(iter(v))]
-
-    def right_close(seeds, cap):
-        # every J-power element is total-homogeneous; vectors whose total
-        # exceeds the stage cap can never shrink back, so they are dropped
-        ech = Echelon()
-        queue = list(seeds)
-        while queue:
-            v = queue.pop()
-            if not v or vec_total(v) > cap or not ech.add(v):
-                continue
-            for lv in letters:
-                right = win.mul(v, lv)
-                if right:
-                    queue.append(right)
-        return ech
-
     # J^{*k} elements have total >= k and the final membership test only
     # looks below max_total, so stage k is capped at k + extra_totals.
     # Right closure of the letters is all of total degree >= 1: every word
     # starts with a letter, so sum_i x_i * R is the full positive part.
-    j_span = right_close(
-        [dict(lv) for lv in letters], min(1 + extra_totals, max_total)
-    )
+    maps = _capped_right_products(win, min(1 + extra_totals, max_total))
+    j_span = span_closure(maps, win.generators())
     for k in range(2, power + 1):
-        seeds = []
-        for v in j_span.basis():
-            for lv in letters:
-                prod = win.mul(v, lv)
-                if prod:
-                    seeds.append(prod)
+        maps = _capped_right_products(win, min(k + extra_totals, max_total))
         # J^{*k} = J^{*(k-1)} * J = sum of J^{*(k-1)} x_i R: close on the right
-        j_span = right_close(seeds, min(k + extra_totals, max_total))
+        j_span = span_closure(maps, [f(v) for v in j_span.basis() for f in maps])
 
     included = all(target.contains(row) for row in j_span.basis())
     return StarIdealReport(

@@ -1,6 +1,8 @@
 import json
+from fractions import Fraction
 
 from poissonenv.cli import main
+from poissonenv.filtration import TruncatedAlgebra
 from poissonenv.quantize import poisson_window_algebra
 
 
@@ -102,6 +104,21 @@ def test_filtration_command(tmp_path, capsys):
     assert code == 0
     assert "commutator filtration ranks:" in out
     assert "nil-Poisson filtration ranks:" in out
+
+
+def test_filtration_command_keeps_a_zero_bracket(tmp_path, capsys):
+    # k[x]/(x^2) with a zero bracket is written as "bracket": []
+    one = Fraction(1)
+    product = {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
+    path = tmp_path / "dual.json"
+    with open(path, "w") as fp:
+        TruncatedAlgebra(2, ["1", "x"], 0, product, bracket={}).dump(fp)
+    code, out, _ = run_cli(capsys, "filtration", str(path))
+    assert code == 0
+    assert "nil-Poisson filtration ranks: 2 0" in out
+    code, out, _ = run_cli(capsys, "filtration", "--json", str(path))
+    assert code == 0
+    assert json.loads(out)["nil_poisson_ranks"] == [2, 0]
 
 
 def test_filtration_rejects_out_of_range_index(tmp_path, capsys):

@@ -19,7 +19,7 @@ from poissonenv.filtration import (
     nil_poisson_filtration,
 )
 from poissonenv.freepoisson import monomials_star_total
-from poissonenv.linalg import merge
+from poissonenv.linalg import Echelon, merge
 from poissonenv.quantize import (
     envelope_window_algebra,
     poisson_window_algebra,
@@ -125,6 +125,93 @@ def test_nil_poisson_presented_algebra_descends():
     ranks = chain.ranks()
     assert all(a >= b for a, b in zip(ranks, ranks[1:]))
     assert chain.stable_is_zero
+
+
+def test_ideal_closure_is_two_sided():
+    # in Span{1, e11, e12}, e11 needs a right product (e11 e12 = e12) and
+    # e22 = 1 - e11 a left one (e12 e22 = e12) to reach its ideal
+    alg = borel_algebra()
+    one = Fraction(1)
+    for seed in ({1: one}, {0: one, 1: -one}):
+        ideal = alg.ideal_close([seed])
+        assert ideal.rank == 2
+        assert ideal.contains(seed) and ideal.contains({2: one})
+
+
+def reference_filtration(alg, pair_map):
+    """The literal recursion, as a list of Echelons F_0 .. F_stable:
+    F_{n+1} = sum_{p=1}^{n} F_p F_{n+1-p} + sum_{p=0}^{n} <[F_p, F_{n-p}]>,
+    each summand closed to a two-sided ideal on its own, under products by
+    every basis vector, before the pieces are added up."""
+    basis = [alg.basis_vec(i) for i in range(alg.dim)]
+
+    def ideal(gens):
+        ech = Echelon()
+        queue = list(gens)
+        while queue:
+            v = queue.pop()
+            if v and ech.add(v):
+                for b in basis:
+                    queue += [alg.mul(b, v), alg.mul(v, b)]
+        return ech
+
+    full = Echelon()
+    for b in basis:
+        full.add(b)
+    chain = [full]
+    while True:
+        n = len(chain) - 1
+        new = Echelon()
+        for p in range(1, n + 1):
+            for v in chain[p].basis():
+                for w in chain[n + 1 - p].basis():
+                    new.add(alg.mul(v, w))
+        for p in range(n + 1):
+            gens = [pair_map(v, w) for v in chain[p].basis() for w in chain[n - p].basis()]
+            for row in ideal(gens).basis():
+                new.add(row)
+        if new.rank == chain[-1].rank:
+            return chain
+        chain.append(new)
+        if new.rank == 0:
+            return chain
+
+
+def _quadric_envelope_algebra():
+    from poissonenv.envelope import EnvelopePresentation
+    from poissonenv.freepoisson import PoissonElement, multiply
+
+    x1 = PoissonElement.generator(1)
+    x2 = PoissonElement.generator(2)
+    pres = EnvelopePresentation(2, (multiply(x1, x2),), 1, 3)
+    return envelope_window_algebra(pres, 3)
+
+
+REFERENCE_CASES = {
+    "borel": (borel_algebra, False),
+    "k[x]/(x^3)": (lambda: truncated_polynomial_algebra(3), False),
+    "quantized-2-2-4": (lambda: quantized_window_algebra(2, 2, 4), False),
+    "poisson-2-1-3": (lambda: poisson_window_algebra(2, 1, 3), False),
+    "poisson-2-1-3-nil": (lambda: poisson_window_algebra(2, 1, 3), True),
+    "envelope-x1x2-nil": (_quadric_envelope_algebra, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_filtration_matches_literal_recursion(case):
+    build, nil_poisson = REFERENCE_CASES[case]
+    alg = build()
+    if nil_poisson:
+        chain, ref = nil_poisson_filtration(alg), reference_filtration(alg, alg.brk)
+    else:
+        chain, ref = commutator_filtration(alg), reference_filtration(alg, alg.commutator)
+    assert chain.length == len(ref)
+    assert chain.stable_is_zero == (ref[-1].rank == 0)
+    for n, want in enumerate(ref):
+        got = chain.piece_echelon(n)
+        assert got.rank == want.rank
+        assert all(got.contains(row) for row in want.basis())
+        assert all(want.contains(row) for row in got.basis())
 
 
 def test_filtration_requires_bracket():
@@ -298,6 +385,18 @@ def test_serialization_round_trip():
     assert again.product == alg.product
 
 
+def test_zero_bracket_survives_json_round_trip():
+    # an empty bracket table is a zero bracket, not a missing one
+    alg = TruncatedAlgebra(2, ["1", "x"], 0, _dual_numbers(), bracket={})
+    data = json.loads(json.dumps(alg.to_json_dict()))
+    assert data["bracket"] == []
+    back = TruncatedAlgebra.from_json_dict(data)
+    assert back.bracket == {}
+    assert nil_poisson_filtration(back).ranks() == [2, 0]
+    del data["bracket"]
+    assert TruncatedAlgebra.from_json_dict(data).bracket is None
+
+
 def test_validation_catches_bad_structure():
     bad = {(0, 0): {0: Fraction(1)}, (0, 1): {1: Fraction(1)}}
     with pytest.raises(ValueError, match=r"unit law fails at basis 1"):
@@ -363,16 +462,6 @@ def validation_outcomes(alg, product, bracket):
     except ValueError as exc:
         got = str(exc)
     return reference_validate(unchecked), got
-
-
-def _quadric_envelope_algebra():
-    from poissonenv.envelope import EnvelopePresentation
-    from poissonenv.freepoisson import PoissonElement, multiply
-
-    x1 = PoissonElement.generator(1)
-    x2 = PoissonElement.generator(2)
-    pres = EnvelopePresentation(2, (multiply(x1, x2),), 1, 3)
-    return envelope_window_algebra(pres, 3)
 
 
 def _graded_algebra():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from poissonenv.filtration import span_closure
 from poissonenv.freelie import LieBasisElement, LieElement
 from poissonenv.freepoisson import (
     PoissonElement,
@@ -14,6 +15,7 @@ from poissonenv.freepoisson import (
 from poissonenv.quantize import (
     QuantizedAlgebra,
     UWindow,
+    _capped_right_products,
     _tuple_total,
     bx_component,
     commutator_filtration_Q,
@@ -237,26 +239,43 @@ def test_nc_embed_rejects_foreign_letters():
 
 
 def test_engine_matches_generic_filtration():
-    # the PBW-coordinate engine and the generic structure-constant engine
-    # implement the same recursion; their chains must agree span for span
+    # one algebra in two representations: the PBW window, whose filtration
+    # brackets with the letters, and its structure-constant table, whose
+    # filtration brackets with every basis vector; the chains must agree
+    # span for span
     from poissonenv.filtration import commutator_filtration
-    from poissonenv.linalg import Echelon
-    from poissonenv.quantize import UWindow
 
-    d, cap = 2, 4
-    win = UWindow(2, d, cap)
-    alg = quantized_window_algebra(2, d, cap)
-    assert [
-        "*".join(repr(f) for f in t) or "1" for t in win.tuples
-    ] == alg.labels
-    chain_engine = win.filtration(d + 1)
-    chain_generic = commutator_filtration(alg)
-    for n in range(d + 2):
-        generic_rows = chain_generic.piece_basis(n)
-        engine = chain_engine[min(n, len(chain_engine) - 1)]
-        assert engine.rank == len(generic_rows)
-        for row in generic_rows:
-            assert engine.contains(row)
+    cap = 4
+    for d in (1, 2, 3):
+        win = UWindow(2, d, cap)
+        alg = quantized_window_algebra(2, d, cap)
+        assert [
+            "*".join(repr(f) for f in t) or "1" for t in win.tuples
+        ] == alg.labels
+        chain_engine = win.filtration(d + 1)
+        chain_generic = commutator_filtration(alg)
+        assert len(chain_engine) == d + 2
+        for n in range(d + 2):
+            generic_rows = chain_generic.piece_basis(n)
+            engine = chain_engine[n]
+            assert engine.rank == len(generic_rows)
+            for row in generic_rows:
+                assert engine.contains(row)
+        # past the stable zero piece the chain repeats it
+        assert [e.rank for e in win.filtration(d + 3)[d + 1 :]] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 5), (3, 1, 3)])
+def test_capped_right_closure_of_letters_is_positive_part(shape):
+    # the claim behind star_ideal_topology_check's first stage: every tuple
+    # of total >= 1 starts with a letter, so closing the letters under
+    # right products capped at total c spans all tuples of total 1 .. c
+    win = UWindow(*shape)
+    for cap in range(1, win.max_total + 1):
+        span = span_closure(_capped_right_products(win, cap), win.generators())
+        inside = [i for i, t in enumerate(win.totals) if 1 <= t <= cap]
+        assert span.rank == len(inside)
+        assert all(span.contains({i: Fraction(1)}) for i in inside)
 
 
 def _reference_mul(win, v, w):
