@@ -391,7 +391,7 @@ def local_model_bracket(f, g):
     wrap = isinstance(f, LocalModelElement) or isinstance(g, LocalModelElement)
     df = _de_rham(_as_poisson(f))
     dg = _de_rham(_as_poisson(g))
-    out = PoissonElement.zero()
+    out = {}
     from .freelie import bracket_basis
 
     for (m1, leg1), c1 in df.items():
@@ -402,7 +402,8 @@ def local_model_bracket(f, g):
             coeff = multiply(
                 PoissonElement.monomial(m1, c1), PoissonElement.monomial(m2, c2)
             )
-            out = out + multiply(coeff, PoissonElement.from_lie(br))
+            merge(out, multiply(coeff, PoissonElement.from_lie(br)).terms.items())
+    out = PoissonElement._of(out)
     return LocalModelElement(out) if wrap else out
 
 
@@ -423,13 +424,13 @@ def induced_hom(images, a):
         return poisson_bracket(theta_tree(tree[0]), theta_tree(tree[1]))
 
     p = _as_poisson(a)
-    out = PoissonElement.zero()
+    out = {}
     for m, c in p.terms.items():
         acc = PoissonElement.one(c)
         for f in m.factors:
             acc = multiply(acc, theta_tree(f.bracketing))
-        out = out + acc
-    return out
+        merge(out, acc.terms.items())
+    return PoissonElement._of(out)
 
 
 def gap_witness(n_gens=4, indices=(1, 2, 3, 4)):

@@ -38,6 +38,7 @@ from .freepoisson import (
     poisson_bracket,
     star_product,
 )
+from .linalg import merge
 
 
 class ParseError(ValueError):
@@ -157,15 +158,15 @@ class _Parser:
         return out
 
     def sum(self):
-        out = self.starprod()
+        first = self.starprod()
+        out = dict(first.terms)
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                rhs = self.starprod()
-                out = out + rhs if val == "+" else out - rhs
+                merge(out, self.starprod().terms.items(), 1 if val == "+" else -1)
             else:
-                return out
+                return first._of(out)
 
     def starprod(self):
         out = self.prod()
@@ -262,7 +263,8 @@ def parse(src, n_gens, mode="poisson"):
 
 
 def format_rational(q):
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -336,15 +338,14 @@ def poisson_to_json(p):
 
 
 def poisson_from_json(data):
-    out = PoissonElement.zero()
+    out = {}
     for term in data["terms"]:
         factors = tuple(
             LieBasisElement.from_word(tuple(f["word"])) for f in term["factors"]
         )
-        out = out + PoissonElement.monomial(
-            PoissonMonomial.of(factors), Fraction(term["coeff"])
-        )
-    return out
+        m = PoissonElement.monomial(PoissonMonomial.of(factors), term["coeff"])
+        merge(out, m.terms.items())
+    return PoissonElement._of(out)
 
 
 def tensor_to_json(t):
@@ -355,7 +356,8 @@ def tensor_to_json(t):
 
 
 def tensor_from_json(data):
-    out = TensorElement.zero()
+    out = {}
     for term in data["terms"]:
-        out = out + TensorElement.word(tuple(term["word"]), Fraction(term["coeff"]))
-    return out
+        w = TensorElement.word(tuple(term["word"]), term["coeff"])
+        merge(out, w.terms.items())
+    return TensorElement._of(out)

@@ -115,7 +115,7 @@ class TensorElement(Combination):
 
     @classmethod
     def word(cls, w, coeff=1):
-        return cls({tuple(w): Fraction(coeff)})
+        return cls({tuple(w): coeff})
 
     @classmethod
     def one(cls):
@@ -131,13 +131,13 @@ class TensorElement(Combination):
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 merge(out, [(w1 + w2, c1 * c2)])
-        return TensorElement(out)
+        return TensorElement._of(out)
 
     def word_lengths(self):
         return sorted({len(w) for w in self.terms})
 
     def length_component(self, length):
-        return TensorElement(
+        return TensorElement._of(
             {w: c for w, c in self.terms.items() if len(w) == length}
         )
 
@@ -157,7 +157,7 @@ class LieElement(Combination):
 
     @classmethod
     def basis(cls, elt, coeff=1):
-        return cls({elt: Fraction(coeff)})
+        return cls({elt: coeff})
 
     def star_degrees(self):
         return sorted({b.star_degree for b in self.terms})
@@ -262,7 +262,7 @@ def expand_to_tensor(a):
     out = {}
     for b, c in a.terms.items():
         merge(out, _expand_tree(b.bracketing).terms.items(), c)
-    return TensorElement(out)
+    return TensorElement._of(out)
 
 
 def _word_index(word, n_gens):
@@ -357,7 +357,7 @@ def lie_bracket(a, b):
     for x, cx in a.terms.items():
         for y, cy in b.terms.items():
             merge(out, bracket_basis(x, y).terms.items(), cx * cy)
-    return LieElement(out)
+    return LieElement._of(out)
 
 
 def left_normed_tensor(letters):

@@ -93,11 +93,11 @@ class PoissonElement(Combination):
 
     @classmethod
     def one(cls, coeff=1):
-        return cls({MONOMIAL_ONE: Fraction(coeff)})
+        return cls({MONOMIAL_ONE: coeff})
 
     @classmethod
     def monomial(cls, m, coeff=1):
-        return cls({m: Fraction(coeff)})
+        return cls({m: coeff})
 
     @classmethod
     def generator(cls, i):
@@ -106,25 +106,25 @@ class PoissonElement(Combination):
     @classmethod
     def from_lie(cls, a):
         """Embed a Lie element as a sum of single-factor monomials."""
-        return cls({PoissonMonomial((b,)): c for b, c in a.terms.items()})
+        return cls._of({PoissonMonomial((b,)): c for b, c in a.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PoissonElement):
             return multiply(self, other)
-        return Fraction(other) * self
+        return self.__rmul__(other)
 
     def sym_part(self, p):
-        return PoissonElement(
+        return PoissonElement._of(
             {m: c for m, c in self.terms.items() if m.sym_degree == p}
         )
 
     def star_part(self, q):
-        return PoissonElement(
+        return PoissonElement._of(
             {m: c for m, c in self.terms.items() if m.star_degree == q}
         )
 
     def bigraded_part(self, p, q):
-        return PoissonElement(
+        return PoissonElement._of(
             {
                 m: c
                 for m, c in self.terms.items()
@@ -133,7 +133,7 @@ class PoissonElement(Combination):
         )
 
     def star_truncate(self, d):
-        return PoissonElement(
+        return PoissonElement._of(
             {m: c for m, c in self.terms.items() if m.star_degree <= d}
         )
 
@@ -161,7 +161,7 @@ def multiply(a, b):
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             merge(out, [(PoissonMonomial.of(m1.factors + m2.factors), c1 * c2)])
-    return PoissonElement(out)
+    return PoissonElement._of(out)
 
 
 _BRACKET_MONO_CACHE = {}
@@ -190,15 +190,15 @@ def poisson_bracket(a, b):
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             merge(out, _bracket_monomials(m1, m2).items(), c1 * c2)
-    return PoissonElement(out)
+    return PoissonElement._of(out)
 
 
 def symmetrize(a):
     """The PBW symmetrization map e into the tensor algebra."""
-    out = TensorElement.zero()
+    out = {}
     for m, c in a.terms.items():
-        out = out + c * pbw.symmetrize_factors(m.factors)
-    return out
+        merge(out, pbw.symmetrize_factors(m.factors).terms.items(), c)
+    return TensorElement._of(out)
 
 
 def e_inverse(t):
@@ -207,7 +207,7 @@ def e_inverse(t):
     for w, c in t.terms.items():
         for factors, v in pbw.e_inverse_word(w).items():
             merge(out, [(PoissonMonomial(factors), c * v)])
-    return PoissonElement(out)
+    return PoissonElement._of(out)
 
 
 _STAR_MONO_CACHE = {}
@@ -240,7 +240,33 @@ def star_product(a, b):
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
             merge(out, _star_monomials(m1, m2).items(), c1 * c2)
-    return PoissonElement(out)
+    return PoissonElement._of(out)
+
+
+def star_components(a, b):
+    """Every B_p at once: a dict p -> B_p for p = 0 .. the largest sum of a
+    sym degree of ``a`` and one of ``b`` (empty if either is zero); B_p is
+    zero past that.
+
+    One star product per pair of sym-homogeneous components of the inputs,
+    summed per sym-degree sum s; a term of sym degree s - p belongs to B_p.
+    Different sums put a monomial into different B_p, so the pieces are
+    disjoint.
+    """
+    degs_a, degs_b = a.sym_degrees(), b.sym_degrees()
+    if not degs_a or not degs_b:
+        return {}
+    by_sum = {}
+    for pa in degs_a:
+        part_a = a.sym_part(pa)
+        for pb in degs_b:
+            full = star_product(part_a, b.sym_part(pb))
+            merge(by_sum.setdefault(pa + pb, {}), full.terms.items())
+    out = {p: {} for p in range(degs_a[-1] + degs_b[-1] + 1)}
+    for s, terms in by_sum.items():
+        for m, c in terms.items():
+            out[s - m.sym_degree][m] = c
+    return {p: PoissonElement._of(terms) for p, terms in out.items()}
 
 
 def star_component(a, b, p):
@@ -250,12 +276,7 @@ def star_component(a, b, p):
     On star-homogeneous inputs it is also the component raising star degree
     by exactly p.
     """
-    out = PoissonElement.zero()
-    for pa in a.sym_degrees():
-        for pb in b.sym_degrees():
-            full = star_product(a.sym_part(pa), b.sym_part(pb))
-            out = out + full.sym_part(pa + pb - p)
-    return out
+    return star_components(a, b).get(p, PoissonElement())
 
 
 def bigraded_component(a, p, q):

@@ -9,6 +9,15 @@ kernel and span solving feed their rows through it).  Elimination is
 deterministic: it always clears the smallest column of the row at hand, in
 the echelon's column order; there is no other pivot rule.  No floating point
 anywhere.
+
+Conversion to ``Fraction`` happens once, where a value enters: the
+constructors of ``Combination``, ``SparseVector`` and ``SparseMatrix`` and
+the scalar of ``__rmul__`` convert ints and decimal strings, and refuse a
+``float`` or ``complex`` with ``TypeError``, since a binary float is not the
+rational its user meant.  A coefficient that already is a ``Fraction`` is
+kept as it is.  Inside the library, sums and products of Fractions are
+Fractions again, so results built by ``merge`` from stored coefficients
+(``Combination._of``) are not checked a second time.
 """
 
 from __future__ import annotations
@@ -22,13 +31,50 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _fraction(c):
+    """``c`` as a Fraction: the one conversion of a value entering the library."""
+    if isinstance(c, (float, complex)):
+        raise TypeError(f"inexact coefficient {c!r}; use an int, a Fraction or a string")
+    return Fraction(c)
+
+
+def _clean(entries):
+    """The nonzero values of a mapping entering the library, as Fractions;
+    a value that already is a Fraction is kept as it is."""
+    out = {}
+    for k, v in entries.items():
+        if type(v) is not Fraction:
+            v = _fraction(v)
+        if v:
+            out[k] = v
+    return out
+
+
 def merge(acc, items, scale=1):
     """Fold ``scale * c`` into ``acc[k]`` for every pair (k, c) of ``items``.
 
     ``acc`` is a dict of nonzero coefficients and stays one: a key whose sum
     is zero is dropped.  Returns ``acc``.
+
+    With the default scale, the int 1, the items are added as they are.
+    That is exact and keeps every type: ``c * 1`` equals ``c`` and has its
+    type.  Any other scale, ``Fraction(1)`` included (``int * Fraction(1)``
+    is a Fraction), takes the multiplying loop.
     """
     get = acc.get
+    if type(scale) is int and scale == 1:
+        for k, c in items:
+            w = get(k)
+            if w is None:
+                if c:
+                    acc[k] = c
+            else:
+                w += c
+                if w:
+                    acc[k] = w
+                else:
+                    del acc[k]
+        return acc
     for k, c in items:
         w = get(k)
         if w is None:
@@ -48,6 +94,11 @@ class Combination:
     """Exact rational combination of hashable keys, the base of the algebra
     elements: ``terms`` maps each key to its nonzero Fraction coefficient.
 
+    The constructor is the boundary: it keeps a coefficient that is already a
+    ``Fraction``, converts an int or a decimal string, refuses a float, and
+    drops zeros.  Results computed from stored coefficients are built by
+    ``_of``, which takes its dict as it is.
+
     Arithmetic returns the type of the left operand.  Equality holds only
     between elements of the same type, so elements of different algebras
     never compare equal; subclasses that define ``__hash__`` are hashable.
@@ -56,7 +107,15 @@ class Combination:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {k: Fraction(c) for k, c in (terms or {}).items() if c}
+        self.terms = _clean(terms) if terms else {}
+
+    @classmethod
+    def _of(cls, terms):
+        """An element owning ``terms``, a dict of nonzero Fractions computed
+        inside the library (by ``merge`` from stored coefficients)."""
+        self = cls.__new__(cls)
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls):
@@ -69,27 +128,24 @@ class Combination:
         return type(other) is type(self) and self.terms == other.terms
 
     def __add__(self, other):
-        return type(self)(merge(dict(self.terms), other.terms.items()))
+        return self._of(merge(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return type(self)(merge(dict(self.terms), other.terms.items(), -1))
+        return self._of(merge(dict(self.terms), other.terms.items(), -1))
 
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()})
+        return self._of({k: -c for k, c in self.terms.items()})
 
     def __rmul__(self, c):
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = _fraction(c)
         if not c:
             return type(self)()
-        return type(self)({k: c * v for k, v in self.terms.items()})
+        return self._of({k: c * v for k, v in self.terms.items()})
 
 
 class DimensionMismatch(ValueError):
     """Raised when vectors of different dimensions are combined."""
-
-
-def _clean(entries):
-    return {k: v for k, v in entries.items() if v != 0}
 
 
 class SparseVector:
@@ -132,7 +188,8 @@ class SparseVector:
         return self + (-1) * other
 
     def __rmul__(self, c):
-        c = Fraction(c)
+        if type(c) is not Fraction:
+            c = _fraction(c)
         if not c:
             return SparseVector(self.dim)
         return SparseVector(self.dim, {i: c * v for i, v in self.entries.items()})
@@ -253,6 +310,8 @@ class Echelon:
         if col is None:
             return False
         pv = res[col]
+        if type(pv) is not Fraction:
+            pv = Fraction(pv)  # an int row must not be divided in float
         self.rows[col] = {c: v / pv for c, v in res.items()}
         return True
 

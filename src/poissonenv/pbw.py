@@ -121,10 +121,10 @@ def symmetrize_factors(factors):
     for m in seen.values():
         mult *= factorial(m)
     weight = mult / factorial(k)
-    out = TensorElement.zero()
+    out = {}
     for perm in multiset_permutations(factors):
-        out = out + weight * pbw_to_tensor(perm)
-    return out
+        merge(out, pbw_to_tensor(perm).terms.items(), weight)
+    return TensorElement._of(out)
 
 
 _SYM_PBW_CACHE = {}

@@ -17,6 +17,7 @@ from poissonenv.freepoisson import (
     multiply,
     poisson_bracket,
     star_component,
+    star_components,
     star_product,
     symmetrize,
 )
@@ -217,6 +218,36 @@ def test_star_component_two_frozen_value():
     assert got == expected
     full = e_inverse(word((1, 1, 2, 2)))
     assert got == full.sym_part(2)
+
+
+def reference_star_component(a, b, p):
+    """B_p as computed before ``star_components``: one star product per
+    sym-degree pair, summed by Combination addition, for this p alone."""
+    out = PoissonElement.zero()
+    for pa in a.sym_degrees():
+        for pb in b.sym_degrees():
+            full = star_product(a.sym_part(pa), b.sym_part(pb))
+            out = out + full.sym_part(pa + pb - p)
+    return out
+
+
+@settings(deadline=None, max_examples=40)
+@given(_star_pairs())
+def test_star_components_match_per_component_reference(pair):
+    a, b = pair
+    comps = star_components(a, b)
+    top = max(a.sym_degrees()) + max(b.sym_degrees())
+    assert sorted(comps) == list(range(top + 1))
+    for p in range(top + 1):
+        assert comps[p] == reference_star_component(a, b, p)
+    for p in (-1, top + 1):
+        assert star_component(a, b, p).is_zero()
+        assert reference_star_component(a, b, p).is_zero()
+    total = PoissonElement.zero()
+    for c in comps.values():
+        total = total + c
+    assert total == star_product(a, b)
+    assert star_components(a, PoissonElement.zero()) == {}
 
 
 def test_bigraded_component():

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonenv.linalg import (
     DimensionMismatch,
@@ -169,6 +171,87 @@ def test_merge_folds_pairs_and_drops_zeros():
     assert acc == {2: Fraction(-6)}
     assert merge({}, [(5, Fraction(0))]) == {}
     assert merge({3: Fraction(1)}, [(3, Fraction(1)), (3, Fraction(-2))]) == {}
+
+
+def _merge_multiplying(acc, items, scale=1):
+    """The merge loop that multiplies every item by the scale, 1 included."""
+    for k, c in items:
+        w = acc.get(k)
+        if w is None:
+            w = c * scale
+            if w:
+                acc[k] = w
+        else:
+            w += c * scale
+            if w:
+                acc[k] = w
+            else:
+                del acc[k]
+    return acc
+
+
+_INTS = st.integers(-3, 3)
+_FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@pytest.mark.parametrize("scale", [1, -1, Fraction(1), Fraction(1, 2)])
+@pytest.mark.parametrize("values", [_INTS, _FRACTIONS], ids=["int", "fraction"])
+@settings(deadline=None, max_examples=40)
+@given(data=st.data())
+def test_merge_matches_the_multiplying_loop(scale, values, data):
+    # merge skips the multiply for the int scale 1 only; values and value
+    # types must be those of the loop that always multiplies
+    keys = st.integers(0, 5)
+    acc = data.draw(st.dictionaries(keys, values.filter(bool)))
+    items = data.draw(st.lists(st.tuples(keys, values), max_size=8))
+    got = merge(dict(acc), items, scale)
+    want = _merge_multiplying(dict(acc), items, scale)
+    assert got == want
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+
+
+_BIG = 10**17
+
+
+def test_rank_of_integer_rows_is_exact():
+    # in floats 10**17 + 1 - 10**17 is 0, and the rank would come out 1
+    m = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): _BIG, (1, 0): 1, (1, 1): _BIG + 1})
+    assert rank(m) == 2
+
+
+def test_kernel_of_integer_rows_is_exact():
+    m = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): _BIG, (1, 0): 1, (1, 1): _BIG + 1})
+    assert kernel(m) == []
+
+
+def test_solve_in_span_of_integer_rows_is_exact():
+    basis = [SparseVector(2, {0: 1, 1: _BIG})]
+    assert solve_in_span(basis, SparseVector(2, {0: 1, 1: _BIG + 1})) is None
+    assert solve_in_span(basis, SparseVector(2, {0: 3, 1: 3 * _BIG})) == [3]
+
+
+def test_echelon_divides_int_rows_exactly():
+    ech = Echelon()
+    assert ech.add({0: 2, 1: _BIG})
+    assert ech.rows[0] == {0: 1, 1: _BIG // 2}
+    assert all(type(v) is Fraction for v in ech.rows[0].values())
+    assert ech.add({0: 2, 1: _BIG + 1})
+
+
+def test_sparse_entries_enter_as_fractions():
+    v = SparseVector(3, {0: 2, 1: "1/3", 2: "0"})
+    assert v.entries == {0: 2, 1: Fraction(1, 3)}
+    assert all(type(x) is Fraction for x in v.entries.values())
+    assert all(type(x) is Fraction for x in (2 * v).entries.values())
+    m = SparseMatrix(1, 2, {(0, 0): 5, (0, 1): "-0.5"})
+    assert [type(x) for x in m.entries.values()] == [Fraction, Fraction]
+    for bad in (0.5, 1j):
+        with pytest.raises(TypeError, match="inexact"):
+            SparseVector(1, {0: bad})
+        with pytest.raises(TypeError, match="inexact"):
+            SparseMatrix(1, 1, {(0, 0): bad})
+        with pytest.raises(TypeError, match="inexact"):
+            bad * v
 
 
 def test_combination_equality_is_type_strict_and_only_tensors_hash():
