@@ -65,6 +65,40 @@ from .quantize import (
     truncated_product,
 )
 
+from . import freelie as _freelie
+from . import freepoisson as _freepoisson
+from . import pbw as _pbw
+from . import quantize as _quantize
+
+# every module-level memo table of the library
+_MEMO_TABLES = (
+    _freelie._ELEMENT_CACHE,
+    _freelie._BASIS_CACHE,
+    _freelie._EXPAND_CACHE,
+    _freelie._REWRITE_SOLVERS,
+    _freelie._BRACKET_CACHE,
+    _freepoisson._MONOMIALS,
+    _freepoisson._BRACKET_MONO_CACHE,
+    _freepoisson._STAR_MONO_CACHE,
+    _pbw._NORMAL_CACHE,
+    _pbw._SYM_PBW_CACHE,
+    _pbw._EINV_WORD_CACHE,
+    _quantize._UWINDOW_CACHE,
+)
+
+
+def clear_caches():
+    """Empty every module-level memo table, to bound a long-lived process.
+
+    The tables only memoize pure functions, and interned Lie basis elements
+    and Poisson monomials compare by value, so later results are unchanged;
+    they are recomputed cold.  Each table is emptied in place, so code that
+    holds a reference to one keeps working.
+    """
+    for table in _MEMO_TABLES:
+        table.clear()
+
+
 __all__ = [
     "DimensionMismatch",
     "EndoMap",
@@ -87,6 +121,7 @@ __all__ = [
     "associated_graded",
     "bigraded_component",
     "bx_component",
+    "clear_caches",
     "commutator_filtration",
     "commutator_filtration_Q",
     "e_inverse",

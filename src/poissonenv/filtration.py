@@ -233,13 +233,24 @@ class TruncatedAlgebra:
 
     @classmethod
     def from_json_dict(cls, data, validate=True):
-        def table(rows):
+        def table(name, rows):
             # entries for the same (i, j, k) add up; the constructor drops the
             # zero sums once the index check has seen every entry
             t = {}
             for i, j, k, c in rows:
+                # a float is already rounded, and Fraction(True) is 1: refuse
+                # both rather than load an algebra nobody wrote down
+                try:
+                    exact = None if isinstance(c, (bool, float, complex)) else Fraction(c)
+                except (TypeError, ValueError):
+                    exact = None
+                if exact is None:
+                    raise ValueError(
+                        f"{name} entry ({i}, {j}, {k}): coefficient {c!r} is"
+                        " not an int or a decimal string"
+                    )
                 row = t.setdefault((i, j), {})
-                row[k] = row.get(k, 0) + Fraction(c)
+                row[k] = row.get(k, 0) + exact
             return t
 
         bracket = data.get("bracket")  # [] is a zero bracket, not a missing one
@@ -247,8 +258,8 @@ class TruncatedAlgebra:
             dim=data["dim"],
             labels=data["labels"],
             unit=data["unit"],
-            product=table(data["product"]),
-            bracket=None if bracket is None else table(bracket),
+            product=table("product", data["product"]),
+            bracket=None if bracket is None else table("bracket", bracket),
             validate=validate,
         )
 

@@ -23,6 +23,7 @@ the tensor algebra; they are the independent reference B is tested against.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 from . import pbw
 from .freelie import TensorElement, bracket_basis, generator
@@ -36,6 +37,12 @@ class PoissonMonomial:
     degrees), ``sym_degree`` (factor count), ``poly_degree`` (letter factors,
     the SV part), ``plus_degree`` (positive-star factors) and
     ``total_degree`` (every letter, including those inside Lie factors).
+
+    Monomials are interned, as Lie basis elements are: ``of`` returns the
+    one shared instance for a multiset of factors, so its degrees, sort key
+    and hash are computed once.  Direct construction from an already sorted
+    tuple still works and gives a monomial that compares and hashes equal to
+    the shared one; equality is by factors, never by identity.
     """
 
     __slots__ = (
@@ -65,7 +72,22 @@ class PoissonMonomial:
 
     @classmethod
     def of(cls, factors):
-        return cls(tuple(sorted(factors, key=lambda f: f.sort_key)))
+        """The shared monomial of any iterable of factors, in any order.
+
+        ``_MONOMIALS`` is looked up with the tuple as given and, on a miss,
+        with its sorted form; the tuple as given is then kept as an alias,
+        so the next lookup of the same unsorted tuple skips the sort.
+        """
+        if type(factors) is not tuple:
+            factors = tuple(factors)
+        m = _MONOMIALS.get(factors)
+        if m is None:
+            key = tuple(sorted(factors, key=_factor_sort_key))
+            m = _MONOMIALS.get(key)
+            if m is None:
+                m = _MONOMIALS[key] = cls(key)
+            _MONOMIALS[factors] = m
+        return m
 
     def __hash__(self):
         return self._hash
@@ -83,7 +105,12 @@ class PoissonMonomial:
         return "*".join(repr(f) for f in self.factors)
 
 
-MONOMIAL_ONE = PoissonMonomial(())
+_factor_sort_key = attrgetter("sort_key")
+
+# factor tuple, sorted or as first seen -> the shared PoissonMonomial
+_MONOMIALS = {}
+
+MONOMIAL_ONE = PoissonMonomial.of(())
 
 
 class PoissonElement(Combination):
@@ -101,12 +128,12 @@ class PoissonElement(Combination):
 
     @classmethod
     def generator(cls, i):
-        return cls({PoissonMonomial((generator(i),)): Fraction(1)})
+        return cls({PoissonMonomial.of((generator(i),)): Fraction(1)})
 
     @classmethod
     def from_lie(cls, a):
         """Embed a Lie element as a sum of single-factor monomials."""
-        return cls._of({PoissonMonomial((b,)): c for b, c in a.terms.items()})
+        return cls._of({PoissonMonomial.of((b,)): c for b, c in a.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, PoissonElement):
@@ -206,7 +233,7 @@ def e_inverse(t):
     out = {}
     for w, c in t.terms.items():
         for factors, v in pbw.e_inverse_word(w).items():
-            merge(out, [(PoissonMonomial(factors), c * v)])
+            merge(out, [(PoissonMonomial.of(factors), c * v)])
     return PoissonElement._of(out)
 
 
@@ -222,7 +249,9 @@ def _star_monomials(m1, m2):
         for t1, c1 in pbw.sym_pbw(m1.factors).items():
             for t2, c2 in e2.items():
                 merge(prod, pbw.normal(t1 + t2).items(), c1 * c2)
-        hit = {PoissonMonomial(t): c for t, c in pbw.e_inverse_pbw(prod).items()}
+        hit = {
+            PoissonMonomial.of(t): c for t, c in pbw.e_inverse_pbw(prod).items()
+        }
         _STAR_MONO_CACHE[key] = hit
     return hit
 

@@ -132,6 +132,24 @@ def test_filtration_rejects_out_of_range_index(tmp_path, capsys):
     assert f"product entry ({data['dim'] + 5}, 1)" in err
 
 
+def test_filtration_refuses_a_float_coefficient(tmp_path, capsys):
+    # k[x]/(x^2) with x*x = 0.1*x: the float must not load as 3602879701896397/2^55
+    product = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    data = TruncatedAlgebra(2, ["1", "x"], 0, product).to_json_dict()
+    data["product"].append([1, 1, 1, 0.1])
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "filtration", str(path))
+    assert code == 1
+    assert out == ""
+    assert "product entry (1, 1, 1): coefficient 0.1" in err
+    data["product"][-1][3] = "1/10"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, "filtration", str(path))
+    assert code == 0
+    assert "commutator filtration ranks:" in out
+
+
 def test_graded_command(capsys):
     code, out, _ = run_cli(capsys, "graded", "-n", "2", "-d", "1", "-N", "1")
     assert code == 0

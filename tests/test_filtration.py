@@ -657,3 +657,26 @@ def test_json_entries_for_the_same_triple_add_up():
     data["product"] += [[0, 1, 1, "1/2"], [0, 1, 1, "1/2"]]
     with pytest.raises(ValueError, match=r"^unit law fails at basis 1"):
         TruncatedAlgebra.from_json_dict(data)
+
+
+@pytest.mark.parametrize("coeff", [0.1, 1.0, True, False, None])
+def test_json_refuses_a_coefficient_that_is_not_exact(coeff):
+    # x*x = c*x is a valid algebra for every rational c; a float c would load
+    # as its binary expansion and a bool as 0 or 1
+    data = TruncatedAlgebra(2, ["1", "x"], 0, _dual_numbers()).to_json_dict()
+    data["product"].append([1, 1, 1, coeff])
+    with pytest.raises(ValueError, match=r"^product entry \(1, 1, 1\): coefficient"):
+        TruncatedAlgebra.from_json_dict(data)
+    data["bracket"] = [[1, 1, 1, coeff]]
+    del data["product"][-1]
+    with pytest.raises(ValueError, match=r"^bracket entry \(1, 1, 1\): coefficient"):
+        TruncatedAlgebra.from_json_dict(data, validate=False)
+
+
+@pytest.mark.parametrize("coeff, value", [(1, 1), (-2, -2), ("1/10", Fraction(1, 10))])
+def test_json_loads_ints_and_decimal_strings(coeff, value):
+    data = TruncatedAlgebra(2, ["1", "x"], 0, _dual_numbers()).to_json_dict()
+    data["product"].append([1, 1, 1, coeff])
+    alg = TruncatedAlgebra.from_json_dict(json.loads(json.dumps(data)))
+    assert alg.product[(1, 1)] == {1: value}
+    assert type(alg.product[(1, 1)][1]) is Fraction

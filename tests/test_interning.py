@@ -1,0 +1,124 @@
+"""Interned monomials and the memo tables behind them.
+
+``PoissonMonomial.of`` hands out one shared instance per multiset of
+factors, as ``LieBasisElement.from_word`` does per word.  Identity is only a
+shortcut: equality and hashing stay by factors, so results must not change
+when the tables are emptied and the instances are built again.
+"""
+
+import itertools as it
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import poissonenv
+from poissonenv import acceptance, freelie, freepoisson, pbw, quantize
+from poissonenv.exprparse import format_poisson, poisson_from_json, poisson_to_json
+from poissonenv.freelie import lyndon_basis_of_length
+from poissonenv.freepoisson import (
+    PoissonElement,
+    PoissonMonomial,
+    monomials_star_total,
+    multiply,
+    poisson_bracket,
+    star_product,
+)
+
+_FACTORS = [b for length in range(1, 4) for b in lyndon_basis_of_length(3, length)]
+_factor_tuples = st.lists(st.sampled_from(_FACTORS), max_size=5).map(tuple)
+
+
+def _sorted(factors):
+    return tuple(sorted(factors, key=lambda f: f.sort_key))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_factor_tuples)
+def test_every_permutation_gives_the_same_sorted_monomial(factors):
+    m = PoissonMonomial.of(factors)
+    assert m.factors == _sorted(factors)
+    for perm in it.permutations(factors):
+        assert PoissonMonomial.of(perm) is m
+    assert PoissonMonomial.of(_sorted(factors)) is m
+
+
+@settings(deadline=None, max_examples=40)
+@given(_factor_tuples)
+def test_any_iterable_gives_the_same_monomial(factors):
+    m = PoissonMonomial.of(factors)
+    assert PoissonMonomial.of(list(factors)) is m
+    assert PoissonMonomial.of(reversed(factors)) is m
+    assert PoissonMonomial.of(f for f in factors) is m
+
+
+@settings(deadline=None, max_examples=40)
+@given(_factor_tuples)
+def test_direct_construction_equals_the_interned_monomial(factors):
+    shared = PoissonMonomial.of(factors)
+    direct = PoissonMonomial(_sorted(factors))
+    assert direct is not shared
+    assert direct == shared and shared == direct
+    assert hash(direct) == hash(shared)
+    assert {shared: "entry"}[direct] == "entry"
+    assert (direct.sort_key, direct.star_degree, direct.total_degree) == (
+        shared.sort_key,
+        shared.star_degree,
+        shared.total_degree,
+    )
+
+
+_POOL = [
+    m for total in range(1, 4) for q in range(total) for m in monomials_star_total(2, q, total)
+]
+
+
+@st.composite
+def _elements(draw):
+    monos = draw(st.lists(st.sampled_from(_POOL), min_size=1, max_size=3, unique=True))
+    return PoissonElement({m: draw(st.integers(-3, 3).filter(bool)) for m in monos})
+
+
+@settings(deadline=None, max_examples=40)
+@given(_elements(), _elements())
+def test_products_survive_emptying_the_intern_tables(a, b):
+    ops = (multiply, poisson_bracket, star_product)
+    before = [op(a, b) for op in ops]
+    freepoisson._MONOMIALS.clear()
+    freelie._ELEMENT_CACHE.clear()
+    # the old instances against the memo tables, and fresh ones built anew
+    fresh_a, fresh_b = (poisson_from_json(poisson_to_json(x)) for x in (a, b))
+    assert fresh_a == a and fresh_b == b
+    for op, want in zip(ops, before):
+        for x, y in ((a, b), (fresh_a, fresh_b)):
+            got = op(x, y)
+            assert got == want
+            assert format_poisson(got) == format_poisson(want)
+
+
+_TABLES = [
+    (freelie, "_ELEMENT_CACHE"),
+    (freelie, "_BASIS_CACHE"),
+    (freelie, "_EXPAND_CACHE"),
+    (freelie, "_REWRITE_SOLVERS"),
+    (freelie, "_BRACKET_CACHE"),
+    (freepoisson, "_MONOMIALS"),
+    (freepoisson, "_BRACKET_MONO_CACHE"),
+    (freepoisson, "_STAR_MONO_CACHE"),
+    (pbw, "_NORMAL_CACHE"),
+    (pbw, "_SYM_PBW_CACHE"),
+    (pbw, "_EINV_WORD_CACHE"),
+    (quantize, "_UWINDOW_CACHE"),
+]
+
+
+def test_clear_caches_empties_every_table_between_checks():
+    tables = [getattr(mod, name) for mod, name in _TABLES]
+    checks = dict(acceptance.ALL_CHECKS)
+    for name in ("06-star-associativity", "09-local-model-bracket", "15-star-ideal-topology"):
+        result = checks[name]()
+        assert result.passed, f"{name}: {result.detail}"
+        assert any(tables)
+        poissonenv.clear_caches()
+        assert not any(tables)
+        # emptied in place: the modules still hold the very same dicts
+        assert all(getattr(mod, n) is t for (mod, n), t in zip(_TABLES, tables))
