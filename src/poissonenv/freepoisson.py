@@ -22,12 +22,11 @@ the tensor algebra; they are the independent reference B is tested against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import attrgetter
 
 from . import pbw
 from .freelie import TensorElement, bracket_basis, generator
-from .linalg import Combination, merge
+from .linalg import ONE, Combination, merge
 
 
 class PoissonMonomial:
@@ -128,7 +127,7 @@ class PoissonElement(Combination):
 
     @classmethod
     def generator(cls, i):
-        return cls({PoissonMonomial.of((generator(i),)): Fraction(1)})
+        return cls._of({PoissonMonomial.of((generator(i),)): ONE})
 
     @classmethod
     def from_lie(cls, a):

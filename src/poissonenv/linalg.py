@@ -7,8 +7,11 @@ entries.  This module owns how a sparse exact row is updated and eliminated:
 the algebra elements, and ``Echelon`` the one elimination routine (rank,
 kernel and span solving feed their rows through it).  Elimination is
 deterministic: it always clears the smallest column of the row at hand, in
-the echelon's column order; there is no other pivot rule.  No floating point
-anywhere.
+the echelon's column order; there is no other pivot rule.  It runs on
+integers: ``Echelon`` scales each row it is given to integers once, clears
+columns by integer cross-multiplication and keeps every pivot row as
+primitive integers beside its Fraction form; what it returns are Fractions,
+the ones Fraction elimination would give.  No floating point anywhere.
 
 Conversion to ``Fraction`` happens once, where a value enters: the
 constructors of ``Combination``, ``SparseVector`` and ``SparseMatrix`` and
@@ -23,12 +26,14 @@ Fractions again, so results built by ``merge`` from stored coefficients
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 # The ground field: exact rationals.
 Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 
 def _fraction(c):
@@ -266,69 +271,106 @@ def rank(m):
 class Echelon:
     """Incremental row-echelon container for span/membership computations.
 
-    Rows are stored normalized with pivot coefficient 1, keyed by pivot
-    column, newest pivot last.  Elimination always clears the smallest
-    column of the row being reduced.  ``col_key`` optionally reorders
-    columns (smaller key = eliminated first), which is how
-    subspace-with-coordinate-subspace intersections are carved out.
+    ``rows`` maps each pivot column to its row normalized to pivot
+    coefficient 1, as Fractions, newest pivot last.  Elimination runs on
+    integers: ``_ints`` keeps the same rows as primitive integers with a
+    positive pivot, and a row entering ``add``, ``reduce``, ``contains`` or
+    ``normal_form`` is scaled once by the lcm of its denominators, its zero
+    entries dropped.  Results are Fractions, equal to those of Fraction
+    elimination.  Elimination always clears the smallest column of the row
+    being reduced.  ``col_key`` optionally reorders columns (smaller key =
+    eliminated first), which is how subspace-with-coordinate-subspace
+    intersections are carved out.
     """
 
     def __init__(self, col_key=None):
-        self.rows = {}  # pivot col -> row dict
-        self._key = col_key or (lambda c: c)
+        self.rows = {}  # pivot col -> row dict, pivot 1, Fractions
+        self._ints = {}  # pivot col -> the same row, primitive ints, pivot > 0
+        self._key = col_key  # None: the columns' own order
 
     @property
     def rank(self):
         return len(self.rows)
 
     def _lead(self, row):
-        """Subtract pivot rows from ``row`` in place, smallest column first,
-        until that column has no pivot; return it (None once ``row`` is 0).
+        """Clear ``row``, a dict of nonzero ints, against the pivot rows,
+        smallest column first, until that column has no pivot.
 
-        Subtracting a pivot row only introduces entries at key-larger
-        columns, so the sweep terminates.
+        Column c with pivot entry p and row entry a is cleared by
+        row <- (p/g) row - (a/g) pivot row, g = gcd(a, p): the row stays
+        integral and grows by the factor p/g.  Returns (col, row, scale):
+        the column left (None once the row is 0), the row and the product
+        of the factors, so the residue is row / scale in units of the row
+        that came in.  Subtracting a pivot row only introduces entries at
+        key-larger columns, so the sweep terminates.
         """
-        rows, key = self.rows, self._key
+        ints, key = self._ints, self._key
+        scale = 1
         while row:
             col = min(row, key=key)
-            piv = rows.get(col)
+            piv = ints.get(col)
             if piv is None:
-                return col
-            merge(row, piv.items(), -row[col])
-        return None
+                return col, row, scale
+            a, p = row[col], piv[col]
+            g = gcd(a, p)
+            if g != 1:
+                a //= g
+                p //= g
+            if p != 1:
+                row = {c: v * p for c, v in row.items()}
+                scale *= p
+            merge(row, piv.items(), -a)
+        return None, row, scale
 
     def reduce(self, row):
         """Return the residue of ``row`` (a dict) after elimination."""
-        row = dict(row)
-        self._lead(row)
-        return row
+        row, den = _int_row(row)
+        _, row, scale = self._lead(row)
+        den *= scale
+        return {c: Fraction(v, den) for c, v in row.items()}
 
     def add(self, row):
         """Insert ``row`` into the echelon; returns True if the rank grew."""
-        res = dict(row)
-        col = self._lead(res)
+        col, row, _ = self._lead(_int_row(row)[0])
         if col is None:
             return False
-        pv = res[col]
-        if type(pv) is not Fraction:
-            pv = Fraction(pv)  # an int row must not be divided in float
-        self.rows[col] = {c: v / pv for c, v in res.items()}
+        g = gcd(*row.values())
+        if row[col] < 0:
+            g = -g
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
+        self._ints[col] = row
+        p = row[col]
+        units = {p: ONE, -p: _MINUS_ONE}  # shared: most entries are +-1
+        self.rows[col] = {c: units.get(v) or Fraction(v, p) for c, v in row.items()}
         return True
 
     def contains(self, row):
-        return not self.reduce(row)
+        return self._lead(_int_row(row)[0])[0] is None
 
     def normal_form(self, row):
         """Fully reduce ``row``: the result has no support on pivot columns."""
-        row = dict(row)
+        row, den = _int_row(row)
         out = {}
-        while (col := self._lead(row)) is not None:
-            out[col] = row.pop(col)
-        return out
+        while True:
+            col, row, scale = self._lead(row)
+            if col is None:
+                return out
+            den *= scale
+            out[col] = Fraction(row.pop(col), den)
 
     def basis(self):
         """Current echelon rows, ordered by pivot column."""
         return [dict(self.rows[c]) for c in sorted(self.rows, key=self._key)]
+
+
+def _int_row(row):
+    """(ints, den): the nonzero values of ``row`` (ints or Fractions) times
+    den, the lcm of their denominators, as ints in the order of ``row``."""
+    den = lcm(*[v.denominator for v in row.values()])
+    if den == 1:
+        return {c: v.numerator for c, v in row.items() if v}, 1
+    return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}, den
 
 
 class SpanSolver:

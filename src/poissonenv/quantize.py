@@ -116,10 +116,17 @@ class UWindow:
         return row
 
     def _pairs(self, v, w):
-        """(i, j, c_i * c_j) over the index pairs of v and w inside the window."""
+        """(i, j, c_i * c_j) over the index pairs of v and w inside the window,
+        in the order of v, then of w.  An i whose room is below the smallest
+        total in w has no such pair and is passed over without visiting w."""
+        if not w:
+            return
         totals = self.totals
+        least = min(map(totals.__getitem__, w))
         for i, c1 in v.items():
             room = self.max_total - totals[i]
+            if room < least:
+                continue
             for j, c2 in w.items():
                 if totals[j] <= room:
                     yield i, j, c1 * c2

@@ -119,3 +119,14 @@ def test_ints_and_decimal_strings_enter_as_fractions():
 def test_floats_are_refused(make):
     with pytest.raises(TypeError, match="inexact"):
         make()
+
+
+def test_generators_carry_the_shared_unit():
+    # PoissonElement.generator builds its term from linalg.ONE, unchecked
+    from poissonenv.freepoisson import PoissonMonomial
+    from poissonenv.linalg import ONE
+
+    x2 = PoissonElement.generator(2)
+    assert x2.terms == {PoissonMonomial.of((generator(2),)): Fraction(1)}
+    assert all(c is ONE for c in x2.terms.values())
+    assert x2 == PoissonElement({PoissonMonomial.of((generator(2),)): 1})

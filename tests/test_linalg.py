@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -313,3 +314,121 @@ def test_rank_kernel_and_span_match_sympy():
             assert (got is not None) == in_span
             if got is not None:
                 assert ref.T * sympy.Matrix(got) == sympy.Matrix(target)
+
+
+def test_explicit_zero_entries_are_dropped():
+    # a zero entry must not stop elimination at a column of its own
+    ech = Echelon()
+    ech.add({1: 1})
+    assert ech.contains({0: 0, 1: 1})
+    assert ech.reduce({0: 0, 1: 1}) == {}
+    assert ech.reduce({0: Fraction(0), 1: 1, 2: 3}) == {2: 3}
+    assert ech.normal_form({0: 0, 1: 2, 2: Fraction(1, 2)}) == {2: Fraction(1, 2)}
+    fresh = Echelon()
+    assert fresh.add({0: 0, 1: 2})
+    assert fresh.rows == {1: {1: 1}}
+    assert not fresh.add({0: Fraction(0), 1: Fraction(-3, 7)})
+    assert not Echelon().add({0: 0})
+
+
+class FractionEchelon:
+    """The Fraction elimination ``Echelon`` replaced, kept as its reference:
+    rows normalized to pivot 1 and cleared by Fraction arithmetic, smallest
+    column first.  Rows must come without zero entries."""
+
+    def __init__(self, col_key=None):
+        self.rows = {}
+        self._key = col_key or (lambda c: c)
+
+    @property
+    def rank(self):
+        return len(self.rows)
+
+    def _lead(self, row):
+        rows, key = self.rows, self._key
+        while row:
+            col = min(row, key=key)
+            piv = rows.get(col)
+            if piv is None:
+                return col
+            merge(row, piv.items(), -row[col])
+        return None
+
+    def reduce(self, row):
+        row = dict(row)
+        self._lead(row)
+        return row
+
+    def add(self, row):
+        res = dict(row)
+        col = self._lead(res)
+        if col is None:
+            return False
+        pv = Fraction(res[col])
+        self.rows[col] = {c: v / pv for c, v in res.items()}
+        return True
+
+    def contains(self, row):
+        return not self.reduce(row)
+
+    def normal_form(self, row):
+        row = dict(row)
+        out = {}
+        while (col := self._lead(row)) is not None:
+            out[col] = row.pop(col)
+        return out
+
+    def basis(self):
+        return [dict(self.rows[c]) for c in sorted(self.rows, key=self._key)]
+
+
+_COLS = 7
+_ENTRIES = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.fractions(min_value=-1, max_value=1, max_denominator=10**15),
+    st.sampled_from([0, Fraction(0)]),
+)
+_ROWS = st.dictionaries(st.integers(0, _COLS - 1), _ENTRIES, max_size=5)
+
+
+def _nonzero(row):
+    return {c: v for c, v in row.items() if v}
+
+
+def _ordered(row):
+    return list(row.items())
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_echelon_matches_fraction_reference(data):
+    order = data.draw(st.none() | st.permutations(range(_COLS)))
+    key = None if order is None else order.__getitem__
+    ech, ref = Echelon(key), FractionEchelon(key)
+    added = []
+    for row in data.draw(st.lists(_ROWS, max_size=7)):
+        assert ech.add(row) == ref.add(_nonzero(row))
+        assert ech.rank == ref.rank
+        assert [(c, _ordered(r)) for c, r in ech.rows.items()] == [
+            (c, _ordered(r)) for c, r in ref.rows.items()
+        ]
+        added.append(row)
+    for col, ints in ech._ints.items():
+        # the integer twin of each row: primitive, positive pivot
+        assert ints[col] > 0 and gcd(*ints.values()) == 1
+        assert ech.rows[col] == {c: Fraction(v, ints[col]) for c, v in ints.items()}
+    assert [_ordered(r) for r in ech.basis()] == [_ordered(r) for r in ref.basis()]
+    queries = data.draw(st.lists(_ROWS, min_size=1, max_size=4))
+    for row in added[:3]:
+        # a combination of the added rows, plus stray zeros: often inside
+        mix = {}
+        for other in added:
+            merge(mix, _nonzero(other).items(), data.draw(_ENTRIES) or 1)
+        merge(mix, _nonzero(row).items())
+        queries.append({**dict.fromkeys(range(_COLS), 0), **mix})
+    for row in queries:
+        plain = _nonzero(row)
+        assert _ordered(ech.reduce(row)) == _ordered(ref.reduce(plain))
+        assert _ordered(ech.normal_form(row)) == _ordered(ref.normal_form(plain))
+        assert ech.contains(row) == ref.contains(plain)

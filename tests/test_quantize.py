@@ -5,6 +5,7 @@ import pytest
 
 from poissonenv.filtration import span_closure
 from poissonenv.freelie import LieBasisElement, LieElement
+from poissonenv.linalg import merge
 from poissonenv.freepoisson import (
     PoissonElement,
     monomials_star_maxpoly,
@@ -340,3 +341,59 @@ def test_u_window_truncation_edge(shape):
         mixed = {**kept, **dropped}
         assert win.mul(u, mixed) == _reference_mul(win, u, mixed)
         assert win.commutator(u, mixed) == _reference_commutator(win, u, mixed)
+
+
+def _all_pairs_mul(win, v, w):
+    # every index pair of v and w, in order, kept when it fits the window
+    out = {}
+    for i, c1 in v.items():
+        for j, c2 in w.items():
+            if win.totals[i] + win.totals[j] <= win.max_total:
+                merge(out, win._row(i, j), c1 * c2)
+    return out
+
+
+def _all_pairs_commutator(win, v, w):
+    out = {}
+    for i, c1 in v.items():
+        for j, c2 in w.items():
+            if win.totals[i] + win.totals[j] <= win.max_total:
+                merge(out, win._row(i, j), c1 * c2)
+                merge(out, win._row(j, i), -c1 * c2)
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 6), (3, 1, 5)])
+def test_u_window_skips_only_pairs_that_cannot_fit(shape):
+    # v and w mix low and high totals, so some indices of v have no room
+    # for any index of w and others do; results and their key order must
+    # be those of the sum over all pairs
+    win = UWindow(*shape)
+    rng = random.Random(7 * sum(shape))
+    by_total = {}
+    for i, t in enumerate(win.totals):
+        by_total.setdefault(t, []).append(i)
+
+    def rand_vec(totals):
+        return {
+            rng.choice(by_total[t]): Fraction(rng.choice((1, -1, 3)), rng.choice((1, 2)))
+            for t in totals
+        }
+
+    top = win.max_total
+    skipped = kept = 0
+    for _ in range(60):
+        v = rand_vec(rng.sample(range(top + 1), rng.randint(1, 4)))
+        w = rand_vec(rng.sample(range(1, top + 1), rng.randint(1, 3)))
+        if rng.random() < 0.5:
+            v, w = w, v
+        least = min(win.totals[j] for j in w)
+        skipped += sum(top - win.totals[i] < least for i in v)
+        kept += sum(top - win.totals[i] >= least for i in v)
+        for got, want in (
+            (win.mul(v, w), _all_pairs_mul(win, v, w)),
+            (win.commutator(v, w), _all_pairs_commutator(win, v, w)),
+        ):
+            assert list(got.items()) == list(want.items())
+    assert skipped >= 20 and kept >= 20
+    assert win.mul({}, {0: Fraction(1)}) == {} == win.commutator({0: Fraction(1)}, {})
