@@ -136,12 +136,12 @@ def check_symmetrized_filtration():
                 for m in all_monos
                 if m.star_degree >= n
             ]
-            ech_f = Echelon()
-            for t in filt_basis:
-                ech_f.add(_tensor_vector(t, 2, length).entries)
-            ech_e = Echelon()
-            for t in e_images:
-                ech_e.add(_tensor_vector(t, 2, length).entries)
+            ech_f = Echelon.spanning(
+                _tensor_vector(t, 2, length).entries for t in filt_basis
+            )
+            ech_e = Echelon.spanning(
+                _tensor_vector(t, 2, length).entries for t in e_images
+            )
             if ech_f.rank != ech_e.rank:
                 return _result(
                     "e-filtration", False, f"rank mismatch l={length} n={n}"

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Each subcommand maps onto one library operation;ElementJSON output is
+Each subcommand maps onto one library operation; ElementJSON output is
 available everywhere via --json.  Exit codes: 0 success, 1 domain error,
 2 parse error, 3 failed verification.
 """

@@ -5,7 +5,7 @@ F_p F_q <= F_{p+q} and [F_p, F_q] <= F_{p+q+1}; its defining recursion
 
     F_{n+1} = sum_{p=1}^{n} F_p F_{n+1-p} + sum_{p=0}^{n} <[F_p, F_{n-p}]>
 
-is iterated by one engine, ``filtration_pieces``, for these algebras and for
+is iterated by one function, ``filtration_chain``, for these algebras and for
 the PBW windows of ``quantize``.  Three changes keep every span: one ideal
 closure of all the brackets replaces one per summand (a sum of ideals is the
 ideal of the union); the p = n summand goes (by antisymmetry it is the p = 0
@@ -14,7 +14,8 @@ ideal, by the Leibniz rule).  The nil-Poisson filtration replaces commutators
 by the Poisson bracket.  Chains are iterated to stabilization; the stable
 value need not be zero (upper-triangular matrices stabilize at the
 strictly-upper part), and whether it vanishes is the nilcommutativity
-certificate.
+certificate.  A ``FiltrationChain`` holds the pieces as Echelons, and
+``chain[n]`` past the end is the stable piece.
 """
 
 from __future__ import annotations
@@ -233,7 +234,19 @@ class TruncatedAlgebra:
 
     @classmethod
     def from_json_dict(cls, data, validate=True):
+        if not isinstance(data, dict):
+            raise ValueError(f"algebra data is a {type(data).__name__}, not an object")
+        if type(data["dim"]) is not int:  # a bool is not a dimension either
+            raise ValueError(f"dim {data['dim']!r} is not an int")
+        if not isinstance(data["labels"], list):
+            raise ValueError(f"labels {data['labels']!r} is not a list")
+
         def table(name, rows):
+            if not (
+                isinstance(rows, list)
+                and all(isinstance(r, list) and len(r) == 4 for r in rows)
+            ):
+                raise ValueError(f"{name} is not a list of [i, j, k, coeff] entries")
             # entries for the same (i, j, k) add up; the constructor drops the
             # zero sums once the index check has seen every entry
             t = {}
@@ -273,31 +286,36 @@ class TruncatedAlgebra:
 
 @dataclass
 class FiltrationChain:
-    """Descending chain F_0 >= F_1 >= ... down to its stable value."""
+    """Descending chain F_0 >= F_1 >= ... down to its stable value.
 
-    pieces: list  # list of lists of coordinate dicts (echelon bases)
-    stable_is_zero: bool
+    ``pieces`` holds the computed pieces as Echelons, F_0 first; ``chain[n]``
+    is F_n, and every n past the end gives the last (stable) piece.
+    """
+
+    pieces: list
+
+    # chain[n] never runs out, so iterating by index would never stop
+    __iter__ = None
+
+    def __getitem__(self, n):
+        return self.pieces[min(n, len(self.pieces) - 1)]
+
+    @property
+    def stable_is_zero(self):
+        return self.pieces[-1].rank == 0
 
     @property
     def length(self):
         return len(self.pieces)
 
     def rank(self, n):
-        return len(self.piece_basis(n))
+        return self[n].rank
 
     def piece_basis(self, n):
-        if n < len(self.pieces):
-            return self.pieces[n]
-        return self.pieces[-1]
-
-    def piece_echelon(self, n):
-        ech = Echelon()
-        for row in self.piece_basis(n):
-            ech.add(row)
-        return ech
+        return self[n].basis()
 
     def ranks(self):
-        return [len(p) for p in self.pieces]
+        return [p.rank for p in self.pieces]
 
 
 def span_closure(maps, seeds):
@@ -328,56 +346,48 @@ def ideal_closure(mul, multipliers, seeds):
     return span_closure(maps, seeds)
 
 
-def filtration_pieces(alg, pair_map):
-    """Yield F_0, F_1, ... as Echelons, the last one the stable value, for
-    the antisymmetric ``pair_map``.  ``alg`` supplies ``dim``, ``basis_vec``,
-    ``mul``, ``generators()`` and ``ideal_close(seeds)``."""
-    full = Echelon()
-    for i in range(alg.dim):
-        full.add(alg.basis_vec(i))
-    chain = [full]
+def filtration_chain(alg, pair_map):
+    """F_0, F_1, ... down to the stable value, for the antisymmetric
+    ``pair_map``.  ``alg`` supplies ``dim``, ``basis_vec``, ``mul``,
+    ``generators()`` and ``ideal_close(seeds)``."""
+    full = Echelon.spanning(alg.basis_vec(i) for i in range(alg.dim))
+    pieces = [full]
+    bases = [full.basis()]
     gens = alg.generators()
-    while True:
-        yield chain[-1]
-        n = len(chain) - 1
-        if chain[n].rank == 0:
-            return
-        # lazy, so the suspended generator keeps no brackets; p = 0 is
-        # [x, F_n], which p = n repeats except at n = 0
+    while pieces[-1].rank:
+        n = len(pieces) - 1
+        # p = 0 is [x, F_n], which p = n repeats except at n = 0
         brackets = (
             pair_map(v, w)
             for p in range(max(n, 1))
-            for v in (gens if p == 0 else chain[p].basis())
-            for w in chain[n - p].basis()
+            for v in (gens if p == 0 else bases[p])
+            for w in bases[n - p]
         )
         new = alg.ideal_close(filter(None, brackets))
         for p in range(1, n + 1):
-            for v in chain[p].basis():
-                for w in chain[n + 1 - p].basis():
+            for v in bases[p]:
+                for w in bases[n + 1 - p]:
                     prod = alg.mul(v, w)
                     if prod:
                         new.add(prod)
-        if new.rank == chain[n].rank:
+        if new.rank == pieces[n].rank:
             # descending chain: equal rank means equal span; stable from here
-            return
-        chain.append(new)
-
-
-def _filtration(alg, pair_map):
-    pieces = list(filtration_pieces(alg, pair_map))
-    return FiltrationChain([p.basis() for p in pieces], pieces[-1].rank == 0)
+            break
+        pieces.append(new)
+        bases.append(new.basis())
+    return FiltrationChain(pieces)
 
 
 def commutator_filtration(alg):
     """Iterate the commutator-filtration recursion to stabilization."""
-    return _filtration(alg, alg.commutator)
+    return filtration_chain(alg, alg.commutator)
 
 
 def nil_poisson_filtration(alg):
     """The Poisson analogue, driven by the bracket table."""
     if alg.bracket is None:
         raise ValueError("nil-Poisson filtration needs a bracket")
-    return _filtration(alg, alg.brk)
+    return filtration_chain(alg, alg.brk)
 
 
 def chain_is_admissible(alg, pieces, use_bracket=False):
@@ -387,25 +397,16 @@ def chain_is_admissible(alg, pieces, use_bracket=False):
     its last piece.  Verifies F_p F_q <= F_{p+q} and bracket/commutator of
     F_p, F_q inside F_{p+q+1}.
     """
-    echs = []
-    for basis in pieces:
-        ech = Echelon()
-        for row in basis:
-            ech.add(row)
-        echs.append(ech)
-
-    def piece(n):
-        return echs[min(n, len(echs) - 1)]
-
+    chain = FiltrationChain([Echelon.spanning(basis) for basis in pieces])
     pair = alg.brk if use_bracket else alg.commutator
-    top = len(echs) + 1
+    top = chain.length + 1
     for p in range(top):
         for q in range(top):
-            for v in piece(p).basis():
-                for w in piece(q).basis():
-                    if not piece(p + q).contains(alg.mul(v, w)):
+            for v in chain[p].basis():
+                for w in chain[q].basis():
+                    if not chain[p + q].contains(alg.mul(v, w)):
                         return False
-                    if not piece(p + q + 1).contains(pair(v, w)):
+                    if not chain[p + q + 1].contains(pair(v, w)):
                         return False
     return True
 
@@ -419,14 +420,11 @@ def associated_graded(alg, chain):
     """
     if not chain.stable_is_zero:
         raise ValueError("associated graded needs a chain that reaches zero")
-    echs = [chain.piece_echelon(n) for n in range(chain.length + 1)]
     reps = []  # list per grade of coordinate dicts
     for n in range(chain.length):
-        ech = Echelon()
-        for row in echs[n + 1].basis():
-            ech.add(row)
+        ech = Echelon.spanning(chain[n + 1].basis())
         grade = []
-        for row in echs[n].basis():
+        for row in chain[n].basis():
             if ech.add(row):
                 grade.append(row)
         reps.append(grade)
@@ -450,12 +448,10 @@ def associated_graded(alg, chain):
         """Coordinates of ``vec`` on the grade representatives mod F_{grade+1}."""
         if not vec:
             return {}
-        if grade >= chain.length:
-            if not echs[min(grade, len(echs) - 1)].contains(vec):
-                raise ValueError("chain is not multiplicative")
-            return {}
+        if grade >= chain.length:  # F_grade = 0 and vec != 0
+            raise ValueError("chain is not multiplicative")
         if grade not in solvers:
-            tail = echs[grade + 1].basis()
+            tail = chain[grade + 1].basis()
             solvers[grade] = (
                 SpanSolver([as_vec(r) for r in reps[grade] + tail]),
                 len(reps[grade]),
@@ -580,7 +576,7 @@ def endo_contraction_check(alg, f, chain, use_bracket=True):
                 ok_endo = False
                 break
 
-    f1 = chain.piece_echelon(1)
+    f1 = chain[1]
 
     def D(vec):
         return merge(f.apply(vec), vec.items(), -1)
@@ -615,11 +611,9 @@ def endo_contraction_check(alg, f, chain, use_bracket=True):
     inclusions = []
     top = chain.length - 1
     for n in range(chain.length):
-        nxt = chain.piece_echelon(n + 1)
-        inclusions.append(
-            all(nxt.contains(D(row)) for row in chain.piece_basis(n))
-        )
-    identity_on_top = all(not D(row) for row in chain.piece_basis(top))
+        nxt = chain[n + 1]
+        inclusions.append(all(nxt.contains(D(row)) for row in chain[n].basis()))
+    identity_on_top = all(not D(row) for row in chain[top].basis())
 
     return ContractionReport(
         is_endomorphism=ok_endo,

@@ -262,10 +262,7 @@ class SparseMatrix:
 def rank(m):
     """Rank over the rationals: the rows of ``m`` fed into an ``Echelon``,
     whose smallest-column rule is the only pivot rule."""
-    ech = Echelon()
-    for row in m.row_dicts():
-        ech.add(row)
-    return ech.rank
+    return Echelon.spanning(m.row_dicts()).rank
 
 
 class Echelon:
@@ -287,6 +284,14 @@ class Echelon:
         self.rows = {}  # pivot col -> row dict, pivot 1, Fractions
         self._ints = {}  # pivot col -> the same row, primitive ints, pivot > 0
         self._key = col_key  # None: the columns' own order
+
+    @classmethod
+    def spanning(cls, rows):
+        """Echelon of the span of ``rows``, added in order."""
+        ech = cls()
+        for row in rows:
+            ech.add(row)
+        return ech
 
     @property
     def rank(self):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import pbw
-from .envelope import _generators_up_to, ideal_block
-from .filtration import TruncatedAlgebra, filtration_pieces, ideal_closure, span_closure
+from .envelope import EnvelopePresentation, _generators_up_to, ideal_block
+from .filtration import TruncatedAlgebra, filtration_chain, ideal_closure, span_closure
 from .freelie import generator
 from .freepoisson import (
     PoissonElement,
@@ -97,8 +97,7 @@ class UWindow:
         self.letters = [(generator(i),) for i in range(1, n_gens + 1)]
         self.dim = len(self.tuples)
         self._rows = {}
-        self._pieces = filtration_pieces(self, self.commutator)
-        self._chain = []
+        self._chain = None
 
     def mono_mul(self, t1, t2):
         out = {}
@@ -161,15 +160,16 @@ class UWindow:
     def filtration(self, levels):
         """Commutator filtration chain F_0 .. F_levels (list of Echelons).
 
-        The pieces come from ``filtration_pieces`` with the letters as
-        generators, drawn as far as ``levels`` needs and kept for later
-        calls; past the stable value the list repeats its last piece.
+        The chain comes from ``filtration_chain`` with the letters as
+        generators, computed on the first call and kept for later ones.
+        The list holds ``chain[n]`` for n <= levels, past the stable value
+        its last piece: callers index it once per row, and a list index is
+        cheaper than a ``FiltrationChain`` one.
         """
-        chain = self._chain
-        while len(chain) <= levels:
-            piece = next(self._pieces, None)
-            chain.append(chain[-1] if piece is None else piece)
-        return chain
+        if self._chain is None:
+            self._chain = filtration_chain(self, self.commutator)
+        pieces = self._chain.pieces
+        return pieces[: levels + 1] + pieces[-1:] * (levels + 1 - len(pieces))
 
     def poisson_span(self, monomials):
         """Echelon of the e-images of Poisson monomials, star-truncated."""
@@ -201,17 +201,8 @@ def u_window(n_gens, d, max_total):
     return _UWINDOW_CACHE[key]
 
 
-def _span_union_rank(a, b):
-    ech = Echelon()
-    for row in a.basis():
-        ech.add(row)
-    for row in b.basis():
-        ech.add(row)
-    return ech.rank
-
-
 def _intersection_rank(a, b):
-    return a.rank + b.rank - _span_union_rank(a, b)
+    return a.rank + b.rank - Echelon.spanning(a.basis() + b.basis()).rank
 
 
 @dataclass
@@ -363,44 +354,13 @@ def star_ideal_topology_check(n_gens, d, m, alpha=None, extra_totals=2):
 
 def poisson_window_algebra(n_gens, d, max_total):
     """The free Poisson algebra cut to star degree <= d and total letter
-    count <= max_total, as a TruncatedAlgebra with bracket.
+    count <= max_total, as a TruncatedAlgebra with bracket: the window
+    algebra of the presentation without relations.
 
     Both excess gradings span Poisson ideals, so the quotient is an honest
     finite-rank Poisson algebra.
     """
-    basis = []
-    for total in range(max_total + 1):
-        for q in range(min(d, total) + 1):
-            basis.extend(monomials_star_total(n_gens, q, total))
-    index = {m: i for i, m in enumerate(basis)}
-
-    def coords(element):
-        out = {}
-        for m, c in element.terms.items():
-            if m.star_degree <= d and m.total_degree <= max_total:
-                out[index[m]] = c
-        return out
-
-    product = {}
-    bracket = {}
-    for i, m1 in enumerate(basis):
-        e1 = PoissonElement.monomial(m1)
-        for j, m2 in enumerate(basis):
-            e2 = PoissonElement.monomial(m2)
-            row = coords(multiply(e1, e2))
-            if row:
-                product[(i, j)] = row
-            row = coords(poisson_bracket(e1, e2))
-            if row:
-                bracket[(i, j)] = row
-    return TruncatedAlgebra(
-        dim=len(basis),
-        labels=[repr(m) for m in basis],
-        unit=index[next(m for m in basis if m.total_degree == 0)],
-        product=product,
-        bracket=bracket,
-        validate=True,
-    )
+    return envelope_window_algebra(EnvelopePresentation(n_gens, (), d, 0), max_total)
 
 
 def quantized_window_algebra(n_gens, d, max_total):

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from poissonenv.cli import main
 from poissonenv.filtration import TruncatedAlgebra
 from poissonenv.quantize import poisson_window_algebra
@@ -148,6 +150,40 @@ def test_filtration_refuses_a_float_coefficient(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "filtration", str(path))
     assert code == 0
     assert "commutator filtration ranks:" in out
+
+
+def _dual_numbers_json():
+    # k[x]/(x^2) with a zero bracket
+    product = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    return TruncatedAlgebra(2, ["1", "x"], 0, product, bracket={}).to_json_dict()
+
+
+# id -> (edit of a valid algebra file, field the error must name)
+MALFORMED = {
+    "array": (lambda data: [data], "object"),
+    "float-dim": (lambda data: {**data, "dim": 2.0}, "dim"),
+    # the one-dimensional algebra k, whose dim would load as 1
+    "bool-dim": (
+        lambda _: {"dim": True, "labels": ["1"], "unit": 0, "product": [[0, 0, 0, 1]]},
+        "dim",
+    ),
+    "int-product": (lambda data: {**data, "product": 5}, "product"),
+    "int-entry": (lambda data: {**data, "product": [5]}, "product"),
+    "int-labels": (lambda data: {**data, "labels": 7}, "labels"),
+    "int-bracket": (lambda data: {**data, "bracket": 3}, "bracket"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_filtration_rejects_a_malformed_file(tmp_path, capsys, case):
+    change, field = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(change(_dual_numbers_json())))
+    code, out, err = run_cli(capsys, "filtration", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err
+    assert "Traceback" not in err
 
 
 def test_graded_command(capsys):

@@ -75,6 +75,19 @@ def test_borel_algebra_stabilizes_nonzero():
     assert len(basis) == 1 and set(basis[0]) == {2}
 
 
+def test_chain_past_its_end_is_the_stable_piece():
+    # the Borel chain stops at a nonzero piece, so padding past the end with
+    # anything but that piece shows up here
+    chain = commutator_filtration(borel_algebra())
+    assert chain.length == 2
+    assert chain[5] is chain.pieces[-1]
+    assert chain.rank(5) == 1
+    assert chain[5].basis() == [{2: Fraction(1)}]
+    # so chain[n] never runs out, and iterating by index would never stop
+    with pytest.raises(TypeError):
+        iter(chain)
+
+
 def test_quantized_window_matches_star_degree_tail():
     d, cap = 2, 4
     alg = quantized_window_algebra(2, d, cap)
@@ -208,7 +221,7 @@ def test_filtration_matches_literal_recursion(case):
     assert chain.length == len(ref)
     assert chain.stable_is_zero == (ref[-1].rank == 0)
     for n, want in enumerate(ref):
-        got = chain.piece_echelon(n)
+        got = chain[n]
         assert got.rank == want.rank
         assert all(got.contains(row) for row in want.basis())
         assert all(want.contains(row) for row in got.basis())

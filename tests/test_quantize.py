@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +266,29 @@ def test_engine_matches_generic_filtration():
                 assert engine.contains(row)
         # past the stable zero piece the chain repeats it
         assert [e.rank for e in win.filtration(d + 3)[d + 1 :]] == [0, 0, 0]
+
+
+def test_u_window_filtration_is_computed_once():
+    win = UWindow(2, 1, 3)
+    short = win.filtration(1)
+    long = win.filtration(4)
+    assert len(short) == 2 and len(long) == 5
+    assert all(a is b for a, b in zip(short, long))
+    # F_2 = 0 is the stable piece, repeated past the end
+    assert [e.rank for e in long[2:]] == [0, 0, 0]
+    assert long[2] is long[3] is long[4]
+
+
+@pytest.mark.parametrize(
+    "build, shape, name",
+    [
+        (poisson_window_algebra, (2, 1, 3), "poisson_window_2_1_3.json"),
+        (quantized_window_algebra, (2, 1, 4), "quantized_window_2_1_4.json"),
+    ],
+)
+def test_window_algebras_match_pinned_files(build, shape, name):
+    path = Path(__file__).parent / "data" / name
+    assert build(*shape).to_json_dict() == json.loads(path.read_text())
 
 
 @pytest.mark.parametrize("shape", [(2, 1, 5), (3, 1, 3)])
