@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools as it
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import envelope as env
 from . import filtration as filt
@@ -329,7 +328,7 @@ def check_local_model():
     def rand_elt():
         out = {}
         for m in rng.sample(pool, 3):
-            merge(out, [(m, Fraction(rng.randint(-3, 3)))])
+            merge(out, [(m, rng.randint(-3, 3))])
         return PoissonElement(out)
 
     for _ in range(100):
@@ -462,7 +461,7 @@ def check_endomorphism_contraction():
     qchain = filt.commutator_filtration(Q)
     qlabel = {lab: i for i, lab in enumerate(Q.labels)}
     for u in ("(12)", "x1*(12)"):
-        cols = filt.inner_derivation(Q, {qlabel[u]: Fraction(1)})
+        cols = filt.inner_derivation(Q, {qlabel[u]: 1})
         f = filt.exp_nilpotent_endo(Q, cols)
         rep = filt.endo_contraction_check(Q, f, qchain, use_bracket=False)
         nontrivial = any(
@@ -477,7 +476,7 @@ def check_endomorphism_contraction():
     cols = []
     for i, lab in enumerate(A.labels):
         m = next(m for m in [_label_monomial(A, i)])
-        cols.append({i: Fraction(2) ** (m.sym_degree + m.star_degree)})
+        cols.append({i: 2 ** (m.sym_degree + m.star_degree)})
     f = filt.EndoMap.from_columns(A.dim, cols)
     rep = filt.endo_contraction_check(A, f, chain, use_bracket=True)
     if rep.identity_mod_f1 or not rep.is_endomorphism:

@@ -109,9 +109,6 @@ class _Parser:
         if kind != "op" or val != value:
             raise ParseError(f"expected {value!r}", at)
 
-    def fail(self, message):
-        raise ParseError(message, self.peek()[2])
-
     # -- semantic helpers ---------------------------------------------------
     def const(self, q):
         if self.mode == "tensor":
@@ -208,7 +205,7 @@ class _Parser:
                 if k3 != "int":
                     raise ParseError("expected denominator", at3)
                 return self.const(Fraction(num, int(v3)))
-            return self.const(Fraction(num))
+            return self.const(num)
         if kind == "gen":
             return self.gen_elt(val, at)
         if kind == "op" and val == "(":
@@ -263,6 +260,8 @@ def parse(src, n_gens, mode="poisson"):
 
 
 def format_rational(q):
+    if type(q) is int:
+        return str(q)
     if type(q) is not Fraction:
         q = Fraction(q)
     if q.denominator == 1:

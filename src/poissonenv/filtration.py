@@ -26,7 +26,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import factorial, lcm
 
-from .linalg import Echelon, SparseMatrix, SparseVector, SpanSolver, merge
+from .linalg import Echelon, SparseMatrix, SparseVector, SpanSolver, _clean, merge
 
 
 def _table_mul(table, v, w):
@@ -61,10 +61,22 @@ def _integer_table(table):
     return out, scale
 
 
-def _nonzero(table):
-    """Copy of a structure-constant table without zero coefficients or empty rows."""
-    rows = ((key, {k: c for k, c in row.items() if c}) for key, row in table.items())
-    return {key: row for key, row in rows if row}
+def _nonzero(name, table):
+    """Copy of a structure-constant table as stored coefficients, without
+    zeros or empty rows.  A float or a bool constant raises ``TypeError``
+    naming its (i, j, k) entry: it is not the rational its user meant."""
+    out = {}
+    for key, row in table.items():
+        for k, c in row.items():
+            if isinstance(c, (bool, float, complex)):
+                raise TypeError(
+                    f"{name} entry {(*key, k)}: coefficient {c!r} is a"
+                    f" {type(c).__name__}; use an int, a Fraction or a string"
+                )
+        row = _clean(row)
+        if row:
+            out[key] = row
+    return out
 
 
 def _support(table, dim):
@@ -98,8 +110,8 @@ class TruncatedAlgebra:
         self.dim = dim
         self.labels = list(labels)
         self.unit = unit
-        self.product = _nonzero(product)
-        self.bracket = None if bracket is None else _nonzero(bracket)
+        self.product = _nonzero("product", product)
+        self.bracket = None if bracket is None else _nonzero("bracket", bracket)
         if len(self.labels) != dim:
             raise ValueError("label count must match dim")
         if validate:
@@ -120,10 +132,10 @@ class TruncatedAlgebra:
         return merge(self.mul(v, w), self.mul(w, v).items(), -1)
 
     def basis_vec(self, i):
-        return {i: Fraction(1)}
+        return {i: 1}
 
     def unit_vec(self):
-        return {self.unit: Fraction(1)}
+        return {self.unit: 1}
 
     def generators(self):
         """Algebra generators: all basis vectors, as no smaller set is known."""
@@ -236,6 +248,9 @@ class TruncatedAlgebra:
     def from_json_dict(cls, data, validate=True):
         if not isinstance(data, dict):
             raise ValueError(f"algebra data is a {type(data).__name__}, not an object")
+        for field in ("dim", "labels", "unit", "product"):
+            if field not in data:
+                raise ValueError(f"missing field {field!r}")
         if type(data["dim"]) is not int:  # a bool is not a dimension either
             raise ValueError(f"dim {data['dim']!r} is not an int")
         if not isinstance(data["labels"], list):
@@ -477,7 +492,7 @@ def associated_graded(alg, chain):
             if row:
                 bracket[(a, b)] = row
     unit_row = project(alg.unit_vec(), 0)
-    if list(unit_row.values()) == [Fraction(1)] and len(unit_row) == 1:
+    if list(unit_row.values()) == [1] and len(unit_row) == 1:
         unit = next(iter(unit_row))
     else:
         raise ValueError("unit does not project to a graded basis vector")

@@ -16,8 +16,6 @@ matching word length.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import Combination, Echelon, SparseVector, SpanSolver, merge
 
 Word = tuple  # tuple of 1-based generator indices
@@ -119,7 +117,7 @@ class TensorElement(Combination):
 
     @classmethod
     def one(cls):
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))

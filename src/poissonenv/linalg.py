@@ -1,26 +1,28 @@
 """Exact sparse linear algebra over the rationals.
 
-Scalars are arbitrary-precision ``fractions.Fraction`` values (always reduced,
-positive denominator).  Vectors, matrices and combinations store only nonzero
-entries.  This module owns how a sparse exact row is updated and eliminated:
-``merge`` is the one add-and-drop-zero step, ``Combination`` the one base of
-the algebra elements, and ``Echelon`` the one elimination routine (rank,
-kernel and span solving feed their rows through it).  Elimination is
-deterministic: it always clears the smallest column of the row at hand, in
-the echelon's column order; there is no other pivot rule.  It runs on
-integers: ``Echelon`` scales each row it is given to integers once, clears
-columns by integer cross-multiplication and keeps every pivot row as
-primitive integers beside its Fraction form; what it returns are Fractions,
-the ones Fraction elimination would give.  No floating point anywhere.
+Vectors, matrices and combinations store only nonzero entries.  This module
+owns how a sparse exact row is updated and eliminated: ``merge`` is the one
+add-and-drop-zero step, ``Combination`` the one base of the algebra
+elements, and ``Echelon`` the one elimination routine (rank, kernel and span
+solving feed their rows through it).  Elimination is deterministic: it
+always clears the smallest column of the row at hand, in the echelon's
+column order; there is no other pivot rule.  It runs on integers: ``Echelon``
+scales each row it is given to integers once, clears columns by integer
+cross-multiplication and keeps every pivot row as primitive integers beside
+its normalized form.  No floating point anywhere.
 
-Conversion to ``Fraction`` happens once, where a value enters: the
-constructors of ``Combination``, ``SparseVector`` and ``SparseMatrix`` and
-the scalar of ``__rmul__`` convert ints and decimal strings, and refuse a
-``float`` or ``complex`` with ``TypeError``, since a binary float is not the
-rational its user meant.  A coefficient that already is a ``Fraction`` is
-kept as it is.  Inside the library, sums and products of Fractions are
-Fractions again, so results built by ``merge`` from stored coefficients
-(``Combination._of``) are not checked a second time.
+A stored coefficient is an ``int`` exactly when its value is integral, and
+otherwise a reduced ``fractions.Fraction``; never a Fraction with
+denominator 1, a float or a bool.  Most coefficients are integers, and int
+arithmetic is far cheaper than Fraction arithmetic.  Conversion happens
+once, where a value enters: the constructors of ``Combination``,
+``SparseVector`` and ``SparseMatrix`` and the scalar of ``__rmul__`` keep an
+int, turn a Fraction with denominator 1 into its numerator, convert a
+decimal string, and refuse a ``float`` or ``complex`` with ``TypeError``,
+since a binary float is not the rational its user meant.  Inside the
+library, ``merge``, ``__rmul__`` and ``Echelon`` store an integral result as
+an int, so results built from stored coefficients (``Combination._of``) are
+not checked a second time.
 """
 
 from __future__ import annotations
@@ -31,25 +33,38 @@ from math import gcd, lcm
 # The ground field: exact rationals.
 Rational = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+ZERO = 0
+ONE = 1
 
 
-def _fraction(c):
-    """``c`` as a Fraction: the one conversion of a value entering the library."""
+def canonical(q):
+    """``q``, an int or a Fraction, as a stored coefficient: a Fraction
+    with denominator 1 becomes its numerator."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
+def _quotient(n, d):
+    """n / d for ints, d > 0, as a stored coefficient."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _coefficient(c):
+    """``c`` as a stored coefficient: the one conversion of a value entering
+    the library."""
+    if type(c) is int:
+        return c
     if isinstance(c, (float, complex)):
         raise TypeError(f"inexact coefficient {c!r}; use an int, a Fraction or a string")
-    return Fraction(c)
+    return canonical(c if type(c) is Fraction else Fraction(c))
 
 
 def _clean(entries):
-    """The nonzero values of a mapping entering the library, as Fractions;
-    a value that already is a Fraction is kept as it is."""
+    """The nonzero values of a mapping entering the library, as stored
+    coefficients."""
     out = {}
     for k, v in entries.items():
-        if type(v) is not Fraction:
-            v = _fraction(v)
+        if type(v) is not int:
+            v = _coefficient(v)
         if v:
             out[k] = v
     return out
@@ -58,51 +73,55 @@ def _clean(entries):
 def merge(acc, items, scale=1):
     """Fold ``scale * c`` into ``acc[k]`` for every pair (k, c) of ``items``.
 
-    ``acc`` is a dict of nonzero coefficients and stays one: a key whose sum
-    is zero is dropped.  Returns ``acc``.
+    ``acc`` is a dict of nonzero stored coefficients and stays one: a key
+    whose sum is zero is dropped, and an integral Fraction is stored as its
+    numerator.  Items and scale are ints or Fractions.  Returns ``acc``.
 
-    With the default scale, the int 1, the items are added as they are.
-    That is exact and keeps every type: ``c * 1`` equals ``c`` and has its
-    type.  Any other scale, ``Fraction(1)`` included (``int * Fraction(1)``
-    is a Fraction), takes the multiplying loop.
+    An integral Fraction scale is taken as its int.  With the scale 1 the
+    items are added as they are: ``c * 1`` equals ``c``.  Any other scale
+    takes the multiplying loop.
     """
     get = acc.get
+    if type(scale) is Fraction and scale.denominator == 1:
+        scale = scale.numerator
     if type(scale) is int and scale == 1:
         for k, c in items:
             w = get(k)
             if w is None:
-                if c:
-                    acc[k] = c
+                if not c:
+                    continue
+                w = c
             else:
                 w += c
-                if w:
-                    acc[k] = w
-                else:
+                if not w:
                     del acc[k]
+                    continue
+            acc[k] = w.numerator if type(w) is Fraction and w.denominator == 1 else w
         return acc
     for k, c in items:
         w = get(k)
         if w is None:
             w = c * scale
-            if w:
-                acc[k] = w
+            if not w:
+                continue
         else:
             w += c * scale
-            if w:
-                acc[k] = w
-            else:
+            if not w:
                 del acc[k]
+                continue
+        acc[k] = w.numerator if type(w) is Fraction and w.denominator == 1 else w
     return acc
 
 
 class Combination:
     """Exact rational combination of hashable keys, the base of the algebra
-    elements: ``terms`` maps each key to its nonzero Fraction coefficient.
+    elements: ``terms`` maps each key to its nonzero stored coefficient (an
+    int, or a Fraction that is not integral).
 
-    The constructor is the boundary: it keeps a coefficient that is already a
-    ``Fraction``, converts an int or a decimal string, refuses a float, and
-    drops zeros.  Results computed from stored coefficients are built by
-    ``_of``, which takes its dict as it is.
+    The constructor is the boundary: it keeps an int or a non-integral
+    ``Fraction``, turns an integral Fraction into an int, converts a decimal
+    string, refuses a float, and drops zeros.  Results computed from stored
+    coefficients are built by ``_of``, which takes its dict as it is.
 
     Arithmetic returns the type of the left operand.  Equality holds only
     between elements of the same type, so elements of different algebras
@@ -116,8 +135,8 @@ class Combination:
 
     @classmethod
     def _of(cls, terms):
-        """An element owning ``terms``, a dict of nonzero Fractions computed
-        inside the library (by ``merge`` from stored coefficients)."""
+        """An element owning ``terms``, a dict of nonzero stored coefficients
+        computed inside the library (by ``merge`` from stored coefficients)."""
         self = cls.__new__(cls)
         self.terms = terms
         return self
@@ -142,11 +161,10 @@ class Combination:
         return self._of({k: -c for k, c in self.terms.items()})
 
     def __rmul__(self, c):
-        if type(c) is not Fraction:
-            c = _fraction(c)
+        c = _coefficient(c)
         if not c:
             return type(self)()
-        return self._of({k: c * v for k, v in self.terms.items()})
+        return self._of({k: canonical(c * v) for k, v in self.terms.items()})
 
 
 class DimensionMismatch(ValueError):
@@ -154,7 +172,7 @@ class DimensionMismatch(ValueError):
 
 
 class SparseVector:
-    """Immutable sparse vector: ``dim`` and a map index -> nonzero Rational."""
+    """Immutable sparse vector: ``dim`` and a map index -> nonzero coefficient."""
 
     __slots__ = ("dim", "entries")
 
@@ -193,18 +211,18 @@ class SparseVector:
         return self + (-1) * other
 
     def __rmul__(self, c):
-        if type(c) is not Fraction:
-            c = _fraction(c)
+        c = _coefficient(c)
         if not c:
             return SparseVector(self.dim)
-        return SparseVector(self.dim, {i: c * v for i, v in self.entries.items()})
+        entries = {i: canonical(c * v) for i, v in self.entries.items()}
+        return SparseVector(self.dim, entries)
 
     def __repr__(self):
         return f"SparseVector({self.dim}, {self.entries!r})"
 
 
 class SparseMatrix:
-    """Immutable sparse matrix: shape plus a map (row, col) -> nonzero Rational."""
+    """Immutable sparse matrix: shape plus a map (row, col) -> nonzero coefficient."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -269,19 +287,20 @@ class Echelon:
     """Incremental row-echelon container for span/membership computations.
 
     ``rows`` maps each pivot column to its row normalized to pivot
-    coefficient 1, as Fractions, newest pivot last.  Elimination runs on
-    integers: ``_ints`` keeps the same rows as primitive integers with a
-    positive pivot, and a row entering ``add``, ``reduce``, ``contains`` or
-    ``normal_form`` is scaled once by the lcm of its denominators, its zero
-    entries dropped.  Results are Fractions, equal to those of Fraction
-    elimination.  Elimination always clears the smallest column of the row
-    being reduced.  ``col_key`` optionally reorders columns (smaller key =
-    eliminated first), which is how subspace-with-coordinate-subspace
-    intersections are carved out.
+    coefficient 1, as stored coefficients, newest pivot last.  Elimination
+    runs on integers: ``_ints`` keeps the same rows as primitive integers
+    with a positive pivot, and a row entering ``add``, ``reduce``,
+    ``contains`` or ``normal_form`` is scaled once by the lcm of its
+    denominators, its zero entries dropped.  Results are stored
+    coefficients, equal to those of Fraction elimination.  Elimination
+    always clears the smallest column of the row being reduced.
+    ``col_key`` optionally reorders columns (smaller key = eliminated
+    first), which is how subspace-with-coordinate-subspace intersections
+    are carved out.
     """
 
     def __init__(self, col_key=None):
-        self.rows = {}  # pivot col -> row dict, pivot 1, Fractions
+        self.rows = {}  # pivot col -> row dict, pivot 1, stored coefficients
         self._ints = {}  # pivot col -> the same row, primitive ints, pivot > 0
         self._key = col_key  # None: the columns' own order
 
@@ -332,7 +351,9 @@ class Echelon:
         row, den = _int_row(row)
         _, row, scale = self._lead(row)
         den *= scale
-        return {c: Fraction(v, den) for c, v in row.items()}
+        if den == 1:
+            return row
+        return {c: _quotient(v, den) for c, v in row.items()}
 
     def add(self, row):
         """Insert ``row`` into the echelon; returns True if the rank grew."""
@@ -346,8 +367,10 @@ class Echelon:
             row = {c: v // g for c, v in row.items()}
         self._ints[col] = row
         p = row[col]
-        units = {p: ONE, -p: _MINUS_ONE}  # shared: most entries are +-1
-        self.rows[col] = {c: units.get(v) or Fraction(v, p) for c, v in row.items()}
+        if p == 1:
+            self.rows[col] = dict(row)
+        else:
+            self.rows[col] = {c: _quotient(v, p) for c, v in row.items()}
         return True
 
     def contains(self, row):
@@ -362,7 +385,7 @@ class Echelon:
             if col is None:
                 return out
             den *= scale
-            out[col] = Fraction(row.pop(col), den)
+            out[col] = _quotient(row.pop(col), den)
 
     def basis(self):
         """Current echelon rows, ordered by pivot column."""

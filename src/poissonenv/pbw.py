@@ -35,7 +35,7 @@ from .freelie import (
     expand_to_tensor,
     generator,
 )
-from .linalg import merge
+from .linalg import canonical, merge
 
 
 _NORMAL_CACHE = {}
@@ -56,7 +56,7 @@ def normal(factors):
             swap_at = i
             break
     if swap_at is None:
-        out = {factors: Fraction(1)}
+        out = {factors: 1}
     else:
         i = swap_at
         swapped = factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2 :]
@@ -114,13 +114,13 @@ def symmetrize_factors(factors):
     k = len(factors)
     if k == 0:
         return TensorElement.one()
-    mult = Fraction(1)
+    mult = 1
     seen = {}
     for f in factors:
         seen[f] = seen.get(f, 0) + 1
     for m in seen.values():
         mult *= factorial(m)
-    weight = mult / factorial(k)
+    weight = canonical(Fraction(mult, factorial(k)))
     out = {}
     for perm in multiset_permutations(factors):
         merge(out, pbw_to_tensor(perm).terms.items(), weight)
@@ -143,7 +143,7 @@ def sym_pbw(factors):
     if hit is None:
         k = len(factors)
         if k == 0:
-            hit = {(): Fraction(1)}
+            hit = {(): 1}
         else:
             hit = {}
             i = 0
@@ -152,7 +152,7 @@ def sym_pbw(factors):
                 j = i
                 while j < k and factors[j] == f:
                     j += 1
-                weight = Fraction(j - i, k)
+                weight = canonical(Fraction(j - i, k))
                 rest = sym_pbw(factors[:i] + factors[i + 1 :])
                 for t, c in rest.items():
                     merge(hit, normal((f,) + t).items(), weight * c)

@@ -16,7 +16,6 @@ computed chains restrict exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import pbw
 from .envelope import EnvelopePresentation, _generators_up_to, ideal_block
@@ -145,11 +144,11 @@ class UWindow:
         return out
 
     def basis_vec(self, i):
-        return {i: Fraction(1)}
+        return {i: 1}
 
     def generators(self):
         """The letters x_1 .. x_n, which generate the algebra."""
-        return [{self.index[t]: Fraction(1)} for t in self.letters]
+        return [{self.index[t]: 1} for t in self.letters]
 
     def ideal_close(self, seeds):
         """Span of the two-sided ideal generated by ``seeds``: closing under

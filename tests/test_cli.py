@@ -186,6 +186,19 @@ def test_filtration_rejects_a_malformed_file(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field", ["dim", "labels", "unit", "product"])
+def test_filtration_names_a_missing_field(tmp_path, capsys, field):
+    data = _dual_numbers_json()
+    del data[field]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "filtration", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"missing field '{field}'" in err
+    assert "Traceback" not in err
+
+
 def test_graded_command(capsys):
     code, out, _ = run_cli(capsys, "graded", "-n", "2", "-d", "1", "-N", "1")
     assert code == 0

@@ -1,12 +1,16 @@
-"""Coefficients are converted to Fraction once, where they enter the library.
+"""Coefficients are converted once, where they enter the library.
 
-Inside it, results are built from stored Fractions without a second check,
-so every public operation must hand back coefficients that are exactly
-``Fraction``; an int that leaked through would print and compare the same
-but break the invariant the fast paths rely on.  Floats are refused.
+A stored coefficient is an ``int`` exactly when its value is integral, and
+otherwise a reduced ``Fraction``: never a Fraction with denominator 1, a
+float or a bool.  Inside the library, results are built from stored
+coefficients without a second check, so every public operation must hand
+back coefficients that keep this invariant; an integral Fraction that
+leaked through would print and compare the same but take the slow
+arithmetic the int fast path avoids.  Floats are refused.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -46,8 +50,20 @@ def _elements(draw):
     return PoissonElement({m: draw(st.sampled_from(_COEFFS)) for m in monos})
 
 
+def _stored(c):
+    """The stored-coefficient invariant: an int, or a reduced non-integral
+    Fraction.  ``type`` is exact, so a bool, a float or a subclass fails."""
+    if type(c) is int:
+        return True
+    return (
+        type(c) is Fraction
+        and c.denominator > 1
+        and gcd(c.numerator, c.denominator) == 1
+    )
+
+
 def _exact(x):
-    return all(type(c) is Fraction for c in x.terms.values())
+    return all(_stored(c) for c in x.terms.values())
 
 
 @settings(deadline=None, max_examples=40)
@@ -75,6 +91,15 @@ def test_every_operation_stores_fractions(a, b, scalar):
         assert _exact(r), r
 
 
+def test_integral_products_of_fractions_store_ints():
+    x1 = PoissonElement.generator(1)
+    got = multiply(-2 * x1, Fraction(1, 2) * x1)
+    assert [(c, type(c)) for c in got.terms.values()] == [(-1, int)]
+    half = Fraction(1, 2) * x1
+    for r in (half + half, 2 * half, half * 2, star_product(half, 2 * x1)):
+        assert all(type(c) is int for c in r.terms.values()), r
+
+
 @settings(deadline=None, max_examples=40)
 @given(_elements())
 def test_json_with_int_coefficients_loads_fractions(a):
@@ -86,17 +111,59 @@ def test_json_with_int_coefficients_loads_fractions(a):
     got = poisson_from_json(data)
     assert got == a and _exact(got)
     words = {"kind": "tensor", "terms": [{"coeff": 2, "word": [1]}, {"coeff": "1/2", "word": [2, 1]}]}
-    assert _exact(tensor_from_json(words))
+    t = tensor_from_json(words)
+    assert _exact(t)
+    assert [type(t.terms[w]) for w in ((1,), (2, 1))] == [int, Fraction]
+
+
+def test_tables_of_every_layer_store_ints_or_fractions():
+    from poissonenv import pbw
+    from poissonenv.filtration import associated_graded, commutator_filtration
+    from poissonenv.freelie import bracket_basis
+    from poissonenv.quantize import quantized_window_algebra
+
+    g1, g2 = generator(1), generator(2)
+    b12 = next(iter(bracket_basis(g1, g2).terms))
+    dicts = [
+        bracket_basis(b12, g1).terms,
+        pbw.normal((g2, g1, b12)),
+        pbw.sym_pbw((g1, g2, b12)),
+        pbw.sym_pbw((g1, g1)),
+        pbw.e_inverse_word((2, 1, 2)),
+        pbw.symmetrize_factors((g1, g1, g2)).terms,
+    ]
+    alg = quantized_window_algebra(2, 2, 4)
+    chain = commutator_filtration(alg)
+    graded = associated_graded(alg, chain)
+    for a in (alg, graded):
+        dicts += a.product.values()
+        dicts += (a.bracket or {}).values()
+    for ech in chain.pieces:
+        dicts += ech.basis()
+    for d in dicts:
+        assert all(_stored(c) for c in d.values()), d
+
+
+def _types(x):
+    return {k: type(c) for k, c in x.terms.items()}
 
 
 def test_ints_and_decimal_strings_enter_as_fractions():
     m = _POOL[0]
-    assert PoissonElement.monomial(m, 3).terms == {m: Fraction(3)}
+    assert PoissonElement.monomial(m, 3).terms == {m: 3}
+    assert _types(PoissonElement.monomial(m, 3)) == {m: int}
     assert PoissonElement.monomial(m, "0.25").terms == {m: Fraction(1, 4)}
     assert PoissonElement.monomial(m, "-2/6").terms == {m: Fraction(-1, 3)}
+    assert _types(PoissonElement.monomial(m, "-2/6")) == {m: Fraction}
     assert PoissonElement({m: "0"}).is_zero()
-    assert _exact(TensorElement({(1,): 2, (): "3/4"}))
-    assert _exact(2 * LieElement.basis(generator(1)))
+    t = TensorElement({(1,): 2, (): "3/4"})
+    assert _exact(t) and _types(t) == {(1,): int, (): Fraction}
+    b = generator(1)
+    assert _types(2 * LieElement.basis(b)) == {b: int}
+    # integral values of every other exact type enter as ints
+    for c in (Fraction(4), "8/2", "-1", "2.0", True):
+        assert _types(PoissonElement.monomial(m, c)) == {m: int}, c
+        assert _types(c * LieElement.basis(b)) == {b: int}, c
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -608,7 +609,7 @@ def test_validation_rejects_each_identity(dim, product, bracket, message):
 
 def test_validation_with_fractional_constants():
     alg = poisson_window_algebra(2, 1, 3)
-    third = {k: {m: c / 3 for m, c in row.items()} for k, row in alg.bracket.items()}
+    third = {k: {m: Fraction(c, 3) for m, c in row.items()} for k, row in alg.bracket.items()}
     scaled = TruncatedAlgebra(alg.dim, alg.labels, alg.unit, alg.product, third)
     assert nil_poisson_filtration(scaled).ranks() == nil_poisson_filtration(alg).ranks()
     product = {key: dict(row) for key, row in alg.product.items()}
@@ -616,6 +617,21 @@ def test_validation_with_fractional_constants():
     product[key][next(iter(product[key]))] += Fraction(1, 2)
     ref, got = validation_outcomes(alg, product, third)
     assert ref is not None and got == ref
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, False])
+@pytest.mark.parametrize("table", ["product", "bracket"])
+def test_constructor_refuses_float_and_bool_constants(table, bad):
+    alg = poisson_window_algebra(2, 1, 3)
+    tables = {"product": alg.product, "bracket": alg.bracket}
+    rows = {key: dict(row) for key, row in tables[table].items()}
+    key = sorted(rows)[1]
+    k = sorted(rows[key])[0]
+    rows[key][k] = bad
+    tables[table] = rows
+    entry = f"{table} entry ({key[0]}, {key[1]}, {k})"
+    with pytest.raises(TypeError, match=re.escape(entry)):
+        TruncatedAlgebra(alg.dim, alg.labels, alg.unit, validate=False, **tables)
 
 
 def test_validation_rejects_out_of_range_indices():
@@ -692,4 +708,5 @@ def test_json_loads_ints_and_decimal_strings(coeff, value):
     data["product"].append([1, 1, 1, coeff])
     alg = TruncatedAlgebra.from_json_dict(json.loads(json.dumps(data)))
     assert alg.product[(1, 1)] == {1: value}
-    assert type(alg.product[(1, 1)][1]) is Fraction
+    # an int exactly when integral, otherwise a Fraction
+    assert type(alg.product[(1, 1)][1]) is type(value)

@@ -174,18 +174,23 @@ def test_merge_folds_pairs_and_drops_zeros():
     assert merge({3: Fraction(1)}, [(3, Fraction(1)), (3, Fraction(-2))]) == {}
 
 
+def _canonical(q):
+    return q.numerator if q.denominator == 1 else q
+
+
 def _merge_multiplying(acc, items, scale=1):
-    """The merge loop that multiplies every item by the scale, 1 included."""
+    """The merge loop that multiplies every item by the scale, 1 included,
+    and stores an integral sum as an int."""
     for k, c in items:
         w = acc.get(k)
         if w is None:
             w = c * scale
             if w:
-                acc[k] = w
+                acc[k] = _canonical(w)
         else:
             w += c * scale
             if w:
-                acc[k] = w
+                acc[k] = _canonical(w)
             else:
                 del acc[k]
     return acc
@@ -205,10 +210,12 @@ def test_merge_matches_the_multiplying_loop(scale, values, data):
     keys = st.integers(0, 5)
     acc = data.draw(st.dictionaries(keys, values.filter(bool)))
     items = data.draw(st.lists(st.tuples(keys, values), max_size=8))
+    acc = {k: _canonical(v) for k, v in acc.items()}
     got = merge(dict(acc), items, scale)
     want = _merge_multiplying(dict(acc), items, scale)
     assert got == want
     assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+    assert all(type(v) is int or v.denominator != 1 for v in got.values())
 
 
 _BIG = 10**17
@@ -235,17 +242,37 @@ def test_echelon_divides_int_rows_exactly():
     ech = Echelon()
     assert ech.add({0: 2, 1: _BIG})
     assert ech.rows[0] == {0: 1, 1: _BIG // 2}
-    assert all(type(v) is Fraction for v in ech.rows[0].values())
+    assert all(type(v) is int for v in ech.rows[0].values())
     assert ech.add({0: 2, 1: _BIG + 1})
+    # normalized rows, residues and normal forms: ints where integral
+    assert [type(v) for v in ech.rows[1].values()] == [int]
+    ech = Echelon()
+    assert ech.add({0: 2, 1: 3, 2: 4})
+    assert ech.rows[0] == {0: 1, 1: Fraction(3, 2), 2: 2}
+    assert [type(v) for v in ech.rows[0].values()] == [int, Fraction, int]
+    res = ech.reduce({0: Fraction(1, 3), 1: 1, 2: Fraction(1, 3)})
+    assert res == {1: Fraction(1, 2), 2: Fraction(-1, 3)}
+    assert [type(v) for v in res.values()] == [Fraction, Fraction]
+    res = ech.reduce({0: 1, 1: 2, 2: 5})
+    assert res == {1: Fraction(1, 2), 2: 3}
+    assert [type(v) for v in res.values()] == [Fraction, int]
+    nf = ech.normal_form({0: 4, 1: 6, 2: 9})
+    assert nf == {2: 1} and type(nf[2]) is int
 
 
 def test_sparse_entries_enter_as_fractions():
     v = SparseVector(3, {0: 2, 1: "1/3", 2: "0"})
     assert v.entries == {0: 2, 1: Fraction(1, 3)}
-    assert all(type(x) is Fraction for x in v.entries.values())
-    assert all(type(x) is Fraction for x in (2 * v).entries.values())
+    assert [type(x) for x in v.entries.values()] == [int, Fraction]
+    assert [type(x) for x in (2 * v).entries.values()] == [int, Fraction]
+    assert (3 * v).entries == {0: 6, 1: 1}
+    assert [type(x) for x in (3 * v).entries.values()] == [int, int]
+    assert [type(x) for x in (Fraction(3, 2) * v).entries.values()] == [int, Fraction]
     m = SparseMatrix(1, 2, {(0, 0): 5, (0, 1): "-0.5"})
-    assert [type(x) for x in m.entries.values()] == [Fraction, Fraction]
+    assert [type(x) for x in m.entries.values()] == [int, Fraction]
+    w = SparseVector(3, {0: Fraction(4, 2), 1: "6/3", 2: True})
+    assert w.entries == {0: 2, 1: 2, 2: 1}
+    assert [type(x) for x in w.entries.values()] == [int, int, int]
     for bad in (0.5, 1j):
         with pytest.raises(TypeError, match="inexact"):
             SparseVector(1, {0: bad})
