@@ -12,16 +12,19 @@ B(a, b) = e^{-1}(e(a) e(b)); its graded component B_p lowers sym degree by p
 and raises star degree by p.  B_0 is the commutative product and B_1 is half
 the Poisson bracket.
 
-B is computed in PBW coordinates, one monomial pair at a time: e of each
-monomial comes from ``pbw.sym_pbw``, the product e(m1) e(m2) is the sum of
-the PBW normal forms ``pbw.normal(t1 + t2)`` of the concatenated factor
-tuples, and one triangular peel ``pbw.e_inverse_pbw`` maps it back.
+B is computed in PBW coordinates, one monomial pair at a time, on ints:
+k! e(m) of each k-factor monomial comes from the int table ``pbw.sym_table``,
+the product is the sum of c1 c2 ``pbw.normal(t1 + t2)`` over the terms of
+the two tables, an int vector that is k1! k2! e(m1) e(m2), and one
+triangular peel ``pbw.e_inverse_pbw`` over the scale k1! k2! maps it back.
+Only the peel's results are divided by its scale.
 ``symmetrize`` and ``e_inverse`` are e and e^{-1} through the word basis of
 the tensor algebra; they are the independent reference B is tested against.
 """
 
 from __future__ import annotations
 
+from math import factorial
 from operator import attrgetter
 
 from . import pbw
@@ -243,13 +246,16 @@ def _star_monomials(m1, m2):
     key = (m1.factors, m2.factors)
     hit = _STAR_MONO_CACHE.get(key)
     if hit is None:
-        e2 = pbw.sym_pbw(m2.factors)
+        f1, f2 = m1.factors, m2.factors
+        e2 = pbw.sym_table(f2).items()
         prod = {}
-        for t1, c1 in pbw.sym_pbw(m1.factors).items():
-            for t2, c2 in e2.items():
+        for t1, c1 in pbw.sym_table(f1).items():
+            for t2, c2 in e2:
                 merge(prod, pbw.normal(t1 + t2).items(), c1 * c2)
+        scale = factorial(len(f1)) * factorial(len(f2))
         hit = {
-            PoissonMonomial.of(t): c for t, c in pbw.e_inverse_pbw(prod).items()
+            PoissonMonomial.of(t): c
+            for t, c in pbw.e_inverse_pbw(prod, scale).items()
         }
         _STAR_MONO_CACHE[key] = hit
     return hit
@@ -258,9 +264,10 @@ def _star_monomials(m1, m2):
 def star_product(a, b):
     """The PBW quantized product B(a, b) = e^{-1}(e(a) e(b)).
 
-    Each monomial pair is multiplied in PBW coordinates: e(m1) and e(m2)
-    from ``pbw.sym_pbw``, their product by normal ordering the concatenated
-    factor tuples, and e^{-1} by one triangular peel (``pbw.e_inverse_pbw``).
+    Each monomial pair is multiplied in PBW coordinates: k! e(m1) and
+    k! e(m2) from ``pbw.sym_table``, their product by normal ordering the
+    concatenated factor tuples, and e^{-1} by one triangular peel over the
+    product of the two scales (``pbw.e_inverse_pbw``).
     The word-space ``e_inverse(symmetrize(a) * symmetrize(b))`` gives the
     same element.
     """

@@ -30,7 +30,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-# The ground field: exact rationals.
+# The type of a non-integral stored coefficient.  An integral one is an
+# int, so a stored coefficient c satisfies ``type(c) in (int, Rational)``,
+# and ``isinstance(c, Rational)`` is False for most of them.
 Rational = Fraction
 
 ZERO = 0
@@ -43,7 +45,7 @@ def canonical(q):
     return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
-def _quotient(n, d):
+def quotient(n, d):
     """n / d for ints, d > 0, as a stored coefficient."""
     return n // d if n % d == 0 else Fraction(n, d)
 
@@ -348,16 +350,16 @@ class Echelon:
 
     def reduce(self, row):
         """Return the residue of ``row`` (a dict) after elimination."""
-        row, den = _int_row(row)
+        row, den = int_row(row)
         _, row, scale = self._lead(row)
         den *= scale
         if den == 1:
             return row
-        return {c: _quotient(v, den) for c, v in row.items()}
+        return {c: quotient(v, den) for c, v in row.items()}
 
     def add(self, row):
         """Insert ``row`` into the echelon; returns True if the rank grew."""
-        col, row, _ = self._lead(_int_row(row)[0])
+        col, row, _ = self._lead(int_row(row)[0])
         if col is None:
             return False
         g = gcd(*row.values())
@@ -370,29 +372,29 @@ class Echelon:
         if p == 1:
             self.rows[col] = dict(row)
         else:
-            self.rows[col] = {c: _quotient(v, p) for c, v in row.items()}
+            self.rows[col] = {c: quotient(v, p) for c, v in row.items()}
         return True
 
     def contains(self, row):
-        return self._lead(_int_row(row)[0])[0] is None
+        return self._lead(int_row(row)[0])[0] is None
 
     def normal_form(self, row):
         """Fully reduce ``row``: the result has no support on pivot columns."""
-        row, den = _int_row(row)
+        row, den = int_row(row)
         out = {}
         while True:
             col, row, scale = self._lead(row)
             if col is None:
                 return out
             den *= scale
-            out[col] = _quotient(row.pop(col), den)
+            out[col] = quotient(row.pop(col), den)
 
     def basis(self):
         """Current echelon rows, ordered by pivot column."""
         return [dict(self.rows[c]) for c in sorted(self.rows, key=self._key)]
 
 
-def _int_row(row):
+def int_row(row):
     """(ints, den): the nonzero values of ``row`` (ints or Fractions) times
     den, the lcm of their denominators, as ints in the order of ``row``."""
     den = lcm(*[v.denominator for v in row.values()])

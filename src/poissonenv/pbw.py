@@ -9,14 +9,19 @@ the straightening rule
 
 where the bracket term has one factor fewer, so the rewriting terminates.
 
-Symmetrization e and its inverse live here too.  ``sym_pbw`` gives e of a
-k-factor monomial in PBW coordinates: the sorted product plus terms with fewer
-factors, so e is unitriangular with respect to the factor count.  The one
-inverse, ``e_inverse_pbw``, peels a PBW vector from the top: it takes the
-terms of maximal factor count as they stand, subtracts their symmetrizations
-and repeats on the strictly shorter rest.  ``e_inverse_word`` is that peel
+Symmetrization e and its inverse live here too.  e of a k-factor monomial
+in PBW coordinates is the sorted product plus terms with fewer factors, so e
+is unitriangular with respect to the factor count.  Its 1/k! weights are
+kept out of the arithmetic: ``sym_table`` memoizes k! e(m), whose entries
+are all ints, and ``sym_pbw`` divides a copy by k! for callers that want e
+itself.  The one inverse, ``e_inverse_pbw``, peels an int PBW vector over
+one common integer scale from the top: it records the terms of maximal
+factor count divided by the scale, multiplies the vector and the scale by
+k!, subtracts the top terms' tables, which cancels them exactly, and
+repeats on the strictly shorter rest.  ``e_inverse_word`` is that peel
 applied to ``word_to_pbw(word)``, and the star product in ``freepoisson``
-applies it to a product of two ``sym_pbw`` vectors.
+applies it to a product of two ``sym_table`` vectors over the scale
+k1! k2!.
 
 ``symmetrize_factors`` computes e in the word basis straight from its
 definition, the average over factor orders.  Together with
@@ -27,7 +32,7 @@ star product is tested against.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from .freelie import (
     TensorElement,
@@ -35,7 +40,7 @@ from .freelie import (
     expand_to_tensor,
     generator,
 )
-from .linalg import canonical, merge
+from .linalg import canonical, int_row, merge, quotient
 
 
 _NORMAL_CACHE = {}
@@ -130,15 +135,21 @@ def symmetrize_factors(factors):
 _SYM_PBW_CACHE = {}
 
 
-def sym_pbw(factors):
-    """e of a monomial, expressed in the PBW basis (memoized).
+def sym_table(factors):
+    """k! e(m) of the monomial m of a nondecreasing k-factor tuple, in PBW
+    coordinates, as ints (memoized).
 
-    Uses the first-factor recursion e(m) = (1/k) sum_f f e(m/f) over the k
-    factor positions, which stays in PBW coordinates; it agrees with the
-    definitional average over all orders (the recursion is that average,
-    grouped by which factor comes first).
+    The first-factor recursion e(m) = (1/k) sum_f f e(m/f) over the k factor
+    positions, grouped by distinct factor f of multiplicity mult_f and
+    multiplied by k!, reads
+
+        k! e(m) = sum_f mult_f f ((k-1)! e(m/f)),
+
+    and ``normal`` has integer coefficients, so every entry is an int.  The
+    recursion is the definitional average over all orders, grouped by which
+    factor comes first.  The table is the memo entry itself: callers read it
+    and never modify it.
     """
-    factors = tuple(sorted(factors, key=lambda f: f.sort_key))
     hit = _SYM_PBW_CACHE.get(factors)
     if hit is None:
         k = len(factors)
@@ -152,38 +163,63 @@ def sym_pbw(factors):
                 j = i
                 while j < k and factors[j] == f:
                     j += 1
-                weight = canonical(Fraction(j - i, k))
-                rest = sym_pbw(factors[:i] + factors[i + 1 :])
+                rest = sym_table(factors[:i] + factors[i + 1 :])
                 for t, c in rest.items():
-                    merge(hit, normal((f,) + t).items(), weight * c)
+                    merge(hit, normal((f,) + t).items(), (j - i) * c)
                 i = j
         _SYM_PBW_CACHE[factors] = hit
-    return dict(hit)
+    return hit
 
 
-def e_inverse_pbw(vec):
-    """e^{-1} of a PBW vector, as a dict factor-tuple -> coefficient.
+def sym_pbw(factors):
+    """e of a monomial, in any factor order, expressed in the PBW basis: a
+    fresh dict factor-tuple -> coefficient, ``sym_table`` divided by k!."""
+    factors = tuple(sorted(factors, key=lambda f: f.sort_key))
+    k = factorial(len(factors))
+    return {t: quotient(c, k) for t, c in sym_table(factors).items()}
+
+
+def e_inverse_pbw(vec, scale=1):
+    """e^{-1} of the PBW vector vec / scale, as a dict factor-tuple ->
+    coefficient.
 
     ``vec`` maps nondecreasing factor tuples to coefficients and is not
-    modified.  Triangular induction on the factor count: a PBW monomial t is
-    the only term of its factor count in e(t), so the top part of the vector
-    is its own e^{-1} there, and subtracting its symmetrization strictly
-    lowers the maximal factor count.
+    modified; ``scale`` is a positive int.  Triangular induction on the
+    factor count: a PBW monomial t is the only term of its factor count in
+    e(t), so the top part of the vector is its own e^{-1} there, and
+    subtracting its symmetrization strictly lowers the maximal factor count.
+
+    The peel runs on ints over one common scale.  A vector with Fraction
+    values is first brought to the lcm of its denominators (``int_row``).
+    At top factor count k, each top term c t is recorded as c / scale; the
+    vector is then multiplied by k! and c ``sym_table(t)`` subtracted, which
+    cancels the top terms exactly, and the scale is multiplied by k!.  The
+    gcd of the vector's values and the scale is divided out of both.
     """
-    current = dict(vec)
+    current, den = int_row(vec)
+    scale *= den
     result = {}
     guard = max(map(len, current), default=0) + 1
     while current:
         guard -= 1
         if guard < 0:  # pragma: no cover - triangularity violated
             raise RuntimeError("e_inverse failed to terminate")
-        top_count = max(len(t) for t in current)
-        top = {t: c for t, c in current.items() if len(t) == top_count}
-        result.update(top)  # earlier rounds only added longer tuples
-        for t, c in top.items():
-            merge(current, sym_pbw(t).items(), -c)
+        top_count = max(map(len, current))
+        top = [(t, c) for t, c in current.items() if len(t) == top_count]
+        for t, c in top:  # earlier rounds only recorded longer tuples
+            result[t] = quotient(c, scale)
+        k = factorial(top_count)
+        if k != 1:
+            current = {t: c * k for t, c in current.items()}
+            scale *= k
+        for t, c in top:
+            merge(current, sym_table(t).items(), -c)
         if any(len(t) >= top_count for t in current):  # pragma: no cover
             raise RuntimeError("symmetrization is not unitriangular")
+        g = gcd(scale, *current.values())
+        if g != 1:
+            current = {t: c // g for t, c in current.items()}
+            scale //= g
     return result
 
 

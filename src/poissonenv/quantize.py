@@ -171,11 +171,16 @@ class UWindow:
         return pieces[: levels + 1] + pieces[-1:] * (levels + 1 - len(pieces))
 
     def poisson_span(self, monomials):
-        """Echelon of the e-images of Poisson monomials, star-truncated."""
+        """Echelon of the e-images of Poisson monomials, star-truncated.
+
+        Each row is the int table k! e(m) of ``pbw.sym_table``: the span does
+        not depend on the scale of a row, and ``Echelon`` stores every row
+        normalized, so the result equals that of the rows e(m) themselves.
+        """
         ech = Echelon()
         for m in monomials:
             row = {}
-            for t, c in pbw.sym_pbw(m.factors).items():
+            for t, c in pbw.sym_table(m.factors).items():
                 if _tuple_star(t) <= self.d:
                     row[self.index[t]] = c
             ech.add(row)

@@ -91,6 +91,22 @@ def test_every_operation_stores_fractions(a, b, scalar):
         assert _exact(r), r
 
 
+@settings(deadline=None, max_examples=20)
+@given(_elements(), _elements())
+def test_every_stored_coefficient_is_an_int_or_a_rational(a, b):
+    # poissonenv.Rational is the type of the non-integral coefficients only
+    from poissonenv import Rational
+    from poissonenv.linalg import SparseVector
+
+    results = [a, b, star_product(a, b), poisson_bracket(a, b), e_inverse(symmetrize(a))]
+    results += [symmetrize(a), PoissonElement.generator(1)]
+    for r in results:
+        assert all(type(c) in (int, Rational) for c in r.terms.values()), r
+    assert type(SparseVector(2, {0: 3, 1: "1/2"})[0]) is int
+    assert type(SparseVector(2, {0: 3, 1: "1/2"})[1]) is Rational
+    assert not isinstance(PoissonElement.generator(1).terms.popitem()[1], Rational)
+
+
 def test_integral_products_of_fractions_store_ints():
     x1 = PoissonElement.generator(1)
     got = multiply(-2 * x1, Fraction(1, 2) * x1)

@@ -290,3 +290,52 @@ def test_bracket_star_degree_shift():
     got = poisson_bracket(a, b)
     for m in got.terms:
         assert m.star_degree == 1 + 2 + 1
+
+
+@st.composite
+def _elements(draw, n_gens, total):
+    """A random element of 1-3 terms of total letter count 1..``total``,
+    not necessarily homogeneous in either grading."""
+    pool = [
+        m
+        for t in range(1, total + 1)
+        for q in range(t)
+        for m in monomials_star_total(n_gens, q, t)
+    ]
+    monos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    return PoissonElement({m: draw(st.sampled_from(_COEFFS)) for m in monos})
+
+
+@st.composite
+def _triples(draw):
+    """Three random elements in 2-3 generators whose totals sum to at most
+    5, so every pair total is at most 4."""
+    n_gens = draw(st.sampled_from((2, 3)))
+    ta = draw(st.integers(1, 3))
+    tb = draw(st.integers(1, 4 - ta))
+    tc = draw(st.integers(1, 5 - ta - tb))
+    return tuple(draw(_elements(n_gens, t)) for t in (ta, tb, tc))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_triples())
+def test_star_product_is_associative_on_random_elements(triple):
+    a, b, c = triple
+    assert star_product(star_product(a, b), c) == star_product(a, star_product(b, c))
+
+
+@st.composite
+def _pairs(draw):
+    """Two random elements in 2-3 generators, pair total at most 4."""
+    n_gens = draw(st.sampled_from((2, 3)))
+    ta = draw(st.integers(1, 3))
+    return draw(_elements(n_gens, ta)), draw(_elements(n_gens, 4 - ta))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_pairs())
+def test_first_star_component_is_half_the_bracket_on_random_elements(pair):
+    a, b = pair
+    half = Fraction(1, 2) * poisson_bracket(a, b)
+    assert star_component(a, b, 1) == half
+    assert star_components(a, b)[1] == half
