@@ -30,6 +30,7 @@ from .freepoisson import (
     PoissonMonomial,
     e_inverse,
     monomials_star_total,
+    monomials_up_to_total,
     multiply,
     poisson_bracket,
     star_component,
@@ -49,15 +50,6 @@ class CheckResult:
 
 def _result(name, passed, detail):
     return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
-def _monomials_up_to_total(n_gens, max_total, max_star=None):
-    out = []
-    for total in range(max_total + 1):
-        cap = total if max_star is None else min(total, max_star)
-        for q in range(cap + 1):
-            out.extend(monomials_star_total(n_gens, q, total))
-    return out
 
 
 # -- 1 -------------------------------------------------------------------
@@ -103,7 +95,7 @@ def check_witt_lyndon():
 
 def check_pbw_bijectivity():
     for length in range(1, 7):
-        monos = _monomials_up_to_total(2, length)
+        monos = monomials_up_to_total(2, length)
         monos = [m for m in monos if m.total_degree == length]
         if len(monos) != 2**length:
             return _result(
@@ -126,7 +118,7 @@ def check_pbw_bijectivity():
 def check_symmetrized_filtration():
     for length in range(1, 6):
         all_monos = [
-            m for m in _monomials_up_to_total(2, length) if m.total_degree == length
+            m for m in monomials_up_to_total(2, length) if m.total_degree == length
         ]
         for n in range(length + 1):
             filt_basis = tensor_filtration_basis(2, length, n)
@@ -162,7 +154,7 @@ def check_symmetrized_filtration():
 
 
 def check_star_component_bigrading():
-    monos = _monomials_up_to_total(2, 5)
+    monos = monomials_up_to_total(2, 5)
     pairs = [
         (a, b)
         for a in monos
@@ -206,7 +198,7 @@ def check_graded_dimensions():
 
 
 def check_star_associativity():
-    monos = _monomials_up_to_total(2, 6)
+    monos = monomials_up_to_total(2, 6)
     triples = [
         (a, b, c)
         for a in monos
@@ -308,7 +300,7 @@ def check_p1_omega2():
 def check_local_model():
     monos = [
         m
-        for m in _monomials_up_to_total(2, 8, max_star=3)
+        for m in monomials_up_to_total(2, 8, max_star=3)
         if m.poly_degree <= 2 and m.star_degree <= 3
     ]
     pairs = 0
@@ -474,8 +466,8 @@ def check_endomorphism_contraction():
     # scaling the generators is a Poisson endomorphism but not id mod F_1:
     # the check must report the precondition violation
     cols = []
-    for i, lab in enumerate(A.labels):
-        m = next(m for m in [_label_monomial(A, i)])
+    for i in range(A.dim):
+        m = _label_monomial(A, i)
         cols.append({i: 2 ** (m.sym_degree + m.star_degree)})
     f = filt.EndoMap.from_columns(A.dim, cols)
     rep = filt.endo_contraction_check(A, f, chain, use_bracket=True)
@@ -500,8 +492,8 @@ def check_differential_order():
     # arguments reach word length 4 once a multiplier letter lands on them;
     # letter multipliers suffice for the order criterion because commutation
     # against a product peels into commutators against its factors
-    args = _monomials_up_to_total(2, 3)
-    fixed = _monomials_up_to_total(2, 2)
+    args = monomials_up_to_total(2, 3)
+    fixed = monomials_up_to_total(2, 2)
     letters = [PoissonElement.generator(i) for i in (1, 2)]
     for p in range(3):
         for b in fixed:

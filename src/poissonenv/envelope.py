@@ -20,6 +20,7 @@ pieces carry an ``exact`` flag either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .freelie import LieElement, generator
 from .freepoisson import (
@@ -92,15 +93,6 @@ def _nested_bracket(chain):
     return out
 
 
-def _letter_tuples(n_gens, k):
-    if k == 0:
-        return [()]
-    out = [()]
-    for _ in range(k):
-        out = [t + (i,) for t in out for i in range(1, n_gens + 1)]
-    return out
-
-
 def poisson_ideal_generators(pres, n):
     """Ideal generators of star degree exactly n.
 
@@ -117,7 +109,7 @@ def poisson_ideal_generators(pres, n):
     seen = set()
     letters = [PoissonElement.generator(i) for i in range(1, pres.n_gens + 1)]
     for f in pres.relations:
-        for tup in _letter_tuples(pres.n_gens, n):
+        for tup in product(range(1, pres.n_gens + 1), repeat=n):
             for pos in range(n + 1):
                 chain = (
                     [letters[j - 1] for j in tup[:pos]]

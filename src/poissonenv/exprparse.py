@@ -204,7 +204,10 @@ class _Parser:
                 k3, v3, at3 = self.next()
                 if k3 != "int":
                     raise ParseError("expected denominator", at3)
-                return self.const(Fraction(num, int(v3)))
+                den = int(v3)
+                if not den:
+                    raise ParseError("zero denominator", at3)
+                return self.const(Fraction(num, den))
             return self.const(num)
         if kind == "gen":
             return self.gen_elt(val, at)
@@ -269,56 +272,36 @@ def format_rational(q):
     return f"{q.numerator}/{q.denominator}"
 
 
-def _format_factor(b):
-    if len(b.word) == 1:
-        return f"x{b.word[0]}"
-    return "(" + "".join(str(i) for i in b.word) + ")"
-
-
-def _join_terms(bits):
+def _format_terms(terms):
+    """Signed sum of (coefficient, factor strings) terms: a coefficient 1 is
+    left out before factors, and no terms print as 0."""
     out = ""
-    for sign, body in bits:
+    for c, factors in terms:
+        mag = abs(c)
+        if mag != 1 or not factors:
+            factors = [format_rational(mag)] + factors
+        body = "*".join(factors)
         if not out:
-            out = body if sign > 0 else "-" + body
+            out = body if c > 0 else "-" + body
         else:
-            out += (" + " if sign > 0 else " - ") + body
+            out += (" + " if c > 0 else " - ") + body
     return out or "0"
 
 
 def format_poisson(p):
     """Canonical text form, e.g. ``x1*x2 + 1/2*(12)``."""
-    bits = []
-    for m in sorted(p.terms, key=lambda m: m.sort_key):
-        c = p.terms[m]
-        sign = 1 if c > 0 else -1
-        c = abs(c)
-        factors = [_format_factor(b) for b in m.factors]
-        if not factors:
-            body = format_rational(c)
-        elif c == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([format_rational(c)] + factors)
-        bits.append((sign, body))
-    return _join_terms(bits)
+    return _format_terms(
+        (p.terms[m], [repr(b) for b in m.factors])
+        for m in sorted(p.terms, key=lambda m: m.sort_key)
+    )
 
 
 def format_tensor(t):
     """Canonical text form with '*' as concatenation, e.g. ``x1*x2 - x2*x1``."""
-    bits = []
-    for w in sorted(t.terms, key=lambda w: (len(w), w)):
-        c = t.terms[w]
-        sign = 1 if c > 0 else -1
-        c = abs(c)
-        factors = [f"x{i}" for i in w]
-        if not factors:
-            body = format_rational(c)
-        elif c == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([format_rational(c)] + factors)
-        bits.append((sign, body))
-    return _join_terms(bits)
+    return _format_terms(
+        (t.terms[w], [f"x{i}" for i in w])
+        for w in sorted(t.terms, key=lambda w: (len(w), w))
+    )
 
 
 # -- JSON forms ---------------------------------------------------------------

@@ -5,17 +5,17 @@ F_p F_q <= F_{p+q} and [F_p, F_q] <= F_{p+q+1}; its defining recursion
 
     F_{n+1} = sum_{p=1}^{n} F_p F_{n+1-p} + sum_{p=0}^{n} <[F_p, F_{n-p}]>
 
-is iterated by one function, ``filtration_chain``, for these algebras and for
-the PBW windows of ``quantize``.  Three changes keep every span: one ideal
-closure of all the brackets replaces one per summand (a sum of ideals is the
-ideal of the union); the p = n summand goes (by antisymmetry it is the p = 0
-one); and [F_0, F_n] becomes [x, F_n] over algebra generators x (the same
-ideal, by the Leibniz rule).  The nil-Poisson filtration replaces commutators
-by the Poisson bracket.  Chains are iterated to stabilization; the stable
-value need not be zero (upper-triangular matrices stabilize at the
-strictly-upper part), and whether it vanishes is the nilcommutativity
-certificate.  A ``FiltrationChain`` holds the pieces as Echelons, and
-``chain[n]`` past the end is the stable piece.
+is iterated by one function, ``filtration_chain``, on a ``FiniteAlgebra``:
+these algebras or the PBW windows of ``quantize``.  Three changes keep every
+span: one ideal closure of all the brackets replaces one per summand (a sum
+of ideals is the ideal of the union); the p = n summand goes (by antisymmetry
+it is the p = 0 one); and [F_0, F_n] becomes [x, F_n] over algebra
+generators x (the same ideal, by the Leibniz rule).  The nil-Poisson
+filtration replaces commutators by the Poisson bracket.  Chains are iterated
+to stabilization; the stable value need not be zero (upper-triangular
+matrices stabilize at the strictly-upper part), and whether it vanishes is
+the nilcommutativity certificate.  A ``FiltrationChain`` holds the pieces
+as Echelons, and ``chain[n]`` past the end is the stable piece.
 """
 
 from __future__ import annotations
@@ -87,7 +87,68 @@ def _support(table, dim):
     return out
 
 
-class TruncatedAlgebra:
+class FiniteAlgebra:
+    """A finite-rank unital algebra in coordinates: a vector is a dict from
+    basis index to nonzero stored coefficient.
+
+    A subclass sets ``dim`` and ``unit`` and gives ``_row(i, j)``, the
+    coordinate dict of basis_i * basis_j (empty when it is 0).  It may
+    narrow ``_pairs`` to the index pairs whose row can be nonzero, and
+    ``generators`` to a smaller generating set.  The product, the
+    commutator and the ideal closure are built on these, once for every
+    subclass.
+    """
+
+    def _pairs(self, v, w):
+        """(i, j, c_i * c_j) over every index pair of v and w, in the order
+        of v, then of w."""
+        for i, c1 in v.items():
+            for j, c2 in w.items():
+                yield i, j, c1 * c2
+
+    def mul(self, v, w):
+        out = {}
+        row = self._row
+        for i, j, c12 in self._pairs(v, w):
+            r = row(i, j)
+            if r:
+                merge(out, r.items(), c12)
+        return out
+
+    def commutator(self, v, w):
+        """[v, w] in one pass: row(i, j) - row(j, i) for every index pair."""
+        out = {}
+        row = self._row
+        for i, j, c12 in self._pairs(v, w):
+            r = row(i, j)
+            if r:
+                merge(out, r.items(), c12)
+            r = row(j, i)
+            if r:
+                merge(out, r.items(), -c12)
+        return out
+
+    def basis_vec(self, i):
+        return {i: 1}
+
+    def unit_vec(self):
+        return {self.unit: 1}
+
+    def generators(self):
+        """Algebra generators: all basis vectors, as no smaller set is known."""
+        return [self.basis_vec(i) for i in range(self.dim)]
+
+    def ideal_close(self, seeds):
+        """Echelon spanning the two-sided ideal generated by ``seeds``: the
+        span closed under products by each generator on the left and on the
+        right, which suffices because the generators generate the algebra."""
+        maps = []
+        for b in self.generators():
+            maps += [lambda v, b=b: self.mul(b, v), lambda v, b=b: self.mul(v, b)]
+        return span_closure(maps, seeds)
+
+
+class TruncatedAlgebra(FiniteAlgebra):
     """Finite-rank unital algebra with sparse structure constants.
 
     ``product[(i, j)]`` is the coordinate dict of basis_i * basis_j; an
@@ -120,29 +181,13 @@ class TruncatedAlgebra:
             self._validate()
 
     # -- arithmetic on coordinate dicts ------------------------------------
-    def mul(self, v, w):
-        return _table_mul(self.product, v, w)
+    def _row(self, i, j):
+        return self.product.get((i, j), {})
 
     def brk(self, v, w):
         if self.bracket is None:
             raise ValueError("algebra carries no bracket")
         return _table_mul(self.bracket, v, w)
-
-    def commutator(self, v, w):
-        return merge(self.mul(v, w), self.mul(w, v).items(), -1)
-
-    def basis_vec(self, i):
-        return {i: 1}
-
-    def unit_vec(self):
-        return {self.unit: 1}
-
-    def generators(self):
-        """Algebra generators: all basis vectors, as no smaller set is known."""
-        return [self.basis_vec(i) for i in range(self.dim)]
-
-    def ideal_close(self, seeds):
-        return ideal_closure(self.mul, self.generators(), seeds)
 
     def _check_indices(self, product, bracket):
         dim = self.dim
@@ -350,21 +395,9 @@ def span_closure(maps, seeds):
     return ech
 
 
-def ideal_closure(mul, multipliers, seeds):
-    """Echelon spanning the two-sided ideal generated by ``seeds``: the span
-    closed under ``mul`` by each of ``multipliers`` on the left and on the
-    right.  The multipliers must generate the algebra.
-    """
-    maps = []
-    for b in multipliers:
-        maps += [lambda v, b=b: mul(b, v), lambda v, b=b: mul(v, b)]
-    return span_closure(maps, seeds)
-
-
 def filtration_chain(alg, pair_map):
     """F_0, F_1, ... down to the stable value, for the antisymmetric
-    ``pair_map``.  ``alg`` supplies ``dim``, ``basis_vec``, ``mul``,
-    ``generators()`` and ``ideal_close(seeds)``."""
+    ``pair_map`` on the ``FiniteAlgebra`` ``alg``."""
     full = Echelon.spanning(alg.basis_vec(i) for i in range(alg.dim))
     pieces = [full]
     bases = [full.basis()]

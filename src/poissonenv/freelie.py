@@ -16,6 +16,8 @@ matching word length.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .linalg import Combination, Echelon, SparseVector, SpanSolver, merge
 
 Word = tuple  # tuple of 1-based generator indices
@@ -399,7 +401,7 @@ def tensor_filtration_basis(n_gens, word_len, n):
         if word_len - len(comp) < n:
             continue  # max achievable star degree falls short
         pools = [lyndon_basis_of_length(n_gens, part) for part in comp]
-        for combo in _product_pools(pools):
+        for combo in product(*pools):
             if sum(b.star_degree for b in combo) < n:
                 continue
             t = TensorElement.one()
@@ -409,12 +411,3 @@ def tensor_filtration_basis(n_gens, word_len, n):
             if ech.add(vec.entries):
                 picked.append(t)
     return picked
-
-
-def _product_pools(pools):
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _product_pools(pools[1:]):
-            yield (head,) + rest

@@ -24,6 +24,7 @@ the tensor algebra; they are the independent reference B is tested against.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
 from math import factorial
 from operator import attrgetter
 
@@ -319,27 +320,9 @@ def bigraded_component(a, p, q):
     return a.bigraded_part(p, q)
 
 
-def generators(n_gens):
-    return [PoissonElement.generator(i) for i in range(1, n_gens + 1)]
-
-
 def sv_tuples(n_gens, degree):
     """Nondecreasing letter tuples of the given length (monomials of SV)."""
-    if degree == 0:
-        return [()]
-    out = []
-
-    def rec(lo, remaining, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for i in range(lo, n_gens + 1):
-            acc.append(i)
-            rec(i, remaining - 1, acc)
-            acc.pop()
-
-    rec(1, degree, [])
-    return out
+    return list(combinations_with_replacement(range(1, n_gens + 1), degree))
 
 
 def plus_tuples(n_gens, star):
@@ -381,6 +364,17 @@ def monomials_star_total(n_gens, star, total):
             continue
         for sv in sv_tuples(n_gens, poly):
             out.append(PoissonMonomial.of(tuple(generator(i) for i in sv) + plus))
+    return out
+
+
+def monomials_up_to_total(n_gens, max_total, max_star=None):
+    """All monomials with total letter count <= max_total (and star degree
+    <= max_star, when given), by total, then by star degree."""
+    out = []
+    for total in range(max_total + 1):
+        cap = total if max_star is None else min(total, max_star)
+        for q in range(cap + 1):
+            out.extend(monomials_star_total(n_gens, q, total))
     return out
 
 

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 from . import pbw
 from .envelope import EnvelopePresentation, _generators_up_to, ideal_block
-from .filtration import TruncatedAlgebra, filtration_chain, ideal_closure, span_closure
+from .filtration import FiniteAlgebra, TruncatedAlgebra, filtration_chain, span_closure
 from .freelie import generator
 from .freepoisson import (
     PoissonElement,
     monomials_star_maxpoly,
-    monomials_star_total,
+    monomials_up_to_total,
     multiply,
     poisson_bracket,
     star_component,
@@ -79,22 +79,19 @@ def _tuple_total(t):
     return sum(len(f.word) for f in t)
 
 
-class UWindow:
+class UWindow(FiniteAlgebra):
     """Q_X^(d) modulo total degree > max_total, in PBW coordinates."""
 
     def __init__(self, n_gens, d, max_total):
         self.n_gens = n_gens
         self.d = d
         self.max_total = max_total
-        self.tuples = []
-        for total in range(max_total + 1):
-            for q in range(min(d, total) + 1):
-                for m in monomials_star_total(n_gens, q, total):
-                    self.tuples.append(m.factors)
+        self.tuples = [m.factors for m in monomials_up_to_total(n_gens, max_total, d)]
         self.index = {t: i for i, t in enumerate(self.tuples)}
         self.totals = [_tuple_total(t) for t in self.tuples]
         self.letters = [(generator(i),) for i in range(1, n_gens + 1)]
         self.dim = len(self.tuples)
+        self.unit = self.index[()]
         self._rows = {}
         self._chain = None
 
@@ -106,11 +103,10 @@ class UWindow:
         return out
 
     def _row(self, i, j):
-        """Items of the product of basis vectors i and j (memoized)."""
+        """Coordinate dict of the product of basis vectors i and j (memoized)."""
         row = self._rows.get((i, j))
         if row is None:
-            row = tuple(self.mono_mul(self.tuples[i], self.tuples[j]).items())
-            self._rows[(i, j)] = row
+            row = self._rows[(i, j)] = self.mono_mul(self.tuples[i], self.tuples[j])
         return row
 
     def _pairs(self, v, w):
@@ -129,46 +125,21 @@ class UWindow:
                 if totals[j] <= room:
                     yield i, j, c1 * c2
 
-    def mul(self, v, w):
-        out = {}
-        for i, j, c12 in self._pairs(v, w):
-            merge(out, self._row(i, j), c12)
-        return out
-
-    def commutator(self, v, w):
-        """[v, w] in one pass: row(i, j) - row(j, i) for every index pair."""
-        out = {}
-        for i, j, c12 in self._pairs(v, w):
-            merge(out, self._row(i, j), c12)
-            merge(out, self._row(j, i), -c12)
-        return out
-
-    def basis_vec(self, i):
-        return {i: 1}
-
     def generators(self):
         """The letters x_1 .. x_n, which generate the algebra."""
         return [{self.index[t]: 1} for t in self.letters]
-
-    def ideal_close(self, seeds):
-        """Span of the two-sided ideal generated by ``seeds``: closing under
-        product by the generators suffices, since they generate the
-        algebra."""
-        return ideal_closure(self.mul, self.generators(), seeds)
 
     def filtration(self, levels):
         """Commutator filtration chain F_0 .. F_levels (list of Echelons).
 
         The chain comes from ``filtration_chain`` with the letters as
         generators, computed on the first call and kept for later ones.
-        The list holds ``chain[n]`` for n <= levels, past the stable value
-        its last piece: callers index it once per row, and a list index is
-        cheaper than a ``FiltrationChain`` one.
+        Callers index the list once per row, and a list index is cheaper
+        than a ``FiltrationChain`` one.
         """
         if self._chain is None:
             self._chain = filtration_chain(self, self.commutator)
-        pieces = self._chain.pieces
-        return pieces[: levels + 1] + pieces[-1:] * (levels + 1 - len(pieces))
+        return [self._chain[n] for n in range(levels + 1)]
 
     def poisson_span(self, monomials):
         """Echelon of the e-images of Poisson monomials, star-truncated.
@@ -324,10 +295,9 @@ def star_ideal_topology_check(n_gens, d, m, alpha=None, extra_totals=2):
     target = win.poisson_span(
         [
             mono
-            for total in range(power, max_total + 1)
-            for q in range(min(d, total) + 1)
-            for mono in monomials_star_total(n_gens, q, total)
-            if mono.poly_degree >= m or mono.star_degree >= m
+            for mono in monomials_up_to_total(n_gens, max_total, d)
+            if mono.total_degree >= power
+            and (mono.poly_degree >= m or mono.star_degree >= m)
         ]
     )
 
@@ -371,20 +341,17 @@ def quantized_window_algebra(n_gens, d, max_total):
     """Q_X^(d) cut to total degree <= max_total, in PBW coordinates, as an
     associative TruncatedAlgebra (no bracket table)."""
     win = UWindow(n_gens, d, max_total)
+    every = dict.fromkeys(range(win.dim), 1)
     product = {}
-    for i, t1 in enumerate(win.tuples):
-        for j, t2 in enumerate(win.tuples):
-            if win.totals[i] + win.totals[j] > max_total:
-                continue
-            row = win.mono_mul(t1, t2)
-            if row:
-                product[(i, j)] = row
-    unit = win.index[()]
+    for i, j, _ in win._pairs(every, every):
+        row = win._row(i, j)
+        if row:
+            product[(i, j)] = row
     labels = ["*".join(repr(f) for f in t) or "1" for t in win.tuples]
     return TruncatedAlgebra(
-        dim=len(win.tuples),
+        dim=win.dim,
         labels=labels,
-        unit=unit,
+        unit=win.unit,
         product=product,
         validate=True,
     )

@@ -77,6 +77,12 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_zero_denominator_is_a_parse_error(capsys):
+    code, _, err = run_cli(capsys, "bracket", "-n", "2", "1/0", "x1")
+    assert code == 2
+    assert "zero denominator" in err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "ncembed", "-n", "2", "-d", "1", "13")
     assert code == 1

@@ -2,6 +2,7 @@ import io
 import json
 import re
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +21,9 @@ from poissonenv.filtration import (
     nil_poisson_filtration,
 )
 from poissonenv.freepoisson import monomials_star_total
-from poissonenv.linalg import Echelon, merge
+from poissonenv.linalg import Echelon, canonical, merge
 from poissonenv.quantize import (
+    UWindow,
     envelope_window_algebra,
     poisson_window_algebra,
     quantized_window_algebra,
@@ -710,3 +712,47 @@ def test_json_loads_ints_and_decimal_strings(coeff, value):
     assert alg.product[(1, 1)] == {1: value}
     # an int exactly when integral, otherwise a Fraction
     assert type(alg.product[(1, 1)][1]) is type(value)
+
+
+# -- the shared product of FiniteAlgebra ---------------------------------------
+
+_COEFFS = st.builds(
+    lambda n, d: canonical(Fraction(n, d)),
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from((1, 2, 3)),
+)
+
+
+@cache
+def _built(build, shape):
+    return build(*shape)
+
+
+def _vectors(data, dim):
+    vec = st.dictionaries(st.integers(0, dim - 1), _COEFFS, min_size=1, max_size=4)
+    return data.draw(vec), data.draw(vec)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+@pytest.mark.parametrize(
+    "build, shape",
+    [(quantized_window_algebra, (2, 2, 4)), (poisson_window_algebra, (2, 1, 3))],
+)
+def test_one_pass_commutator_is_the_two_pass_one(build, shape, data):
+    alg = _built(build, shape)
+    v, w = _vectors(data, alg.dim)
+    two_pass = merge(alg.mul(v, w), alg.mul(w, v).items(), -1)
+    assert alg.commutator(v, w) == two_pass
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+@pytest.mark.parametrize("shape", [(2, 1, 4), (2, 2, 4)])
+def test_window_and_its_table_algebra_multiply_alike(shape, data):
+    win = _built(UWindow, shape)
+    alg = _built(quantized_window_algebra, shape)
+    assert win.dim == alg.dim and win.unit == alg.unit
+    v, w = _vectors(data, alg.dim)
+    assert win.mul(v, w) == alg.mul(v, w)
+    assert win.commutator(v, w) == alg.commutator(v, w)

@@ -41,6 +41,13 @@ def test_parse_error_offset():
     assert err.value.position == 4  # end of input
 
 
+def test_parse_zero_denominator():
+    with pytest.raises(ParseError) as err:
+        parse("1/0", 2)
+    assert err.value.message == "zero denominator"
+    assert err.value.position == 2  # the denominator's offset
+
+
 def test_parse_unknown_generator():
     with pytest.raises(ParseError) as err:
         parse("x7", 2)

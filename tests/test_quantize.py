@@ -374,7 +374,7 @@ def _all_pairs_mul(win, v, w):
     for i, c1 in v.items():
         for j, c2 in w.items():
             if win.totals[i] + win.totals[j] <= win.max_total:
-                merge(out, win._row(i, j), c1 * c2)
+                merge(out, win._row(i, j).items(), c1 * c2)
     return out
 
 
@@ -383,8 +383,8 @@ def _all_pairs_commutator(win, v, w):
     for i, c1 in v.items():
         for j, c2 in w.items():
             if win.totals[i] + win.totals[j] <= win.max_total:
-                merge(out, win._row(i, j), c1 * c2)
-                merge(out, win._row(j, i), -c1 * c2)
+                merge(out, win._row(i, j).items(), c1 * c2)
+                merge(out, win._row(j, i).items(), -c1 * c2)
     return out
 
 
