@@ -252,10 +252,12 @@ def parse(src, n_gens, mode="poisson"):
     """Parse ``src`` into a PoissonElement (or TensorElement in tensor mode).
 
     Raises ParseError (with a byte offset) on bad syntax or unknown
-    generators.
+    generators, and ValueError on an unknown mode or ``n_gens < 1``.
     """
     if mode not in ("poisson", "tensor"):
         raise ValueError(f"unknown mode {mode!r}")
+    if n_gens < 1:
+        raise ValueError(f"need n_gens >= 1, got {n_gens}")
     return _Parser(src, n_gens, mode).parse()
 
 

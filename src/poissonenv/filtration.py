@@ -93,10 +93,11 @@ class FiniteAlgebra:
 
     A subclass sets ``dim`` and ``unit`` and gives ``_row(i, j)``, the
     coordinate dict of basis_i * basis_j (empty when it is 0).  It may
-    narrow ``_pairs`` to the index pairs whose row can be nonzero, and
-    ``generators`` to a smaller generating set.  The product, the
-    commutator and the ideal closure are built on these, once for every
-    subclass.
+    narrow ``_pairs`` to the index pairs whose row can be nonzero,
+    ``partners`` to the rows of a basis whose products with a given vector
+    can be nonzero, and ``generators`` to a smaller generating set.  The
+    product, the commutator, the ideal closure and ``filtration_chain`` are
+    built on these, once for every subclass.
     """
 
     def _pairs(self, v, w):
@@ -127,6 +128,12 @@ class FiniteAlgebra:
             if r:
                 merge(out, r.items(), -c12)
         return out
+
+    def partners(self, basis):
+        """Map from a vector v to the rows of ``basis`` whose product and
+        commutator with v can be nonzero, as a sublist in the order of
+        ``basis``: here every row, as nothing rules any out."""
+        return lambda v: basis
 
     def basis_vec(self, i):
         return {i: 1}
@@ -401,20 +408,22 @@ def filtration_chain(alg, pair_map):
     full = Echelon.spanning(alg.basis_vec(i) for i in range(alg.dim))
     pieces = [full]
     bases = [full.basis()]
+    partners = [alg.partners(bases[0])]
     gens = alg.generators()
     while pieces[-1].rank:
         n = len(pieces) - 1
-        # p = 0 is [x, F_n], which p = n repeats except at n = 0
+        # p = 0 is [x, F_n], which p = n repeats except at n = 0; a pair
+        # left out by ``partners`` is 0, which the filters drop anyway
         brackets = (
             pair_map(v, w)
             for p in range(max(n, 1))
             for v in (gens if p == 0 else bases[p])
-            for w in bases[n - p]
+            for w in partners[n - p](v)
         )
         new = alg.ideal_close(filter(None, brackets))
         for p in range(1, n + 1):
             for v in bases[p]:
-                for w in bases[n + 1 - p]:
+                for w in partners[n + 1 - p](v):
                     prod = alg.mul(v, w)
                     if prod:
                         new.add(prod)
@@ -423,6 +432,7 @@ def filtration_chain(alg, pair_map):
             break
         pieces.append(new)
         bases.append(new.basis())
+        partners.append(alg.partners(bases[-1]))
     return FiltrationChain(pieces)
 
 

@@ -15,6 +15,7 @@ computed chains restrict exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import pbw
@@ -125,9 +126,26 @@ class UWindow(FiniteAlgebra):
                 if totals[j] <= room:
                     yield i, j, c1 * c2
 
+    def partners(self, basis):
+        """Map from v to the rows of the Echelon basis ``basis`` whose
+        product and commutator with v can be nonzero: a prefix of ``basis``,
+        found by bisection.
+
+        The columns are ordered by total (``monomials_up_to_total``), so a
+        vector's smallest column carries its lowest total, and a product of
+        v and w is 0 when their lowest totals add up past ``max_total``.  An
+        Echelon basis is in pivot order, and a row's pivot is its smallest
+        column, so the lowest totals of ``basis`` never decrease: the rows
+        that fit beside v are a prefix, in the order of ``basis``.
+        """
+        totals = self.totals
+        lows = [totals[min(w)] for w in basis]
+        return lambda v: basis[: bisect_right(lows, self.max_total - totals[min(v)])]
+
     def generators(self):
-        """The letters x_1 .. x_n, which generate the algebra."""
-        return [{self.index[t]: 1} for t in self.letters]
+        """The letters x_1 .. x_n inside the window, which generate the
+        algebra; none when ``max_total`` is 0, as k needs none."""
+        return [{self.index[t]: 1} for t in self.letters if t in self.index]
 
     def filtration(self, levels):
         """Commutator filtration chain F_0 .. F_levels (list of Echelons).

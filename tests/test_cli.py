@@ -211,6 +211,29 @@ def test_graded_command(capsys):
     assert "n=1: graded_rank=3 envelope_rank=3 ok" in out
 
 
+def test_graded_command_at_total_zero(capsys):
+    code, out, _ = run_cli(capsys, "graded", "-n", "2", "-d", "0", "-N", "0")
+    assert code == 0
+    assert out == "n=0: graded_rank=1 envelope_rank=1 ok\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", "-n", "-1", "1", "1"],
+        ["bp", "-n", "-1", "-p", "0", "1", "1"],
+        ["e", "-n", "-1", "1"],
+        ["einv", "-n", "-1", "1"],
+        ["expand", "-n", "0", "x1"],
+    ],
+)
+def test_nonpositive_generator_count_is_a_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "need n_gens >= 1" in err
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "07-gap-counterexample")
     assert code == 0

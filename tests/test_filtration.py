@@ -15,6 +15,7 @@ from poissonenv.filtration import (
     chain_is_admissible,
     commutator_filtration,
     endo_contraction_check,
+    filtration_chain,
     exp_nilpotent_endo,
     hamiltonian_derivation,
     inner_derivation,
@@ -27,6 +28,7 @@ from poissonenv.quantize import (
     envelope_window_algebra,
     poisson_window_algebra,
     quantized_window_algebra,
+    u_window,
 )
 
 
@@ -210,6 +212,8 @@ REFERENCE_CASES = {
     "poisson-2-1-3": (lambda: poisson_window_algebra(2, 1, 3), False),
     "poisson-2-1-3-nil": (lambda: poisson_window_algebra(2, 1, 3), True),
     "envelope-x1x2-nil": (_quadric_envelope_algebra, True),
+    "window-2-2-5": (lambda: UWindow(2, 2, 5), False),
+    "window-3-1-4": (lambda: UWindow(3, 1, 4), False),
 }
 
 
@@ -756,3 +760,71 @@ def test_window_and_its_table_algebra_multiply_alike(shape, data):
     v, w = _vectors(data, alg.dim)
     assert win.mul(v, w) == alg.mul(v, w)
     assert win.commutator(v, w) == alg.commutator(v, w)
+
+
+# -- the partners index of filtration_chain -----------------------------------
+
+
+def _unindexed_chain(alg, pair_map):
+    """``filtration_chain`` with every row of F_q as a partner: the loop as it
+    was before ``partners``, kept as the reference for the indexed one."""
+    full = Echelon.spanning(alg.basis_vec(i) for i in range(alg.dim))
+    pieces = [full]
+    bases = [full.basis()]
+    gens = alg.generators()
+    while pieces[-1].rank:
+        n = len(pieces) - 1
+        brackets = (
+            pair_map(v, w)
+            for p in range(max(n, 1))
+            for v in (gens if p == 0 else bases[p])
+            for w in bases[n - p]
+        )
+        new = alg.ideal_close(filter(None, brackets))
+        for p in range(1, n + 1):
+            for v in bases[p]:
+                for w in bases[n + 1 - p]:
+                    prod = alg.mul(v, w)
+                    if prod:
+                        new.add(prod)
+        if new.rank == pieces[n].rank:
+            break
+        pieces.append(new)
+        bases.append(new.basis())
+    return pieces
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 6), (3, 1, 5)])
+def test_indexed_window_chain_has_the_unindexed_rows(shape):
+    # the index drops only pairs that give 0, so every Echelon sees the same
+    # rows in the same order: equal rows, pivots in the same insertion order
+    win = u_window(*shape)
+    got = filtration_chain(win, win.commutator).pieces
+    want = _unindexed_chain(win, win.commutator)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.rows == w.rows
+        assert list(g.rows) == list(w.rows)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+@pytest.mark.parametrize("shape", [(2, 2, 6), (3, 1, 5)])
+def test_pairs_left_out_by_partners_are_zero(shape, data):
+    win = _built(UWindow, shape)
+    # vectors above a random lowest total, so some pairs do not fit
+    low = st.integers(0, win.max_total)
+
+    def vector():
+        floor = data.draw(low)
+        cols = [i for i, t in enumerate(win.totals) if t >= floor]
+        vec = st.dictionaries(st.sampled_from(cols), _COEFFS, min_size=1, max_size=4)
+        return data.draw(vec)
+
+    basis = Echelon.spanning(vector() for _ in range(data.draw(st.integers(1, 6)))).basis()
+    v = vector()
+    kept = win.partners(basis)(v)
+    assert kept == basis[: len(kept)]
+    for w in basis[len(kept):]:
+        assert win.mul(v, w) == {} and win.mul(w, v) == {}
+        assert win.commutator(v, w) == {}

@@ -339,3 +339,27 @@ def test_first_star_component_is_half_the_bracket_on_random_elements(pair):
     half = Fraction(1, 2) * poisson_bracket(a, b)
     assert star_component(a, b, 1) == half
     assert star_components(a, b)[1] == half
+
+
+@settings(deadline=None, max_examples=40)
+@given(_triples())
+def test_poisson_bracket_is_a_derivation_on_random_elements(triple):
+    # {a, bc} = {a, b}c + b{a, c}
+    a, b, c = triple
+    want = multiply(poisson_bracket(a, b), c) + multiply(b, poisson_bracket(a, c))
+    assert poisson_bracket(a, multiply(b, c)) == want
+
+
+@st.composite
+def _tensors(draw):
+    """A random tensor element of 1-3 words of length 0..4 in 2-3 letters."""
+    n_gens = draw(st.sampled_from((2, 3)))
+    words = st.lists(st.integers(1, n_gens), max_size=4).map(tuple)
+    terms = draw(st.dictionaries(words, st.sampled_from(_COEFFS), min_size=1, max_size=3))
+    return TensorElement(terms)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_tensors())
+def test_e_of_e_inverse_is_the_identity_on_random_tensors(t):
+    assert symmetrize(e_inverse(t)) == t

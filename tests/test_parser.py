@@ -48,6 +48,15 @@ def test_parse_zero_denominator():
     assert err.value.position == 2  # the denominator's offset
 
 
+@pytest.mark.parametrize("mode", ["poisson", "tensor"])
+def test_parse_refuses_a_nonpositive_generator_count(mode):
+    # a domain error, not a syntax error: no ParseError and no offset
+    for n_gens in (0, -1):
+        with pytest.raises(ValueError, match="need n_gens >= 1") as info:
+            parse("1", n_gens, mode=mode)
+        assert not isinstance(info.value, ParseError)
+
+
 def test_parse_unknown_generator():
     with pytest.raises(ParseError) as err:
         parse("x7", 2)

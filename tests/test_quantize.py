@@ -422,3 +422,8 @@ def test_u_window_skips_only_pairs_that_cannot_fit(shape):
             assert list(got.items()) == list(want.items())
     assert skipped >= 20 and kept >= 20
     assert win.mul({}, {0: Fraction(1)}) == {} == win.commutator({0: Fraction(1)}, {})
+
+
+def test_u_window_at_total_zero_has_no_generators():
+    # the window is k alone: no letter lies inside it, and k needs none
+    assert UWindow(2, 0, 0).generators() == []
