@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from . import envelope as env
 from . import filtration as filt
 from . import quantize as qz
+from .exprparse import parse
 from .freelie import (
+    LieBasisElement,
     TensorElement,
     _tensor_vector,
     is_lyndon,
@@ -247,8 +249,6 @@ def check_star_associativity():
 
 
 def check_gap_counterexample():
-    from .freelie import LieBasisElement
-
     target = PoissonElement.zero()
     for w1, w2 in (((1, 3), (2, 4)), ((1, 2), (3, 4))):
         m = PoissonMonomial.of(
@@ -421,8 +421,6 @@ def check_graded_witness():
 
 
 def check_endomorphism_contraction():
-    from .exprparse import parse
-
     A = qz.poisson_window_algebra(2, 2, 5)
     chain = filt.nil_poisson_filtration(A)
     label_index = {lab: i for i, lab in enumerate(A.labels)}
@@ -477,8 +475,6 @@ def check_endomorphism_contraction():
 
 
 def _label_monomial(alg, i):
-    from .exprparse import parse
-
     label = alg.labels[i]
     p = parse(label, 2)
     (m, c) = next(iter(p.terms.items()))

@@ -15,6 +15,7 @@ from . import acceptance
 from .envelope import EnvelopePresentation, envelope_truncated, gap_witness
 from .exprparse import (
     ParseError,
+    _as_lie,
     format_poisson,
     format_tensor,
     parse,
@@ -27,7 +28,7 @@ from .filtration import (
     nil_poisson_filtration,
 )
 from .freelie import expand_to_tensor, lyndon_basis
-from .freepoisson import poisson_bracket, star_component, symmetrize
+from .freepoisson import e_inverse, poisson_bracket, star_component, symmetrize
 from .quantize import QuantizedAlgebra, graded_of_Q, nc_embed, truncated_product
 
 
@@ -67,8 +68,6 @@ def cmd_bracket(args):
 
 
 def cmd_expand(args):
-    from .exprparse import _as_lie
-
     a = _as_lie(parse(args.expr, args.n))
     if a is None:
         print("error: expression is not a Lie element", file=sys.stderr)
@@ -83,8 +82,6 @@ def cmd_e(args):
 
 
 def cmd_einv(args):
-    from .freepoisson import e_inverse
-
     _poisson_out(args, e_inverse(parse(args.expr, args.n, mode="tensor")))
     return 0
 

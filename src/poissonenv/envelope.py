@@ -14,15 +14,18 @@ count, the computation decomposes into finite (star, total) blocks, and the
 window ranks are exact.  For inhomogeneous relations the ideal span is
 generated up to a poly-degree slack and intersected with the window, which
 yields a lower bound on the ideal (so an upper bound on the quotient rank);
-pieces carry an ``exact`` flag either way.
+pieces carry an ``exact`` flag either way.  Every windowed span, the ideal's
+and the two-form relations' of ``p1_rank_check``, is cut to its window by
+the one carve ``_window_part``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from operator import attrgetter
 
-from .freelie import LieElement, generator
+from .freelie import LieElement, bracket_basis, generator
 from .freepoisson import (
     PoissonElement,
     PoissonMonomial,
@@ -30,6 +33,7 @@ from .freepoisson import (
     monomials_star_total,
     multiply,
     poisson_bracket,
+    sv_tuples,
 )
 from .linalg import Echelon, SparseMatrix, SparseVector, merge
 
@@ -127,6 +131,9 @@ def poisson_ideal_generators(pres, n):
     return gens
 
 
+_sort_key = attrgetter("sort_key")
+
+
 def _coords(element, index):
     out = {}
     for m, c in element.terms.items():
@@ -141,24 +148,9 @@ def _generators_up_to(pres, n):
     return {m: poisson_ideal_generators(pres, m) for m in range(n + 1)}
 
 
-def ideal_block(pres, n, total, gens_by_degree=None, window_poly=None):
-    """Echelon of the (star n, total letter count) block of <<I>>.
-
-    Only valid for homogeneous presentations, where the ideal is graded by
-    total degree.  Returns (block monomials, echelon over block indices).
-    When ``window_poly`` is given, columns of SV-degree above it are
-    eliminated first, so echelon rows pivoted inside the window span exactly
-    the intersection of the block with the window.
-    """
-    if gens_by_degree is None:
-        gens_by_degree = _generators_up_to(pres, n)
-    block = monomials_star_total(pres.n_gens, n, total)
-    order = {}
-    for i, m in enumerate(block):
-        inside = window_poly is None or m.poly_degree <= window_poly
-        order[i] = (1 if inside else 0, m.sort_key)
-    index = {m: i for i, m in enumerate(block)}
-    ech = Echelon(col_key=lambda c: order[c])
+def _block_products(pres, n, total, gens_by_degree):
+    """The nonzero products h * g spanning the (star n, total) block of
+    <<I>>: h a monomial, g an ideal generator of star degree <= n."""
     for m_deg, gens in gens_by_degree.items():
         if m_deg > n:
             continue
@@ -170,66 +162,74 @@ def ideal_block(pres, n, total, gens_by_degree=None, window_poly=None):
             for h in monomials_star_total(pres.n_gens, n - m_deg, h_total):
                 prod = multiply(PoissonElement.monomial(h), g)
                 if not prod.is_zero():
-                    ech.add(_coords(prod, index))
-    return block, ech
+                    yield prod
+
+
+def ideal_block(pres, n, total, gens_by_degree=None):
+    """Echelon of the (star n, total letter count) block of <<I>>.
+
+    Only valid for homogeneous presentations, where the ideal is graded by
+    total degree.  Returns (block monomials in ``sort_key`` order, echelon
+    over block indices).
+    """
+    if gens_by_degree is None:
+        gens_by_degree = _generators_up_to(pres, n)
+    block = sorted(monomials_star_total(pres.n_gens, n, total), key=_sort_key)
+    index = {m: i for i, m in enumerate(block)}
+    products = _block_products(pres, n, total, gens_by_degree)
+    return block, Echelon.spanning(_coords(prod, index) for prod in products)
+
+
+def _window_part(rows, inside, key):
+    """A basis of span(rows) intersected with the coordinate span of
+    ``inside``, in pivot order: the one carve of a windowed span.
+
+    ``rows`` are dicts over column labels.  The columns that occur are
+    numbered with the ones outside the window first, each side in ``key``
+    order, so elimination clears the outside columns first.  An echelon
+    row's other columns all sort after its pivot, so the rows pivoted
+    inside are exactly the rows supported inside.
+    """
+    rows = list(rows)
+    support = {c for row in rows for c in row}
+    cols = sorted(support, key=lambda c: (c in inside, key(c)))
+    index = {c: i for i, c in enumerate(cols)}
+    first = sum(1 for c in cols if c not in inside)
+    ech = Echelon.spanning({index[c]: v for c, v in row.items()} for row in rows)
+    pivots = [p for p in sorted(ech.rows) if p >= first]
+    return [{cols[i]: v for i, v in ech.rows[p].items()} for p in pivots]
 
 
 def _ideal_window_rows(pres, n):
     """Rows spanning <<I>> within the (star n, poly <= N) window.
 
     Returns (rows in window coordinates, window monomial list, exact flag).
+    For homogeneous relations the window is cut from the (star n, total)
+    blocks at its totals, exactly.  Otherwise the ideal is generated with a
+    poly-degree slack and carved to the window, a lower bound on the ideal.
     """
     window = monomials_star_maxpoly(pres.n_gens, n, pres.N)
     window_index = {m: i for i, m in enumerate(window)}
-    if not pres.relations:
-        return [], window, True
-
     gens_by_degree = _generators_up_to(pres, n)
-
     if pres.homogeneous:
-        rows = []
-        for total in range(n + 2 * n + pres.N + 1):
-            cols, ech = ideal_block(
-                pres, n, total, gens_by_degree, window_poly=pres.N
-            )
-            if not cols:
-                continue
-            for row in ech.basis():
-                mons = [cols[i] for i in row]
-                if all(m.poly_degree <= pres.N for m in mons):
-                    rows.append({window_index[cols[i]]: c for i, c in row.items()})
-        return rows, window, True
-
-    # Inhomogeneous relations: generate with poly-degree slack, then carve out
-    # the window part of the span.  The result is a lower bound on the ideal.
-    slack = pres.max_relation_degree
-    products = []
-    support = set(window)
-    for m_deg, gens in gens_by_degree.items():
-        for g in gens:
-            for h in monomials_star_maxpoly(
-                pres.n_gens, n - m_deg, pres.N + slack
-            ):
-                prod = multiply(PoissonElement.monomial(h), g)
-                if prod.is_zero():
-                    continue
-                products.append(prod)
-                support.update(prod.terms)
-    cols = sorted(support, key=lambda m: m.sort_key)
-    index = {m: i for i, m in enumerate(cols)}
-    order = {
-        i: (1 if m.poly_degree <= pres.N else 0, m.sort_key)
-        for i, m in enumerate(cols)
-    }
-    ech = Echelon(col_key=lambda c: order[c])
-    for prod in products:
-        ech.add(_coords(prod, index))
-    rows = []
-    for row in ech.basis():
-        mons = [cols[i] for i in row]
-        if all(m.poly_degree <= pres.N for m in mons):
-            rows.append({window_index[cols[i]]: c for i, c in row.items()})
-    return rows, window, False
+        totals = sorted({m.total_degree for m in window})
+        products = [
+            prod
+            for total in totals
+            for prod in _block_products(pres, n, total, gens_by_degree)
+        ]
+    else:
+        slack = pres.max_relation_degree
+        products = []
+        for m_deg, gens in gens_by_degree.items():
+            for g in gens:
+                for h in monomials_star_maxpoly(pres.n_gens, n - m_deg, pres.N + slack):
+                    prod = multiply(PoissonElement.monomial(h), g)
+                    if not prod.is_zero():
+                        products.append(prod)
+    part = _window_part((prod.terms for prod in products), window_index, _sort_key)
+    rows = [{window_index[m]: c for m, c in row.items()} for row in part]
+    return rows, window, pres.homogeneous
 
 
 def _quotient_piece(pres, n):
@@ -277,43 +277,30 @@ def p1_rank_check(pres):
 
     n = pres.n_gens
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    from .freepoisson import sv_tuples
-
-    cols = []
-    for deg in range(pres.N + 1):
-        for sv in sv_tuples(n, deg):
-            for pr in pairs:
-                cols.append((sv, pr))
-    index = {c: i for i, c in enumerate(cols)}
+    window = {
+        (sv, pr)
+        for deg in range(pres.N + 1)
+        for sv in sv_tuples(n, deg)
+        for pr in pairs
+    }
 
     def sv_key(m):
         return tuple(sorted(b.word[0] for b in m.factors))
 
     slack = 0 if pres.homogeneous else pres.max_relation_degree
-    support = set(cols)
     rows = []
     for f in pres.relations:
-        # I * Omega^2 rows: m * f * dx_i ^ dx_j
-        for deg in range(pres.N + slack + 1):
-            for sv in sv_tuples(n, deg):
-                m_el = PoissonElement.monomial(
-                    PoissonMonomial.of(tuple(generator(a) for a in sv))
-                )
-                mf = multiply(m_el, f)
-                for pr in pairs:
-                    row = {}
-                    for mono, c in mf.terms.items():
-                        key = (sv_key(mono), pr)
-                        support.add(key)
-                        row[key] = row.get(key, 0) + c
-                    rows.append(row)
-        # Omega^1 ^ dI rows: m * dx_k ^ df
         partials = {i: _sv_partial(f, i) for i in range(1, n + 1)}
         for deg in range(pres.N + slack + 1):
             for sv in sv_tuples(n, deg):
                 m_el = PoissonElement.monomial(
                     PoissonMonomial.of(tuple(generator(a) for a in sv))
                 )
+                # I * Omega^2 rows: m * f * dx_i ^ dx_j
+                mf = multiply(m_el, f)
+                for pr in pairs:
+                    rows.append({(sv_key(mono), pr): c for mono, c in mf.terms.items()})
+                # Omega^1 ^ dI rows: m * dx_k ^ df
                 for k in range(1, n + 1):
                     row = {}
                     for b in range(1, n + 1):
@@ -322,31 +309,12 @@ def p1_rank_check(pres):
                         coeff = multiply(m_el, partials[b])
                         sign = 1 if k < b else -1
                         pr = (k, b) if k < b else (b, k)
-                        for mono, c in coeff.terms.items():
-                            key = (sv_key(mono), pr)
-                            support.add(key)
-                            row[key] = row.get(key, 0) + sign * c
-                    if row:
-                        rows.append(row)
+                        terms = coeff.terms.items()
+                        merge(row, (((sv_key(mono), pr), c) for mono, c in terms), sign)
+                    rows.append(row)
 
-    all_cols = sorted(
-        support, key=lambda c: (len(c[0]), c[0], c[1])
-    )
-    col_index = {c: i for i, c in enumerate(all_cols)}
-    in_window = lambda c: len(c[0]) <= pres.N
-    order = {
-        i: (1 if in_window(c) else 0, len(c[0]), c[0], c[1])
-        for i, c in enumerate(all_cols)
-    }
-    ech = Echelon(col_key=lambda i: order[i])
-    for row in rows:
-        ech.add({col_index[c]: v for c, v in row.items()})
-    window_rows = 0
-    for row in ech.basis():
-        if all(in_window(all_cols[i]) for i in row):
-            window_rows += 1
-    omega2_rank = len(cols) - window_rows
-    return computed, omega2_rank
+    window_rows = _window_part(rows, window, lambda c: (len(c[0]), c[0], c[1]))
+    return computed, len(window) - len(window_rows)
 
 
 @dataclass(frozen=True)
@@ -384,8 +352,6 @@ def local_model_bracket(f, g):
     df = _de_rham(_as_poisson(f))
     dg = _de_rham(_as_poisson(g))
     out = {}
-    from .freelie import bracket_basis
-
     for (m1, leg1), c1 in df.items():
         for (m2, leg2), c2 in dg.items():
             br = bracket_basis(leg1, leg2)
@@ -457,8 +423,6 @@ def gap_witness(n_gens=4, indices=(1, 2, 3, 4)):
             return out
         left = naive_tree(tree[0])
         right = naive_tree(tree[1])
-        from .freelie import bracket_basis
-
         out = {}
         for leg1, c1 in left.items():
             for leg2, c2 in right.items():

@@ -159,9 +159,6 @@ class LieElement(Combination):
     def basis(cls, elt, coeff=1):
         return cls({elt: coeff})
 
-    def star_degrees(self):
-        return sorted({b.star_degree for b in self.terms})
-
     def __repr__(self):
         if not self.terms:
             return "0"

@@ -29,7 +29,7 @@ from math import factorial
 from operator import attrgetter
 
 from . import pbw
-from .freelie import TensorElement, bracket_basis, generator
+from .freelie import TensorElement, bracket_basis, generator, lyndon_basis_of_length
 from .linalg import ONE, Combination, merge
 
 
@@ -169,9 +169,6 @@ class PoissonElement(Combination):
 
     def sym_degrees(self):
         return sorted({m.sym_degree for m in self.terms})
-
-    def star_degrees(self):
-        return sorted({m.star_degree for m in self.terms})
 
     def max_star_degree(self):
         return max((m.star_degree for m in self.terms), default=0)
@@ -328,8 +325,6 @@ def sv_tuples(n_gens, degree):
 def plus_tuples(n_gens, star):
     """Multisets of positive-star Lyndon elements with star degrees summing
     to ``star``, as nondecreasing factor tuples."""
-    from .freelie import lyndon_basis_of_length
-
     if star == 0:
         return [()]
     pool = []

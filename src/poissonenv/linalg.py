@@ -5,8 +5,8 @@ owns how a sparse exact row is updated and eliminated: ``merge`` is the one
 add-and-drop-zero step, ``Combination`` the one base of the algebra
 elements, and ``Echelon`` the one elimination routine (rank, kernel and span
 solving feed their rows through it).  Elimination is deterministic: it
-always clears the smallest column of the row at hand, in the echelon's
-column order; there is no other pivot rule.  It runs on integers: ``Echelon``
+always clears the smallest column index of the row at hand; there is no
+other pivot rule and no column order to choose.  It runs on integers: ``Echelon``
 scales each row it is given to integers once, clears columns by integer
 cross-multiplication and keeps every pivot row as primitive integers beside
 its normalized form.  No floating point anywhere.
@@ -254,9 +254,6 @@ class SparseMatrix:
                 entries[(r, c)] = x
         return cls(len(vectors), dim, entries)
 
-    def row(self, r):
-        return {c: v for (i, c), v in self.entries.items() if i == r}
-
     def row_dicts(self):
         rows = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
@@ -295,16 +292,14 @@ class Echelon:
     ``contains`` or ``normal_form`` is scaled once by the lcm of its
     denominators, its zero entries dropped.  Results are stored
     coefficients, equal to those of Fraction elimination.  Elimination
-    always clears the smallest column of the row being reduced.
-    ``col_key`` optionally reorders columns (smaller key = eliminated
-    first), which is how subspace-with-coordinate-subspace intersections
-    are carved out.
+    always clears the smallest column index of the row being reduced; a
+    caller that wants other columns cleared first numbers them first (see
+    ``envelope._window_part``).
     """
 
-    def __init__(self, col_key=None):
+    def __init__(self):
         self.rows = {}  # pivot col -> row dict, pivot 1, stored coefficients
         self._ints = {}  # pivot col -> the same row, primitive ints, pivot > 0
-        self._key = col_key  # None: the columns' own order
 
     @classmethod
     def spanning(cls, rows):
@@ -328,12 +323,12 @@ class Echelon:
         the column left (None once the row is 0), the row and the product
         of the factors, so the residue is row / scale in units of the row
         that came in.  Subtracting a pivot row only introduces entries at
-        key-larger columns, so the sweep terminates.
+        larger columns, so the sweep terminates.
         """
-        ints, key = self._ints, self._key
+        ints = self._ints
         scale = 1
         while row:
-            col = min(row, key=key)
+            col = min(row)
             piv = ints.get(col)
             if piv is None:
                 return col, row, scale
@@ -391,7 +386,7 @@ class Echelon:
 
     def basis(self):
         """Current echelon rows, ordered by pivot column."""
-        return [dict(self.rows[c]) for c in sorted(self.rows, key=self._key)]
+        return [dict(self.rows[c]) for c in sorted(self.rows)]
 
 
 def int_row(row):

@@ -25,6 +25,7 @@ from .freelie import generator
 from .freepoisson import (
     PoissonElement,
     monomials_star_maxpoly,
+    monomials_star_total,
     monomials_up_to_total,
     multiply,
     poisson_bracket,
@@ -218,8 +219,12 @@ class FiltrationWindowReport:
 def commutator_filtration_Q(alg, n, N):
     """Compare F_n of the commutator filtration of Q_X^(d) with the span of
     the star degrees >= n, inside the (star <= d, poly <= N) window."""
+    if n < 0:
+        raise ValueError(f"need filtration level n >= 0, got {n}")
     if n > alg.d + 1:
         raise ValueError("filtration level exceeds d + 1")
+    if N < 0:
+        raise ValueError(f"need window N >= 0, got {N}")
     win = u_window(alg.n_gens, alg.d, N + 2 * alg.d)
     chain = win.filtration(n)
     window_span = win.poisson_span(win.window_monomials(N))
@@ -249,20 +254,17 @@ class GradedRankReport:
 def graded_of_Q(alg, N):
     """Ranks of F_n/F_{n+1} in the window against the graded envelope piece
     P_n (the graded-reconstruction witness for polynomial coordinates)."""
+    if N < 0:
+        raise ValueError(f"need window N >= 0, got {N}")
     win = u_window(alg.n_gens, alg.d, N + 2 * alg.d)
     chain = win.filtration(alg.d + 1)
-    window_span = win.poisson_span(win.window_monomials(N))
+    window = win.window_monomials(N)
+    window_span = win.poisson_span(window)
     out = []
     for n in range(alg.d + 1):
         r_n = _intersection_rank(chain[n], window_span)
         r_n1 = _intersection_rank(chain[n + 1], window_span)
-        p_n = win.poisson_span(
-            [
-                m
-                for m in win.window_monomials(N)
-                if m.star_degree == n
-            ]
-        ).rank
+        p_n = win.poisson_span([m for m in window if m.star_degree == n]).rank
         out.append(
             GradedRankReport(n=n, graded_rank=r_n - r_n1, envelope_rank=p_n)
         )
@@ -393,8 +395,11 @@ def envelope_window_algebra(pres, max_total):
             cols, ech = ideal_block(pres, q, total, gens)
             index = {m: i for i, m in enumerate(cols)}
             blocks[(q, total)] = (cols, index, ech)
-            pivots = set(ech.rows)
-            basis.extend(m for i, m in enumerate(cols) if i not in pivots)
+            basis.extend(
+                m
+                for m in monomials_star_total(pres.n_gens, q, total)
+                if index[m] not in ech.rows
+            )
     gindex = {m: i for i, m in enumerate(basis)}
 
     def reduce_element(element):

@@ -217,6 +217,14 @@ def test_graded_command_at_total_zero(capsys):
     assert out == "n=0: graded_rank=1 envelope_rank=1 ok\n"
 
 
+def test_graded_command_refuses_a_negative_window(capsys):
+    # an empty window would pass every rank comparison vacuously
+    code, out, err = run_cli(capsys, "graded", "-n", "2", "-d", "1", "-N", "-1")
+    assert code == 1
+    assert out == ""
+    assert "need window N >= 0, got -1" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonenv.envelope import (
     EnvelopePresentation,
     LocalModelElement,
+    _sv_partial,
+    _window_part,
     envelope_truncated,
     gap_witness,
     induced_hom,
@@ -18,9 +22,12 @@ from poissonenv.freepoisson import (
     PoissonElement,
     PoissonMonomial,
     monomials_star_maxpoly,
+    monomials_star_total,
     multiply,
     poisson_bracket,
+    sv_tuples,
 )
+from poissonenv.linalg import Echelon, SparseMatrix, SparseVector, merge, rank
 
 
 def gen(i):
@@ -200,3 +207,178 @@ def test_induced_hom_respects_brackets_random():
         lhs = induced_hom(images, poisson_bracket(a, b))
         rhs = poisson_bracket(induced_hom(images, a), induced_hom(images, b))
         assert lhs == rhs
+
+
+# -- the window carve ----------------------------------------------------
+
+_CARVE_COLS = 8
+_CARVE_ROWS = st.lists(
+    st.dictionaries(
+        st.integers(0, _CARVE_COLS - 1),
+        st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool),
+        max_size=5,
+    ),
+    max_size=8,
+)
+
+
+def _rank(rows, cols):
+    """Rank of ``rows`` restricted to the columns ``cols``."""
+    entries = {
+        (r, c): v for r, row in enumerate(rows) for c, v in row.items() if c in cols
+    }
+    return rank(SparseMatrix(len(rows), _CARVE_COLS, entries))
+
+
+@settings(deadline=None, max_examples=80)
+@given(rows=_CARVE_ROWS, inside=st.frozensets(st.integers(0, _CARVE_COLS - 1)))
+def test_window_part_is_the_windowed_span(rows, inside):
+    part = _window_part(rows, inside, lambda c: -c)
+    span = Echelon.spanning(rows)
+    for row in part:
+        assert row and set(row) <= inside
+        assert span.contains(row)
+    # dim(span ∩ inside) = rank(rows) - rank(rows cut to the outside columns)
+    everything = range(_CARVE_COLS)
+    outside = set(everything) - inside
+    assert len(part) == _rank(rows, everything) - _rank(rows, outside)
+    assert Echelon.spanning(part).rank == len(part)
+
+
+class _KeyEchelon:
+    """Fraction elimination that clears the smallest column under ``key``:
+    the column-ordered echelon the window carve used to run on."""
+
+    def __init__(self, key):
+        self.rows = {}
+        self.key = key
+
+    def add(self, row):
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            col = min(row, key=self.key)
+            piv = self.rows.get(col)
+            if piv is None:
+                pv = Fraction(row[col])
+                self.rows[col] = {c: v / pv for c, v in row.items()}
+                return
+            merge(row, piv.items(), -row[col])
+
+    def basis(self):
+        return [self.rows[c] for c in sorted(self.rows, key=self.key)]
+
+
+def _reference_carve(groups, inside, key):
+    """Each group of rows eliminated outside-first under ``key``, keeping
+    the basis rows whose every column lies inside."""
+    out = []
+    for rows in groups:
+        ech = _KeyEchelon(lambda c: (inside(c), key(c)))
+        for row in rows:
+            ech.add(row)
+        out.extend(row for row in ech.basis() if all(inside(c) for c in row))
+    return out
+
+
+def _reference_ideal_rows(pres, n):
+    """The windowed ideal rows, one column-ordered echelon per total block
+    up to 3n + N (homogeneous) or over the slack products (otherwise)."""
+    gens = {q: poisson_ideal_generators(pres, q) for q in range(n + 1)}
+    if pres.homogeneous:
+        groups = []
+        for total in range(3 * n + pres.N + 1):
+            groups.append([])
+            for q, gs in gens.items():
+                for g in gs:
+                    h_total = total - next(iter(g.terms)).total_degree
+                    if h_total < 0:
+                        continue
+                    for h in monomials_star_total(pres.n_gens, n - q, h_total):
+                        groups[-1].append(multiply(PoissonElement.monomial(h), g).terms)
+    else:
+        slack = pres.max_relation_degree
+        products = [
+            multiply(PoissonElement.monomial(h), g).terms
+            for q, gs in gens.items()
+            for g in gs
+            for h in monomials_star_maxpoly(pres.n_gens, n - q, pres.N + slack)
+        ]
+        groups = [products]
+    return _reference_carve(
+        groups, lambda m: m.poly_degree <= pres.N, lambda m: m.sort_key
+    )
+
+
+def _reference_omega2_rank(pres):
+    """Rank of windowed Omega^2 modulo I * Omega^2 and Omega^1 ^ dI, from two
+    separate row loops and a column-ordered echelon."""
+    n, N = pres.n_gens, pres.N
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    slack = 0 if pres.homogeneous else pres.max_relation_degree
+    multipliers = []
+    for deg in range(N + slack + 1):
+        for sv in sv_tuples(n, deg):
+            m = PoissonElement.one()
+            for a in sv:
+                m = multiply(m, gen(a))
+            multipliers.append(m)
+
+    def label(mono, pr):
+        return (tuple(sorted(b.word[0] for b in mono.factors)), pr)
+
+    rows = []
+    for f in pres.relations:
+        for m in multipliers:
+            for pr in pairs:
+                mf = multiply(m, f).terms
+                rows.append({label(mono, pr): c for mono, c in mf.items()})
+        for m in multipliers:
+            for k in range(1, n + 1):
+                row = {}
+                for b in range(1, n + 1):
+                    if b != k:
+                        df = _sv_partial(f, b)
+                        pr, sign = ((k, b), 1) if k < b else ((b, k), -1)
+                        for mono, c in multiply(m, df).terms.items():
+                            merge(row, [(label(mono, pr), sign * c)])
+                rows.append(row)
+    window = [sv for deg in range(N + 1) for sv in sv_tuples(n, deg)]
+    kept = _reference_carve(
+        [rows], lambda c: len(c[0]) <= N, lambda c: (len(c[0]), c[0], c[1])
+    )
+    return len(window) * len(pairs) - len(kept)
+
+
+_CARVE_PRESENTATIONS = {
+    "x1^2": (1, lambda: (sq(1),), 1, 3),
+    "x1^2-1": (1, lambda: (sq(1) - PoissonElement.one(),), 1, 2),
+    "x1x2": (2, lambda: (multiply(gen(1), gen(2)),), 2, 3),
+    "x1^2,x1x2": (2, lambda: (sq(1), multiply(gen(1), gen(2))), 1, 3),
+    "x1^2-x2": (2, lambda: (sq(1) - gen(2),), 1, 3),
+    "x1x2-1": (2, lambda: (multiply(gen(1), gen(2)) - PoissonElement.one(),), 2, 2),
+    "x1x2-x3^2": (3, lambda: (multiply(gen(1), gen(2)) - sq(3),), 2, 2),
+    "x1^2,x2x3": (3, lambda: (sq(1), multiply(gen(2), gen(3))), 1, 3),
+    "x1x2-x3": (3, lambda: (multiply(gen(1), gen(2)) - gen(3),), 1, 2),
+}
+
+
+@pytest.mark.parametrize("name", _CARVE_PRESENTATIONS)
+def test_envelope_matches_column_ordered_carve(name):
+    n_gens, relations, d, N = _CARVE_PRESENTATIONS[name]
+    pres = EnvelopePresentation(n_gens, relations(), d, N)
+    for piece in envelope_truncated(pres):
+        dim = len(piece.ambient_basis)
+        index = {m: i for i, m in enumerate(piece.ambient_basis)}
+        rows = [
+            SparseVector(dim, {index[m]: c for m, c in row.items()})
+            for row in _reference_ideal_rows(pres, piece.star_degree)
+        ]
+        assert piece.ideal_span == (
+            SparseMatrix.from_rows(rows) if rows else SparseMatrix(0, dim)
+        )
+        assert piece.quotient_rank == dim - len(rows)
+        assert piece.exact == pres.homogeneous
+    assert p1_rank_check(pres) == (
+        envelope_truncated(pres)[1].quotient_rank,
+        _reference_omega2_rank(pres),
+    )

@@ -427,3 +427,16 @@ def test_u_window_skips_only_pairs_that_cannot_fit(shape):
 def test_u_window_at_total_zero_has_no_generators():
     # the window is k alone: no letter lies inside it, and k needs none
     assert UWindow(2, 0, 0).generators() == []
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda alg: graded_of_Q(alg, -1), "window N >= 0, got -1"),
+        (lambda alg: commutator_filtration_Q(alg, 1, -1), "window N >= 0, got -1"),
+        (lambda alg: commutator_filtration_Q(alg, -1, 1), "level n >= 0, got -1"),
+    ],
+)
+def test_negative_window_or_level_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(QuantizedAlgebra(2, 1))
