@@ -91,9 +91,10 @@ def clear_caches():
     """Empty every module-level memo table, to bound a long-lived process.
 
     The tables only memoize pure functions, and interned Lie basis elements
-    and Poisson monomials compare by value, so later results are unchanged;
-    they are recomputed cold.  Each table is emptied in place, so code that
-    holds a reference to one keeps working.
+    and Poisson monomials compare and hash by value, so instances built
+    before and after the call mix freely and results are unchanged; they are
+    recomputed cold.  Each table is emptied in place, so code that holds a
+    reference to one keeps working.
     """
     for table in _MEMO_TABLES:
         table.clear()

@@ -12,6 +12,9 @@ Algebras*, 1993, ch. 4-5), which never leaves the basis.  The tensor algebra
 gives the independent reference: ``rewrite_in_basis`` expands into words and
 solves an exact linear system against the expanded Lyndon basis of the
 matching word length.
+
+Basis elements are interned by word and are tuples of their letters, so a
+tuple of them hashes in C; equality stays by value.
 """
 
 from __future__ import annotations
@@ -42,21 +45,22 @@ def _standard_factorization(word):
     raise ValueError(f"{word} has no standard factorization")
 
 
-class LieBasisElement:
+class LieBasisElement(tuple):
     """A Lyndon word together with its standard bracketing.
 
-    ``left`` and ``right`` are the basis elements of the standard
-    factorization (both None for a letter).  ``bracketing`` is the same tree
-    as nested words: a bare int for a letter, or a pair ``(left, right)`` of
-    sub-bracketings.  Instances are immutable by convention and interned by
-    word, so equality and hashing are cheap.
+    The element is the tuple of its word's letters, so it hashes in C, to
+    ``hash(word)``.  Equality is by value and type-strict: an element never
+    equals its plain word tuple, which ``word`` holds.  ``left`` and
+    ``right`` are the basis elements of the standard factorization (both
+    None for a letter).  ``bracketing`` is the same tree as nested words: a
+    bare int for a letter, or a pair ``(left, right)`` of sub-bracketings.
+    Instances are immutable by convention and interned by word.
     """
 
-    __slots__ = (
-        "word", "left", "right", "bracketing", "star_degree", "sort_key", "_hash"
-    )
+    __hash__ = tuple.__hash__
 
-    def __init__(self, word, left=None, right=None):
+    def __new__(cls, word, left=None, right=None):
+        self = tuple.__new__(cls, word)
         self.word = word
         self.left = left
         self.right = right
@@ -66,7 +70,7 @@ class LieBasisElement:
             self.bracketing = (left.bracketing, right.bracketing)
         self.star_degree = len(word) - 1
         self.sort_key = (len(word), word)
-        self._hash = hash(word)
+        return self
 
     @classmethod
     def from_word(cls, word):
@@ -83,13 +87,11 @@ class LieBasisElement:
             _ELEMENT_CACHE[word] = elt
         return elt
 
-    def __hash__(self):
-        return self._hash
-
     def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, LieBasisElement) and self.word == other.word
+        return type(other) is LieBasisElement and tuple.__eq__(self, other)
+
+    def __ne__(self, other):  # tuple.__ne__ would match the plain word
+        return not self == other
 
     def __repr__(self):
         if len(self.word) == 1:

@@ -14,8 +14,8 @@ the Poisson bracket.
 
 B is computed in PBW coordinates, one monomial pair at a time, on ints:
 k! e(m) of each k-factor monomial comes from the int table ``pbw.sym_table``,
-the product is the sum of c1 c2 ``pbw.normal(t1 + t2)`` over the terms of
-the two tables, an int vector that is k1! k2! e(m1) e(m2), and one
+the product is the sum of c1 c2 ``pbw.normal_table(t1 + t2)`` over the
+terms of the two tables, an int vector that is k1! k2! e(m1) e(m2), and one
 triangular peel ``pbw.e_inverse_pbw`` over the scale k1! k2! maps it back.
 Only the peel's results are divided by its scale.
 ``symmetrize`` and ``e_inverse`` are e and e^{-1} through the word basis of
@@ -71,7 +71,7 @@ class PoissonMonomial:
             self.total_degree,
             tuple(f.sort_key for f in factors),
         )
-        self._hash = hash(tuple(f.word for f in factors))
+        self._hash = hash(factors)
 
     @classmethod
     def of(cls, factors):
@@ -249,7 +249,7 @@ def _star_monomials(m1, m2):
         prod = {}
         for t1, c1 in pbw.sym_table(f1).items():
             for t2, c2 in e2:
-                merge(prod, pbw.normal(t1 + t2).items(), c1 * c2)
+                merge(prod, pbw.normal_table(t1 + t2).items(), c1 * c2)
         scale = factorial(len(f1)) * factorial(len(f2))
         hit = {
             PoissonMonomial.of(t): c

@@ -2,12 +2,14 @@
 
 The tensor algebra has a second useful basis besides words: concatenation
 products l_1 l_2 ... l_k of Lyndon basis elements with nondecreasing
-(word length, word) keys.  ``normal`` rewrites any product into that basis by
-the straightening rule
+(word length, word) keys.  ``normal_table`` rewrites any product into that
+basis by the straightening rule
 
     l_i l_j  =  l_j l_i + [l_i, l_j]        (when l_i > l_j)
 
 where the bracket term has one factor fewer, so the rewriting terminates.
+It returns its memo entry, which callers only read; ``normal`` is the
+public form and returns a fresh copy.
 
 Symmetrization e and its inverse live here too.  e of a k-factor monomial
 in PBW coordinates is the sorted product plus terms with fewer factors, so e
@@ -19,9 +21,9 @@ one common integer scale from the top: it records the terms of maximal
 factor count divided by the scale, multiplies the vector and the scale by
 k!, subtracts the top terms' tables, which cancels them exactly, and
 repeats on the strictly shorter rest.  ``e_inverse_word`` is that peel
-applied to ``word_to_pbw(word)``, and the star product in ``freepoisson``
-applies it to a product of two ``sym_table`` vectors over the scale
-k1! k2!.
+applied to the straightened letters of the word, and the star product in
+``freepoisson`` applies it to a product of two ``sym_table`` vectors over
+the scale k1! k2!.
 
 ``symmetrize_factors`` computes e in the word basis straight from its
 definition, the average over factor orders.  Together with
@@ -46,35 +48,33 @@ from .linalg import canonical, int_row, merge, quotient
 _NORMAL_CACHE = {}
 
 
-def normal(factors):
-    """PBW normal form of a concatenation product of basis elements.
-
-    Returns a dict mapping nondecreasing factor tuples to coefficients.
-    """
-    factors = tuple(factors)
+def normal_table(factors):
+    """PBW normal form of a tuple of basis elements (memoized): the memo
+    entry itself, which callers read and never modify, as ``sym_table``'s."""
     hit = _NORMAL_CACHE.get(factors)
-    if hit is not None:
-        return dict(hit)
-    swap_at = None
-    for i in range(len(factors) - 1):
-        if factors[i].sort_key > factors[i + 1].sort_key:
-            swap_at = i
-            break
-    if swap_at is None:
-        out = {factors: 1}
-    else:
-        i = swap_at
-        swapped = factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2 :]
-        out = dict(normal(swapped))
-        for b, c in bracket_basis(factors[i], factors[i + 1]).terms.items():
-            merge(out, normal(factors[:i] + (b,) + factors[i + 2 :]).items(), c)
-    _NORMAL_CACHE[factors] = out
-    return dict(out)
+    if hit is None:
+        swap_at = None
+        for i in range(len(factors) - 1):
+            if factors[i].sort_key > factors[i + 1].sort_key:
+                swap_at = i
+                break
+        if swap_at is None:
+            hit = {factors: 1}
+        else:
+            i = swap_at
+            swapped = factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2 :]
+            hit = dict(normal_table(swapped))
+            for b, c in bracket_basis(factors[i], factors[i + 1]).terms.items():
+                rest = normal_table(factors[:i] + (b,) + factors[i + 2 :])
+                merge(hit, rest.items(), c)
+        _NORMAL_CACHE[factors] = hit
+    return hit
 
 
-def word_to_pbw(word):
-    """A word, seen as a product of letter factors, in PBW normal form."""
-    return normal(tuple(generator(i) for i in word))
+def normal(factors):
+    """PBW normal form of a concatenation product of basis elements, as a
+    fresh dict mapping nondecreasing factor tuples to coefficients."""
+    return dict(normal_table(tuple(factors)))
 
 
 def pbw_to_tensor(factors):
@@ -145,10 +145,10 @@ def sym_table(factors):
 
         k! e(m) = sum_f mult_f f ((k-1)! e(m/f)),
 
-    and ``normal`` has integer coefficients, so every entry is an int.  The
-    recursion is the definitional average over all orders, grouped by which
-    factor comes first.  The table is the memo entry itself: callers read it
-    and never modify it.
+    and ``normal_table`` has integer coefficients, so every entry is an int.
+    The recursion is the definitional average over all orders, grouped by
+    which factor comes first.  The table is the memo entry itself: callers
+    read it and never modify it.
     """
     hit = _SYM_PBW_CACHE.get(factors)
     if hit is None:
@@ -165,7 +165,7 @@ def sym_table(factors):
                     j += 1
                 rest = sym_table(factors[:i] + factors[i + 1 :])
                 for t, c in rest.items():
-                    merge(hit, normal((f,) + t).items(), (j - i) * c)
+                    merge(hit, normal_table((f,) + t).items(), (j - i) * c)
                 i = j
         _SYM_PBW_CACHE[factors] = hit
     return hit
@@ -232,6 +232,6 @@ def e_inverse_word(word):
     word = tuple(word)
     hit = _EINV_WORD_CACHE.get(word)
     if hit is None:
-        hit = e_inverse_pbw(word_to_pbw(word))
+        hit = e_inverse_pbw(normal_table(tuple(generator(i) for i in word)))
         _EINV_WORD_CACHE[word] = hit
     return dict(hit)

@@ -99,7 +99,7 @@ class UWindow(FiniteAlgebra):
 
     def mono_mul(self, t1, t2):
         out = {}
-        for t, c in pbw.normal(t1 + t2).items():
+        for t, c in pbw.normal_table(t1 + t2).items():
             if _tuple_star(t) <= self.d:
                 out[self.index[t]] = c
         return out
@@ -383,6 +383,7 @@ def envelope_window_algebra(pres, max_total):
 
     Basis vectors are the non-pivot monomials of the windowed ideal blocks;
     products and brackets are computed in SLV and reduced to normal form.
+    The zero algebra has no unit, so a whole-window ideal is a ValueError.
     """
     if not pres.homogeneous:
         raise ValueError("window algebra needs a homogeneous presentation")
@@ -400,6 +401,12 @@ def envelope_window_algebra(pres, max_total):
                 for m in monomials_star_total(pres.n_gens, q, total)
                 if index[m] not in ech.rows
             )
+    unit = next((m for m in basis if m.total_degree == 0), None)
+    if unit is None:
+        raise ValueError(
+            "the relations generate the whole window, so the window algebra"
+            " is zero and has no unit"
+        )
     gindex = {m: i for i, m in enumerate(basis)}
 
     def reduce_element(element):
@@ -427,7 +434,7 @@ def envelope_window_algebra(pres, max_total):
     return TruncatedAlgebra(
         dim=len(basis),
         labels=[repr(m) for m in basis],
-        unit=gindex[next(m for m in basis if m.total_degree == 0)],
+        unit=gindex[unit],
         product=product,
         bracket=bracket,
         validate=True,

@@ -95,6 +95,31 @@ def test_products_survive_emptying_the_intern_tables(a, b):
             assert format_poisson(got) == format_poisson(want)
 
 
+def test_basis_elements_are_values_across_clear_caches():
+    w = (1, 1, 2)
+    before = freelie.LieBasisElement.from_word(w)
+    x1 = freelie.generator(1)
+    t = (x1, before)
+    memo = {t: "entry"}
+    poissonenv.clear_caches()
+    after = freelie.LieBasisElement.from_word(w)
+    assert after is not before
+    assert after == before and not after != before
+    assert hash(before) == hash(after) == hash(w)
+    assert memo[(freelie.generator(1), after)] == "entry"
+    # never equal to the plain word, from either side
+    assert before != w and w != before
+    assert not before == w and not w == before
+    assert {w: "word", before: "element"}[after] == "element"
+
+    backward = (after, freelie.generator(1))
+    table = pbw.normal_table(backward)
+    assert pbw.normal_table(backward) is table
+    fresh = pbw.normal(backward)
+    assert fresh == table and fresh is not table
+    assert pbw.normal(list(backward)) is not fresh
+
+
 _TABLES = [
     (freelie, "_ELEMENT_CACHE"),
     (freelie, "_BASIS_CACHE"),

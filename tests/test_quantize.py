@@ -226,6 +226,16 @@ def test_envelope_window_algebra_quotient():
     assert A.bracket is not None
 
 
+def test_envelope_window_algebra_of_the_whole_window_is_refused():
+    from poissonenv.envelope import EnvelopePresentation, envelope_truncated
+    from poissonenv.quantize import envelope_window_algebra
+
+    pres = EnvelopePresentation(2, (PoissonElement.one(),), 1, 2)
+    assert [p.quotient_rank for p in envelope_truncated(pres)] == [0, 0]
+    with pytest.raises(ValueError, match="generate the whole window"):
+        envelope_window_algebra(pres, 3)
+
+
 def test_unit_edge_cases():
     from poissonenv.freepoisson import e_inverse, symmetrize
     from poissonenv.freelie import TensorElement
