@@ -165,15 +165,15 @@ def _block_products(pres, n, total, gens_by_degree):
                     yield prod
 
 
-def ideal_block(pres, n, total, gens_by_degree=None):
-    """Echelon of the (star n, total letter count) block of <<I>>.
+def ideal_block(pres, n, total, gens_by_degree):
+    """Echelon of the (star n, total letter count) block of <<I>>, spanned
+    by products with the ideal generators ``gens_by_degree`` (star degree ->
+    generators, as ``_generators_up_to(pres, m)`` gives for an m >= n).
 
     Only valid for homogeneous presentations, where the ideal is graded by
     total degree.  Returns (block monomials in ``sort_key`` order, echelon
     over block indices).
     """
-    if gens_by_degree is None:
-        gens_by_degree = _generators_up_to(pres, n)
     block = sorted(monomials_star_total(pres.n_gens, n, total), key=_sort_key)
     index = {m: i for i, m in enumerate(block)}
     products = _block_products(pres, n, total, gens_by_degree)

@@ -174,7 +174,7 @@ class TruncatedAlgebra(FiniteAlgebra):
     failing one of the full O(dim^3) loop.
     """
 
-    def __init__(self, dim, labels, unit, product, bracket=None, validate=True):
+    def __init__(self, dim, labels, unit, product, bracket=None):
         self.dim = dim
         self.labels = list(labels)
         self.unit = unit
@@ -182,10 +182,9 @@ class TruncatedAlgebra(FiniteAlgebra):
         self.bracket = None if bracket is None else _nonzero("bracket", bracket)
         if len(self.labels) != dim:
             raise ValueError("label count must match dim")
-        if validate:
-            # indices are checked on the tables as given, zero entries included
-            self._check_indices(product, bracket)
-            self._validate()
+        # indices are checked on the tables as given, zero entries included
+        self._check_indices(product, bracket)
+        self._validate()
 
     # -- arithmetic on coordinate dicts ------------------------------------
     def _row(self, i, j):
@@ -297,7 +296,7 @@ class TruncatedAlgebra(FiniteAlgebra):
         return out
 
     @classmethod
-    def from_json_dict(cls, data, validate=True):
+    def from_json_dict(cls, data):
         if not isinstance(data, dict):
             raise ValueError(f"algebra data is a {type(data).__name__}, not an object")
         for field in ("dim", "labels", "unit", "product"):
@@ -340,15 +339,14 @@ class TruncatedAlgebra(FiniteAlgebra):
             unit=data["unit"],
             product=table("product", data["product"]),
             bracket=None if bracket is None else table("bracket", bracket),
-            validate=validate,
         )
 
     def dump(self, fp):
         json.dump(self.to_json_dict(), fp, indent=1)
 
     @classmethod
-    def load(cls, fp, validate=True):
-        return cls.from_json_dict(json.load(fp), validate=validate)
+    def load(cls, fp):
+        return cls.from_json_dict(json.load(fp))
 
 
 @dataclass
@@ -478,48 +476,36 @@ def associated_graded(alg, chain):
     """
     if not chain.stable_is_zero:
         raise ValueError("associated graded needs a chain that reaches zero")
-    reps = []  # list per grade of coordinate dicts
+    # grade n holds the rows of F_n's echelon basis independent mod F_{n+1};
+    # its representatives are flat[offsets[n]:offsets[n + 1]]
+    labels, grade_of, flat, offsets = [], [], [], []
     for n in range(chain.length):
         ech = Echelon.spanning(chain[n + 1].basis())
-        grade = []
+        offsets.append(len(flat))
         for row in chain[n].basis():
             if ech.add(row):
-                grade.append(row)
-        reps.append(grade)
-
-    labels = []
-    grade_of = []
-    flat = []
-    for n, grade in enumerate(reps):
-        for k, row in enumerate(grade):
-            labels.append(f"g{n}.{k}")
-            grade_of.append(n)
-            flat.append(row)
+                labels.append(f"g{n}.{len(flat) - offsets[n]}")
+                grade_of.append(n)
+                flat.append(row)
+    offsets.append(len(flat))
     dim = len(flat)
-
-    def as_vec(row):
-        return SparseVector(alg.dim, row)
-
-    solvers = {}
+    # the chain reaches 0, so the representatives of all grades are a basis
+    # of F_0, and those of grades >= g a basis of F_g
+    solver = SpanSolver([SparseVector(alg.dim, row) for row in flat])
 
     def project(vec, grade):
-        """Coordinates of ``vec`` on the grade representatives mod F_{grade+1}."""
+        """Coordinates of ``vec`` on the grade representatives mod F_{grade+1}:
+        ``vec`` lies in F_grade exactly when its coordinates below the grade
+        vanish."""
         if not vec:
             return {}
         if grade >= chain.length:  # F_grade = 0 and vec != 0
             raise ValueError("chain is not multiplicative")
-        if grade not in solvers:
-            tail = chain[grade + 1].basis()
-            solvers[grade] = (
-                SpanSolver([as_vec(r) for r in reps[grade] + tail]),
-                len(reps[grade]),
-            )
-        solver, n_reps = solvers[grade]
-        coeffs = solver.solve(as_vec(vec))
-        if coeffs is None:
+        coeffs = solver.solve(SparseVector(alg.dim, vec))
+        start, stop = offsets[grade], offsets[grade + 1]
+        if coeffs is None or any(coeffs[:start]):
             raise ValueError("vector not inside its filtration grade")
-        offset = sum(len(g) for g in reps[:grade])
-        return {offset + k: c for k, c in enumerate(coeffs[:n_reps]) if c}
+        return {k: coeffs[k] for k in range(start, stop) if coeffs[k]}
 
     product = {}
     bracket = {}
@@ -545,7 +531,6 @@ def associated_graded(alg, chain):
         unit=unit,
         product=product,
         bracket=bracket,
-        validate=True,
     )
 
 
@@ -610,9 +595,10 @@ def endo_contraction_check(alg, f, chain, use_bracket=True):
     Checks, in order: f is a unital multiplicative (and bracket-preserving,
     for the Poisson variant) endomorphism; f == id modulo F_1; the
     difference D = f - id satisfies
-        D{p,q} = {Dp,q} + {p,Dq} - {Dp,Dq}
-        D(pq)  = p Dq + q Dp - Dp Dq
-    on all basis pairs; D(F_n) <= F_{n+1} for every computed degree; hence f
+        D{p,q} = {Dp,q} + {p,Dq} + {Dp,Dq}
+        D(pq)  = (Dp) q + p (Dq) + (Dp)(Dq)
+    on all basis pairs (f{p,q} = {fp,fq} and f(pq) = f(p) f(q) with
+    f = id + D); D(F_n) <= F_{n+1} for every computed degree; hence f
     restricts to the identity on the last nonzero piece.
     """
     pair = alg.brk if use_bracket else alg.commutator
@@ -652,14 +638,14 @@ def endo_contraction_check(alg, f, chain, use_bracket=True):
             lhs = dict(D(pair(vi, vj)))
             merge(lhs, pair(dvi, vj).items(), -1)
             merge(lhs, pair(vi, dvj).items(), -1)
-            merge(lhs, pair(dvi, dvj).items())
+            merge(lhs, pair(dvi, dvj).items(), -1)
             if lhs:
                 identities = False
                 break
             lhs = dict(D(alg.mul(vi, vj)))
+            merge(lhs, alg.mul(dvi, vj).items(), -1)
             merge(lhs, alg.mul(vi, dvj).items(), -1)
-            merge(lhs, alg.mul(vj, dvi).items(), -1)
-            merge(lhs, alg.mul(dvi, dvj).items())
+            merge(lhs, alg.mul(dvi, dvj).items(), -1)
             if lhs:
                 identities = False
                 break

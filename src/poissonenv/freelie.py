@@ -144,12 +144,9 @@ class TensorElement(Combination):
         )
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            bits.append(f"{self.terms[w]}*{''.join(map(str, w)) or '1'}")
-        return " + ".join(bits)
+        from .exprparse import format_tensor
+
+        return format_tensor(self)
 
 
 class LieElement(Combination):
@@ -162,12 +159,12 @@ class LieElement(Combination):
         return cls({elt: coeff})
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for b in sorted(self.terms, key=lambda b: b.sort_key):
-            bits.append(f"{self.terms[b]}*{b!r}")
-        return " + ".join(bits)
+        from .exprparse import _format_terms
+
+        return _format_terms(
+            (self.terms[b], [repr(b)])
+            for b in sorted(self.terms, key=lambda b: b.sort_key)
+        )
 
 
 def lyndon_words(n_gens, max_len):

@@ -174,12 +174,9 @@ class PoissonElement(Combination):
         return max((m.star_degree for m in self.terms), default=0)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for m in sorted(self.terms, key=lambda m: m.sort_key):
-            bits.append(f"{self.terms[m]}*{m!r}")
-        return " + ".join(bits)
+        from .exprparse import format_poisson
+
+        return format_poisson(self)
 
 
 def multiply(a, b):
@@ -281,21 +278,20 @@ def star_components(a, b):
     sym degree of ``a`` and one of ``b`` (empty if either is zero); B_p is
     zero past that.
 
-    One star product per pair of sym-homogeneous components of the inputs,
-    summed per sym-degree sum s; a term of sym degree s - p belongs to B_p.
-    Different sums put a monomial into different B_p, so the pieces are
-    disjoint.
+    One pass over the monomial pairs: the terms of each pair's star table
+    ``_star_monomials(m1, m2)`` are summed per sym-degree sum s = sym m1 +
+    sym m2, and a term m of sum s belongs to B_p with p = s - sym m.  Only
+    one sum reaches a given (m, p), so the pieces are disjoint.
     """
-    degs_a, degs_b = a.sym_degrees(), b.sym_degrees()
-    if not degs_a or not degs_b:
+    if not a.terms or not b.terms:
         return {}
     by_sum = {}
-    for pa in degs_a:
-        part_a = a.sym_part(pa)
-        for pb in degs_b:
-            full = star_product(part_a, b.sym_part(pb))
-            merge(by_sum.setdefault(pa + pb, {}), full.terms.items())
-    out = {p: {} for p in range(degs_a[-1] + degs_b[-1] + 1)}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            s = m1.sym_degree + m2.sym_degree
+            merge(by_sum.setdefault(s, {}), _star_monomials(m1, m2).items(), c1 * c2)
+    top = a.sym_degrees()[-1] + b.sym_degrees()[-1]
+    out = {p: {} for p in range(top + 1)}
     for s, terms in by_sum.items():
         for m, c in terms.items():
             out[s - m.sym_degree][m] = c

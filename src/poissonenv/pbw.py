@@ -34,6 +34,7 @@ star product is tested against.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations
 from math import factorial, gcd
 
 from .freelie import (
@@ -84,35 +85,6 @@ def pbw_to_tensor(factors):
     return out
 
 
-def multiset_permutations(items):
-    """Distinct permutations of a sequence of (hashable, orderable-key) items."""
-    items = sorted(items, key=lambda f: f.sort_key)
-    distinct = []
-    counts = []
-    for it in items:
-        if distinct and distinct[-1] == it:
-            counts[-1] += 1
-        else:
-            distinct.append(it)
-            counts.append(1)
-    n = len(items)
-    acc = []
-
-    def rec(remaining):
-        if remaining == 0:
-            yield tuple(acc)
-            return
-        for idx in range(len(distinct)):
-            if counts[idx]:
-                counts[idx] -= 1
-                acc.append(distinct[idx])
-                yield from rec(remaining - 1)
-                acc.pop()
-                counts[idx] += 1
-
-    yield from rec(n)
-
-
 def symmetrize_factors(factors):
     """e(l_1 ... l_k): average the concatenations over all factor orders."""
     factors = tuple(factors)
@@ -127,7 +99,7 @@ def symmetrize_factors(factors):
         mult *= factorial(m)
     weight = canonical(Fraction(mult, factorial(k)))
     out = {}
-    for perm in multiset_permutations(factors):
+    for perm in sorted(set(permutations(factors))):
         merge(out, pbw_to_tensor(perm).terms.items(), weight)
     return TensorElement._of(out)
 

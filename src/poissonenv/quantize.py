@@ -24,7 +24,6 @@ from .filtration import FiniteAlgebra, TruncatedAlgebra, filtration_chain, span_
 from .freelie import generator
 from .freepoisson import (
     PoissonElement,
-    monomials_star_maxpoly,
     monomials_star_total,
     monomials_up_to_total,
     multiply,
@@ -73,36 +72,34 @@ def nc_embed(alg, w):
     return out
 
 
-def _tuple_star(t):
-    return sum(f.star_degree for f in t)
-
-
-def _tuple_total(t):
-    return sum(len(f.word) for f in t)
-
-
 class UWindow(FiniteAlgebra):
-    """Q_X^(d) modulo total degree > max_total, in PBW coordinates."""
+    """Q_X^(d) modulo total degree > max_total, in PBW coordinates: the
+    coordinates are the window's ``monomials``, and ``index`` maps their
+    factor ``tuples`` to coordinates."""
 
     def __init__(self, n_gens, d, max_total):
         self.n_gens = n_gens
         self.d = d
         self.max_total = max_total
-        self.tuples = [m.factors for m in monomials_up_to_total(n_gens, max_total, d)]
+        self.monomials = monomials_up_to_total(n_gens, max_total, d)
+        self.tuples = [m.factors for m in self.monomials]
         self.index = {t: i for i, t in enumerate(self.tuples)}
-        self.totals = [_tuple_total(t) for t in self.tuples]
+        self.totals = [m.total_degree for m in self.monomials]
         self.letters = [(generator(i),) for i in range(1, n_gens + 1)]
         self.dim = len(self.tuples)
         self.unit = self.index[()]
         self._rows = {}
         self._chain = None
 
+    def _cut(self, table):
+        """The terms of a PBW table inside the window, by coordinate.  A table
+        of total <= max_total keeps its total under straightening and e, so
+        its window terms are those of star <= d: the tuples ``index`` holds."""
+        index = self.index
+        return {index[t]: c for t, c in table.items() if t in index}
+
     def mono_mul(self, t1, t2):
-        out = {}
-        for t, c in pbw.normal_table(t1 + t2).items():
-            if _tuple_star(t) <= self.d:
-                out[self.index[t]] = c
-        return out
+        return self._cut(pbw.normal_table(t1 + t2))
 
     def _row(self, i, j):
         """Coordinate dict of the product of basis vectors i and j (memoized)."""
@@ -167,22 +164,16 @@ class UWindow(FiniteAlgebra):
         not depend on the scale of a row, and ``Echelon`` stores every row
         normalized, so the result equals that of the rows e(m) themselves.
         """
-        ech = Echelon()
-        for m in monomials:
-            row = {}
-            for t, c in pbw.sym_table(m.factors).items():
-                if _tuple_star(t) <= self.d:
-                    row[self.index[t]] = c
-            ech.add(row)
-        return ech
+        return Echelon.spanning(self._cut(pbw.sym_table(m.factors)) for m in monomials)
 
     def window_monomials(self, max_poly, min_star=0):
-        out = []
-        for q in range(min_star, self.d + 1):
-            for m in monomials_star_maxpoly(self.n_gens, q, max_poly):
-                if m.total_degree <= self.max_total:
-                    out.append(m)
-        return out
+        """The window's monomials of SV-part degree <= max_poly and star
+        degree >= min_star, in the window's order."""
+        return [
+            m
+            for m in self.monomials
+            if m.poly_degree <= max_poly and m.star_degree >= min_star
+        ]
 
 
 _UWINDOW_CACHE = {}
@@ -260,14 +251,12 @@ def graded_of_Q(alg, N):
     chain = win.filtration(alg.d + 1)
     window = win.window_monomials(N)
     window_span = win.poisson_span(window)
+    ranks = [_intersection_rank(chain[n], window_span) for n in range(alg.d + 2)]
     out = []
     for n in range(alg.d + 1):
-        r_n = _intersection_rank(chain[n], window_span)
-        r_n1 = _intersection_rank(chain[n + 1], window_span)
         p_n = win.poisson_span([m for m in window if m.star_degree == n]).rank
-        out.append(
-            GradedRankReport(n=n, graded_rank=r_n - r_n1, envelope_rank=p_n)
-        )
+        graded = ranks[n] - ranks[n + 1]
+        out.append(GradedRankReport(n=n, graded_rank=graded, envelope_rank=p_n))
     return out
 
 
@@ -295,8 +284,13 @@ class StarIdealReport:
     included: bool
 
 
-def star_ideal_topology_check(n_gens, d, m, alpha=None, extra_totals=2):
-    """Check J^{*N} <= I^m G + G_{>=m} in Q^(d) for N = m * alpha^d + d.
+# totals checked past the power N: the window reaches total N + _EXTRA_TOTALS
+_EXTRA_TOTALS = 2
+
+
+def star_ideal_topology_check(n_gens, d, m):
+    """Check J^{*N} <= I^m G + G_{>=m} in Q^(d) for N = m * alpha^d + d,
+    with alpha = max(2, d).
 
     alpha bounds the bidifferential order of the truncated product (its p-th
     component has order <= p), floored at 2 because the base-alpha digit
@@ -306,29 +300,28 @@ def star_ideal_topology_check(n_gens, d, m, alpha=None, extra_totals=2):
     subspace in Poisson coordinates: monomials with SV-part degree >= m or
     star degree >= m.
     """
-    if alpha is None:
-        alpha = max(2, d)
+    alpha = max(2, d)
     power = m * alpha**d + d
-    max_total = power + extra_totals
+    max_total = power + _EXTRA_TOTALS
     win = u_window(n_gens, d, max_total)
 
     target = win.poisson_span(
         [
             mono
-            for mono in monomials_up_to_total(n_gens, max_total, d)
+            for mono in win.monomials
             if mono.total_degree >= power
             and (mono.poly_degree >= m or mono.star_degree >= m)
         ]
     )
 
     # J^{*k} elements have total >= k and the final membership test only
-    # looks below max_total, so stage k is capped at k + extra_totals.
+    # looks below max_total, so stage k is capped at k + _EXTRA_TOTALS.
     # Right closure of the letters is all of total degree >= 1: every word
     # starts with a letter, so sum_i x_i * R is the full positive part.
-    maps = _capped_right_products(win, min(1 + extra_totals, max_total))
+    maps = _capped_right_products(win, min(1 + _EXTRA_TOTALS, max_total))
     j_span = span_closure(maps, win.generators())
     for k in range(2, power + 1):
-        maps = _capped_right_products(win, min(k + extra_totals, max_total))
+        maps = _capped_right_products(win, k + _EXTRA_TOTALS)
         # J^{*k} = J^{*(k-1)} * J = sum of J^{*(k-1)} x_i R: close on the right
         j_span = span_closure(maps, [f(v) for v in j_span.basis() for f in maps])
 
@@ -367,13 +360,11 @@ def quantized_window_algebra(n_gens, d, max_total):
         row = win._row(i, j)
         if row:
             product[(i, j)] = row
-    labels = ["*".join(repr(f) for f in t) or "1" for t in win.tuples]
     return TruncatedAlgebra(
         dim=win.dim,
-        labels=labels,
+        labels=[repr(m) for m in win.monomials],
         unit=win.unit,
         product=product,
-        validate=True,
     )
 
 
@@ -437,5 +428,4 @@ def envelope_window_algebra(pres, max_total):
         unit=gindex[unit],
         product=product,
         bracket=bracket,
-        validate=True,
     )

@@ -19,7 +19,6 @@ from poissonenv.quantize import (
     QuantizedAlgebra,
     UWindow,
     _capped_right_products,
-    _tuple_total,
     bx_component,
     commutator_filtration_Q,
     graded_of_Q,
@@ -320,7 +319,7 @@ def _reference_mul(win, v, w):
     for i, c1 in v.items():
         for j, c2 in w.items():
             t1, t2 = win.tuples[i], win.tuples[j]
-            if _tuple_total(t1) + _tuple_total(t2) > win.max_total:
+            if sum(len(f.word) for f in t1 + t2) > win.max_total:
                 continue
             for k, c in win.mono_mul(t1, t2).items():
                 out[k] = out.get(k, 0) + c1 * c2 * c
