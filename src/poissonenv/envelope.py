@@ -2,11 +2,13 @@
 
 For A = SV/I the envelope is PA = SLV / <<I>>, where <<I>> is the smallest
 ideal closed under both products.  It is generated, as an ordinary ideal, by
-the relations together with their iterated brackets with the coordinate
-generators (all insertion positions of the relation inside the nested
-bracket).  That generator list is star-graded, so PA inherits the star
-grading, and each graded piece is computed here as an exact quotient within
-a finite window.
+the relations together with their right-normed brackets
+{x_{j1}, ... {x_{jn}, f}...} with the coordinate generators, built one
+star degree from the one below.  Brackets with the relation at any other
+position of the chain add nothing: by Jacobi they are combinations of the
+right-normed ones.  That generator list is star-graded, so PA inherits the
+star grading, and each graded piece is computed here as an exact quotient
+within a finite window.
 
 Windows: the reported window is (star degree n, SV-part degree <= N).  For
 homogeneous relations the ideal is additionally graded by total letter
@@ -22,7 +24,6 @@ the one carve ``_window_part``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from operator import attrgetter
 
 from .freelie import LieElement, bracket_basis, generator
@@ -89,46 +90,20 @@ class GradedQuotientPiece:
     exact: bool
 
 
-def _nested_bracket(chain):
-    """{c_0, {c_1, ..., {c_{k-1}, c_k}...}} for PoissonElements."""
-    out = chain[-1]
-    for c in reversed(chain[:-1]):
-        out = poisson_bracket(c, out)
-    return out
-
-
 def poisson_ideal_generators(pres, n):
     """Ideal generators of star degree exactly n.
 
-    Degree 0 gives the relations themselves; degree n >= 1 gives the nested
-    brackets g_i(x_{j1},...,x_{jn}; f) with the relation f inserted at every
-    position of the bracket chain.  Together with monomial multiples (of all
+    Degree 0 gives the relations themselves; degree n >= 1 gives the
+    right-normed brackets {x_{j1}, {x_{j2}, ... {x_{jn}, f}...}} of each
+    relation f with letters.  A bracket with f at any other position of the
+    chain lies in their span: by Jacobi, the part of the free Lie algebra on
+    the letters and f that is linear in f is spanned by the right-normed
+    brackets ending in f.  Together with monomial multiples (of all
     lower-degree generators) these span the windowed Poisson ideal.
     """
-    if n > pres.d:
-        raise ValueError(f"star degree {n} exceeds presentation bound {pres.d}")
-    if n == 0:
-        return list(pres.relations)
-    gens = []
-    seen = set()
-    letters = [PoissonElement.generator(i) for i in range(1, pres.n_gens + 1)]
-    for f in pres.relations:
-        for tup in product(range(1, pres.n_gens + 1), repeat=n):
-            for pos in range(n + 1):
-                chain = (
-                    [letters[j - 1] for j in tup[:pos]]
-                    + [f]
-                    + [letters[j - 1] for j in tup[pos:]]
-                )
-                g = _nested_bracket(chain)
-                if g.is_zero():
-                    continue
-                key = frozenset(g.terms.items())
-                if key in seen:
-                    continue
-                seen.add(key)
-                gens.append(g)
-    return gens
+    if n < 0:
+        raise ValueError(f"star degree {n} is negative")
+    return _generators_up_to(pres, n)[n]
 
 
 _sort_key = attrgetter("sort_key")
@@ -145,7 +120,29 @@ def _coords(element, index):
 
 
 def _generators_up_to(pres, n):
-    return {m: poisson_ideal_generators(pres, m) for m in range(n + 1)}
+    """The ideal generators of star degrees 0..n, as star degree -> list.
+
+    Level 0 is the relations; level k holds {x_j, g} for each level-(k-1)
+    generator g and each letter x_j, in that order, zeros and repeats
+    dropped.  Degrees above the presentation bound d are refused.
+    """
+    if n > pres.d:
+        raise ValueError(f"star degree {n} exceeds presentation bound {pres.d}")
+    letters = [PoissonElement.generator(i) for i in range(1, pres.n_gens + 1)]
+    levels = {0: list(pres.relations)}
+    for k in range(1, n + 1):
+        level = []
+        seen = set()
+        for g in levels[k - 1]:
+            for x in letters:
+                h = poisson_bracket(x, g)
+                key = frozenset(h.terms.items())
+                if h.is_zero() or key in seen:
+                    continue
+                seen.add(key)
+                level.append(h)
+        levels[k] = level
+    return levels
 
 
 def _block_products(pres, n, total, gens_by_degree):
@@ -160,9 +157,7 @@ def _block_products(pres, n, total, gens_by_degree):
             if h_total < 0:
                 continue
             for h in monomials_star_total(pres.n_gens, n - m_deg, h_total):
-                prod = multiply(PoissonElement.monomial(h), g)
-                if not prod.is_zero():
-                    yield prod
+                yield multiply(PoissonElement.monomial(h), g)
 
 
 def ideal_block(pres, n, total, gens_by_degree):
@@ -220,13 +215,12 @@ def _ideal_window_rows(pres, n):
         ]
     else:
         slack = pres.max_relation_degree
-        products = []
-        for m_deg, gens in gens_by_degree.items():
-            for g in gens:
-                for h in monomials_star_maxpoly(pres.n_gens, n - m_deg, pres.N + slack):
-                    prod = multiply(PoissonElement.monomial(h), g)
-                    if not prod.is_zero():
-                        products.append(prod)
+        products = [
+            multiply(PoissonElement.monomial(h), g)
+            for m_deg, gens in gens_by_degree.items()
+            for g in gens
+            for h in monomials_star_maxpoly(pres.n_gens, n - m_deg, pres.N + slack)
+        ]
     part = _window_part((prod.terms for prod in products), window_index, _sort_key)
     rows = [{window_index[m]: c for m, c in row.items()} for row in part]
     return rows, window, pres.homogeneous

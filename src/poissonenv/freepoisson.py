@@ -38,8 +38,8 @@ class PoissonMonomial:
 
     Gradings carried by every monomial: ``star_degree`` (sum of factor star
     degrees), ``sym_degree`` (factor count), ``poly_degree`` (letter factors,
-    the SV part), ``plus_degree`` (positive-star factors) and
-    ``total_degree`` (every letter, including those inside Lie factors).
+    the SV part) and ``total_degree`` (every letter, including those inside
+    Lie factors).
 
     Monomials are interned, as Lie basis elements are: ``of`` returns the
     one shared instance for a multiset of factors, so its degrees, sort key
@@ -53,7 +53,6 @@ class PoissonMonomial:
         "star_degree",
         "sym_degree",
         "poly_degree",
-        "plus_degree",
         "total_degree",
         "sort_key",
         "_hash",
@@ -64,7 +63,6 @@ class PoissonMonomial:
         self.star_degree = sum(f.star_degree for f in factors)
         self.sym_degree = len(factors)
         self.poly_degree = sum(1 for f in factors if f.star_degree == 0)
-        self.plus_degree = self.sym_degree - self.poly_degree
         self.total_degree = sum(len(f.word) for f in factors)
         self.sort_key = (
             self.star_degree,

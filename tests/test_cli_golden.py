@@ -30,6 +30,9 @@ CASES = {
     "bp": ["bp", "-n", "3", "-p", "2", "x1*x1*x2", "x2*x3*(13)"],
     "star": ["star", "-n", "3", "-d", "3", "x1*x2*x3", "x3*(12) + x1*x1"],
     "envelope": ["envelope", "data/pres_quadric.txt", "-d", "2", "-N", "3"],
+    "envelope-inhomogeneous": [
+        "envelope", "data/pres_inhomogeneous.txt", "-d", "2", "-N", "3"
+    ],
     "gap-witness": ["gap-witness"],
     "filtration": ["filtration", "data/poisson_window_2_1_3.json"],
     "filtration-noncommutative": ["filtration", "data/quantized_window_2_1_4.json"],

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonenv import envelope, quantize
 from poissonenv.envelope import (
     EnvelopePresentation,
     LocalModelElement,
@@ -28,6 +30,7 @@ from poissonenv.freepoisson import (
     sv_tuples,
 )
 from poissonenv.linalg import Echelon, SparseMatrix, SparseVector, merge, rank
+from poissonenv.quantize import envelope_window_algebra
 
 
 def gen(i):
@@ -63,6 +66,12 @@ def test_generators_degree_exceeds_bound():
     pres = EnvelopePresentation(2, (sq(1),), 1, 2)
     with pytest.raises(ValueError):
         poisson_ideal_generators(pres, 2)
+
+
+def test_generators_negative_degree_is_refused():
+    pres = EnvelopePresentation(2, (sq(1),), 1, 2)
+    with pytest.raises(ValueError, match="negative"):
+        poisson_ideal_generators(pres, -1)
 
 
 def test_presentation_validation():
@@ -421,3 +430,102 @@ def test_quotient_ranks_do_not_drop_as_the_window_grows(presentation):
         ranks.append([p.quotient_rank for p in pieces])
     for smaller, larger in zip(ranks, ranks[1:]):
         assert all(a <= b for a, b in zip(smaller, larger)), ranks
+
+
+# -- right-normed generators against every insertion position ---------------
+
+
+def _every_position_generators(pres, n):
+    """Star-degree-n ideal generators with the relation f at every position
+    of every nested bracket {c_0, {c_1, ... {c_{n-1}, c_n}...}} of f and n
+    letters, zeros and repeats dropped."""
+    if n == 0:
+        return list(pres.relations)
+    letters = [gen(i) for i in range(1, pres.n_gens + 1)]
+    out, seen = [], set()
+    for f in pres.relations:
+        for word in product(letters, repeat=n):
+            for pos in range(n + 1):
+                chain = word[:pos] + (f,) + word[pos:]
+                g = chain[-1]
+                for c in reversed(chain[:-1]):
+                    g = poisson_bracket(c, g)
+                key = frozenset(g.terms.items())
+                if g.is_zero() or key in seen:
+                    continue
+                seen.add(key)
+                out.append(g)
+    return out
+
+
+def _every_position_levels(pres, n):
+    return {q: _every_position_generators(pres, q) for q in range(n + 1)}
+
+
+def _same_span(a, b):
+    """True if the term dicts ``a`` and ``b`` span the same space."""
+    index = {}
+
+    def span(rows):
+        return Echelon.spanning(
+            {index.setdefault(k, len(index)): c for k, c in row.items()}
+            for row in rows
+        )
+
+    sa, sb = span(a), span(b)
+    return sa.rank == sb.rank and all(sa.contains(row) for row in sb.rows.values())
+
+
+def _with_top_window(presentation):
+    n_gens, relations, d = presentation
+    top = max((m.poly_degree for f in relations for m in f.terms), default=0)
+    return EnvelopePresentation(n_gens, relations, d, top)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_presentations())
+def test_right_normed_generators_span_every_position(presentation):
+    pres = _with_top_window(presentation)
+    for n in range(pres.d + 1):
+        new = poisson_ideal_generators(pres, n)
+        old = _every_position_generators(pres, n)
+        assert all(g in old for g in new)
+        assert _same_span([g.terms for g in new], [g.terms for g in old])
+
+
+def _window_algebra(pres):
+    """The window algebra's JSON form, or the refusal of a zero algebra."""
+    try:
+        return envelope_window_algebra(pres, 3).to_json_dict()
+    except ValueError as err:
+        return str(err)
+
+
+def _outputs(pres):
+    pieces = envelope_truncated(pres)
+    summary = [
+        (p.star_degree, p.quotient_rank, p.exact, p.ideal_span.rows) for p in pieces
+    ]
+    spans = [
+        [
+            {c: v for (r, c), v in p.ideal_span.entries.items() if r == row}
+            for row in range(p.ideal_span.rows)
+        ]
+        for p in pieces
+    ]
+    algebra = _window_algebra(pres) if pres.homogeneous else None
+    return summary, spans, p1_rank_check(pres) if pres.d >= 1 else None, algebra
+
+
+@settings(deadline=None, max_examples=60)
+@given(_presentations())
+def test_envelope_outputs_match_every_position_generators(presentation):
+    pres = _with_top_window(presentation)
+    new = _outputs(pres)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "_generators_up_to", _every_position_levels)
+        mp.setattr(quantize, "_generators_up_to", _every_position_levels)
+        old = _outputs(pres)
+    assert new[0] == old[0]
+    assert all(_same_span(a, b) for a, b in zip(new[1], old[1]))
+    assert new[2:] == old[2:]
