@@ -204,7 +204,12 @@ def cmd_graded(args):
 
 def cmd_ncembed(args):
     alg = QuantizedAlgebra(args.n, args.d)
-    word = tuple(int(c) for c in args.word.replace(",", ""))
+    # "1,12" is the letters 1 and 12; without a comma each digit is a letter
+    pieces = args.word.split(",") if "," in args.word else args.word
+    try:
+        word = tuple(map(int, pieces))
+    except ValueError:
+        raise ValueError(f"word {args.word!r}: letters must be integers") from None
     if any(not 1 <= i <= args.n for i in word):
         raise ValueError(f"word letters must lie in 1..{args.n}")
     _poisson_out(args, nc_embed(alg, word))

@@ -93,40 +93,33 @@ class FiniteAlgebra:
 
     A subclass sets ``dim`` and ``unit`` and gives ``_row(i, j)``, the
     coordinate dict of basis_i * basis_j (empty when it is 0).  It may
-    narrow ``_pairs`` to the index pairs whose row can be nonzero,
-    ``partners`` to the rows of a basis whose products with a given vector
-    can be nonzero, and ``generators`` to a smaller generating set.  The
-    product, the commutator, the ideal closure and ``filtration_chain`` are
-    built on these, once for every subclass.
+    narrow ``partners`` to the rows of a basis whose products with a given
+    vector can be nonzero, and ``generators`` to a smaller generating set.
+    The product, the commutator, the ideal closure and ``filtration_chain``
+    are built on these, once for every subclass.
     """
-
-    def _pairs(self, v, w):
-        """(i, j, c_i * c_j) over every index pair of v and w, in the order
-        of v, then of w."""
-        for i, c1 in v.items():
-            for j, c2 in w.items():
-                yield i, j, c1 * c2
 
     def mul(self, v, w):
         out = {}
         row = self._row
-        for i, j, c12 in self._pairs(v, w):
-            r = row(i, j)
-            if r:
-                merge(out, r.items(), c12)
+        for i, c1 in v.items():
+            for j, c2 in w.items():
+                r = row(i, j)
+                if r:
+                    merge(out, r.items(), c1 * c2)
         return out
 
     def commutator(self, v, w):
         """[v, w] in one pass: row(i, j) - row(j, i) for every index pair."""
         out = {}
         row = self._row
-        for i, j, c12 in self._pairs(v, w):
-            r = row(i, j)
-            if r:
-                merge(out, r.items(), c12)
-            r = row(j, i)
-            if r:
-                merge(out, r.items(), -c12)
+        for i, c1 in v.items():
+            for j, c2 in w.items():
+                r, s = row(i, j), row(j, i)
+                if r or s:
+                    c12 = c1 * c2
+                    merge(out, r.items(), c12)
+                    merge(out, s.items(), -c12)
         return out
 
     def partners(self, basis):

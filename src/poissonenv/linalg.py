@@ -404,12 +404,13 @@ class SpanSolver:
     Basis vector i enters one ``Echelon`` tagged with an extra column
     ``dim + i``, so every echelon row carries the combination of basis
     vectors it stands for.  A vector whose untagged part reduces to zero
-    depends on the earlier ones and is left out; its coefficient is 0.
+    depends on the earlier ones and is left out; its coefficient is 0.  An
+    empty basis has no dimension of its own and takes that of each target.
     """
 
     def __init__(self, basis):
         self.basis = list(basis)
-        self.dim = self.basis[0].dim if self.basis else 0
+        self.dim = self.basis[0].dim if self.basis else None
         self._ech = Echelon()
         for i, v in enumerate(self.basis):
             if v.dim != self.dim:
@@ -418,12 +419,13 @@ class SpanSolver:
 
     def solve(self, target):
         """Coefficients c with sum(c[i] * basis[i]) == target, or None."""
-        if target.dim != self.dim:
-            raise DimensionMismatch(f"{target.dim} != {self.dim}")
+        dim = target.dim if self.dim is None else self.dim
+        if target.dim != dim:
+            raise DimensionMismatch(f"{target.dim} != {dim}")
         res = self._ech.reduce(target.entries)
-        if res and min(res) < self.dim:
+        if res and min(res) < dim:
             return None
-        return [-res.get(self.dim + i, ZERO) for i in range(len(self.basis))]
+        return [-res.get(dim + i, ZERO) for i in range(len(self.basis))]
 
 
 def _add_independent(ech, row, dim):

@@ -75,7 +75,9 @@ def nc_embed(alg, w):
 class UWindow(FiniteAlgebra):
     """Q_X^(d) modulo total degree > max_total, in PBW coordinates: the
     coordinates are the window's ``monomials``, and ``index`` maps their
-    factor ``tuples`` to coordinates."""
+    factor ``tuples`` to coordinates.  The product of two of them is 0
+    exactly when their ``totals`` sum past ``max_total`` or their ``stars``
+    past ``d`` (see ``_row``)."""
 
     def __init__(self, n_gens, d, max_total):
         self.n_gens = n_gens
@@ -85,6 +87,7 @@ class UWindow(FiniteAlgebra):
         self.tuples = [m.factors for m in self.monomials]
         self.index = {t: i for i, t in enumerate(self.tuples)}
         self.totals = [m.total_degree for m in self.monomials]
+        self.stars = [m.star_degree for m in self.monomials]
         self.letters = [(generator(i),) for i in range(1, n_gens + 1)]
         self.dim = len(self.tuples)
         self.unit = self.index[()]
@@ -102,27 +105,21 @@ class UWindow(FiniteAlgebra):
         return self._cut(pbw.normal_table(t1 + t2))
 
     def _row(self, i, j):
-        """Coordinate dict of the product of basis vectors i and j (memoized)."""
+        """Coordinate dict of the product of basis vectors i and j, memoized.
+
+        It is 0, and nothing is straightened, exactly when the totals of i
+        and j sum past ``max_total`` or their star degrees past ``d``:
+        straightening keeps the total, a swap keeps a term's star degree and
+        a bracket raises it by 1, and a pair inside both bounds keeps its
+        sorted concatenation, with coefficient 1.
+        """
+        totals, stars = self.totals, self.stars
+        if totals[i] + totals[j] > self.max_total or stars[i] + stars[j] > self.d:
+            return {}
         row = self._rows.get((i, j))
         if row is None:
             row = self._rows[(i, j)] = self.mono_mul(self.tuples[i], self.tuples[j])
         return row
-
-    def _pairs(self, v, w):
-        """(i, j, c_i * c_j) over the index pairs of v and w inside the window,
-        in the order of v, then of w.  An i whose room is below the smallest
-        total in w has no such pair and is passed over without visiting w."""
-        if not w:
-            return
-        totals = self.totals
-        least = min(map(totals.__getitem__, w))
-        for i, c1 in v.items():
-            room = self.max_total - totals[i]
-            if room < least:
-                continue
-            for j, c2 in w.items():
-                if totals[j] <= room:
-                    yield i, j, c1 * c2
 
     def partners(self, basis):
         """Map from v to the rows of the Echelon basis ``basis`` whose
@@ -354,12 +351,12 @@ def quantized_window_algebra(n_gens, d, max_total):
     """Q_X^(d) cut to total degree <= max_total, in PBW coordinates, as an
     associative TruncatedAlgebra (no bracket table)."""
     win = UWindow(n_gens, d, max_total)
-    every = dict.fromkeys(range(win.dim), 1)
     product = {}
-    for i, j, _ in win._pairs(every, every):
-        row = win._row(i, j)
-        if row:
-            product[(i, j)] = row
+    for i in range(win.dim):
+        for j in range(win.dim):
+            row = win._row(i, j)
+            if row:
+                product[(i, j)] = row
     return TruncatedAlgebra(
         dim=win.dim,
         labels=[repr(m) for m in win.monomials],

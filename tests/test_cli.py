@@ -83,6 +83,25 @@ def test_zero_denominator_is_a_parse_error(capsys):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize(
+    "word, image",
+    [("1,12", "x1*x12"), ("12,1", "x1*x12"), ("12", "x1*x2"), ("1,2,2", "x1*x2*x2")],
+)
+def test_ncembed_reads_commas_as_letter_separators(capsys, word, image):
+    # with a comma the letters are the comma-separated integers; without
+    # one, each digit is a letter
+    code, out, _ = run_cli(capsys, "ncembed", "-n", "12", "-d", "0", word)
+    assert code == 0
+    assert out.strip() == image
+
+
+@pytest.mark.parametrize("word", ["1,x", "1,,2", "a", "1,"])
+def test_ncembed_refuses_a_letter_that_is_not_an_integer(capsys, word):
+    code, out, err = run_cli(capsys, "ncembed", "-n", "12", "-d", "0", word)
+    assert code == 1 and out == ""
+    assert f"word {word!r}" in err and "invalid literal" not in err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "ncembed", "-n", "2", "-d", "1", "13")
     assert code == 1

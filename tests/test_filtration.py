@@ -785,7 +785,7 @@ def test_json_loads_ints_and_decimal_strings(coeff, value):
 
 _COEFFS = st.builds(
     lambda n, d: canonical(Fraction(n, d)),
-    st.integers(-3, 3).filter(bool),
+    st.sampled_from((-3, -2, -1, 1, 2, 3)),
     st.sampled_from((1, 2, 3)),
 )
 

@@ -107,6 +107,15 @@ def test_rewrite_symmetric_part_fails():
     assert rewrite_in_basis(t) is None
 
 
+def test_rewrite_outside_an_empty_lyndon_basis_is_none():
+    # one generator has no Lyndon word of length 2, so x1 x1 is not Lie
+    assert lyndon_basis_of_length(1, 2) == []
+    assert rewrite_in_basis(TensorElement.word((1, 1))) is None
+    x1 = TensorElement.word((1,))
+    assert rewrite_in_basis(TensorElement.word((1, 1, 1)) + x1) is None
+    assert rewrite_in_basis(x1) == lie((1,))
+
+
 def test_rewrite_inverts_expansion():
     t = (
         TensorElement.word((1, 1, 2))

@@ -13,6 +13,7 @@ from poissonenv.linalg import (
     Rational,
     SparseMatrix,
     SparseVector,
+    SpanSolver,
     kernel,
     merge,
     rank,
@@ -69,6 +70,16 @@ def test_solve_in_span_two_by_two():
 def test_solve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         solve_in_span([SparseVector(2, {0: Fraction(1)})], SparseVector(3))
+
+
+def test_an_empty_basis_takes_the_dimension_of_its_target():
+    # the empty span is {0} in every dimension: a zero target is the empty
+    # combination and a nonzero one lies outside
+    assert solve_in_span([], SparseVector(3)) == []
+    assert solve_in_span([], SparseVector(3, {1: Fraction(2)})) is None
+    solver = SpanSolver([])
+    assert solver.solve(SparseVector(2)) == [] == solver.solve(SparseVector(5))
+    assert solver.solve(SparseVector(5, {4: Fraction(1)})) is None
 
 
 def test_solve_recombination_random():

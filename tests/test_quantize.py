@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from poissonenv import clear_caches, pbw
 from poissonenv.filtration import span_closure
 from poissonenv.freelie import LieBasisElement, LieElement
 from poissonenv.linalg import merge
@@ -431,6 +432,44 @@ def test_u_window_skips_only_pairs_that_cannot_fit(shape):
             assert list(got.items()) == list(want.items())
     assert skipped >= 20 and kept >= 20
     assert win.mul({}, {0: Fraction(1)}) == {} == win.commutator({0: Fraction(1)}, {})
+
+
+def test_u_window_straightens_no_product_past_the_star_bound():
+    # a pair whose star degrees sum past d has the row 0 by the grading
+    # alone, so its concatenation is never straightened or memoized
+    clear_caches()
+    win = UWindow(2, 1, 6)
+    stars, totals = [m.star_degree for m in win.monomials], win.totals
+    over = [
+        (i, j)
+        for i in range(win.dim)
+        for j in range(win.dim)
+        if stars[i] + stars[j] > win.d and totals[i] + totals[j] <= win.max_total
+    ]
+    assert len(over) > 10
+    i, j = over[0]
+    assert win.mul({i: Fraction(2)}, {j: Fraction(1)}) == {}
+    assert win.tuples[i] + win.tuples[j] not in pbw._NORMAL_CACHE
+    for i, j in over:
+        assert win.mul({i: 1}, {j: 1}) == {} == win.commutator({i: 1}, {j: 1})
+    assert pbw._NORMAL_CACHE == {}
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 6), (3, 1, 5), (2, 3, 7), (3, 2, 5)])
+def test_u_window_row_is_zero_exactly_past_a_bound(shape):
+    # every term of a straightened product keeps the pair's total and has at
+    # least its star sum, and the sorted concatenation is a term: the row is
+    # the cut of the straightened product, nonzero exactly inside both bounds
+    win = UWindow(*shape)
+    stars = [m.star_degree for m in win.monomials]
+    for i in range(win.dim):
+        for j in range(win.dim):
+            fits = win.totals[i] + win.totals[j] <= win.max_total
+            row = win._row(i, j)
+            if fits:
+                product = pbw.normal_table(win.tuples[i] + win.tuples[j])
+                assert row == win._cut(product)
+            assert bool(row) == (fits and stars[i] + stars[j] <= win.d)
 
 
 def test_u_window_at_total_zero_has_no_generators():

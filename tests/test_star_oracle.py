@@ -1,0 +1,130 @@
+"""A second star product with no straightening and no peel.
+
+For a Lie element x, left multiplication by x in U(g), read in symmetric
+coordinates, is x * beta(e^y) = beta(phi(ad y)(x) e^y) with
+phi(z) = z / (e^z - 1) (Berezin 1967; Gutt 1983).  Polarized, with B_k the
+Bernoulli numbers and B_1 = -1/2:
+
+    x * (l_1 ... l_n) = sum_k (B_k / k!) sum_{ordered distinct i_1..i_k}
+                        [l_{i_1}, [... [l_{i_k}, x] ...]] * prod_{j not in I} l_j
+
+A monomial m = f_1 ... f_k acts through e(m) = (1/k) sum_f mult_f f e(m/f),
+so m * Q = (1/k) sum_f mult_f f * ((m/f) * Q).  Only ``lie_bracket`` and the
+commutative product of SLV are used, never ``pbw``: this is an independent
+check of ``star_product`` and of each ``star_component``.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from itertools import permutations
+from math import comb, factorial
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poissonenv.freelie import LieElement, lie_bracket
+from poissonenv.freepoisson import (
+    PoissonElement,
+    PoissonMonomial,
+    monomials_up_to_total,
+    star_component,
+    star_product,
+)
+from poissonenv.linalg import merge
+
+
+def _bernoulli(top):
+    """B_0 .. B_top with B_1 = -1/2, from sum_{j <= k} C(k + 1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for k in range(1, top + 1):
+        b.append(-sum(comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
+
+
+# a product of two monomials of total <= 3 has at most 6 factors
+_WEIGHTS = [bk / factorial(k) for k, bk in enumerate(_bernoulli(6))]
+
+
+def _lie_star(x, factors):
+    """x * (l_1 ... l_n) for a Lie basis element x, as {monomial: coeff}."""
+    n = len(factors)
+    out = {}
+    for k in range(n + 1):
+        if not _WEIGHTS[k]:
+            continue
+        for picked in permutations(range(n), k):
+            nested = LieElement.basis(x)
+            for i in reversed(picked):
+                nested = lie_bracket(LieElement.basis(factors[i]), nested)
+            rest = tuple(factors[j] for j in range(n) if j not in picked)
+            merge(
+                out,
+                ((PoissonMonomial.of((b,) + rest), c) for b, c in nested.terms.items()),
+                _WEIGHTS[k],
+            )
+    return out
+
+
+def _monomial_star(factors, poly):
+    """m * P for the monomial with ``factors``, P as {monomial: coeff}."""
+    if not factors:
+        return poly
+    out = {}
+    for f, mult in Counter(factors).items():
+        rest = list(factors)
+        rest.remove(f)
+        for m, c in _monomial_star(tuple(rest), poly).items():
+            scale = Fraction(mult, len(factors)) * c
+            merge(out, _lie_star(f, m.factors).items(), scale)
+    return out
+
+
+def _oracle_components(a, b):
+    """p -> B_p(a, b): a term m of m1 * m2 is in B_p for p = sym m1 + sym m2 - sym m."""
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            s = m1.sym_degree + m2.sym_degree
+            for m, c in _monomial_star(m1.factors, {m2: 1}).items():
+                merge(out.setdefault(s - m.sym_degree, {}), [(m, c * c1 * c2)])
+    return {p: PoissonElement(terms) for p, terms in out.items()}
+
+
+_COEFFS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(-3, 2), Fraction(1, 3))
+
+
+@st.composite
+def _pairs(draw):
+    """Two 1-2-term elements in 1-3 generators, each monomial of total <= 3."""
+    pool = monomials_up_to_total(draw(st.integers(1, 3)), 3)
+
+    def element():
+        monos = draw(
+            st.lists(st.sampled_from(pool), min_size=1, max_size=2, unique=True)
+        )
+        return PoissonElement({m: draw(st.sampled_from(_COEFFS)) for m in monos})
+
+    return element(), element()
+
+
+def test_bernoulli_numbers():
+    b = [1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42)]
+    assert _bernoulli(6) == b
+
+
+@settings(deadline=None, max_examples=60)
+@given(_pairs())
+def test_star_product_matches_the_bernoulli_oracle(pair):
+    a, b = pair
+    want = sum(_oracle_components(a, b).values(), PoissonElement())
+    assert star_product(a, b) == want
+
+
+@settings(deadline=None, max_examples=60)
+@given(_pairs())
+def test_star_components_match_the_bernoulli_oracle(pair):
+    a, b = pair
+    want = _oracle_components(a, b)
+    top = max(a.sym_degrees()) + max(b.sym_degrees())
+    for p in range(top + 2):
+        assert star_component(a, b, p) == want.get(p, PoissonElement())
