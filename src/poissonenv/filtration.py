@@ -1,25 +1,40 @@
 """Filtrations of finite-rank algebras given by structure constants.
 
-The commutator filtration is the smallest descending chain with
+The commutator filtration is the smallest descending chain with F_0 = A,
 F_p F_q <= F_{p+q} and [F_p, F_q] <= F_{p+q+1}; its defining recursion
 
     F_{n+1} = sum_{p=1}^{n} F_p F_{n+1-p} + sum_{p=0}^{n} <[F_p, F_{n-p}]>
 
 is iterated by one function, ``filtration_chain``, on a ``FiniteAlgebra``:
-these algebras or the PBW windows of ``quantize``.  Three changes keep every
-span: one ideal closure of all the brackets replaces one per summand (a sum
-of ideals is the ideal of the union); the p = n summand goes (by antisymmetry
-it is the p = 0 one); and [F_0, F_n] becomes [x, F_n] over algebra
-generators x (the same ideal, by the Leibniz rule).  The nil-Poisson
-filtration replaces commutators by the Poisson bracket.  Chains are iterated
-to stabilization; the stable value need not be zero (upper-triangular
-matrices stabilize at the strictly-upper part), and whether it vanishes is
-the nilcommutativity certificate.  A ``FiltrationChain`` holds the pieces
-as Echelons, and ``chain[n]`` past the end is the stable piece.
+these algebras or the PBW windows of ``quantize``.  It takes F_n to be the
+ideal J_n of seeds G_n over algebra generators x, with p, q >= 1 and each
+list cut to a linearly independent subset of itself:
+
+    G_1 = [x, y],
+    G_{n+1} = [x, G_n] + sum_{p+q=n} [G_p, G_q] + sum_{p+q=n+1} G_p G_q.
+
+Each seed lies in F_n, so J_n <= F_n; as J_0 = A, it suffices that J has
+both containments.  (a) J descends, G_{m+1} <= J_m: [x, g] and [g, h] are
+differences of elements of J_m.  For gh, g in G_p, h in G_q, p + q = m + 1,
+induct on p: p = 1 or q = 1 is immediate; g = g1 g2 leaves g1 (g2 h), whose
+left level is smaller; g = [g1, g2] leaves g1 (g2 h) - g2 (g1 h), in the
+span of G_m; g = [x, g'] leaves x (g'h) - (g'h) x - g' [x, h], whose last
+term has left level p - 1.  (b) geh lies in J_{p+q} for every word e in the
+generators, by induction on its length: geh = ghe + sum g e' [x_i, h] e'',
+each term of the sum in J_{p+q+1}, inside J_{p+q} by (a).  (c) [J_p, J_q]
+<= J_{p+q+1}: the Leibniz rule reduces it to [g, h], [x, h] and products
+that (b) covers.  The nil-Poisson filtration replaces commutators by the
+Poisson bracket of a commutative product, where (b) is just geh = ghe and
+needs no (a).  Chains are iterated to stabilization; the stable value need
+not be zero (upper-triangular matrices stabilize at the strictly-upper
+part), and whether it vanishes is the nilcommutativity certificate.  A
+``FiltrationChain`` holds the pieces as Echelons, and ``chain[n]`` past the
+end is the stable piece.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -92,11 +107,10 @@ class FiniteAlgebra:
     basis index to nonzero stored coefficient.
 
     A subclass sets ``dim`` and ``unit`` and gives ``_row(i, j)``, the
-    coordinate dict of basis_i * basis_j (empty when it is 0).  It may
-    narrow ``partners`` to the rows of a basis whose products with a given
-    vector can be nonzero, and ``generators`` to a smaller generating set.
-    The product, the commutator, the ideal closure and ``filtration_chain``
-    are built on these, once for every subclass.
+    coordinate dict of basis_i * basis_j (empty when it is 0), and it may
+    narrow ``generators`` to a smaller generating set: those are its only
+    hooks.  The product, the commutator, the ideal closure and
+    ``filtration_chain`` are built on them, once for every subclass.
     """
 
     def mul(self, v, w):
@@ -121,12 +135,6 @@ class FiniteAlgebra:
                     merge(out, r.items(), c12)
                     merge(out, s.items(), -c12)
         return out
-
-    def partners(self, basis):
-        """Map from a vector v to the rows of ``basis`` whose product and
-        commutator with v can be nonzero, as a sublist in the order of
-        ``basis``: here every row, as nothing rules any out."""
-        return lambda v: basis
 
     def basis_vec(self, i):
         return {i: 1}
@@ -395,35 +403,28 @@ def span_closure(maps, seeds):
 
 def filtration_chain(alg, pair_map):
     """F_0, F_1, ... down to the stable value, for the antisymmetric
-    ``pair_map`` on the ``FiniteAlgebra`` ``alg``."""
-    full = Echelon.spanning(alg.basis_vec(i) for i in range(alg.dim))
-    pieces = [full]
-    bases = [full.basis()]
-    partners = [alg.partners(bases[0])]
-    gens = alg.generators()
+    ``pair_map`` on the ``FiniteAlgebra`` ``alg``: F_n is the ideal of the
+    seed list G_n of the module docstring."""
+    pieces = [Echelon.spanning(alg.basis_vec(i) for i in range(alg.dim))]
+    # seeds[n] is G_n; with the generators as G_0, G_1 = [x, y] is [x, G_0]
+    seeds = [alg.generators()]
+    gens, mul = seeds[0], alg.mul
     while pieces[-1].rank:
         n = len(pieces) - 1
-        # p = 0 is [x, F_n], which p = n repeats except at n = 0; a pair
-        # left out by ``partners`` is 0, which the filters drop anyway
-        brackets = (
-            pair_map(v, w)
-            for p in range(max(n, 1))
-            for v in (gens if p == 0 else bases[p])
-            for w in partners[n - p](v)
+        level = itertools.chain(
+            (pair_map(x, g) for x in gens for g in seeds[n]),
+            (pair_map(g, h) for p in range(1, n)
+             for g in seeds[p] for h in seeds[n - p]),
+            (mul(g, h) for p in range(1, n + 1)
+             for g in seeds[p] for h in seeds[n + 1 - p]),
         )
-        new = alg.ideal_close(filter(None, brackets))
-        for p in range(1, n + 1):
-            for v in bases[p]:
-                for w in partners[n + 1 - p](v):
-                    prod = alg.mul(v, w)
-                    if prod:
-                        new.add(prod)
+        ech = Echelon()
+        seeds.append([v for v in level if v and ech.add(v)])
+        new = alg.ideal_close(seeds[-1])
         if new.rank == pieces[n].rank:
             # descending chain: equal rank means equal span; stable from here
             break
         pieces.append(new)
-        bases.append(new.basis())
-        partners.append(alg.partners(bases[-1]))
     return FiltrationChain(pieces)
 
 
@@ -433,9 +434,18 @@ def commutator_filtration(alg):
 
 
 def nil_poisson_filtration(alg):
-    """The Poisson analogue, driven by the bracket table."""
+    """The Poisson analogue, driven by the bracket table.  Its seeds need
+    a commutative product: the first pair (i, j) with e_i e_j != e_j e_i
+    raises ``ValueError``."""
     if alg.bracket is None:
         raise ValueError("nil-Poisson filtration needs a bracket")
+    for i in range(alg.dim):
+        for j in range(i + 1, alg.dim):
+            if alg._row(i, j) != alg._row(j, i):
+                raise ValueError(
+                    "nil-Poisson filtration needs a commutative product;"
+                    f" e_i e_j != e_j e_i at {(i, j)}"
+                )
     return filtration_chain(alg, alg.brk)
 
 

@@ -205,6 +205,8 @@ def lyndon_basis(n_gens, max_star_degree):
     """
     if n_gens < 1:
         raise ValueError("need at least one generator")
+    if max_star_degree < 0:
+        raise ValueError(f"need star degree >= 0, got {max_star_degree}")
     return [
         lyndon_basis_of_length(n_gens, s + 1) for s in range(max_star_degree + 1)
     ]

@@ -301,8 +301,10 @@ def star_component(a, b, p):
 
     Applied bilinearly over the sym-homogeneous components of the inputs.
     On star-homogeneous inputs it is also the component raising star degree
-    by exactly p.
+    by exactly p.  A negative p raises ``ValueError``.
     """
+    if p < 0:
+        raise ValueError(f"need p >= 0, got {p}")
     return star_components(a, b).get(p, PoissonElement())
 
 

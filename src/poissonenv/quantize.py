@@ -15,7 +15,6 @@ computed chains restrict exactly.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import pbw
@@ -120,22 +119,6 @@ class UWindow(FiniteAlgebra):
         if row is None:
             row = self._rows[(i, j)] = self.mono_mul(self.tuples[i], self.tuples[j])
         return row
-
-    def partners(self, basis):
-        """Map from v to the rows of the Echelon basis ``basis`` whose
-        product and commutator with v can be nonzero: a prefix of ``basis``,
-        found by bisection.
-
-        The columns are ordered by total (``monomials_up_to_total``), so a
-        vector's smallest column carries its lowest total, and a product of
-        v and w is 0 when their lowest totals add up past ``max_total``.  An
-        Echelon basis is in pivot order, and a row's pivot is its smallest
-        column, so the lowest totals of ``basis`` never decrease: the rows
-        that fit beside v are a prefix, in the order of ``basis``.
-        """
-        totals = self.totals
-        lows = [totals[min(w)] for w in basis]
-        return lambda v: basis[: bisect_right(lows, self.max_total - totals[min(v)])]
 
     def generators(self):
         """The letters x_1 .. x_n inside the window, which generate the

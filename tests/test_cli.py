@@ -261,6 +261,20 @@ def test_nonpositive_generator_count_is_a_domain_error(capsys, argv):
     assert "need n_gens >= 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lyndon", "-n", "2", "-d", "-1"], "need star degree >= 0, got -1"),
+        (["bp", "-n", "2", "-p", "-1", "x1", "x2"], "need p >= 0, got -1"),
+    ],
+)
+def test_negative_degree_is_a_domain_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_single_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "07-gap-counterexample")
     assert code == 0

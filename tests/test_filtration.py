@@ -17,20 +17,23 @@ from poissonenv.filtration import (
     chain_is_admissible,
     commutator_filtration,
     endo_contraction_check,
-    filtration_chain,
     exp_nilpotent_endo,
     hamiltonian_derivation,
     inner_derivation,
     nil_poisson_filtration,
 )
-from poissonenv.freepoisson import monomials_star_total
+from poissonenv.envelope import EnvelopePresentation
+from poissonenv.freepoisson import (
+    PoissonElement,
+    monomials_star_maxpoly,
+    monomials_star_total,
+)
 from poissonenv.linalg import Echelon, canonical, merge
 from poissonenv.quantize import (
     UWindow,
     envelope_window_algebra,
     poisson_window_algebra,
     quantized_window_algebra,
-    u_window,
 )
 
 
@@ -207,8 +210,31 @@ def _quadric_envelope_algebra():
     return envelope_window_algebra(pres, 3)
 
 
+def incidence_algebra(less, diagonal):
+    """Span{1} + span{e_xy : (x, y) in less} + span{e_xx : x in diagonal}:
+    the strict part of a poset's incidence algebra (``less`` is its strict
+    order, transitively closed) with the idempotents of ``diagonal`` and a
+    unit 1 adjoined; e_xy e_zw = e_xw when y = z, and 0 otherwise."""
+    cells = [(x, x) for x in diagonal] + sorted(less)
+    index = {cell: i for i, cell in enumerate(cells, 1)}
+    product = {}
+    for i in range(len(cells) + 1):
+        product[(0, i)] = product[(i, 0)] = {i: 1}
+    for (x, y), i in index.items():
+        for (z, w), j in index.items():
+            if y == z:
+                product[(i, j)] = {index[(x, w)]: 1}
+    labels = ["1"] + [f"e{x}{y}" for x, y in cells]
+    return TruncatedAlgebra(len(labels), labels, 0, product)
+
+
 REFERENCE_CASES = {
     "borel": (borel_algebra, False),
+    # the diamond 0 < 1, 2 < 3 with the idempotents at its ends
+    "incidence-diamond": (
+        lambda: incidence_algebra({(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)}, [0, 3]),
+        False,
+    ),
     "k[x]/(x^3)": (lambda: truncated_polynomial_algebra(3), False),
     "quantized-2-2-4": (lambda: quantized_window_algebra(2, 2, 4), False),
     "poisson-2-1-3": (lambda: poisson_window_algebra(2, 1, 3), False),
@@ -227,8 +253,14 @@ def test_filtration_matches_literal_recursion(case):
         chain, ref = nil_poisson_filtration(alg), reference_filtration(alg, alg.brk)
     else:
         chain, ref = commutator_filtration(alg), reference_filtration(alg, alg.commutator)
-    assert chain.length == len(ref)
     assert chain.stable_is_zero == (ref[-1].rank == 0)
+    assert_same_spans(chain, ref)
+
+
+def assert_same_spans(chain, ref):
+    """``chain`` and the list of Echelons ``ref`` have the same length and,
+    piece by piece, the same span: equal rank and mutual containment."""
+    assert chain.length == len(ref)
     for n, want in enumerate(ref):
         got = chain[n]
         assert got.rank == want.rank
@@ -239,6 +271,23 @@ def test_filtration_matches_literal_recursion(case):
 def test_filtration_requires_bracket():
     with pytest.raises(ValueError):
         nil_poisson_filtration(truncated_polynomial_algebra(2))
+
+
+def test_nil_poisson_filtration_refuses_a_noncommutative_product():
+    # the commutator is a bracket that passes every table check, but the
+    # seeds of the nil-Poisson chain need the product to commute
+    alg = borel_algebra()
+    basis = [alg.basis_vec(i) for i in range(alg.dim)]
+    bracket = {}
+    for i, v in enumerate(basis):
+        for j, w in enumerate(basis):
+            row = alg.commutator(v, w)
+            if row:
+                bracket[(i, j)] = row
+    poisson = TruncatedAlgebra(alg.dim, alg.labels, alg.unit, alg.product, bracket)
+    message = r"commutative product; e_i e_j != e_j e_i at \(1, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        nil_poisson_filtration(poisson)
 
 
 def test_minimality_against_admissible_chains():
@@ -825,12 +874,14 @@ def test_window_and_its_table_algebra_multiply_alike(shape, data):
     assert win.commutator(v, w) == alg.commutator(v, w)
 
 
-# -- the partners index of filtration_chain -----------------------------------
+# -- the seed recursion against the basis recursion ----------------------------
 
 
-def _unindexed_chain(alg, pair_map):
-    """``filtration_chain`` with every row of F_q as a partner: the loop as it
-    was before ``partners``, kept as the reference for the indexed one."""
+def basis_recursion_chain(alg, pair_map):
+    """The recursion on whole bases: F_{n+1} is the ideal of [x, F_n] and
+    [F_p, F_{n-p}] plus every product F_p F_{n+1-p}, pairing every row of
+    the Echelon bases of the earlier pieces.  The reference for
+    ``filtration_chain``, which grows each piece from its ideal seeds."""
     full = Echelon.spanning(alg.basis_vec(i) for i in range(alg.dim))
     pieces = [full]
     bases = [full.basis()]
@@ -857,37 +908,57 @@ def _unindexed_chain(alg, pair_map):
     return pieces
 
 
-@pytest.mark.parametrize("shape", [(2, 2, 6), (3, 1, 5)])
-def test_indexed_window_chain_has_the_unindexed_rows(shape):
-    # the index drops only pairs that give 0, so every Echelon sees the same
-    # rows in the same order: equal rows, pivots in the same insertion order
-    win = u_window(*shape)
-    got = filtration_chain(win, win.commutator).pieces
-    want = _unindexed_chain(win, win.commutator)
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.rows == w.rows
-        assert list(g.rows) == list(w.rows)
+@st.composite
+def _window_shapes(draw):
+    n_gens = draw(st.integers(2, 3))
+    d = draw(st.integers(1, 3))
+    return n_gens, d, draw(st.integers(0, 6 if n_gens == 2 else 4))
+
+
+@st.composite
+def _incidence_algebras(draw):
+    """Unitalized incidence algebras of random posets on 2-4 points, with
+    a random part of the diagonal: nilpotent past the unit exactly when that
+    part is empty."""
+    points = draw(st.integers(2, 4))
+    pairs = [(x, y) for x in range(points) for y in range(x + 1, points)]
+    less = {pair for pair in pairs if draw(st.booleans())}
+    for m in range(points):  # transitive closure, one point at a time
+        less |= {(x, y) for x, a in less if a == m for b, y in less if b == m}
+    diagonal = [x for x in range(points) if draw(st.booleans())]
+    return incidence_algebra(less, diagonal)
+
+
+@st.composite
+def _envelope_algebras(draw):
+    """Window algebras of homogeneous presentations in 2-3 generators."""
+    n = draw(st.integers(2, 3))
+    d = draw(st.integers(1, 2))
+    relations = []
+    for _ in range(draw(st.integers(0, 2))):
+        deg = draw(st.integers(1, 3))
+        pool = [m for m in monomials_star_maxpoly(n, 0, deg) if m.poly_degree == deg]
+        monos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        coeffs = st.sampled_from((-2, -1, 1, 2))
+        relations.append(PoissonElement({m: draw(coeffs) for m in monos}))
+    pres = EnvelopePresentation(n, tuple(relations), d, 3)
+    return envelope_window_algebra(pres, draw(st.integers(2, 4 if n == 2 else 3)))
+
+
+CHAIN_SOURCES = {
+    "window": _window_shapes().map(lambda shape: (_built(UWindow, shape), False)),
+    "incidence": _incidence_algebras().map(lambda alg: (alg, False)),
+    "envelope-nil": _envelope_algebras().map(lambda alg: (alg, True)),
+}
 
 
 @settings(deadline=None, max_examples=60)
 @given(st.data())
-@pytest.mark.parametrize("shape", [(2, 2, 6), (3, 1, 5)])
-def test_pairs_left_out_by_partners_are_zero(shape, data):
-    win = _built(UWindow, shape)
-    # vectors above a random lowest total, so some pairs do not fit
-    low = st.integers(0, win.max_total)
-
-    def vector():
-        floor = data.draw(low)
-        cols = [i for i, t in enumerate(win.totals) if t >= floor]
-        vec = st.dictionaries(st.sampled_from(cols), _COEFFS, min_size=1, max_size=4)
-        return data.draw(vec)
-
-    basis = Echelon.spanning(vector() for _ in range(data.draw(st.integers(1, 6)))).basis()
-    v = vector()
-    kept = win.partners(basis)(v)
-    assert kept == basis[: len(kept)]
-    for w in basis[len(kept):]:
-        assert win.mul(v, w) == {} and win.mul(w, v) == {}
-        assert win.commutator(v, w) == {}
+@pytest.mark.parametrize("source", sorted(CHAIN_SOURCES))
+def test_seed_chain_spans_the_basis_recursion(source, data):
+    alg, nil_poisson = data.draw(CHAIN_SOURCES[source])
+    if nil_poisson:
+        got, pair_map = nil_poisson_filtration(alg), alg.brk
+    else:
+        got, pair_map = commutator_filtration(alg), alg.commutator
+    assert_same_spans(got, basis_recursion_chain(alg, pair_map))

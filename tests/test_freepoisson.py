@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -240,9 +241,12 @@ def test_star_components_match_per_component_reference(pair):
     assert sorted(comps) == list(range(top + 1))
     for p in range(top + 1):
         assert comps[p] == reference_star_component(a, b, p)
+    assert star_component(a, b, top + 1).is_zero()
     for p in (-1, top + 1):
-        assert star_component(a, b, p).is_zero()
         assert reference_star_component(a, b, p).is_zero()
+    # B_p of a negative p is a domain error, not a zero component
+    with pytest.raises(ValueError, match=r"^need p >= 0, got -1$"):
+        star_component(a, b, -1)
     total = PoissonElement.zero()
     for c in comps.values():
         total = total + c

@@ -6,13 +6,15 @@ shortcut: equality and hashing stay by factors, so results must not change
 when the tables are emptied and the instances are built again.
 """
 
+import importlib
 import itertools as it
+import pkgutil
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poissonenv
-from poissonenv import acceptance, freelie, freepoisson, pbw, quantize
+from poissonenv import acceptance, freelie, freepoisson, pbw
 from poissonenv.exprparse import format_poisson, poisson_from_json, poisson_to_json
 from poissonenv.freelie import lyndon_basis_of_length
 from poissonenv.freepoisson import (
@@ -120,24 +122,31 @@ def test_basis_elements_are_values_across_clear_caches():
     assert pbw.normal(list(backward)) is not fresh
 
 
-_TABLES = [
-    (freelie, "_ELEMENT_CACHE"),
-    (freelie, "_BASIS_CACHE"),
-    (freelie, "_EXPAND_CACHE"),
-    (freelie, "_REWRITE_SOLVERS"),
-    (freelie, "_BRACKET_CACHE"),
-    (freepoisson, "_MONOMIALS"),
-    (freepoisson, "_BRACKET_MONO_CACHE"),
-    (freepoisson, "_STAR_MONO_CACHE"),
-    (pbw, "_NORMAL_CACHE"),
-    (pbw, "_SYM_PBW_CACHE"),
-    (pbw, "_EINV_WORD_CACHE"),
-    (quantize, "_UWINDOW_CACHE"),
-]
+def _module_dicts():
+    """Every module-level dict of the package and of each of its modules,
+    by qualified name: the memo tables, found rather than listed."""
+    modules = [poissonenv] + [
+        importlib.import_module(f"poissonenv.{info.name}")
+        for info in pkgutil.iter_modules(poissonenv.__path__)
+    ]
+    return {
+        f"{mod.__name__}.{name}": value
+        for mod in modules
+        for name, value in vars(mod).items()
+        if isinstance(value, dict) and not name.startswith("__")
+    }
+
+
+def test_every_module_level_dict_is_a_registered_memo_table():
+    registered = {id(table) for table in poissonenv._MEMO_TABLES}
+    tables = _module_dicts()
+    assert tables
+    assert [name for name, t in tables.items() if id(t) not in registered] == []
 
 
 def test_clear_caches_empties_every_table_between_checks():
-    tables = [getattr(mod, name) for mod, name in _TABLES]
+    found = _module_dicts()
+    tables = list(found.values())
     checks = dict(acceptance.ALL_CHECKS)
     for name in ("06-star-associativity", "09-local-model-bracket", "15-star-ideal-topology"):
         result = checks[name]()
@@ -146,4 +155,4 @@ def test_clear_caches_empties_every_table_between_checks():
         poissonenv.clear_caches()
         assert not any(tables)
         # emptied in place: the modules still hold the very same dicts
-        assert all(getattr(mod, n) is t for (mod, n), t in zip(_TABLES, tables))
+        assert all(_module_dicts()[key] is t for key, t in found.items())

@@ -488,3 +488,12 @@ def test_u_window_at_total_zero_has_no_generators():
 def test_negative_window_or_level_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call(QuantizedAlgebra(2, 1))
+
+
+@pytest.mark.parametrize("n_gens, d, N", [(2, 3, 5), (3, 2, 3), (2, 4, 3)])
+def test_deep_windows_match_the_star_tail_and_the_graded_envelope(n_gens, d, N):
+    # past the suite's other windows: 3 generators at d = 2, d = 4, N = 5
+    alg = QuantizedAlgebra(n_gens, d)
+    for n in range(d + 2):
+        assert commutator_filtration_Q(alg, n, N).matches, n
+    assert all(rep.matches for rep in graded_of_Q(alg, N))
