@@ -53,6 +53,8 @@ class EnvelopePresentation:
             raise ValueError("need at least one generator")
         if self.d < 0:
             raise ValueError("d must be >= 0")
+        if self.N < 0:
+            raise ValueError(f"need window N >= 0, got {self.N}")
         rels = tuple(self.relations)
         object.__setattr__(self, "relations", rels)
         for f in rels:

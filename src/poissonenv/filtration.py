@@ -7,29 +7,40 @@ F_p F_q <= F_{p+q} and [F_p, F_q] <= F_{p+q+1}; its defining recursion
 
 is iterated by one function, ``filtration_chain``, on a ``FiniteAlgebra``:
 these algebras or the PBW windows of ``quantize``.  It takes F_n to be the
-ideal J_n of seeds G_n over algebra generators x, with p, q >= 1 and each
-list cut to a linearly independent subset of itself:
+ideal J_n of a seed list G_n, built from the algebra generators X, G_1 and
+the list below alone, each list cut to a linearly independent subset of
+itself:
 
-    G_1 = [x, y],
-    G_{n+1} = [x, G_n] + sum_{p+q=n} [G_p, G_q] + sum_{p+q=n+1} G_p G_q.
+    G_1 = [X, X],    G_{n+1} = [X, G_n] + G_1 G_n.
 
-Each seed lies in F_n, so J_n <= F_n; as J_0 = A, it suffices that J has
-both containments.  (a) J descends, G_{m+1} <= J_m: [x, g] and [g, h] are
-differences of elements of J_m.  For gh, g in G_p, h in G_q, p + q = m + 1,
-induct on p: p = 1 or q = 1 is immediate; g = g1 g2 leaves g1 (g2 h), whose
-left level is smaller; g = [g1, g2] leaves g1 (g2 h) - g2 (g1 h), in the
-span of G_m; g = [x, g'] leaves x (g'h) - (g'h) x - g' [x, h], whose last
-term has left level p - 1.  (b) geh lies in J_{p+q} for every word e in the
-generators, by induction on its length: geh = ghe + sum g e' [x_i, h] e'',
-each term of the sum in J_{p+q+1}, inside J_{p+q} by (a).  (c) [J_p, J_q]
-<= J_{p+q+1}: the Leibniz rule reduces it to [g, h], [x, h] and products
-that (b) covers.  The nil-Poisson filtration replaces commutators by the
-Poisson bracket of a commutative product, where (b) is just geh = ghe and
-needs no (a).  Chains are iterated to stabilization; the stable value need
-not be zero (upper-triangular matrices stabilize at the strictly-upper
-part), and whether it vanishes is the nilcommutativity certificate.  A
-``FiltrationChain`` holds the pieces as Echelons, and ``chain[n]`` past the
-end is the stable piece.
+Proof that J_n = F_n, with J_0 = A.  Below s is in G_n, g1 in G_1, x and y
+in X, and a, b, c, d, e in A.  J_n <= F_n: each seed lies in F_n, as
+[F_0, F_n] and F_1 F_n lie in F_{n+1}.  F_n <= J_n follows by induction on
+the recursion once (P) J_p J_q <= J_{p+q} and (C) [J_p, J_q] <= J_{p+q+1}
+hold.  J descends: [x, s] = xs - sx and g1 s lie in J_n.  For a word w in
+X, [w, s] = sum w'[x, s]w'' lies in J_{n+1}; hence [A, A] <= J_1.  Then:
+ (B) J_1 J_n + J_n J_1 <= J_{n+1}.  On the left, g1 b s = g1 s b +
+     g1 [b, s].  On the right, s e g1 = e s g1 + [s, e] g1 and s g1 =
+     g1 s + [s, g1], where by Jacobi [s, [x, y]] = [y, [x, s]] -
+     [x, [y, s]] lies in the span of G_{n+2}, inside J_{n+1}.
+ (A) [A, J_n] <= J_{n+1}: Leibniz on [a, c s d], then (B).
+ (P) g b u lies in J_{p+q} for g in G_p and u in J_q, by induction on p
+     from (B), over the two shapes of g.  For g = g1 g', g b u =
+     g1 (g' b u), then (B).  For g = [x, g'], [x, g'] b u = [x, g' b u]
+     - g' [x, b] u - g' b [x, u], then (A), (B) and the induction.
+ (D) [g, h] lies in J_{p+q+1} for g in G_p and h in G_q, by induction on
+     p: Jacobi for g = [x, g'], Leibniz for g = g1 g'.
+ (C) follows from Leibniz, (A), (P) and (D).
+The nil-Poisson filtration replaces commutators by the Poisson bracket of a
+commutative product.  The same steps hold with {,}: (B) is immediate there,
+(A) follows from Leibniz, and J descends because J = F and the recursion
+descends.  Once J_{n+1} = J_n, (A) and (B) put G_{n+1} in
+[A, J_{n+1}] + J_1 J_{n+1} <= J_{n+2}, so equal ranks mean the chain is
+stable from there.  Chains are iterated to stabilization; the stable value
+need not be zero (upper-triangular matrices stabilize at the
+strictly-upper part), and whether it vanishes is the nilcommutativity
+certificate.  A ``FiltrationChain`` holds the pieces as Echelons, and
+``chain[n]`` past the end is the stable piece.
 """
 
 from __future__ import annotations
@@ -355,7 +366,8 @@ class FiltrationChain:
     """Descending chain F_0 >= F_1 >= ... down to its stable value.
 
     ``pieces`` holds the computed pieces as Echelons, F_0 first; ``chain[n]``
-    is F_n, and every n past the end gives the last (stable) piece.
+    is F_n, every n past the end gives the last (stable) piece, and a
+    negative n raises ``IndexError``.
     """
 
     pieces: list
@@ -364,6 +376,8 @@ class FiltrationChain:
     __iter__ = None
 
     def __getitem__(self, n):
+        if n < 0:
+            raise IndexError(f"filtration level {n} is negative")
         return self.pieces[min(n, len(self.pieces) - 1)]
 
     @property
@@ -404,24 +418,23 @@ def span_closure(maps, seeds):
 def filtration_chain(alg, pair_map):
     """F_0, F_1, ... down to the stable value, for the antisymmetric
     ``pair_map`` on the ``FiniteAlgebra`` ``alg``: F_n is the ideal of the
-    seed list G_n of the module docstring."""
+    seed list G_n of the module docstring, built from the generators, G_1
+    and G_{n-1} alone, with ``pair_map`` taking a generator first."""
     pieces = [Echelon.spanning(alg.basis_vec(i) for i in range(alg.dim))]
-    # seeds[n] is G_n; with the generators as G_0, G_1 = [x, y] is [x, G_0]
-    seeds = [alg.generators()]
-    gens, mul = seeds[0], alg.mul
+    # seeds is G_n and first is G_1; with the generators as G_0, G_1 is
+    # [x, G_0], and an empty G_1 gives F_1 = 0, which ends the loop
+    gens = seeds = alg.generators()
+    first = []
     while pieces[-1].rank:
-        n = len(pieces) - 1
         level = itertools.chain(
-            (pair_map(x, g) for x in gens for g in seeds[n]),
-            (pair_map(g, h) for p in range(1, n)
-             for g in seeds[p] for h in seeds[n - p]),
-            (mul(g, h) for p in range(1, n + 1)
-             for g in seeds[p] for h in seeds[n + 1 - p]),
+            (pair_map(x, g) for x in gens for g in seeds),
+            (alg.mul(g1, g) for g1 in first for g in seeds),
         )
         ech = Echelon()
-        seeds.append([v for v in level if v and ech.add(v)])
-        new = alg.ideal_close(seeds[-1])
-        if new.rank == pieces[n].rank:
+        seeds = [v for v in level if v and ech.add(v)]
+        first = first or seeds
+        new = alg.ideal_close(seeds)
+        if new.rank == pieces[-1].rank:
             # descending chain: equal rank means equal span; stable from here
             break
         pieces.append(new)

@@ -280,6 +280,10 @@ def star_ideal_topology_check(n_gens, d, m):
     subspace in Poisson coordinates: monomials with SV-part degree >= m or
     star degree >= m.
     """
+    if n_gens < 1 or d < 0:
+        raise ValueError(f"need n_gens >= 1 and d >= 0, got {n_gens} and {d}")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     alpha = max(2, d)
     power = m * alpha**d + d
     max_total = power + _EXTRA_TOTALS

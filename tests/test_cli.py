@@ -116,6 +116,17 @@ def test_envelope_command(tmp_path, capsys):
     assert "star_degree 0" in out and "exact" in out
 
 
+def test_envelope_command_refuses_a_negative_window(tmp_path, capsys):
+    # with no relation to bound N from below, an empty window would answer
+    # two pieces of rank 0
+    path = tmp_path / "free.txt"
+    path.write_text("gens 2\n")
+    code, out, err = run_cli(capsys, "envelope", str(path), "-d", "1", "-N", "-1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: need window N >= 0, got -1\n"
+
+
 def test_envelope_bad_file(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     path.write_text("nonsense\n")

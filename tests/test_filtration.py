@@ -98,6 +98,15 @@ def test_chain_past_its_end_is_the_stable_piece():
         iter(chain)
 
 
+@pytest.mark.parametrize("n", [-1, -2, -3])
+def test_chain_refuses_a_negative_level(n):
+    # a plain list index would answer a negative level with a piece from
+    # the end of the chain
+    chain = commutator_filtration(borel_algebra())
+    with pytest.raises(IndexError, match=f"^filtration level {n} is negative$"):
+        chain.rank(n)
+
+
 def test_quantized_window_matches_star_degree_tail():
     d, cap = 2, 4
     alg = quantized_window_algebra(2, d, cap)
@@ -242,6 +251,9 @@ REFERENCE_CASES = {
     "envelope-x1x2-nil": (_quadric_envelope_algebra, True),
     "window-2-2-5": (lambda: UWindow(2, 2, 5), False),
     "window-3-1-4": (lambda: UWindow(3, 1, 4), False),
+    # deep chains: F_4 != 0, so products G_p G_q with p, q >= 2 are nonzero
+    "window-2-4-6": (lambda: UWindow(2, 4, 6), False),
+    "poisson-2-4-6-nil": (lambda: poisson_window_algebra(2, 4, 6), True),
 }
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -202,6 +203,22 @@ def test_star_ideal_check_small():
     assert rep.included and rep.power == 3
     rep = star_ideal_topology_check(2, 0, 2)
     assert rep.included
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 1, 1), "need n_gens >= 1 and d >= 0, got 0 and 1"),
+        ((2, -1, 1), "need n_gens >= 1 and d >= 0, got 2 and -1"),
+        ((2, 1, 0), "need m >= 1, got 0"),
+        ((2, 1, -1), "need m >= 1, got -1"),
+    ],
+)
+def test_star_ideal_check_refuses_a_domain_error(args, message):
+    # no generators or m < 1 would make the inclusion hold vacuously, and
+    # d < 0 a float power
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        star_ideal_topology_check(*args)
 
 
 def test_window_algebra_builders_validate():
