@@ -82,6 +82,7 @@ _MEMO_TABLES = (
     _freepoisson._STAR_MONO_CACHE,
     _pbw._NORMAL_CACHE,
     _pbw._SYM_PBW_CACHE,
+    _pbw._SYM_WORD_CACHE,
     _pbw._EINV_WORD_CACHE,
     _quantize._UWINDOW_CACHE,
 )

@@ -68,7 +68,7 @@ def cmd_bracket(args):
 
 
 def cmd_expand(args):
-    a = _as_lie(parse(args.expr, args.n))
+    a = _as_lie(parse(args.expr, args.n).terms)
     if a is None:
         print("error: expression is not a Lie element", file=sys.stderr)
         return 1

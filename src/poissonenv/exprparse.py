@@ -22,23 +22,25 @@ Printing emits the same syntax; parse(print(x)) == x on canonical forms.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, attrgetter
 
 from .freelie import (
     LieBasisElement,
     LieElement,
     TensorElement,
     expand_to_tensor,
+    generator,
     is_lyndon,
     lie_bracket,
 )
 from .freepoisson import (
+    MONOMIAL_ONE,
     PoissonElement,
     PoissonMonomial,
-    multiply,
     poisson_bracket,
     star_product,
 )
-from .linalg import merge
+from .linalg import canonical, merge, quotient
 
 
 class ParseError(ValueError):
@@ -51,53 +53,57 @@ class ParseError(ValueError):
 
 
 def _tokenize(src):
-    tokens = []  # (kind, value, position)
+    tokens = []  # (kind, value, offset); an operator's kind is its text
     i = 0
     n = len(src)
     while i < n:
         c = src[i]
-        if c.isspace():
-            i += 1
-            continue
-        if src.startswith("**", i):
-            tokens.append(("op", "**", i))
-            i += 2
-            continue
         if c in "+-*{}[](),/":
-            tokens.append(("op", c, i))
+            if c == "*" and src.startswith("*", i + 1):
+                c = "**"
+            tokens.append((c, c, i))
+            i += len(c)
+        elif c.isspace():
             i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(("int", src[i:j], i))
-            i = j
-            continue
-        if c == "x":
+        # decimal digits only: int() refuses other digits, such as '²'
+        elif c.isdecimal() or c == "x":
             j = i + 1
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
-            if j == i + 1:
+            if c != "x":
+                tokens.append(("int", src[i:j], i))
+            elif j == i + 1:
                 raise ParseError("generator needs an index", i)
-            tokens.append(("gen", int(src[i + 1 : j]), i))
+            else:
+                tokens.append(("gen", int(src[i + 1 : j]), i))
             i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+        else:
+            raise ParseError(f"unexpected character {c!r}", i)
     tokens.append(("end", "", n))
     return tokens
 
 
+def _monomial_product(m1, m2):
+    return PoissonMonomial.of(m1.factors + m2.factors)
+
+
 class _Parser:
+    """Recursive descent over term dicts.
+
+    Every grammar method returns a fresh dict key -> stored coefficient,
+    which its caller may modify: a key is a PoissonMonomial, or a word in
+    tensor mode, and the product of two keys is the commutative product or
+    the concatenation.  Elements are built only for the operations that
+    need them ({,}, [,] and **) and for the result.
+    """
+
     def __init__(self, src, n_gens, mode):
-        self.src = src
         self.n_gens = n_gens
-        self.mode = mode
+        self.tensor = mode == "tensor"
+        self.unit = () if self.tensor else MONOMIAL_ONE
+        self.join = add if self.tensor else _monomial_product
         self.tokens = _tokenize(src)
         self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -105,147 +111,133 @@ class _Parser:
         return tok
 
     def expect(self, value):
-        kind, val, at = self.next()
-        if kind != "op" or val != value:
+        kind, _, at = self.next()
+        if kind != value:
             raise ParseError(f"expected {value!r}", at)
 
     # -- semantic helpers ---------------------------------------------------
-    def const(self, q):
-        if self.mode == "tensor":
-            return TensorElement({(): q})
-        return PoissonElement.one(q)
+    def mul(self, a, b):
+        join = self.join
+        if len(a) == 1 and len(b) == 1:
+            ((k1, c1),) = a.items()
+            ((k2, c2),) = b.items()
+            return {join(k1, k2): canonical(c1 * c2)}
+        out = {}
+        for k1, c1 in a.items():
+            merge(out, [(join(k1, k2), c2) for k2, c2 in b.items()], c1)
+        return out
 
-    def gen_elt(self, i, at):
-        if not 1 <= i <= self.n_gens:
-            raise ParseError(f"unknown generator x{i}", at)
-        if self.mode == "tensor":
-            return TensorElement.word((i,))
-        return PoissonElement.generator(i)
-
-    def lyndon_elt(self, word, at):
-        b = LieBasisElement.from_word(word)
-        if self.mode == "tensor":
-            return expand_to_tensor(b)
-        return PoissonElement.from_lie(LieElement.basis(b))
-
-    def mul_op(self, a, b):
-        if self.mode == "tensor":
-            return a * b
-        return multiply(a, b)
-
-    def bracket_op(self, a, b, kind, at):
-        if self.mode == "tensor":
+    def bracket(self, a, b, kind, at):
+        if self.tensor:
             if kind == "{":
                 raise ParseError("Poisson bracket is not a tensor operation", at)
-            return a * b - b * a
+            return merge(self.mul(a, b), self.mul(b, a).items(), -1)
         if kind == "{":
-            return poisson_bracket(a, b)
+            return poisson_bracket(PoissonElement._of(a), PoissonElement._of(b)).terms
         la = _as_lie(a)
         lb = _as_lie(b)
         if la is None or lb is None:
             raise ParseError("Lie bracket needs Lie-algebra operands", at)
-        return PoissonElement.from_lie(lie_bracket(la, lb))
+        return PoissonElement.from_lie(lie_bracket(la, lb)).terms
 
     # -- grammar ------------------------------------------------------------
     def parse(self):
         out = self.sum()
-        kind, _, at = self.peek()
+        kind, _, at = self.tokens[self.pos]
         if kind != "end":
             raise ParseError("trailing input", at)
-        return out
+        return (TensorElement if self.tensor else PoissonElement)._of(out)
 
     def sum(self):
-        first = self.starprod()
-        out = dict(first.terms)
+        out = self.starprod()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                merge(out, self.starprod().terms.items(), 1 if val == "+" else -1)
-            else:
-                return first._of(out)
+            kind = self.tokens[self.pos][0]
+            if kind != "+" and kind != "-":
+                return out
+            self.pos += 1
+            merge(out, self.starprod().items(), 1 if kind == "+" else -1)
 
     def starprod(self):
         out = self.prod()
         while True:
-            kind, val, at = self.peek()
-            if kind == "op" and val == "**":
-                if self.mode == "tensor":
-                    raise ParseError("star product is not a tensor operation", at)
-                self.next()
-                out = star_product(out, self.prod())
-            else:
+            kind, _, at = self.tokens[self.pos]
+            if kind != "**":
                 return out
+            if self.tensor:
+                raise ParseError("star product is not a tensor operation", at)
+            self.pos += 1
+            b = self.prod()
+            out = star_product(PoissonElement._of(out), PoissonElement._of(b)).terms
 
     def prod(self):
         out = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                out = self.mul_op(out, self.unary())
-            else:
-                return out
+        while self.tokens[self.pos][0] == "*":
+            self.pos += 1
+            out = self.mul(out, self.unary())
+        return out
 
     def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return -self.unary()
+        if self.tokens[self.pos][0] == "-":
+            self.pos += 1
+            return {k: -c for k, c in self.unary().items()}
         return self.atom()
 
     def atom(self):
         kind, val, at = self.next()
+        if kind == "gen":
+            if not 1 <= val <= self.n_gens:
+                raise ParseError(f"unknown generator x{val}", at)
+            if self.tensor:
+                return {(val,): 1}
+            return {PoissonMonomial.of((generator(val),)): 1}
         if kind == "int":
-            num = int(val)
-            k2, v2, _ = self.peek()
-            if k2 == "op" and v2 == "/":
-                self.next()
+            q = int(val)
+            if self.tokens[self.pos][0] == "/":
+                self.pos += 1
                 k3, v3, at3 = self.next()
                 if k3 != "int":
                     raise ParseError("expected denominator", at3)
                 den = int(v3)
                 if not den:
                     raise ParseError("zero denominator", at3)
-                return self.const(Fraction(num, den))
-            return self.const(num)
-        if kind == "gen":
-            return self.gen_elt(val, at)
-        if kind == "op" and val == "(":
-            k2, v2, at2 = self.peek()
-            if k2 == "int" and len(v2) >= 2:
-                word = tuple(int(c) for c in v2)
-                after = self.tokens[self.pos + 1]
-                if (
-                    all(1 <= c <= self.n_gens for c in word)
-                    and is_lyndon(word)
-                    and after[:2] == ("op", ")")
-                ):
-                    self.next()
-                    self.next()
-                    return self.lyndon_elt(word, at2)
+                q = quotient(q, den)
+            return {self.unit: q} if q else {}
+        if kind == "(":
+            k2, v2, at2 = self.tokens[self.pos]
+            if (
+                k2 == "int"
+                and len(v2) >= 2
+                and self.tokens[self.pos + 1][0] == ")"
+                and all(1 <= int(c) <= self.n_gens for c in v2)
+            ):
+                word = tuple(map(int, v2))
+                if is_lyndon(word):
+                    self.pos += 2
+                    b = LieBasisElement.from_word(word)
+                    if self.tensor:
+                        return dict(expand_to_tensor(b).terms)
+                    return {PoissonMonomial.of((b,)): 1}
             out = self.sum()
             self.expect(")")
             return out
-        if kind == "op" and val in "{[":
-            close = "}" if val == "{" else "]"
+        if kind == "{" or kind == "[":
             a = self.sum()
             self.expect(",")
             b = self.sum()
-            self.expect(close)
-            return self.bracket_op(a, b, val, at)
+            self.expect("}" if kind == "{" else "]")
+            return self.bracket(a, b, kind, at)
         raise ParseError("expected an expression", at)
 
 
-def _as_lie(p):
-    """View a PoissonElement as a LieElement if every term is a single
-    Lie basis factor; None otherwise."""
-    terms = {}
-    for m, c in p.terms.items():
+def _as_lie(terms):
+    """View a term dict of Poisson monomials as a LieElement if every term
+    is a single Lie basis factor; None otherwise."""
+    out = {}
+    for m, c in terms.items():
         if m.sym_degree != 1:
             return None
-        terms[m.factors[0]] = c
-    return LieElement(terms)
+        out[m.factors[0]] = c
+    return LieElement(out)
 
 
 def parse(src, n_gens, mode="poisson"):
@@ -277,24 +269,31 @@ def format_rational(q):
 def _format_terms(terms):
     """Signed sum of (coefficient, factor strings) terms: a coefficient 1 is
     left out before factors, and no terms print as 0."""
-    out = ""
+    out = []
     for c, factors in terms:
-        mag = abs(c)
-        if mag != 1 or not factors:
-            factors = [format_rational(mag)] + factors
-        body = "*".join(factors)
-        if not out:
-            out = body if c > 0 else "-" + body
+        text = format_rational(c)
+        if text[0] == "-":
+            out.append(" - " if out else "-")
+            text = text[1:]
+        elif out:
+            out.append(" + ")
+        if factors:
+            if text != "1":
+                out.append(text + "*")
+            out.append("*".join(factors))
         else:
-            out += (" + " if c > 0 else " - ") + body
-    return out or "0"
+            out.append(text)
+    return "".join(out) or "0"
+
+
+_sort_key = attrgetter("sort_key")
 
 
 def format_poisson(p):
     """Canonical text form, e.g. ``x1*x2 + 1/2*(12)``."""
+    terms = p.terms
     return _format_terms(
-        (p.terms[m], [repr(b) for b in m.factors])
-        for m in sorted(p.terms, key=lambda m: m.sort_key)
+        (terms[m], [b.text for b in m.factors]) for m in sorted(terms, key=_sort_key)
     )
 
 
@@ -311,7 +310,7 @@ def format_tensor(t):
 
 def poisson_to_json(p):
     terms = []
-    for m in sorted(p.terms, key=lambda m: m.sort_key):
+    for m in sorted(p.terms, key=_sort_key):
         terms.append(
             {
                 "coeff": format_rational(p.terms[m]),

@@ -330,10 +330,11 @@ class TruncatedAlgebra(FiniteAlgebra):
             t = {}
             for i, j, k, c in rows:
                 # a float is already rounded, and Fraction(True) is 1: refuse
-                # both rather than load an algebra nobody wrote down
+                # both rather than load an algebra nobody wrote down; "1/0"
+                # names no number either
                 try:
                     exact = None if isinstance(c, (bool, float, complex)) else Fraction(c)
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, ZeroDivisionError):
                     exact = None
                 if exact is None:
                     raise ValueError(

@@ -54,7 +54,8 @@ class LieBasisElement(tuple):
     ``right`` are the basis elements of the standard factorization (both
     None for a letter).  ``bracketing`` is the same tree as nested words: a
     bare int for a letter, or a pair ``(left, right)`` of sub-bracketings.
-    Instances are immutable by convention and interned by word.
+    ``text`` is the printed form, ``x1`` or ``(112)``, which ``repr``
+    returns.  Instances are immutable by convention and interned by word.
     """
 
     __hash__ = tuple.__hash__
@@ -70,6 +71,10 @@ class LieBasisElement(tuple):
             self.bracketing = (left.bracketing, right.bracketing)
         self.star_degree = len(word) - 1
         self.sort_key = (len(word), word)
+        if len(word) == 1:
+            self.text = f"x{word[0]}"
+        else:
+            self.text = "(" + "".join(map(str, word)) + ")"
         return self
 
     @classmethod
@@ -94,9 +99,7 @@ class LieBasisElement(tuple):
         return not self == other
 
     def __repr__(self):
-        if len(self.word) == 1:
-            return f"x{self.word[0]}"
-        return "(" + "".join(str(i) for i in self.word) + ")"
+        return self.text
 
 
 _ELEMENT_CACHE = {}
@@ -162,7 +165,7 @@ class LieElement(Combination):
         from .exprparse import _format_terms
 
         return _format_terms(
-            (self.terms[b], [repr(b)])
+            (self.terms[b], [b.text])
             for b in sorted(self.terms, key=lambda b: b.sort_key)
         )
 

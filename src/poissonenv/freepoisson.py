@@ -219,7 +219,7 @@ def symmetrize(a):
     """The PBW symmetrization map e into the tensor algebra."""
     out = {}
     for m, c in a.terms.items():
-        merge(out, pbw.symmetrize_factors(m.factors).terms.items(), c)
+        merge(out, pbw.sym_word_table(m.factors).items(), c)
     return TensorElement._of(out)
 
 
@@ -271,41 +271,52 @@ def star_product(a, b):
     return PoissonElement._of(out)
 
 
+def _star_pieces(m1, m2):
+    """The pair's star table ``_star_monomials(m1, m2)`` filed by p, as a
+    dict p -> list of (m, c): a term m of the pair's sym-degree sum s =
+    sym m1 + sym m2 belongs to B_p with p = s - sym m."""
+    s = m1.sym_degree + m2.sym_degree
+    pieces = {}
+    for m, c in _star_monomials(m1, m2).items():
+        pieces.setdefault(s - m.sym_degree, []).append((m, c))
+    return pieces
+
+
 def star_components(a, b):
     """Every B_p at once: a dict p -> B_p for p = 0 .. the largest sum of a
     sym degree of ``a`` and one of ``b`` (empty if either is zero); B_p is
     zero past that.
 
-    One pass over the monomial pairs: the terms of each pair's star table
-    ``_star_monomials(m1, m2)`` are summed per sym-degree sum s = sym m1 +
-    sym m2, and a term m of sum s belongs to B_p with p = s - sym m.  Only
-    one sum reaches a given (m, p), so the pieces are disjoint.
+    One pass over the monomial pairs, each pair's star table filed by p
+    (``_star_pieces``).  A term m of B_p comes only from pairs of sym-degree
+    sum p + sym m, so the pieces are disjoint.
     """
     if not a.terms or not b.terms:
         return {}
-    by_sum = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            s = m1.sym_degree + m2.sym_degree
-            merge(by_sum.setdefault(s, {}), _star_monomials(m1, m2).items(), c1 * c2)
     top = a.sym_degrees()[-1] + b.sym_degrees()[-1]
     out = {p: {} for p in range(top + 1)}
-    for s, terms in by_sum.items():
-        for m, c in terms.items():
-            out[s - m.sym_degree][m] = c
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            for p, items in _star_pieces(m1, m2).items():
+                merge(out[p], items, c1 * c2)
     return {p: PoissonElement._of(terms) for p, terms in out.items()}
 
 
 def star_component(a, b, p):
     """B_p: the component of the star product dropping sym degree by p.
 
-    Applied bilinearly over the sym-homogeneous components of the inputs.
-    On star-homogeneous inputs it is also the component raising star degree
-    by exactly p.  A negative p raises ``ValueError``.
+    Applied bilinearly over the sym-homogeneous components of the inputs:
+    only the B_p terms of each pair's star table are summed.  On
+    star-homogeneous inputs it is also the component raising star degree by
+    exactly p.  A negative p raises ``ValueError``.
     """
     if p < 0:
         raise ValueError(f"need p >= 0, got {p}")
-    return star_components(a, b).get(p, PoissonElement())
+    out = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            merge(out, _star_pieces(m1, m2).get(p, ()), c1 * c2)
+    return PoissonElement._of(out)
 
 
 def bigraded_component(a, p, q):

@@ -25,17 +25,19 @@ applied to the straightened letters of the word, and the star product in
 ``freepoisson`` applies it to a product of two ``sym_table`` vectors over
 the scale k1! k2!.
 
-``symmetrize_factors`` computes e in the word basis straight from its
-definition, the average over factor orders.  Together with
-``e_inverse_word`` it is the word-space reference that the PBW-coordinate
-star product is tested against.
+``sym_word_table`` computes e in the word basis straight from its
+definition, the average over factor orders, and memoizes it read-only as
+``normal_table`` does; ``symmetrize_factors`` is the public form and returns
+a fresh copy.  Together with ``e_inverse_word`` it is the word-space
+reference that the PBW-coordinate star product is tested against.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 from .freelie import (
     TensorElement,
@@ -43,7 +45,7 @@ from .freelie import (
     expand_to_tensor,
     generator,
 )
-from .linalg import canonical, int_row, merge, quotient
+from .linalg import int_row, merge, quotient
 
 
 _NORMAL_CACHE = {}
@@ -85,23 +87,28 @@ def pbw_to_tensor(factors):
     return out
 
 
+_SYM_WORD_CACHE = {}
+
+
+def sym_word_table(factors):
+    """e(l_1 ... l_k) of a tuple of basis elements in the word basis, the
+    average of the concatenations over all factor orders (memoized): the
+    memo entry itself, a dict word -> coefficient that callers only read."""
+    hit = _SYM_WORD_CACHE.get(factors)
+    if hit is None:
+        # each distinct order stands for prod(mult_f!) of the k! orders
+        mult = prod(map(factorial, Counter(factors).values()))
+        weight = Fraction(mult, factorial(len(factors)))
+        hit = {}
+        for perm in sorted(set(permutations(factors))):
+            merge(hit, pbw_to_tensor(perm).terms.items(), weight)
+        _SYM_WORD_CACHE[factors] = hit
+    return hit
+
+
 def symmetrize_factors(factors):
-    """e(l_1 ... l_k): average the concatenations over all factor orders."""
-    factors = tuple(factors)
-    k = len(factors)
-    if k == 0:
-        return TensorElement.one()
-    mult = 1
-    seen = {}
-    for f in factors:
-        seen[f] = seen.get(f, 0) + 1
-    for m in seen.values():
-        mult *= factorial(m)
-    weight = canonical(Fraction(mult, factorial(k)))
-    out = {}
-    for perm in sorted(set(permutations(factors))):
-        merge(out, pbw_to_tensor(perm).terms.items(), weight)
-    return TensorElement._of(out)
+    """e(l_1 ... l_k) as a fresh TensorElement: ``sym_word_table`` copied."""
+    return TensorElement._of(dict(sym_word_table(tuple(factors))))
 
 
 _SYM_PBW_CACHE = {}

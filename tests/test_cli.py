@@ -83,6 +83,13 @@ def test_zero_denominator_is_a_parse_error(capsys):
     assert "zero denominator" in err
 
 
+@pytest.mark.parametrize("expr, at", [("x1²", 2), ("2²", 1)])
+def test_superscript_digit_is_a_parse_error(capsys, expr, at):
+    code, out, err = run_cli(capsys, "e", "-n", "2", expr)
+    assert code == 2 and out == ""
+    assert f"unexpected character '²' at offset {at}" in err
+
+
 @pytest.mark.parametrize(
     "word, image",
     [("1,12", "x1*x12"), ("12,1", "x1*x12"), ("12", "x1*x2"), ("1,2,2", "x1*x2*x2")],
@@ -186,6 +193,18 @@ def test_filtration_refuses_a_float_coefficient(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "filtration", str(path))
     assert code == 0
     assert "commutator filtration ranks:" in out
+
+
+def test_filtration_refuses_a_zero_denominator(tmp_path, capsys):
+    product = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    data = TruncatedAlgebra(2, ["1", "x"], 0, product).to_json_dict()
+    data["product"].append([1, 1, 1, "1/0"])
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "filtration", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: product entry (1, 1, 1): coefficient '1/0'")
 
 
 def _dual_numbers_json():

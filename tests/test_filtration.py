@@ -832,6 +832,16 @@ def test_json_refuses_a_coefficient_that_is_not_exact(coeff):
         TruncatedAlgebra.from_json_dict(data)
 
 
+@pytest.mark.parametrize("coeff", ["1/0", "abc"])
+def test_json_refuses_a_string_that_names_no_number(coeff):
+    # "1/0" is refused as "abc" is, not with a ZeroDivisionError
+    data = TruncatedAlgebra(2, ["1", "x"], 0, _dual_numbers()).to_json_dict()
+    data["product"].append([1, 1, 1, coeff])
+    message = rf"^product entry \(1, 1, 1\): coefficient '{coeff}' is not an int"
+    with pytest.raises(ValueError, match=message):
+        TruncatedAlgebra.from_json_dict(data)
+
+
 @pytest.mark.parametrize("coeff, value", [(1, 1), (-2, -2), ("1/10", Fraction(1, 10))])
 def test_json_loads_ints_and_decimal_strings(coeff, value):
     data = TruncatedAlgebra(2, ["1", "x"], 0, _dual_numbers()).to_json_dict()

@@ -367,3 +367,16 @@ def _tensors(draw):
 @given(_tensors())
 def test_e_of_e_inverse_is_the_identity_on_random_tensors(t):
     assert symmetrize(e_inverse(t)) == t
+
+
+@settings(deadline=None, max_examples=40)
+@given(_pairs())
+def test_star_component_is_the_piece_of_star_components(pair):
+    # on elements homogeneous in neither grading, and past the top p
+    a, b = pair
+    comps = star_components(a, b)
+    top = max(a.sym_degrees()) + max(b.sym_degrees())
+    for p in range(top + 3):
+        assert star_component(a, b, p) == comps.get(p, PoissonElement())
+    zero = PoissonElement.zero()
+    assert star_component(a, zero, 0).is_zero() and star_component(zero, b, 1).is_zero()

@@ -13,7 +13,12 @@ from poissonenv.exprparse import (
     tensor_from_json,
     tensor_to_json,
 )
-from poissonenv.freelie import LieBasisElement, LieElement, TensorElement
+from poissonenv.freelie import (
+    LieBasisElement,
+    LieElement,
+    TensorElement,
+    expand_to_tensor,
+)
 from poissonenv.freepoisson import (
     PoissonElement,
     monomials_star_maxpoly,
@@ -46,6 +51,16 @@ def test_parse_zero_denominator():
         parse("1/0", 2)
     assert err.value.message == "zero denominator"
     assert err.value.position == 2  # the denominator's offset
+
+
+@pytest.mark.parametrize("mode", ["poisson", "tensor"])
+@pytest.mark.parametrize("src, at", [("x1²", 2), ("2²", 1)])
+def test_parse_refuses_a_superscript_digit(src, at, mode):
+    # str.isdigit accepts '²', which int() refuses: only decimal digits scan
+    with pytest.raises(ParseError) as err:
+        parse(src, 2, mode=mode)
+    assert err.value.message == "unexpected character '²'"
+    assert err.value.position == at
 
 
 @pytest.mark.parametrize("mode", ["poisson", "tensor"])
@@ -102,6 +117,16 @@ def test_tensor_mode_commutator():
     assert parse("[x1,x2]", 2, mode="tensor") == parse(
         "x1*x2 - x2*x1", 2, mode="tensor"
     )
+
+
+def test_tensor_lyndon_atom_leaves_the_expansion_memo_alone():
+    # a sum that starts at a Lyndon atom adds into a dict the parser owns,
+    # never into the memoized expansion of the atom
+    want = TensorElement.word((1, 2)) - TensorElement.word((2, 1))
+    got = parse("(12) + x1 - 3", 2, mode="tensor")
+    assert got == want + TensorElement.word((1,)) - TensorElement({(): 3})
+    assert parse("(12)", 2, mode="tensor") == want
+    assert expand_to_tensor(LieBasisElement.from_word((1, 2))) == want
 
 
 def test_tensor_mode_rejects_poisson_operations():

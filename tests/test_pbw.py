@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 import poissonenv
 from poissonenv import pbw
 from poissonenv.freelie import bracket_basis, generator, lyndon_basis_of_length
-from poissonenv.freepoisson import monomials_star_total
+from poissonenv.freepoisson import (
+    PoissonElement,
+    PoissonMonomial,
+    monomials_star_total,
+    symmetrize,
+)
 from poissonenv.linalg import canonical, merge
 
 _REFERENCE_SYM = {}
@@ -154,3 +159,32 @@ def test_clear_caches_empties_the_sym_table():
     poissonenv.clear_caches()
     assert not pbw._SYM_PBW_CACHE
     assert pbw.sym_pbw((g2, g1, g2)) == reference_sym_pbw((g1, g2, g2))
+
+
+def test_word_space_e_is_cache_safe():
+    # e in the word basis is memoized read-only: a caller's edits to what
+    # symmetrize or symmetrize_factors returns never reach the next call
+    g1, g2 = generator(1), generator(2)
+    b12 = next(iter(bracket_basis(g1, g2).terms))
+    factors = (g1, g2, b12)
+    m = PoissonMonomial.of(factors)
+    calls = (
+        lambda: pbw.symmetrize_factors(factors).terms,
+        lambda: pbw.symmetrize_factors([b12, g1, g2]).terms,
+        lambda: symmetrize(PoissonElement.monomial(m)).terms,
+        lambda: symmetrize(PoissonElement.monomial(m, 3)).terms,
+    )
+    for call in calls:
+        first = call()
+        want = dict(first)
+        key = next(iter(first))
+        first[key] = 99
+        first[("stray",)] = 7
+        assert call() == want
+        call().clear()
+        assert call() == want
+    assert pbw._SYM_WORD_CACHE
+    poissonenv.clear_caches()
+    assert not pbw._SYM_WORD_CACHE
+    assert symmetrize(PoissonElement.monomial(m, 3)) == 3 * pbw.symmetrize_factors(factors)
+    assert pbw.symmetrize_factors(()).terms == {(): 1}
