@@ -45,15 +45,7 @@ from .freepoisson import (
     star_product,
     symmetrize,
 )
-from .linalg import (
-    DimensionMismatch,
-    Rational,
-    SparseMatrix,
-    SparseVector,
-    kernel,
-    rank,
-    solve_in_span,
-)
+from .linalg import Echelon, Rational, SpanSolver
 from .quantize import (
     NCWord,
     QuantizedAlgebra,
@@ -102,7 +94,7 @@ def clear_caches():
 
 
 __all__ = [
-    "DimensionMismatch",
+    "Echelon",
     "EndoMap",
     "EnvelopePresentation",
     "FiltrationChain",
@@ -116,8 +108,7 @@ __all__ = [
     "PoissonMonomial",
     "QuantizedAlgebra",
     "Rational",
-    "SparseMatrix",
-    "SparseVector",
+    "SpanSolver",
     "TensorElement",
     "TruncatedAlgebra",
     "associated_graded",
@@ -135,7 +126,6 @@ __all__ = [
     "gap_witness",
     "graded_of_Q",
     "induced_hom",
-    "kernel",
     "lie_bracket",
     "local_model_bracket",
     "lyndon_basis",
@@ -146,9 +136,7 @@ __all__ = [
     "parse",
     "poisson_bracket",
     "poisson_ideal_generators",
-    "rank",
     "rewrite_in_basis",
-    "solve_in_span",
     "star_component",
     "star_ideal_topology_check",
     "star_product",

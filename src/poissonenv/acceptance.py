@@ -81,8 +81,7 @@ def check_witt_lyndon():
             for tup in it.product(range(1, n + 1), repeat=length):
                 if length >= 2 and tup[-1] == tup[-2]:
                     continue  # innermost bracket vanishes
-                vec = _tensor_vector(left_normed_tensor(tup), n, length)
-                ech.add(vec.entries)
+                ech.add(_tensor_vector(left_normed_tensor(tup), n))
             if ech.rank != expected:
                 return _result(
                     "witt",
@@ -129,23 +128,19 @@ def check_symmetrized_filtration():
                 for m in all_monos
                 if m.star_degree >= n
             ]
-            ech_f = Echelon.spanning(
-                _tensor_vector(t, 2, length).entries for t in filt_basis
-            )
-            ech_e = Echelon.spanning(
-                _tensor_vector(t, 2, length).entries for t in e_images
-            )
+            ech_f = Echelon.spanning(_tensor_vector(t, 2) for t in filt_basis)
+            ech_e = Echelon.spanning(_tensor_vector(t, 2) for t in e_images)
             if ech_f.rank != ech_e.rank:
                 return _result(
                     "e-filtration", False, f"rank mismatch l={length} n={n}"
                 )
             for t in e_images:
-                if not ech_f.contains(_tensor_vector(t, 2, length).entries):
+                if not ech_f.contains(_tensor_vector(t, 2)):
                     return _result(
                         "e-filtration", False, f"e image escapes F_{n} at l={length}"
                     )
             for t in filt_basis:
-                if not ech_e.contains(_tensor_vector(t, 2, length).entries):
+                if not ech_e.contains(_tensor_vector(t, 2)):
                     return _result(
                         "e-filtration", False, f"F_{n} escapes e image at l={length}"
                     )
@@ -467,7 +462,7 @@ def check_endomorphism_contraction():
     for i in range(A.dim):
         m = _label_monomial(A, i)
         cols.append({i: 2 ** (m.sym_degree + m.star_degree)})
-    f = filt.EndoMap.from_columns(A.dim, cols)
+    f = filt.EndoMap(cols)
     rep = filt.endo_contraction_check(A, f, chain, use_bracket=True)
     if rep.identity_mod_f1 or not rep.is_endomorphism:
         return _result("endo-contraction", False, "precondition violation not reported")

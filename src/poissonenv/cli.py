@@ -122,7 +122,7 @@ def cmd_envelope(args):
         {
             "star_degree": p.star_degree,
             "ambient": len(p.ambient_basis),
-            "ideal_rank": p.ideal_span.rows,
+            "ideal_rank": len(p.ideal_span),
             "quotient_rank": p.quotient_rank,
             "exact": p.exact,
         }

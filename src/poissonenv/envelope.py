@@ -36,7 +36,7 @@ from .freepoisson import (
     poisson_bracket,
     sv_tuples,
 )
-from .linalg import Echelon, SparseMatrix, SparseVector, merge
+from .linalg import Echelon, merge
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class GradedQuotientPiece:
 
     star_degree: int
     ambient_basis: list
-    ideal_span: SparseMatrix
+    ideal_span: list  # row dicts over the indices of ambient_basis
     quotient_rank: int
     exact: bool
 
@@ -230,14 +230,11 @@ def _ideal_window_rows(pres, n):
 
 def _quotient_piece(pres, n):
     rows, window, exact = _ideal_window_rows(pres, n)
-    dim = len(window)
-    vectors = [SparseVector(dim, r) for r in rows]
-    span = SparseMatrix.from_rows(vectors) if vectors else SparseMatrix(0, dim)
     return GradedQuotientPiece(
         star_degree=n,
         ambient_basis=window,
-        ideal_span=span,
-        quotient_rank=dim - len(rows),
+        ideal_span=rows,
+        quotient_rank=len(window) - len(rows),
         exact=exact,
     )
 

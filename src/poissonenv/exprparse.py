@@ -52,6 +52,15 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _int(digits, at):
+    """``int(digits)``, or a ParseError at ``at`` for a run of digits longer
+    than the interpreter converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(f"integer of {len(digits)} digits is too long", at) from None
+
+
 def _tokenize(src):
     tokens = []  # (kind, value, offset); an operator's kind is its text
     i = 0
@@ -75,7 +84,7 @@ def _tokenize(src):
             elif j == i + 1:
                 raise ParseError("generator needs an index", i)
             else:
-                tokens.append(("gen", int(src[i + 1 : j]), i))
+                tokens.append(("gen", _int(src[i + 1 : j], i), i))
             i = j
         else:
             raise ParseError(f"unexpected character {c!r}", i)
@@ -191,13 +200,13 @@ class _Parser:
                 return {(val,): 1}
             return {PoissonMonomial.of((generator(val),)): 1}
         if kind == "int":
-            q = int(val)
+            q = _int(val, at)
             if self.tokens[self.pos][0] == "/":
                 self.pos += 1
                 k3, v3, at3 = self.next()
                 if k3 != "int":
                     raise ParseError("expected denominator", at3)
-                den = int(v3)
+                den = _int(v3, at3)
                 if not den:
                     raise ParseError("zero denominator", at3)
                 q = quotient(q, den)

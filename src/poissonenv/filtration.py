@@ -48,11 +48,10 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from math import factorial, lcm
 
-from .linalg import Echelon, SparseMatrix, SparseVector, SpanSolver, _clean, merge
+from .linalg import Echelon, SpanSolver, _clean, merge
 
 
 def _table_mul(table, v, w):
@@ -508,7 +507,7 @@ def associated_graded(alg, chain):
     dim = len(flat)
     # the chain reaches 0, so the representatives of all grades are a basis
     # of F_0, and those of grades >= g a basis of F_g
-    solver = SpanSolver([SparseVector(alg.dim, row) for row in flat])
+    solver = SpanSolver(alg.dim, flat)
 
     def project(vec, grade):
         """Coordinates of ``vec`` on the grade representatives mod F_{grade+1}:
@@ -518,7 +517,7 @@ def associated_graded(alg, chain):
             return {}
         if grade >= chain.length:  # F_grade = 0 and vec != 0
             raise ValueError("chain is not multiplicative")
-        coeffs = solver.solve(SparseVector(alg.dim, vec))
+        coeffs = solver.solve(vec)
         start, stop = offsets[grade], offsets[grade + 1]
         if coeffs is None or any(coeffs[:start]):
             raise ValueError("vector not inside its filtration grade")
@@ -551,37 +550,23 @@ def associated_graded(alg, chain):
     )
 
 
-@dataclass(frozen=True)
 class EndoMap:
-    """A linear map given by its matrix; columns are images of basis vectors."""
+    """A linear map given by its columns: column j, a coordinate dict, is
+    the image of basis vector j.  Column values are converted as they enter,
+    like the terms of a ``Combination``."""
 
-    matrix: SparseMatrix
-
-    @cached_property
-    def _by_column(self):
-        cols = {}
-        for (i, j), c in self.matrix.entries.items():
-            cols.setdefault(j, {})[i] = c
-        return cols
+    def __init__(self, columns):
+        self._cols = [_clean(col) for col in columns]
 
     def apply(self, vec):
         out = {}
+        cols = self._cols
         for j, c in vec.items():
-            col = self._by_column.get(j)
-            if col:
-                merge(out, col.items(), c)
+            merge(out, cols[j].items(), c)
         return out
 
-    @classmethod
-    def from_columns(cls, dim, columns):
-        entries = {}
-        for j, col in enumerate(columns):
-            for i, c in col.items():
-                entries[(i, j)] = c
-        return cls(SparseMatrix(dim, dim, entries))
-
     def columns(self):
-        return [dict(self._by_column.get(j, {})) for j in range(self.matrix.cols)]
+        return [dict(col) for col in self._cols]
 
 
 @dataclass
@@ -669,7 +654,7 @@ def exp_nilpotent_endo(alg, derivation_cols):
     ``dim`` iterations, which holds for every degree-raising derivation of a
     truncated graded algebra.
     """
-    derivation = EndoMap.from_columns(alg.dim, derivation_cols)
+    derivation = EndoMap(derivation_cols)
     columns = []
     for i in range(alg.dim):
         total = dict(alg.basis_vec(i))
@@ -682,7 +667,7 @@ def exp_nilpotent_endo(alg, derivation_cols):
             term = derivation.apply(term)
             merge(total, term.items(), Fraction(1, factorial(k)))
         columns.append(total)
-    return EndoMap.from_columns(alg.dim, columns)
+    return EndoMap(columns)
 
 
 def hamiltonian_derivation(alg, c_vec):

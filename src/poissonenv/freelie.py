@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .linalg import Combination, Echelon, SparseVector, SpanSolver, merge
+from .linalg import Combination, Echelon, SpanSolver, merge
 
 Word = tuple  # tuple of 1-based generator indices
 
@@ -231,6 +231,8 @@ def _mobius(n):
 
 def witt_number(n_gens, length):
     """Dimension of the word-length-``length`` piece of the free Lie algebra."""
+    if length < 1:
+        raise ValueError(f"need word length >= 1, got {length}")
     total = 0
     for d in range(1, length + 1):
         if length % d == 0:
@@ -273,11 +275,10 @@ def _word_index(word, n_gens):
     return idx
 
 
-def _tensor_vector(t, n_gens, length):
-    dim = n_gens**length
-    return SparseVector(
-        dim, {_word_index(w, n_gens): c for w, c in t.terms.items()}
-    )
+def _tensor_vector(t, n_gens):
+    """Coordinates of ``t``, whose words have one length and letters in
+    1..n_gens, at the base-``n_gens`` indices of its words."""
+    return {_word_index(w, n_gens): c for w, c in t.terms.items()}
 
 
 _REWRITE_SOLVERS = {}
@@ -287,26 +288,32 @@ def _rewrite_solver(n_gens, length):
     key = (n_gens, length)
     if key not in _REWRITE_SOLVERS:
         basis = lyndon_basis_of_length(n_gens, length)
-        vecs = [
-            _tensor_vector(expand_to_tensor(b), n_gens, length) for b in basis
-        ]
-        _REWRITE_SOLVERS[key] = (basis, SpanSolver(vecs))
+        rows = [_tensor_vector(expand_to_tensor(b), n_gens) for b in basis]
+        _REWRITE_SOLVERS[key] = (basis, SpanSolver(n_gens**length, rows))
     return _REWRITE_SOLVERS[key]
 
 
 def rewrite_in_basis(t, n_gens=None):
-    """Lyndon-basis coordinates of a tensor element, or None if not in LV."""
+    """Lyndon-basis coordinates of a tensor element, or None if not in LV.
+
+    Raises ValueError on a letter outside 1..n_gens (n_gens defaults to the
+    largest letter).
+    """
     if t.is_zero():
         return LieElement.zero()
     if () in t.terms:
         return None
+    letters = set().union(*t.terms)
     if n_gens is None:
-        n_gens = max(max(w) for w in t.terms)
+        n_gens = max(letters)
+    for a in sorted(letters):
+        if not 1 <= a <= n_gens:
+            raise ValueError(f"letter {a} outside 1..{n_gens}")
     out = {}
     for length in t.word_lengths():
         comp = t.length_component(length)
         basis, solver = _rewrite_solver(n_gens, length)
-        coeffs = solver.solve(_tensor_vector(comp, n_gens, length))
+        coeffs = solver.solve(_tensor_vector(comp, n_gens))
         if coeffs is None:
             return None
         for b, c in zip(basis, coeffs):
@@ -408,7 +415,6 @@ def tensor_filtration_basis(n_gens, word_len, n):
             t = TensorElement.one()
             for b in combo:
                 t = t * expand_to_tensor(b)
-            vec = _tensor_vector(t, n_gens, word_len)
-            if ech.add(vec.entries):
+            if ech.add(_tensor_vector(t, n_gens)):
                 picked.append(t)
     return picked

@@ -1,10 +1,11 @@
 """Exact sparse linear algebra over the rationals.
 
-Vectors, matrices and combinations store only nonzero entries.  This module
-owns how a sparse exact row is updated and eliminated: ``merge`` is the one
-add-and-drop-zero step, ``Combination`` the one base of the algebra
-elements, and ``Echelon`` the one elimination routine (rank, kernel and span
-solving feed their rows through it).  Elimination is deterministic: it
+A vector is a coordinate dict, column -> nonzero coefficient, and a
+combination stores only its nonzero terms.  This module owns how a sparse
+exact row is updated and eliminated: ``merge`` is the one add-and-drop-zero
+step, ``Combination`` the one base of the algebra elements, and ``Echelon``
+the one elimination routine (rank is ``Echelon.spanning(rows).rank``, and
+``SpanSolver`` feeds its rows through it).  Elimination is deterministic: it
 always clears the smallest column index of the row at hand; there is no
 other pivot rule and no column order to choose.  It runs on integers: ``Echelon``
 scales each row it is given to integers once, clears columns by integer
@@ -15,11 +16,11 @@ A stored coefficient is an ``int`` exactly when its value is integral, and
 otherwise a reduced ``fractions.Fraction``; never a Fraction with
 denominator 1, a float or a bool.  Most coefficients are integers, and int
 arithmetic is far cheaper than Fraction arithmetic.  Conversion happens
-once, where a value enters: the constructors of ``Combination``,
-``SparseVector`` and ``SparseMatrix`` and the scalar of ``__rmul__`` keep an
-int, turn a Fraction with denominator 1 into its numerator, convert a
-decimal string, and refuse a ``float`` or ``complex`` with ``TypeError``,
-since a binary float is not the rational its user meant.  Inside the
+once, where a value enters: the constructor of ``Combination`` and the
+scalar of ``__rmul__`` keep an int, turn a Fraction with denominator 1 into
+its numerator, convert a decimal string, refuse a ``float`` or ``complex``
+with ``TypeError``, since a binary float is not the rational its user
+meant, and refuse a zero denominator with ``ValueError``.  Inside the
 library, ``merge``, ``__rmul__`` and ``Echelon`` store an integral result as
 an int, so results built from stored coefficients (``Combination._of``) are
 not checked a second time.
@@ -57,7 +58,10 @@ def _coefficient(c):
         return c
     if isinstance(c, (float, complex)):
         raise TypeError(f"inexact coefficient {c!r}; use an int, a Fraction or a string")
-    return canonical(c if type(c) is Fraction else Fraction(c))
+    try:
+        return canonical(c if type(c) is Fraction else Fraction(c))
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {c!r} has a zero denominator") from None
 
 
 def _clean(entries):
@@ -167,119 +171,6 @@ class Combination:
         if not c:
             return type(self)()
         return self._of({k: canonical(c * v) for k, v in self.terms.items()})
-
-
-class DimensionMismatch(ValueError):
-    """Raised when vectors of different dimensions are combined."""
-
-
-class SparseVector:
-    """Immutable sparse vector: ``dim`` and a map index -> nonzero coefficient."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim, entries=None):
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", _clean(entries or {}))
-        for i in self.entries:
-            if not 0 <= i < dim:
-                raise IndexError(f"index {i} out of range for dim {dim}")
-
-    def __setattr__(self, *a):  # pragma: no cover - guard only
-        raise AttributeError("SparseVector is immutable")
-
-    def __getitem__(self, i):
-        return self.entries.get(i, ZERO)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseVector)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self.entries.items())))
-
-    def is_zero(self):
-        return not self.entries
-
-    def __add__(self, other):
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"{self.dim} != {other.dim}")
-        return SparseVector(self.dim, merge(dict(self.entries), other.entries.items()))
-
-    def __sub__(self, other):
-        return self + (-1) * other
-
-    def __rmul__(self, c):
-        c = _coefficient(c)
-        if not c:
-            return SparseVector(self.dim)
-        entries = {i: canonical(c * v) for i, v in self.entries.items()}
-        return SparseVector(self.dim, entries)
-
-    def __repr__(self):
-        return f"SparseVector({self.dim}, {self.entries!r})"
-
-
-class SparseMatrix:
-    """Immutable sparse matrix: shape plus a map (row, col) -> nonzero coefficient."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries=None):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", _clean(entries or {}))
-        for r, c in self.entries:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
-
-    def __setattr__(self, *a):  # pragma: no cover - guard only
-        raise AttributeError("SparseMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, vectors):
-        """Stack SparseVectors (all the same dim) as the rows of a matrix."""
-        vectors = list(vectors)
-        if not vectors:
-            return cls(0, 0)
-        dim = vectors[0].dim
-        entries = {}
-        for r, v in enumerate(vectors):
-            if v.dim != dim:
-                raise DimensionMismatch(f"{v.dim} != {dim}")
-            for c, x in v.entries.items():
-                entries[(r, c)] = x
-        return cls(len(vectors), dim, entries)
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-    def transpose(self):
-        return SparseMatrix(
-            self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and (self.rows, self.cols) == (other.rows, other.cols)
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
-
-
-def rank(m):
-    """Rank over the rationals: the rows of ``m`` fed into an ``Echelon``,
-    whose smallest-column rule is the only pivot rule."""
-    return Echelon.spanning(m.row_dicts()).rank
 
 
 class Echelon:
@@ -398,65 +289,30 @@ def int_row(row):
     return {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}, den
 
 
-class SpanSolver:
-    """Expresses targets as exact rational combinations of fixed basis vectors.
 
-    Basis vector i enters one ``Echelon`` tagged with an extra column
-    ``dim + i``, so every echelon row carries the combination of basis
-    vectors it stands for.  A vector whose untagged part reduces to zero
-    depends on the earlier ones and is left out; its coefficient is 0.  An
-    empty basis has no dimension of its own and takes that of each target.
+
+class SpanSolver:
+    """Expresses targets as exact rational combinations of fixed rows.
+
+    Rows and targets are coordinate dicts whose columns lie in
+    ``range(dim)``.  Row i enters one ``Echelon`` tagged with an extra
+    column ``dim + i``, so every echelon row carries the combination of rows
+    it stands for.  A row whose untagged part reduces to zero depends on the
+    earlier ones and is left out; its coefficient is 0.
     """
 
-    def __init__(self, basis):
-        self.basis = list(basis)
-        self.dim = self.basis[0].dim if self.basis else None
+    def __init__(self, dim, rows):
+        self.dim = dim
+        self.rows = list(rows)
         self._ech = Echelon()
-        for i, v in enumerate(self.basis):
-            if v.dim != self.dim:
-                raise DimensionMismatch(f"{v.dim} != {self.dim}")
-            _add_independent(self._ech, {**v.entries, self.dim + i: ONE}, self.dim)
+        for i, row in enumerate(self.rows):
+            res = self._ech.reduce({**row, dim + i: ONE})
+            if min(res) < dim:
+                self._ech.add(res)
 
     def solve(self, target):
-        """Coefficients c with sum(c[i] * basis[i]) == target, or None."""
-        dim = target.dim if self.dim is None else self.dim
-        if target.dim != dim:
-            raise DimensionMismatch(f"{target.dim} != {dim}")
-        res = self._ech.reduce(target.entries)
-        if res and min(res) < dim:
+        """Coefficients c with sum(c[i] * rows[i]) == target, or None."""
+        res = self._ech.reduce(target)
+        if res and min(res) < self.dim:
             return None
-        return [-res.get(dim + i, ZERO) for i in range(len(self.basis))]
-
-
-def _add_independent(ech, row, dim):
-    """Add ``row`` to ``ech`` unless its part below column ``dim`` reduces to
-    zero; return the residue."""
-    res = ech.reduce(row)
-    if min(res) < dim:
-        ech.add(res)
-    return res
-
-
-def solve_in_span(basis, target):
-    """Express ``target`` in the span of ``basis`` vectors.
-
-    Returns the list of exact rational coefficients, or None if the target is
-    definitely not in the span.  Raises DimensionMismatch on shape errors.
-    """
-    return SpanSolver(basis).solve(target)
-
-
-def kernel(m):
-    """Basis of the right kernel {x : m x = 0}, as SparseVectors.
-
-    Column j enters one ``Echelon`` tagged with an extra column
-    ``m.rows + j``; every column that reduces to zero against the earlier
-    ones leaves the combination of columns that witnesses it.
-    """
-    ech = Echelon()
-    out = []
-    for j, col in enumerate(m.transpose().row_dicts()):
-        res = _add_independent(ech, {**col, m.rows + j: ONE}, m.rows)
-        if min(res) >= m.rows:
-            out.append(SparseVector(m.cols, {k - m.rows: c for k, c in res.items()}))
-    return out
+        return [-res.get(self.dim + i, ZERO) for i in range(len(self.rows))]

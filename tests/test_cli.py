@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,26 @@ def test_zero_denominator_is_a_parse_error(capsys):
     code, _, err = run_cli(capsys, "bracket", "-n", "2", "1/0", "x1")
     assert code == 2
     assert "zero denominator" in err
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "x" + "1" * 5000,
+        pytest.param(
+            "1" * 5000,
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="no int conversion limit",
+            ),
+        ),
+    ],
+    ids=["generator", "literal"],
+)
+def test_an_overlong_digit_run_is_a_parse_error(capsys, expr):
+    code, out, err = run_cli(capsys, "e", "-n", "2", expr)
+    assert code == 2 and out == ""
+    assert "at offset 0" in err
 
 
 @pytest.mark.parametrize("expr, at", [("x1²", 2), ("2²", 1)])

@@ -96,14 +96,13 @@ def test_every_operation_stores_fractions(a, b, scalar):
 def test_every_stored_coefficient_is_an_int_or_a_rational(a, b):
     # poissonenv.Rational is the type of the non-integral coefficients only
     from poissonenv import Rational
-    from poissonenv.linalg import SparseVector
 
     results = [a, b, star_product(a, b), poisson_bracket(a, b), e_inverse(symmetrize(a))]
     results += [symmetrize(a), PoissonElement.generator(1)]
     for r in results:
         assert all(type(c) in (int, Rational) for c in r.terms.values()), r
-    assert type(SparseVector(2, {0: 3, 1: "1/2"})[0]) is int
-    assert type(SparseVector(2, {0: 3, 1: "1/2"})[1]) is Rational
+    t = TensorElement({(1,): 3, (2,): "1/2"})
+    assert type(t.terms[(1,)]) is int and type(t.terms[(2,)]) is Rational
     assert not isinstance(PoissonElement.generator(1).terms.popitem()[1], Rational)
 
 
@@ -201,6 +200,22 @@ def test_ints_and_decimal_strings_enter_as_fractions():
 )
 def test_floats_are_refused(make):
     with pytest.raises(TypeError, match="inexact"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PoissonElement({_POOL[0]: "1/0"}),
+        lambda: poisson_from_json(
+            {"kind": "poisson", "terms": [{"coeff": "1/0", "factors": [{"word": [1]}]}]}
+        ),
+        lambda: tensor_from_json({"kind": "tensor", "terms": [{"coeff": "1/0", "word": [1]}]}),
+    ],
+    ids=["element", "poisson-json", "tensor-json"],
+)
+def test_a_zero_denominator_is_refused(make):
+    with pytest.raises(ValueError, match=r"^coefficient '1/0' has a zero denominator$"):
         make()
 
 

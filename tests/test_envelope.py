@@ -29,7 +29,7 @@ from poissonenv.freepoisson import (
     poisson_bracket,
     sv_tuples,
 )
-from poissonenv.linalg import Echelon, SparseMatrix, SparseVector, merge, rank
+from poissonenv.linalg import Echelon, merge
 from poissonenv.quantize import envelope_window_algebra
 
 
@@ -233,10 +233,9 @@ _CARVE_ROWS = st.lists(
 
 def _rank(rows, cols):
     """Rank of ``rows`` restricted to the columns ``cols``."""
-    entries = {
-        (r, c): v for r, row in enumerate(rows) for c, v in row.items() if c in cols
-    }
-    return rank(SparseMatrix(len(rows), _CARVE_COLS, entries))
+    return Echelon.spanning(
+        {c: v for c, v in row.items() if c in cols} for row in rows
+    ).rank
 
 
 @settings(deadline=None, max_examples=80)
@@ -379,12 +378,10 @@ def test_envelope_matches_column_ordered_carve(name):
         dim = len(piece.ambient_basis)
         index = {m: i for i, m in enumerate(piece.ambient_basis)}
         rows = [
-            SparseVector(dim, {index[m]: c for m, c in row.items()})
+            {index[m]: c for m, c in row.items()}
             for row in _reference_ideal_rows(pres, piece.star_degree)
         ]
-        assert piece.ideal_span == (
-            SparseMatrix.from_rows(rows) if rows else SparseMatrix(0, dim)
-        )
+        assert piece.ideal_span == rows
         assert piece.quotient_rank == dim - len(rows)
         assert piece.exact == pres.homogeneous
     assert p1_rank_check(pres) == (
@@ -504,15 +501,9 @@ def _window_algebra(pres):
 def _outputs(pres):
     pieces = envelope_truncated(pres)
     summary = [
-        (p.star_degree, p.quotient_rank, p.exact, p.ideal_span.rows) for p in pieces
+        (p.star_degree, p.quotient_rank, p.exact, len(p.ideal_span)) for p in pieces
     ]
-    spans = [
-        [
-            {c: v for (r, c), v in p.ideal_span.entries.items() if r == row}
-            for row in range(p.ideal_span.rows)
-        ]
-        for p in pieces
-    ]
+    spans = [p.ideal_span for p in pieces]
     algebra = _window_algebra(pres) if pres.homogeneous else None
     return summary, spans, p1_rank_check(pres) if pres.d >= 1 else None, algebra
 

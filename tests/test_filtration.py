@@ -421,9 +421,7 @@ def test_associated_graded_refuses_a_product_past_the_chain():
 def test_endo_identity_passes():
     alg = poisson_window_algebra(2, 1, 3)
     chain = nil_poisson_filtration(alg)
-    ident = EndoMap.from_columns(
-        alg.dim, [alg.basis_vec(i) for i in range(alg.dim)]
-    )
+    ident = EndoMap([alg.basis_vec(i) for i in range(alg.dim)])
     rep = endo_contraction_check(alg, ident, chain)
     assert rep.passed
 
@@ -462,7 +460,7 @@ def test_endo_precondition_violation_reported():
         p = parse(lab, 2)
         (m, _) = next(iter(p.terms.items()))
         cols.append({i: Fraction(2) ** (m.sym_degree + m.star_degree)})
-    f = EndoMap.from_columns(alg.dim, cols)
+    f = EndoMap(cols)
     rep = endo_contraction_check(alg, f, chain)
     assert rep.is_endomorphism
     assert not rep.identity_mod_f1
@@ -472,8 +470,8 @@ def test_endo_precondition_violation_reported():
 def test_endo_non_multiplicative_reported():
     alg = truncated_polynomial_algebra(2)
     chain = commutator_filtration(alg)
-    f = EndoMap.from_columns(
-        2, [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
+    f = EndoMap(
+        [{0: Fraction(1)}, {0: Fraction(1), 1: Fraction(1)}]
     )  # x -> 1 + x is not multiplicative in k[x]/(x^2)
     rep = endo_contraction_check(alg, f, chain, use_bracket=False)
     assert not rep.is_endomorphism
@@ -798,9 +796,8 @@ def test_endo_apply_matches_entry_scan():
     for vec in vecs:
         expected = {}
         for j, c in vec.items():
-            for (i, jj), m in f.matrix.entries.items():
-                if jj == j:
-                    merge(expected, ((i, m),), c)
+            for i, m in f.columns()[j].items():
+                merge(expected, ((i, m),), c)
         assert f.apply(vec) == expected
     assert f.columns() == [f.apply(v) for v in vecs[:-1]]
 

@@ -2,6 +2,7 @@ import itertools as it
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,12 @@ def test_lyndon_counts_match_witt_and_brute_force():
             level = lyndon_basis_of_length(n, length)
             assert sorted(b.word for b in level) == sorted(brute)
             assert len(level) == witt_number(n, length)
+
+
+def test_witt_number_refuses_a_length_below_one():
+    for length in (0, -1):
+        with pytest.raises(ValueError, match=rf"^need word length >= 1, got {length}$"):
+            witt_number(2, length)
 
 
 def test_standard_bracketing():
@@ -123,6 +130,20 @@ def test_rewrite_inverts_expansion():
         + TensorElement.word((2, 1, 1))
     )
     assert rewrite_in_basis(t) == lie((1, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "terms, letter",
+    [
+        # x1x1x3 has the base-2 index of x1x2x1; read so, the sum would be (112)
+        ({(1, 1, 2): 1, (1, 1, 3): -2, (2, 1, 1): 1}, 3),
+        ({(1, 3): 1, (3, 1): -1}, 3),
+        ({(0, 1): 1, (1, 0): -1}, 0),
+    ],
+)
+def test_rewrite_refuses_a_letter_outside_the_generators(terms, letter):
+    with pytest.raises(ValueError, match=rf"^letter {letter} outside 1\.\.2$"):
+        rewrite_in_basis(TensorElement(terms), 2)
 
 
 def test_round_trips():
@@ -226,8 +247,8 @@ def test_filtration_degree_one_length_two():
     assert len(basis) == 1
     t = TensorElement.word((1, 2)) - TensorElement.word((2, 1))
     ech = Echelon()
-    ech.add(_tensor_vector(basis[0], 2, 2).entries)
-    assert ech.contains(_tensor_vector(t, 2, 2).entries)
+    ech.add(_tensor_vector(basis[0], 2))
+    assert ech.contains(_tensor_vector(t, 2))
 
 
 def test_filtration_degree_two_length_three():
@@ -235,10 +256,10 @@ def test_filtration_degree_two_length_three():
     assert len(basis) == 2
     ech = Echelon()
     for t in basis:
-        ech.add(_tensor_vector(t, 2, 3).entries)
+        ech.add(_tensor_vector(t, 2))
     for word in ((1, 1, 2), (1, 2, 2)):
         exp = expand_to_tensor(lie(word))
-        assert ech.contains(_tensor_vector(exp, 2, 3).entries)
+        assert ech.contains(_tensor_vector(exp, 2))
 
 
 def test_filtration_nesting_and_products():
@@ -247,7 +268,7 @@ def test_filtration_nesting_and_products():
     for n in range(length + 1):
         ech = Echelon()
         for t in tensor_filtration_basis(2, length, n):
-            ech.add(_tensor_vector(t, 2, length).entries)
+            ech.add(_tensor_vector(t, 2))
         echs.append(ech)
     for n in range(length):
         for row in echs[n + 1].basis():
@@ -259,10 +280,10 @@ def test_filtration_nesting_and_products():
             continue
         target = Echelon()
         for t in tensor_filtration_basis(2, length, p + q):
-            target.add(_tensor_vector(t, 2, length).entries)
+            target.add(_tensor_vector(t, 2))
         for a in tensor_filtration_basis(2, lp, p):
             for b in tensor_filtration_basis(2, lq, q):
-                assert target.contains(_tensor_vector(a * b, 2, length).entries)
+                assert target.contains(_tensor_vector(a * b, 2))
 
 
 def test_pbw_dimension_count():

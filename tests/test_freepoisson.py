@@ -110,11 +110,8 @@ def _solver_oracle(length):
     monos = monomials_star_total(2, 0, length)
     for q in range(1, length + 1):
         monos += monomials_star_total(2, q, length)
-    vecs = [
-        _tensor_vector(symmetrize(PoissonElement.monomial(m)), 2, length)
-        for m in monos
-    ]
-    return monos, SpanSolver(vecs)
+    rows = [_tensor_vector(symmetrize(PoissonElement.monomial(m)), 2) for m in monos]
+    return monos, SpanSolver(2**length, rows)
 
 
 def test_e_inverse_against_solver_oracle():
@@ -123,7 +120,7 @@ def test_e_inverse_against_solver_oracle():
     for length in (2, 3, 4):
         monos, solver = _solver_oracle(length)
         for w in it.product((1, 2), repeat=length):
-            coeffs = solver.solve(_tensor_vector(word(w), 2, length))
+            coeffs = solver.solve(_tensor_vector(word(w), 2))
             assert coeffs is not None
             expected = PoissonElement.zero()
             for c, m in zip(coeffs, monos):

@@ -7,27 +7,37 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonenv.envelope import _window_part
-from poissonenv.linalg import (
-    DimensionMismatch,
-    Echelon,
-    Rational,
-    SparseMatrix,
-    SparseVector,
-    SpanSolver,
-    kernel,
-    merge,
-    rank,
-    solve_in_span,
-)
+from poissonenv.freelie import TensorElement
+from poissonenv.linalg import Echelon, Rational, SpanSolver, merge
 
 
 def mat(rows):
-    entries = {}
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if v:
-                entries[(i, j)] = Fraction(v)
-    return SparseMatrix(len(rows), len(rows[0]) if rows else 0, entries)
+    """The rows of a dense matrix as coordinate dicts."""
+    return [{j: Fraction(v) for j, v in enumerate(row) if v} for row in rows]
+
+
+def rank(rows):
+    return Echelon.spanning(rows).rank
+
+
+def kernel(rows, n_cols):
+    """Basis of {x : rows x = 0}, found by span solving: a column that
+    ``SpanSolver`` writes as a combination of the earlier independent
+    columns gives that combination minus the column."""
+    cols = [{r: row[j] for r, row in enumerate(rows) if j in row} for j in range(n_cols)]
+    independent, out = [], []
+    for j, col in enumerate(cols):
+        coeffs = SpanSolver(len(rows), [cols[i] for i in independent]).solve(col)
+        if coeffs is None:
+            independent.append(j)
+        else:
+            out.append({j: -1, **{i: c for i, c in zip(independent, coeffs) if c}})
+    return out
+
+
+def apply(rows, v):
+    """rows v, as a dense list."""
+    return [sum(c * v.get(j, 0) for j, c in row.items()) for row in rows]
 
 
 def test_rational_invariants():
@@ -38,7 +48,7 @@ def test_rational_invariants():
 
 
 def test_rank_zero_matrix():
-    assert rank(SparseMatrix(3, 3)) == 0
+    assert rank([{}, {}, {}]) == 0
 
 
 def test_rank_identity():
@@ -50,36 +60,28 @@ def test_rank_dependent_rows():
 
 
 def test_solve_in_span_basis_vector():
-    e1 = SparseVector(2, {0: Fraction(1)})
-    assert solve_in_span([e1], e1) == [Fraction(1)]
+    e1 = {0: Fraction(1)}
+    assert SpanSolver(2, [e1]).solve(e1) == [Fraction(1)]
 
 
 def test_solve_in_span_not_in_span():
-    e1 = SparseVector(2, {0: Fraction(1)})
-    e2 = SparseVector(2, {1: Fraction(1)})
-    assert solve_in_span([e1], e2) is None
+    e1 = {0: Fraction(1)}
+    e2 = {1: Fraction(1)}
+    assert SpanSolver(2, [e1]).solve(e2) is None
 
 
 def test_solve_in_span_two_by_two():
-    b1 = SparseVector(2, {0: Fraction(1), 1: Fraction(1)})
-    b2 = SparseVector(2, {0: Fraction(1), 1: Fraction(-1)})
-    e1 = SparseVector(2, {0: Fraction(1)})
-    assert solve_in_span([b1, b2], e1) == [Fraction(1, 2), Fraction(1, 2)]
+    b1 = {0: Fraction(1), 1: Fraction(1)}
+    b2 = {0: Fraction(1), 1: Fraction(-1)}
+    e1 = {0: Fraction(1)}
+    assert SpanSolver(2, [b1, b2]).solve(e1) == [Fraction(1, 2), Fraction(1, 2)]
 
 
-def test_solve_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        solve_in_span([SparseVector(2, {0: Fraction(1)})], SparseVector(3))
-
-
-def test_an_empty_basis_takes_the_dimension_of_its_target():
-    # the empty span is {0} in every dimension: a zero target is the empty
-    # combination and a nonzero one lies outside
-    assert solve_in_span([], SparseVector(3)) == []
-    assert solve_in_span([], SparseVector(3, {1: Fraction(2)})) is None
-    solver = SpanSolver([])
-    assert solver.solve(SparseVector(2)) == [] == solver.solve(SparseVector(5))
-    assert solver.solve(SparseVector(5, {4: Fraction(1)})) is None
+def test_an_empty_basis_spans_only_zero():
+    # the zero target is the empty combination and a nonzero one lies outside
+    solver = SpanSolver(3, [])
+    assert solver.solve({}) == []
+    assert solver.solve({1: Fraction(2)}) is None
 
 
 def test_solve_recombination_random():
@@ -88,23 +90,25 @@ def test_solve_recombination_random():
         dim = rng.randint(2, 8)
         basis = []
         for _ in range(rng.randint(1, dim)):
-            entries = {
-                i: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                for i in rng.sample(range(dim), rng.randint(1, dim))
-            }
-            v = SparseVector(dim, entries)
-            if not v.is_zero():
-                basis.append(v)
+            row = merge(
+                {},
+                [
+                    (i, Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                    for i in rng.sample(range(dim), rng.randint(1, dim))
+                ],
+            )
+            if row:
+                basis.append(row)
         if not basis:
             continue
-        target = SparseVector(dim)
-        for v in basis:
-            target = target + rng.randint(-3, 3) * v
-        coeffs = solve_in_span(basis, target)
+        target = {}
+        for row in basis:
+            merge(target, row.items(), rng.randint(-3, 3))
+        coeffs = SpanSolver(dim, basis).solve(target)
         assert coeffs is not None
-        back = SparseVector(dim)
-        for c, v in zip(coeffs, basis):
-            back = back + c * v
+        back = {}
+        for c, row in zip(coeffs, basis):
+            merge(back, row.items(), c)
         assert back == target
 
 
@@ -118,8 +122,10 @@ def test_rank_equals_transpose_rank_random():
             entries[(rng.randrange(rows), rng.randrange(cols))] = Fraction(
                 rng.randint(-9, 9) or 1, rng.randint(1, 4)
             )
-        m = SparseMatrix(rows, cols, entries)
-        assert rank(m) == rank(m.transpose())
+        by_row, by_col = [{} for _ in range(rows)], [{} for _ in range(cols)]
+        for (r, c), v in entries.items():
+            by_row[r][c] = by_col[c][r] = v
+        assert rank(by_row) == rank(by_col)
 
 
 def test_echelon_normal_form_clears_pivots():
@@ -139,38 +145,24 @@ def test_echelon_column_order_intersection():
 
 
 def test_kernel_of_dependent_columns():
-    from poissonenv.linalg import kernel
-
     m = mat([[1, 2], [2, 4]])
-    basis = kernel(m)
+    basis = kernel(m, 2)
     assert len(basis) == 1
     (v,) = basis
-    # m v = 0 exactly
-    for r in range(2):
-        total = sum(m.entries.get((r, c), Fraction(0)) * v[c] for c in range(2))
-        assert total == 0
+    assert apply(m, v) == [0, 0]  # m v = 0 exactly
 
 
 def test_kernel_random_matrices():
-    from poissonenv.linalg import kernel, rank
-
     rng = random.Random(31)
     for _ in range(10):
         rows, cols = rng.randint(2, 7), rng.randint(2, 7)
-        entries = {}
+        m = [{} for _ in range(rows)]
         for _ in range(rng.randint(0, 18)):
-            entries[(rng.randrange(rows), rng.randrange(cols))] = Fraction(
-                rng.randint(-5, 5) or 2
-            )
-        m = SparseMatrix(rows, cols, entries)
-        basis = kernel(m)
+            m[rng.randrange(rows)][rng.randrange(cols)] = Fraction(rng.randint(-5, 5) or 2)
+        basis = kernel(m, cols)
         assert len(basis) == cols - rank(m)
         for v in basis:
-            for r in range(rows):
-                total = sum(
-                    m.entries.get((r, c), Fraction(0)) * v[c] for c in range(cols)
-                )
-                assert total == 0
+            assert apply(m, v) == [0] * rows
 
 
 def test_merge_folds_pairs_and_drops_zeros():
@@ -231,19 +223,17 @@ _BIG = 10**17
 
 def test_rank_of_integer_rows_is_exact():
     # in floats 10**17 + 1 - 10**17 is 0, and the rank would come out 1
-    m = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): _BIG, (1, 0): 1, (1, 1): _BIG + 1})
-    assert rank(m) == 2
+    assert rank([{0: 1, 1: _BIG}, {0: 1, 1: _BIG + 1}]) == 2
 
 
 def test_kernel_of_integer_rows_is_exact():
-    m = SparseMatrix(2, 2, {(0, 0): 1, (0, 1): _BIG, (1, 0): 1, (1, 1): _BIG + 1})
-    assert kernel(m) == []
+    assert kernel([{0: 1, 1: _BIG}, {0: 1, 1: _BIG + 1}], 2) == []
 
 
 def test_solve_in_span_of_integer_rows_is_exact():
-    basis = [SparseVector(2, {0: 1, 1: _BIG})]
-    assert solve_in_span(basis, SparseVector(2, {0: 1, 1: _BIG + 1})) is None
-    assert solve_in_span(basis, SparseVector(2, {0: 3, 1: 3 * _BIG})) == [3]
+    solver = SpanSolver(2, [{0: 1, 1: _BIG}])
+    assert solver.solve({0: 1, 1: _BIG + 1}) is None
+    assert solver.solve({0: 3, 1: 3 * _BIG}) == [3]
 
 
 def test_echelon_divides_int_rows_exactly():
@@ -269,29 +259,27 @@ def test_echelon_divides_int_rows_exactly():
 
 
 def test_sparse_entries_enter_as_fractions():
-    v = SparseVector(3, {0: 2, 1: "1/3", 2: "0"})
-    assert v.entries == {0: 2, 1: Fraction(1, 3)}
-    assert [type(x) for x in v.entries.values()] == [int, Fraction]
-    assert [type(x) for x in (2 * v).entries.values()] == [int, Fraction]
-    assert (3 * v).entries == {0: 6, 1: 1}
-    assert [type(x) for x in (3 * v).entries.values()] == [int, int]
-    assert [type(x) for x in (Fraction(3, 2) * v).entries.values()] == [int, Fraction]
-    m = SparseMatrix(1, 2, {(0, 0): 5, (0, 1): "-0.5"})
-    assert [type(x) for x in m.entries.values()] == [int, Fraction]
-    w = SparseVector(3, {0: Fraction(4, 2), 1: "6/3", 2: True})
-    assert w.entries == {0: 2, 1: 2, 2: 1}
-    assert [type(x) for x in w.entries.values()] == [int, int, int]
+    v = TensorElement({(1,): 2, (2,): "1/3", (3,): "0"})
+    assert v.terms == {(1,): 2, (2,): Fraction(1, 3)}
+    assert [type(x) for x in v.terms.values()] == [int, Fraction]
+    assert [type(x) for x in (2 * v).terms.values()] == [int, Fraction]
+    assert (3 * v).terms == {(1,): 6, (2,): 1}
+    assert [type(x) for x in (3 * v).terms.values()] == [int, int]
+    assert [type(x) for x in (Fraction(3, 2) * v).terms.values()] == [int, Fraction]
+    m = TensorElement({(1,): 5, (2,): "-0.5"})
+    assert [type(x) for x in m.terms.values()] == [int, Fraction]
+    w = TensorElement({(1,): Fraction(4, 2), (2,): "6/3", (3,): True})
+    assert w.terms == {(1,): 2, (2,): 2, (3,): 1}
+    assert [type(x) for x in w.terms.values()] == [int, int, int]
     for bad in (0.5, 1j):
         with pytest.raises(TypeError, match="inexact"):
-            SparseVector(1, {0: bad})
-        with pytest.raises(TypeError, match="inexact"):
-            SparseMatrix(1, 1, {(0, 0): bad})
+            TensorElement({(1,): bad})
         with pytest.raises(TypeError, match="inexact"):
             bad * v
 
 
 def test_combination_equality_is_type_strict_and_only_tensors_hash():
-    from poissonenv.freelie import LieElement, TensorElement, generator
+    from poissonenv.freelie import LieElement, generator
     from poissonenv.freepoisson import PoissonElement
 
     assert LieElement() != PoissonElement()
@@ -337,13 +325,13 @@ def test_rank_kernel_and_span_match_sympy():
         m = mat(dense)
         ref = sympy.Matrix(dense)
         assert rank(m) == ref.rank()
-        assert len(kernel(m)) == len(ref.nullspace())
-        basis = [SparseVector(cols, dict(enumerate(r))) for r in dense]
+        assert len(kernel(m, cols)) == len(ref.nullspace())
+        solver = SpanSolver(cols, m)
         coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(rows)]
         inside = [sum(c * r[j] for c, r in zip(coeffs, dense)) for j in range(cols)]
         outside = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
         for target in (inside, outside):
-            got = solve_in_span(basis, SparseVector(cols, dict(enumerate(target))))
+            got = solver.solve(mat([target])[0])
             # target in the row space <=> appending it keeps the sympy rank
             in_span = ref.col_join(sympy.Matrix([target])).rank() == ref.rank()
             assert (got is not None) == in_span

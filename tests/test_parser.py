@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -51,6 +52,29 @@ def test_parse_zero_denominator():
         parse("1/0", 2)
     assert err.value.message == "zero denominator"
     assert err.value.position == 2  # the denominator's offset
+
+
+# Python 3.11+ refuses int() of more than 4300 digits; earlier Pythons
+# convert any run, so only a generator index that long fails there
+_INT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int conversion limit"
+)
+
+
+@pytest.mark.parametrize("mode", ["poisson", "tensor"])
+@pytest.mark.parametrize(
+    "src, at",
+    [
+        ("x" + "1" * 5000, 0),
+        pytest.param("1" * 5000, 0, marks=_INT_LIMIT),
+        pytest.param("x1 + 1/" + "2" * 5000, 7, marks=_INT_LIMIT),
+    ],
+    ids=["generator", "literal", "denominator"],
+)
+def test_an_overlong_digit_run_is_a_parse_error(src, at, mode):
+    with pytest.raises(ParseError) as err:
+        parse(src, 2, mode=mode)
+    assert err.value.position == at
 
 
 @pytest.mark.parametrize("mode", ["poisson", "tensor"])
