@@ -37,7 +37,6 @@ from .freelie import (
 from .freepoisson import (
     PoissonElement,
     PoissonMonomial,
-    bigraded_component,
     e_inverse,
     multiply,
     poisson_bracket,
@@ -49,7 +48,6 @@ from .linalg import Echelon, Rational, SpanSolver
 from .quantize import (
     NCWord,
     QuantizedAlgebra,
-    bx_component,
     commutator_filtration_Q,
     graded_of_Q,
     nc_embed,
@@ -112,8 +110,6 @@ __all__ = [
     "TensorElement",
     "TruncatedAlgebra",
     "associated_graded",
-    "bigraded_component",
-    "bx_component",
     "clear_caches",
     "commutator_filtration",
     "commutator_filtration_Q",

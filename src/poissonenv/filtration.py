@@ -41,6 +41,20 @@ need not be zero (upper-triangular matrices stabilize at the
 strictly-upper part), and whether it vanishes is the nilcommutativity
 certificate.  A ``FiltrationChain`` holds the pieces as Echelons, and
 ``chain[n]`` past the end is the stable piece.
+
+Order of construction.  An algebra without a declared grading closes its
+pieces top-down, F_1, F_2, ..., each ideal from its seeds alone, and stops
+at the first equal ranks.  A positively graded one (``degrees``: the unit
+in degree 0, every other basis vector in a positive one) builds every seed
+list first and closes from the deepest level up, each F_n grown from a
+copy of F_{n+1}.  The lists run out: G_1 = [X, X] has degrees >= 2, and
+[x, s] and g1 s raise the least degree by at least 1, so the least degree
+in G_n is at least n + 1, and G_n is empty once n reaches the top degree.
+The closure is exact: J_{n+1} is an ideal, and it lies inside J_n because
+J descends, so the closure of G_n together with J_{n+1} is J_n, and the
+rows of J_{n+1} need no maps applied.  The lists running out makes the
+last piece 0, and J stops descending only where it is stable, so the two
+orders give the same pieces.
 """
 
 from __future__ import annotations
@@ -117,11 +131,17 @@ class FiniteAlgebra:
     basis index to nonzero stored coefficient.
 
     A subclass sets ``dim`` and ``unit`` and gives ``_row(i, j)``, the
-    coordinate dict of basis_i * basis_j (empty when it is 0), and it may
-    narrow ``generators`` to a smaller generating set: those are its only
-    hooks.  The product, the commutator, the ideal closure and
-    ``filtration_chain`` are built on them, once for every subclass.
+    coordinate dict of basis_i * basis_j (empty when it is 0).  It may
+    narrow ``generators`` to a smaller generating set, and it may declare
+    ``degrees``, a grading: a list giving each basis vector its degree, 0
+    for the unit and positive for every other one, such that
+    basis_i * basis_j lies in degree ``degrees[i] + degrees[j]``.  Those are
+    its only hooks.  The product, the commutator, the ideal closure and
+    ``filtration_chain`` are built on them, once for every subclass; a
+    declared grading lets the chain be built from its deepest level up.
     """
+
+    degrees = None
 
     def mul(self, v, w):
         out = {}
@@ -160,10 +180,14 @@ class FiniteAlgebra:
         """Echelon spanning the two-sided ideal generated by ``seeds``: the
         span closed under products by each generator on the left and on the
         right, which suffices because the generators generate the algebra."""
+        return span_closure(self._ideal_maps(), seeds)
+
+    def _ideal_maps(self):
+        """Products by each generator, on the left and on the right."""
         maps = []
         for b in self.generators():
             maps += [lambda v, b=b: self.mul(b, v), lambda v, b=b: self.mul(v, b)]
-        return span_closure(maps, seeds)
+        return maps
 
 
 class TruncatedAlgebra(FiniteAlgebra):
@@ -391,18 +415,20 @@ class FiltrationChain:
     def rank(self, n):
         return self[n].rank
 
-    def piece_basis(self, n):
-        return self[n].basis()
-
     def ranks(self):
         return [p.rank for p in self.pieces]
 
 
 def span_closure(maps, seeds):
     """Echelon spanning the smallest subspace that contains ``seeds`` and is
-    closed under every linear map in ``maps``: a worklist that applies each
-    map, in order, to every vector that raises the rank."""
-    ech = Echelon()
+    closed under every linear map in ``maps``."""
+    return _grow(Echelon(), maps, seeds)
+
+
+def _grow(ech, maps, seeds):
+    """Grow ``ech``, whose span is already closed under ``maps``, to the
+    closure of its span and ``seeds``: a worklist that applies each map, in
+    order, to every vector that raises the rank.  Returns ``ech``."""
     queue = list(seeds)
     while queue:
         v = queue.pop()
@@ -415,17 +441,15 @@ def span_closure(maps, seeds):
     return ech
 
 
-def filtration_chain(alg, pair_map):
-    """F_0, F_1, ... down to the stable value, for the antisymmetric
-    ``pair_map`` on the ``FiniteAlgebra`` ``alg``: F_n is the ideal of the
-    seed list G_n of the module docstring, built from the generators, G_1
-    and G_{n-1} alone, with ``pair_map`` taking a generator first."""
-    pieces = [Echelon.spanning(alg.basis_vec(i) for i in range(alg.dim))]
-    # seeds is G_n and first is G_1; with the generators as G_0, G_1 is
-    # [x, G_0], and an empty G_1 gives F_1 = 0, which ends the loop
+def _seed_lists(alg, pair_map):
+    """G_1, G_2, ... of the module docstring, without end: each list built
+    from the generators, G_1 and the list below alone, with ``pair_map``
+    taking a generator first, and cut to a linearly independent subset of
+    itself.  Once a list is empty, every later one is."""
+    # with the generators as G_0, G_1 is [x, G_0]
     gens = seeds = alg.generators()
     first = []
-    while pieces[-1].rank:
+    while True:
         level = itertools.chain(
             (pair_map(x, g) for x in gens for g in seeds),
             (alg.mul(g1, g) for g1 in first for g in seeds),
@@ -433,12 +457,50 @@ def filtration_chain(alg, pair_map):
         ech = Echelon()
         seeds = [v for v in level if v and ech.add(v)]
         first = first or seeds
-        new = alg.ideal_close(seeds)
-        if new.rank == pieces[-1].rank:
-            # descending chain: equal rank means equal span; stable from here
+        yield seeds
+
+
+def filtration_chain(alg, pair_map):
+    """F_0, F_1, ... down to the stable value, for the antisymmetric
+    ``pair_map`` on the ``FiniteAlgebra`` ``alg``: F_n is the ideal of the
+    seed list G_n of the module docstring.
+
+    Without ``alg.degrees`` the pieces are closed top-down, each from its
+    seeds alone, until two ranks agree.  With it, every seed list is built
+    first, and the pieces are closed from the deepest up, each from a copy
+    of the piece below.  A seed list that has not run out by the top degree
+    raises ``RuntimeError``: the declared degrees do not grade ``alg``.
+    """
+    pieces = [Echelon.spanning(alg.basis_vec(i) for i in range(alg.dim))]
+    lists = _seed_lists(alg, pair_map)
+    if alg.degrees is None:
+        while pieces[-1].rank:
+            new = alg.ideal_close(next(lists))
+            if new.rank == pieces[-1].rank:
+                # descending chain: equal rank means equal span; stable from here
+                break
+            pieces.append(new)
+        return FiltrationChain(pieces)
+    top = max(alg.degrees)
+    levels = []
+    for n, seeds in enumerate(lists, 1):
+        if not seeds:
             break
-        pieces.append(new)
-    return FiltrationChain(pieces)
+        if n >= top:  # the least degree in G_n is at least n + 1
+            raise RuntimeError(
+                f"seed list G_{n} is not empty, but the declared degrees end"
+                f" at {top}: they do not grade the algebra"
+            )
+        levels.append(seeds)
+    # F_n for n past the last list is 0; each piece above grows from a copy
+    # of the one below, so the maps run only on rows that raise the rank
+    maps = alg._ideal_maps()
+    below = Echelon()
+    deep = [below]
+    for seeds in reversed(levels):
+        below = _grow(below.copy(), maps, seeds)
+        deep.append(below)
+    return FiltrationChain(pieces + deep[::-1])
 
 
 def commutator_filtration(alg):
@@ -462,27 +524,6 @@ def nil_poisson_filtration(alg):
     return filtration_chain(alg, alg.brk)
 
 
-def chain_is_admissible(alg, pieces, use_bracket=False):
-    """Check the defining containments for a hand-supplied descending chain.
-
-    ``pieces`` maps n -> list of coordinate dicts; the chain is padded with
-    its last piece.  Verifies F_p F_q <= F_{p+q} and bracket/commutator of
-    F_p, F_q inside F_{p+q+1}.
-    """
-    chain = FiltrationChain([Echelon.spanning(basis) for basis in pieces])
-    pair = alg.brk if use_bracket else alg.commutator
-    top = chain.length + 1
-    for p in range(top):
-        for q in range(top):
-            for v in chain[p].basis():
-                for w in chain[q].basis():
-                    if not chain[p + q].contains(alg.mul(v, w)):
-                        return False
-                    if not chain[p + q + 1].contains(pair(v, w)):
-                        return False
-    return True
-
-
 def associated_graded(alg, chain):
     """The graded Poisson algebra sum F_n/F_{n+1} of a vanishing chain.
 
@@ -496,7 +537,7 @@ def associated_graded(alg, chain):
     # its representatives are flat[offsets[n]:offsets[n + 1]]
     labels, grade_of, flat, offsets = [], [], [], []
     for n in range(chain.length):
-        ech = Echelon.spanning(chain[n + 1].basis())
+        ech = chain[n + 1].copy()
         offsets.append(len(flat))
         for row in chain[n].basis():
             if ech.add(row):

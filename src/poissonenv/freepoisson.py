@@ -319,11 +319,6 @@ def star_component(a, b, p):
     return PoissonElement._of(out)
 
 
-def bigraded_component(a, p, q):
-    """Projection onto sym degree p and star degree q."""
-    return a.bigraded_part(p, q)
-
-
 def sv_tuples(n_gens, degree):
     """Nondecreasing letter tuples of the given length (monomials of SV)."""
     return list(combinations_with_replacement(range(1, n_gens + 1), degree))

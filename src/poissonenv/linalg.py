@@ -5,12 +5,18 @@ combination stores only its nonzero terms.  This module owns how a sparse
 exact row is updated and eliminated: ``merge`` is the one add-and-drop-zero
 step, ``Combination`` the one base of the algebra elements, and ``Echelon``
 the one elimination routine (rank is ``Echelon.spanning(rows).rank``, and
-``SpanSolver`` feeds its rows through it).  Elimination is deterministic: it
-always clears the smallest column index of the row at hand; there is no
-other pivot rule and no column order to choose.  It runs on integers: ``Echelon``
-scales each row it is given to integers once, clears columns by integer
-cross-multiplication and keeps every pivot row as primitive integers beside
-its normalized form.  No floating point anywhere.
+``SpanSolver`` feeds its rows through it).  ``Echelon.copy`` starts a new
+span from one already eliminated, so a caller that holds a subspace grows
+a larger one, or intersects with it, without adding its rows again: the
+filtration chain of a graded algebra is closed from its deepest piece up,
+each piece grown from a copy of the one below it, and an intersection rank
+adds one operand's rows to a copy of the other.  Elimination is
+deterministic: it always clears the smallest column index of the row at
+hand; there is no other pivot rule and no column order to choose.  It runs
+on integers: ``Echelon`` scales each row it is given to integers once,
+clears columns by integer cross-multiplication and keeps every pivot row
+as primitive integers beside its normalized form.  No floating point
+anywhere.
 
 A stored coefficient is an ``int`` exactly when its value is integral, and
 otherwise a reduced ``fractions.Fraction``; never a Fraction with
@@ -199,6 +205,18 @@ class Echelon:
         for row in rows:
             ech.add(row)
         return ech
+
+    def copy(self):
+        """An Echelon of the same span that grows on its own.
+
+        The row dicts are shared, not copied: a pivot row is never mutated
+        after it is inserted, so only the two maps are new.  They keep the
+        insertion order, newest pivot last.
+        """
+        out = Echelon()
+        out.rows = dict(self.rows)
+        out._ints = dict(self._ints)
+        return out
 
     @property
     def rank(self):

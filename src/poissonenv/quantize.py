@@ -27,7 +27,6 @@ from .freepoisson import (
     monomials_up_to_total,
     multiply,
     poisson_bracket,
-    star_component,
     star_product,
 )
 from .linalg import Echelon, merge
@@ -46,12 +45,6 @@ class QuantizedAlgebra:
     def __post_init__(self):
         if self.n_gens < 1 or self.d < 0:
             raise ValueError("need n_gens >= 1 and d >= 0")
-
-
-def bx_component(a, b, p):
-    """B^X_p on polynomial representatives: for polynomial coordinates the
-    local model is SLV itself, so this is the free star component."""
-    return star_component(a, b, p)
 
 
 def truncated_product(alg, a, b):
@@ -92,6 +85,12 @@ class UWindow(FiniteAlgebra):
         self.unit = self.index[()]
         self._rows = {}
         self._chain = None
+
+    @property
+    def degrees(self):
+        """The grading by total letter count, which straightening keeps:
+        ``filtration_chain`` closes the window's chain from the bottom up."""
+        return self.totals
 
     def _cut(self, table):
         """The terms of a PBW table inside the window, by coordinate.  A table
@@ -167,7 +166,10 @@ def u_window(n_gens, d, max_total):
 
 
 def _intersection_rank(a, b):
-    return a.rank + b.rank - Echelon.spanning(a.basis() + b.basis()).rank
+    """dim(span a & span b) for Echelons ``a`` and ``b``: the rank of ``b``
+    less the number of its rows that raise the rank of a copy of ``a``."""
+    ech = a.copy()
+    return b.rank - sum(ech.add(row) for row in b.rows.values())
 
 
 @dataclass

@@ -14,7 +14,6 @@ from poissonenv.filtration import (
     FiniteAlgebra,
     TruncatedAlgebra,
     associated_graded,
-    chain_is_admissible,
     commutator_filtration,
     endo_contraction_check,
     exp_nilpotent_endo,
@@ -81,8 +80,20 @@ def test_borel_algebra_stabilizes_nonzero():
     assert chain.rank(1) == 1 and chain.rank(2) == 1
     assert not chain.stable_is_zero
     # the stable piece is spanned by e12
-    basis = chain.piece_basis(1)
+    basis = chain[1].basis()
     assert len(basis) == 1 and set(basis[0]) == {2}
+
+
+def test_upper_triangular_matrices_stabilize_at_the_strictly_upper_part():
+    # 3x3 upper-triangular matrices: 1, e00, e11 (e22 = 1 - e00 - e11) and
+    # the strictly upper e01, e02, e12; ungraded, so closed top-down
+    alg = incidence_algebra({(0, 1), (0, 2), (1, 2)}, [0, 1])
+    assert alg.degrees is None
+    chain = commutator_filtration(alg)
+    assert chain.ranks() == [6, 3]
+    assert not chain.stable_is_zero
+    strict = [alg.labels.index(f"e{x}{y}") for x, y in [(0, 1), (0, 2), (1, 2)]]
+    assert chain[1].basis() == [{i: 1} for i in sorted(strict)]
 
 
 def test_chain_past_its_end_is_the_stable_piece():
@@ -302,6 +313,23 @@ def test_nil_poisson_filtration_refuses_a_noncommutative_product():
         nil_poisson_filtration(poisson)
 
 
+def chain_is_admissible(alg, pieces):
+    """The defining containments of a hand-supplied descending chain,
+    ``pieces`` a list of row lists padded with its last one: F_p F_q <=
+    F_{p+q} and [F_p, F_q] <= F_{p+q+1}."""
+    chain = FiltrationChain([Echelon.spanning(basis) for basis in pieces])
+    top = chain.length + 1
+    for p in range(top):
+        for q in range(top):
+            for v in chain[p].basis():
+                for w in chain[q].basis():
+                    if not chain[p + q].contains(alg.mul(v, w)):
+                        return False
+                    if not chain[p + q + 1].contains(alg.commutator(v, w)):
+                        return False
+    return True
+
+
 def test_minimality_against_admissible_chains():
     # hand-built admissible chains must contain the computed one piecewise
     alg = borel_algebra()
@@ -310,6 +338,7 @@ def test_minimality_against_admissible_chains():
     e12 = [{2: Fraction(1)}]
     hand = [full, e12, e12]
     assert chain_is_admissible(alg, hand)
+    assert not chain_is_admissible(alg, [full, []])  # [e11, e12] = e12
     # computed piece inside hand piece
     from poissonenv.linalg import Echelon
 
@@ -321,7 +350,7 @@ def test_minimality_against_admissible_chains():
         hand_echs.append(e)
     for n in range(3):
         target = hand_echs[min(n, len(hand_echs) - 1)]
-        for row in chain.piece_basis(n):
+        for row in chain[n].basis():
             assert target.contains(row)
 
     poly = truncated_polynomial_algebra(3)
@@ -345,7 +374,7 @@ def test_minimality_against_admissible_chains():
         e = Ech()
         for row in star_tail[min(n, 2)]:
             e.add(row)
-        for row in qchain.piece_basis(n):
+        for row in qchain[n].basis():
             assert e.contains(row)
 
 
@@ -990,3 +1019,41 @@ def test_seed_chain_spans_the_basis_recursion(source, data):
     else:
         got, pair_map = commutator_filtration(alg), alg.commutator
     assert_same_spans(got, basis_recursion_chain(alg, pair_map))
+
+
+# -- the bottom-up chain of a graded algebra ------------------------------------
+
+
+class TopDownWindow(UWindow):
+    """A window that declares no grading, so its chain is closed top-down."""
+
+    degrees = None
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2, 6), (2, 4, 6), (3, 2, 5), (2, 2, 0), (2, 0, 5), (1, 3, 6)],
+    ids=["2-2-6", "2-4-6", "3-2-5", "max-total-0", "d-0", "one-generator"],
+)
+def test_bottom_up_window_chain_is_the_top_down_one(shape):
+    win = UWindow(*shape)
+    assert win.degrees is win.totals
+    got = commutator_filtration(win)
+    want = commutator_filtration(TopDownWindow(*shape))
+    assert got.stable_is_zero and want.stable_is_zero
+    assert_same_spans(got, want.pieces)
+
+
+class MisgradedBorel(TruncatedAlgebra):
+    """The Borel algebra 1, e11, e12 declaring degrees 0, 1, 2: e11 e12 = e12
+    breaks them, and its seed lists G_n = [e12] never run out."""
+
+    degrees = [0, 1, 2]
+
+
+def test_a_wrong_grading_stops_the_bottom_up_chain():
+    alg = borel_algebra()
+    wrong = MisgradedBorel(alg.dim, alg.labels, alg.unit, alg.product)
+    message = r"^seed list G_2 is not empty, but the declared degrees end at 2"
+    with pytest.raises(RuntimeError, match=message):
+        commutator_filtration(wrong)

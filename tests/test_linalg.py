@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from poissonenv.envelope import _window_part
 from poissonenv.freelie import TensorElement
 from poissonenv.linalg import Echelon, Rational, SpanSolver, merge
+from poissonenv.quantize import _intersection_rank
 
 
 def mat(rows):
@@ -452,3 +453,38 @@ def test_echelon_matches_fraction_reference(data):
         assert _ordered(ech.reduce(row)) == _ordered(ref.reduce(plain))
         assert _ordered(ech.normal_form(row)) == _ordered(ref.normal_form(plain))
         assert ech.contains(row) == ref.contains(plain)
+
+
+def _snapshot(ech):
+    """The rows of ``ech`` in insertion order, as item lists."""
+    return [(c, _ordered(r)) for c, r in ech.rows.items()], [
+        (c, _ordered(r)) for c, r in ech._ints.items()
+    ]
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_rows_added_to_a_copy_leave_the_original_alone(data):
+    ech = Echelon.spanning(data.draw(st.lists(_ROWS, max_size=5)))
+    before = _snapshot(ech)
+    queries = data.draw(st.lists(_ROWS, min_size=1, max_size=4))
+    answers = [ech.contains(row) for row in queries]
+    copy = ech.copy()
+    assert _snapshot(copy) == before  # the same rows, in the same order
+    for row in data.draw(st.lists(_ROWS, min_size=1, max_size=5)) + queries:
+        copy.add(row)
+    assert all(copy.contains(row) for row in queries)
+    assert _snapshot(ech) == before
+    assert ech.rank == len(before[0])
+    assert [ech.contains(row) for row in queries] == answers
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_intersection_rank_is_the_dimension_formula(data):
+    a = Echelon.spanning(data.draw(st.lists(_ROWS, max_size=6)))
+    b = Echelon.spanning(data.draw(st.lists(_ROWS, max_size=6)))
+    a_rows = _snapshot(a)
+    want = a.rank + b.rank - Echelon.spanning(a.basis() + b.basis()).rank
+    assert _intersection_rank(a, b) == want
+    assert _snapshot(a) == a_rows
