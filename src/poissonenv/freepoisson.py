@@ -235,20 +235,38 @@ def e_inverse(t):
 _STAR_MONO_CACHE = {}
 
 
-def _star_monomials(m1, m2):
-    key = (m1.factors, m2.factors)
+def _star_monomials(m1, m2, cap=None):
+    """The star table of a monomial pair, a dict monomial -> coefficient
+    (memoized; callers only read it).
+
+    With ``cap``, only its terms of star degree <= cap, filed under
+    (m1.factors, m2.factors, cap).  Every intermediate is capped:
+    k! e(m1) at cap - star m2 and k! e(m2) at cap - star m1, since a
+    product term has at least the star degree of each side, then the
+    straightened products and the peel at cap (see ``pbw``).  The pair's
+    terms have star degree star m1 + star m2 + p for p < sym m1 + sym m2,
+    so a cap past that reads the full table.
+    """
+    if cap is not None:
+        room = cap - m1.star_degree - m2.star_degree
+        if room >= max(m1.sym_degree + m2.sym_degree - 1, 0):
+            cap = None
+    key = (m1.factors, m2.factors) if cap is None else (m1.factors, m2.factors, cap)
     hit = _STAR_MONO_CACHE.get(key)
     if hit is None:
         f1, f2 = m1.factors, m2.factors
-        e2 = pbw.sym_table(f2).items()
+        cap1 = cap2 = None
+        if cap is not None:
+            cap1, cap2 = cap - m2.star_degree, cap - m1.star_degree
+        e2 = pbw.sym_table(f2, cap2).items()
         prod = {}
-        for t1, c1 in pbw.sym_table(f1).items():
+        for t1, c1 in pbw.sym_table(f1, cap1).items():
             for t2, c2 in e2:
-                merge(prod, pbw.normal_table(t1 + t2).items(), c1 * c2)
+                merge(prod, pbw.normal_table(t1 + t2, cap).items(), c1 * c2)
         scale = factorial(len(f1)) * factorial(len(f2))
         hit = {
             PoissonMonomial.of(t): c
-            for t, c in pbw.e_inverse_pbw(prod, scale).items()
+            for t, c in pbw.e_inverse_pbw(prod, scale, cap).items()
         }
         _STAR_MONO_CACHE[key] = hit
     return hit
@@ -264,10 +282,16 @@ def star_product(a, b):
     The word-space ``e_inverse(symmetrize(a) * symmetrize(b))`` gives the
     same element.
     """
+    return _star_sum(a, b, None)
+
+
+def _star_sum(a, b, cap):
+    """The star product of ``a`` and ``b`` summed pair by pair, with the
+    terms of star degree > cap dropped when ``cap`` is given."""
     out = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            merge(out, _star_monomials(m1, m2).items(), c1 * c2)
+            merge(out, _star_monomials(m1, m2, cap).items(), c1 * c2)
     return PoissonElement._of(out)
 
 

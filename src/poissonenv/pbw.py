@@ -25,6 +25,39 @@ applied to the straightened letters of the word, and the star product in
 ``freepoisson`` applies it to a product of two ``sym_table`` vectors over
 the scale k1! k2!.
 
+Capping.  ``normal_table``, ``sym_table`` and ``e_inverse_pbw`` take an
+optional ``cap`` and then return only the terms of star degree <= cap
+(the sum of the factors' star degrees).  This is exact:
+
+* A swap keeps a term's star degree and its factor count.  A bracket term
+  has one factor fewer and star degree one more, since the bracket of two
+  Lie basis elements of star degrees a and b is a combination of basis
+  elements of star degree a + b + 1.  So star + factor count, which is the
+  letter count, is the same for every term of ``normal_table(t)``, and a
+  term has star degree <= cap exactly when it has at least
+  letters(t) - cap factors.  Each sub-table the straightening reads (the swapped tuple, each
+  bracket tuple) has the same star + factor count, so it is read with the
+  same least factor count: a capped table needs only capped sub-tables.
+* e never lowers star degree and keeps the letter count: k! e(m) is a sum
+  of straightened reorderings of m.  In the recursion
+  k! e(m) = sum_f mult_f f ((k-1)! e(m/f)), a term of f t has at most
+  len(t) + 1 factors, so (k-1)! e(m/f) is read with the least count less 1
+  and f t straightened with that of m.
+* e^{-1} never lowers star degree either, as the inverse of a map that is
+  the identity plus terms of strictly higher star degree.  So the star <=
+  cap part of e^{-1}(v) is the peel of the star <= cap part of v with every
+  subtracted table capped: in the quotient by the span of the tuples of
+  star > cap, capped e is still unitriangular in the factor count.
+
+Carrying the least factor count, instead of the room cap - star, keeps one
+bound for the whole recursion.  The no-bite rule: when star(t) +
+len(t) - 1 <= cap, the least count is at most 1 and no term of a nonempty
+t's table passes the cap, so a capped call returns the full memo entry
+itself, and the full path is the one with no cap.  Otherwise a capped
+table is memoized by (factors, least count) in its own table, read-only
+like the full one, and a cap below star(t) gives an empty dict.  One
+recursion body serves both paths (``_normal``, ``_sym``).
+
 ``sym_word_table`` computes e in the word basis straight from its
 definition, the average over factor orders, and memoizes it read-only as
 ``normal_table`` does; ``symmetrize_factors`` is the public form and returns
@@ -49,12 +82,40 @@ from .linalg import int_row, merge, quotient
 
 
 _NORMAL_CACHE = {}
+_NORMAL_CAP_CACHE = {}
 
 
-def normal_table(factors):
+def _least(factors, cap):
+    """The least factor count of a term of star degree <= cap in the table
+    of ``factors``: its letter count less the cap (a basis element is the
+    tuple of its word's letters)."""
+    return sum(map(len, factors)) - cap
+
+
+def normal_table(factors, cap=None):
     """PBW normal form of a tuple of basis elements (memoized): the memo
-    entry itself, which callers read and never modify, as ``sym_table``'s."""
-    hit = _NORMAL_CACHE.get(factors)
+    entry itself, which callers read and never modify, as ``sym_table``'s.
+
+    With ``cap``, only the terms of star degree <= cap (see the module
+    docstring); a cap that cannot bite returns the full entry."""
+    if cap is None:
+        hit = _NORMAL_CACHE.get(factors)
+        return hit if hit is not None else _normal(factors, 0)
+    least = _least(factors, cap)
+    return _normal(factors, least) if least <= len(factors) else {}
+
+
+def _normal(factors, least):
+    """``normal_table`` of a nonempty ``factors`` (or of () at least <= 0)
+    keeping only its terms of at least ``least`` factors; least <= 1 keeps
+    every term.  The swapped tuple and each bracket tuple keep the bound."""
+    if least <= 1:
+        cache, key = _NORMAL_CACHE, factors
+    elif least > len(factors):
+        return {}
+    else:
+        cache, key = _NORMAL_CAP_CACHE, (factors, least)
+    hit = cache.get(key)
     if hit is None:
         swap_at = None
         for i in range(len(factors) - 1):
@@ -66,11 +127,11 @@ def normal_table(factors):
         else:
             i = swap_at
             swapped = factors[:i] + (factors[i + 1], factors[i]) + factors[i + 2 :]
-            hit = dict(normal_table(swapped))
+            hit = dict(_normal(swapped, least))
             for b, c in bracket_basis(factors[i], factors[i + 1]).terms.items():
-                rest = normal_table(factors[:i] + (b,) + factors[i + 2 :])
+                rest = _normal(factors[:i] + (b,) + factors[i + 2 :], least)
                 merge(hit, rest.items(), c)
-        _NORMAL_CACHE[factors] = hit
+        cache[key] = hit
     return hit
 
 
@@ -112,9 +173,10 @@ def symmetrize_factors(factors):
 
 
 _SYM_PBW_CACHE = {}
+_SYM_CAP_CACHE = {}
 
 
-def sym_table(factors):
+def sym_table(factors, cap=None):
     """k! e(m) of the monomial m of a nondecreasing k-factor tuple, in PBW
     coordinates, as ints (memoized).
 
@@ -127,9 +189,30 @@ def sym_table(factors):
     and ``normal_table`` has integer coefficients, so every entry is an int.
     The recursion is the definitional average over all orders, grouped by
     which factor comes first.  The table is the memo entry itself: callers
-    read it and never modify it.
+    read it and never modify it.  With ``cap``, only the terms of star
+    degree <= cap; a cap that cannot bite returns the full entry.
     """
-    hit = _SYM_PBW_CACHE.get(factors)
+    if cap is None:
+        hit = _SYM_PBW_CACHE.get(factors)
+        return hit if hit is not None else _sym(factors, 0)
+    least = _least(factors, cap)
+    return _sym(factors, least) if least <= len(factors) else {}
+
+
+def _sym(factors, least):
+    """``sym_table`` of ``factors`` keeping only its terms of at least
+    ``least`` factors, under the same bound as ``_normal``.
+
+    A term f t of the recursion has at most len(t) + 1 factors, so m/f is
+    read with the bound less 1, and f t is straightened with the bound of m.
+    """
+    if least <= 1:
+        cache, key = _SYM_PBW_CACHE, factors
+    elif least > len(factors):
+        return {}
+    else:
+        cache, key = _SYM_CAP_CACHE, (factors, least)
+    hit = cache.get(key)
     if hit is None:
         k = len(factors)
         if k == 0:
@@ -142,11 +225,11 @@ def sym_table(factors):
                 j = i
                 while j < k and factors[j] == f:
                     j += 1
-                rest = sym_table(factors[:i] + factors[i + 1 :])
+                rest = _sym(factors[:i] + factors[i + 1 :], least - 1)
                 for t, c in rest.items():
-                    merge(hit, normal_table((f,) + t).items(), (j - i) * c)
+                    merge(hit, _normal((f,) + t, least).items(), (j - i) * c)
                 i = j
-        _SYM_PBW_CACHE[factors] = hit
+        cache[key] = hit
     return hit
 
 
@@ -158,7 +241,7 @@ def sym_pbw(factors):
     return {t: quotient(c, k) for t, c in sym_table(factors).items()}
 
 
-def e_inverse_pbw(vec, scale=1):
+def e_inverse_pbw(vec, scale=1, cap=None):
     """e^{-1} of the PBW vector vec / scale, as a dict factor-tuple ->
     coefficient.
 
@@ -174,7 +257,12 @@ def e_inverse_pbw(vec, scale=1):
     vector is then multiplied by k! and c ``sym_table(t)`` subtracted, which
     cancels the top terms exactly, and the scale is multiplied by k!.  The
     gcd of the vector's values and the scale is divided out of both.
+
+    With ``cap``, only the terms of star degree <= cap: the vector's terms
+    past the cap are dropped first and every subtracted table is capped.
     """
+    if cap is not None:
+        vec = {t: c for t, c in vec.items() if len(t) >= _least(t, cap)}
     current, den = int_row(vec)
     scale *= den
     result = {}
@@ -192,7 +280,7 @@ def e_inverse_pbw(vec, scale=1):
             current = {t: c * k for t, c in current.items()}
             scale *= k
         for t, c in top:
-            merge(current, sym_table(t).items(), -c)
+            merge(current, sym_table(t, cap).items(), -c)
         if any(len(t) >= top_count for t in current):  # pragma: no cover
             raise RuntimeError("symmetrization is not unitriangular")
         g = gcd(scale, *current.values())

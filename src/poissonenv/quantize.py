@@ -8,9 +8,11 @@ two-sided ideal.
 The filtration computations run in PBW coordinates (nondecreasing products
 of Lyndon basis elements), where the product is concatenation followed by
 straightening and the star truncation is the coordinate span of the tuples
-of star degree above d.  Every object in sight is graded by total letter
-count, so windows by total degree are honest finite quotients and the
-computed chains restrict exactly.
+of star degree above d.  Every table is straightened, symmetrized and peeled
+with the cap d (see ``pbw``), so no term of that span is ever computed.
+Every object in sight is graded by total letter count, so windows by total
+degree are honest finite quotients and the computed chains restrict
+exactly.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from .filtration import FiniteAlgebra, TruncatedAlgebra, filtration_chain, span_
 from .freelie import generator
 from .freepoisson import (
     PoissonElement,
+    _star_sum,
     monomials_star_total,
     monomials_up_to_total,
     multiply,
     poisson_bracket,
-    star_product,
 )
 from .linalg import Echelon, merge
 
@@ -48,10 +50,16 @@ class QuantizedAlgebra:
 
 
 def truncated_product(alg, a, b):
-    """The associative product sum of B^X_p with star degrees > d dropped."""
+    """The associative product sum of B^X_p with star degrees > d dropped.
+
+    No term past star degree d is computed: each monomial pair's table is
+    built with every intermediate capped at d (``freepoisson._star_monomials``
+    and ``pbw``), which is exact because e, e^{-1} and straightening never
+    lower star degree.
+    """
     if a.max_star_degree() > alg.d or b.max_star_degree() > alg.d:
         raise ValueError(f"inputs must have star degree <= {alg.d}")
-    return star_product(a, b).star_truncate(alg.d)
+    return _star_sum(a, b, alg.d)
 
 
 def nc_embed(alg, w):
@@ -69,9 +77,20 @@ class UWindow(FiniteAlgebra):
     coordinates are the window's ``monomials``, and ``index`` maps their
     factor ``tuples`` to coordinates.  The product of two of them is 0
     exactly when their ``totals`` sum past ``max_total`` or their ``stars``
-    past ``d`` (see ``_row``)."""
+    past ``d`` (see ``_row``).
+
+    Every table the window reads, straightened product or e-image, is
+    capped at star degree ``d`` (``pbw``), so nothing past the window is
+    computed.  ``window_span`` keeps the e-image Echelon of each SV-part
+    bound for later calls.
+    """
 
     def __init__(self, n_gens, d, max_total):
+        if n_gens < 1 or d < 0 or max_total < 0:
+            raise ValueError(
+                "need n_gens >= 1, d >= 0 and max_total >= 0,"
+                f" got {n_gens}, {d} and {max_total}"
+            )
         self.n_gens = n_gens
         self.d = d
         self.max_total = max_total
@@ -84,6 +103,7 @@ class UWindow(FiniteAlgebra):
         self.dim = len(self.tuples)
         self.unit = self.index[()]
         self._rows = {}
+        self._spans = {}
         self._chain = None
 
     @property
@@ -93,14 +113,16 @@ class UWindow(FiniteAlgebra):
         return self.totals
 
     def _cut(self, table):
-        """The terms of a PBW table inside the window, by coordinate.  A table
-        of total <= max_total keeps its total under straightening and e, so
-        its window terms are those of star <= d: the tuples ``index`` holds."""
+        """A PBW table of the window, by coordinate.  The table is capped at
+        star degree d and of total <= max_total, which straightening and e
+        keep, so every term is a tuple that ``index`` holds."""
         index = self.index
-        return {index[t]: c for t, c in table.items() if t in index}
+        return {index[t]: c for t, c in table.items()}
 
     def mono_mul(self, t1, t2):
-        return self._cut(pbw.normal_table(t1 + t2))
+        """The product of two window tuples whose totals fit the window:
+        their concatenation straightened with the cap d, by coordinate."""
+        return self._cut(pbw.normal_table(t1 + t2, self.d))
 
     def _row(self, i, j):
         """Coordinate dict of the product of basis vectors i and j, memoized.
@@ -109,7 +131,8 @@ class UWindow(FiniteAlgebra):
         and j sum past ``max_total`` or their star degrees past ``d``:
         straightening keeps the total, a swap keeps a term's star degree and
         a bracket raises it by 1, and a pair inside both bounds keeps its
-        sorted concatenation, with coefficient 1.
+        sorted concatenation, with coefficient 1.  Inside the bounds only the
+        terms of star <= d are straightened (``mono_mul``).
         """
         totals, stars = self.totals, self.stars
         if totals[i] + totals[j] > self.max_total or stars[i] + stars[j] > self.d:
@@ -137,13 +160,15 @@ class UWindow(FiniteAlgebra):
         return [self._chain[n] for n in range(levels + 1)]
 
     def poisson_span(self, monomials):
-        """Echelon of the e-images of Poisson monomials, star-truncated.
+        """Echelon of the e-images of window monomials, star-truncated.
 
-        Each row is the int table k! e(m) of ``pbw.sym_table``: the span does
-        not depend on the scale of a row, and ``Echelon`` stores every row
-        normalized, so the result equals that of the rows e(m) themselves.
+        Each row is the int table k! e(m) of ``pbw.sym_table``, capped at d:
+        the span does not depend on the scale of a row, and ``Echelon``
+        stores every row normalized, so the result equals that of the rows
+        e(m) themselves.
         """
-        return Echelon.spanning(self._cut(pbw.sym_table(m.factors)) for m in monomials)
+        tables = (pbw.sym_table(m.factors, self.d) for m in monomials)
+        return Echelon.spanning(self._cut(table) for table in tables)
 
     def window_monomials(self, max_poly, min_star=0):
         """The window's monomials of SV-part degree <= max_poly and star
@@ -153,6 +178,17 @@ class UWindow(FiniteAlgebra):
             for m in self.monomials
             if m.poly_degree <= max_poly and m.star_degree >= min_star
         ]
+
+    def window_span(self, max_poly):
+        """``poisson_span`` of ``window_monomials(max_poly)``, built on the
+        first call and kept: ``graded_of_Q`` and every level of
+        ``commutator_filtration_Q`` read it, and only read it.  The tail and
+        single-star spans are read once per call, so they are not kept."""
+        ech = self._spans.get(max_poly)
+        if ech is None:
+            monomials = self.window_monomials(max_poly)
+            ech = self._spans[max_poly] = self.poisson_span(monomials)
+        return ech
 
 
 _UWINDOW_CACHE = {}
@@ -200,8 +236,8 @@ def commutator_filtration_Q(alg, n, N):
         raise ValueError(f"need window N >= 0, got {N}")
     win = u_window(alg.n_gens, alg.d, N + 2 * alg.d)
     chain = win.filtration(n)
-    window_span = win.poisson_span(win.window_monomials(N))
-    tail_span = win.poisson_span(win.window_monomials(N, min_star=n))
+    window_span = win.window_span(N)
+    tail_span = win.poisson_span(win.window_monomials(N, n)) if n else window_span
     rank_filtration = _intersection_rank(chain[n], window_span)
     tail_inside = all(chain[n].contains(row) for row in tail_span.basis())
     return FiltrationWindowReport(
@@ -232,7 +268,7 @@ def graded_of_Q(alg, N):
     win = u_window(alg.n_gens, alg.d, N + 2 * alg.d)
     chain = win.filtration(alg.d + 1)
     window = win.window_monomials(N)
-    window_span = win.poisson_span(window)
+    window_span = win.window_span(N)
     ranks = [_intersection_rank(chain[n], window_span) for n in range(alg.d + 2)]
     out = []
     for n in range(alg.d + 1):

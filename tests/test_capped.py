@@ -1,0 +1,140 @@
+"""Capped straightening, symmetrization, peel and truncated product.
+
+A cap drops every term of star degree above it.  Each capped result must be
+the full result filtered to star degree <= cap, on every input and at every
+cap: below everything (-1), 0, each cap up to the no-bite boundary
+star + length - 1, where nothing is dropped and the full memo entry itself
+comes back, and one past it.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poissonenv import pbw
+from poissonenv.freelie import lyndon_basis_of_length
+from poissonenv.freepoisson import (
+    PoissonElement,
+    _star_monomials,
+    monomials_up_to_total,
+    star_product,
+)
+from poissonenv.quantize import QuantizedAlgebra, truncated_product
+
+_FACTORS = {
+    n: [b for length in range(1, 4) for b in lyndon_basis_of_length(n, length)]
+    for n in (2, 3)
+}
+_MONOMIALS = {n: monomials_up_to_total(n, 4) for n in (2, 3)}
+
+
+@st.composite
+def _factor_tuples(draw, nondecreasing=False):
+    """0-4 Lyndon factors in 2 or 3 generators, at most 6 letters, in any
+    order (nondecreasing when asked)."""
+    n = draw(st.sampled_from((2, 3)))
+    factors = draw(st.lists(st.sampled_from(_FACTORS[n]), max_size=4))
+    while sum(len(f.word) for f in factors) > 6:
+        factors.pop()
+    if nondecreasing:
+        factors.sort(key=lambda f: f.sort_key)
+    return tuple(factors)
+
+
+def _caps(star, length):
+    """-1, 0, every cap from ``star`` to the no-bite boundary, and one past."""
+    return sorted({-1, 0, *range(star, star + max(length - 1, 0) + 2)})
+
+
+def star_of(factors):
+    return sum(f.star_degree for f in factors)
+
+
+def _below(table, cap):
+    return {t: c for t, c in table.items() if star_of(t) <= cap}
+
+
+def _no_bite(star, length, cap):
+    return cap >= star + max(length - 1, 0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_factor_tuples())
+def test_capped_normal_table_is_the_full_table_below_the_cap(factors):
+    star = star_of(factors)
+    capped = {cap: pbw.normal_table(factors, cap) for cap in _caps(star, len(factors))}
+    full = pbw.normal_table(factors)
+    for cap, got in capped.items():
+        assert got == _below(full, cap), cap
+        if _no_bite(star, len(factors), cap):
+            assert got is full
+        elif got:
+            assert pbw.normal_table(factors, cap) is got
+
+
+@settings(deadline=None, max_examples=80)
+@given(_factor_tuples(nondecreasing=True))
+def test_capped_sym_table_is_the_full_table_below_the_cap(factors):
+    star = star_of(factors)
+    capped = {cap: pbw.sym_table(factors, cap) for cap in _caps(star, len(factors))}
+    full = pbw.sym_table(factors)
+    for cap, got in capped.items():
+        assert got == _below(full, cap), cap
+        if _no_bite(star, len(factors), cap):
+            assert got is full
+        elif got:
+            assert pbw.sym_table(factors, cap) is got
+
+
+_COEFFS = st.integers(-6, 6).filter(bool)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.dictionaries(_factor_tuples(nondecreasing=True), _COEFFS, max_size=4),
+    st.integers(1, 24),
+)
+def test_capped_peel_is_the_full_peel_below_the_cap(vec, scale):
+    full = pbw.e_inverse_pbw(vec, scale)
+    top = max((star_of(t) + len(t) for t in vec), default=0)
+    for cap in range(-1, top + 1):
+        assert pbw.e_inverse_pbw(vec, scale, cap) == _below(full, cap), cap
+    assert pbw.e_inverse_pbw({}, 1, 0) == {}
+
+
+_PAIRS = st.sampled_from((2, 3)).flatmap(
+    lambda n: st.tuples(st.sampled_from(_MONOMIALS[n]), st.sampled_from(_MONOMIALS[n]))
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_PAIRS)
+def test_capped_pair_table_is_the_full_table_below_the_cap(pair):
+    m1, m2 = pair
+    full = _star_monomials(m1, m2)
+    star = m1.star_degree + m2.star_degree
+    for cap in _caps(star, m1.sym_degree + m2.sym_degree):
+        got = _star_monomials(m1, m2, cap)
+        assert got == {m: c for m, c in full.items() if m.star_degree <= cap}, cap
+        if _no_bite(star, m1.sym_degree + m2.sym_degree, cap):
+            assert got is full
+
+
+def _terms(n):
+    return st.lists(st.sampled_from(_MONOMIALS[n]), min_size=1, max_size=2, unique=True)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from((2, 3)).flatmap(lambda n: st.tuples(st.just(n), _terms(n), _terms(n))),
+    st.lists(_COEFFS, min_size=4, max_size=4),
+)
+def test_truncated_product_is_the_star_product_below_d(case, coeffs):
+    n, left, right = case
+    a = PoissonElement(dict(zip(left, coeffs[:2])))
+    b = PoissonElement(dict(zip(right, coeffs[2:])))
+    full = star_product(a, b)
+    low = max(a.max_star_degree(), b.max_star_degree())
+    top = max((m.star_degree + m.sym_degree for m in left + right), default=0) * 2
+    for d in range(low, top + 1):
+        got = truncated_product(QuantizedAlgebra(n, d), a, b)
+        assert got == full.star_truncate(d), d

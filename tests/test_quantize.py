@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from poissonenv import clear_caches, pbw
+from poissonenv import clear_caches, pbw, quantize
 from poissonenv.filtration import span_closure
 from poissonenv.freelie import LieBasisElement, LieElement
 from poissonenv.linalg import merge
@@ -478,7 +478,8 @@ def test_u_window_straightens_no_product_past_the_star_bound():
 def test_u_window_row_is_zero_exactly_past_a_bound(shape):
     # every term of a straightened product keeps the pair's total and has at
     # least its star sum, and the sorted concatenation is a term: the row is
-    # the cut of the straightened product, nonzero exactly inside both bounds
+    # the star <= d part of the full straightened product, by coordinate,
+    # and nonzero exactly inside both bounds
     win = UWindow(*shape)
     stars = [m.star_degree for m in win.monomials]
     for i in range(win.dim):
@@ -487,7 +488,12 @@ def test_u_window_row_is_zero_exactly_past_a_bound(shape):
             row = win._row(i, j)
             if fits:
                 product = pbw.normal_table(win.tuples[i] + win.tuples[j])
-                assert row == win._cut(product)
+                want = {
+                    win.index[t]: c
+                    for t, c in product.items()
+                    if sum(f.star_degree for f in t) <= win.d
+                }
+                assert row == want
             assert bool(row) == (fits and stars[i] + stars[j] <= win.d)
 
 
@@ -516,3 +522,41 @@ def test_deep_windows_match_the_star_tail_and_the_graded_envelope(n_gens, d, N):
     for n in range(d + 2):
         assert commutator_filtration_Q(alg, n, N).matches, n
     assert all(rep.matches for rep in graded_of_Q(alg, N))
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((0, 1, 3), "got 0, 1 and 3"),
+        ((2, -1, 3), "got 2, -1 and 3"),
+        ((2, 1, -1), "got 2, 1 and -1"),
+    ],
+)
+def test_u_window_refuses_a_domain_error(shape, message):
+    need = "need n_gens >= 1, d >= 0 and max_total >= 0, "
+    with pytest.raises(ValueError, match=need + message):
+        UWindow(*shape)
+
+
+def test_window_span_is_built_once_per_bound(monkeypatch):
+    # graded_of_Q and every level of commutator_filtration_Q read one kept
+    # e-image Echelon of the whole N-window; the level-0 tail is that span
+    alg = QuantizedAlgebra(2, 2)
+    win = UWindow(2, 2, 2 + 2 * alg.d)
+    monkeypatch.setitem(quantize._UWINDOW_CACHE, (2, 2, win.max_total), win)
+    whole = win.window_monomials(2)
+    built = []
+    span = UWindow.poisson_span
+
+    def counting(self, monomials):
+        built.append(monomials == whole)
+        return span(self, monomials)
+
+    monkeypatch.setattr(UWindow, "poisson_span", counting)
+    for _ in range(2):
+        graded_of_Q(alg, 2)
+        for n in range(alg.d + 2):
+            assert commutator_filtration_Q(alg, n, 2).matches
+    assert built.count(True) == 1
+    assert list(win._spans) == [2]
+    assert win.window_span(2) is win._spans[2]
