@@ -46,7 +46,6 @@ from .freepoisson import (
 )
 from .linalg import Echelon, Rational, SpanSolver
 from .quantize import (
-    NCWord,
     QuantizedAlgebra,
     commutator_filtration_Q,
     graded_of_Q,
@@ -102,7 +101,6 @@ __all__ = [
     "LieBasisElement",
     "LieElement",
     "LocalModelElement",
-    "NCWord",
     "ParseError",
     "PoissonElement",
     "PoissonMonomial",

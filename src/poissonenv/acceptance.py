@@ -251,12 +251,12 @@ def check_gap_counterexample():
         )
         target = target + PoissonElement.monomial(m)
     for idx in ((1, 2, 3, 4), (2, 3, 4, 1)):
-        side, naive = env.gap_witness(4, idx)
+        side, naive = env.gap_witness(idx)
         if not side.is_zero():
             return _result("gap", False, f"envelope side nonzero for {idx}")
         if naive.is_zero():
             return _result("gap", False, f"naive image zero for {idx}")
-    side, naive = env.gap_witness(4)
+    side, naive = env.gap_witness()
     if naive != target:
         return _result("gap", False, "naive image differs from (13)(24)+(12)(34)")
     return _result("gap", True, "0 vs (13)(24)+(12)(34) != 0")

@@ -384,19 +384,19 @@ def induced_hom(images, a):
     return PoissonElement._of(out)
 
 
-def gap_witness(n_gens=4, indices=(1, 2, 3, 4)):
+def gap_witness(indices=(1, 2, 3, 4)):
     """A Leibniz relation that the naive transport rule fails to respect.
 
+    a1 .. a4 are x_i for the ``indices``, among x_1 .. x_max(indices).
     ``envelope_side`` evaluates {a1, a3{a2,a4}} + {a1, a2{a3,a4}}
     - {a1, {a2 a3, a4}} honestly (it is 0 by the Leibniz rule).
     ``naive_image`` pushes the same three terms through the ill-defined rule
     b*{c0,{c1,...}} -> b*[dc0,[dc1,...]] term by term, which leaves the
-    nonzero element (13)(24) + (12)(34).
+    nonzero element (13)(24) + (12)(34) at the default indices.
     """
-    if n_gens < 4:
-        raise ValueError("need at least 4 generators")
-    if len(set(indices)) != 4:
-        raise ValueError("indices must be injective")
+    if len(set(indices)) != 4 or len(indices) != 4 or min(indices) < 1:
+        raise ValueError(f"need 4 distinct generator indices >= 1, got {indices}")
+    n_gens = max(indices)
     a1, a2, a3, a4 = (PoissonElement.generator(i) for i in indices)
 
     t1 = poisson_bracket(a1, multiply(a3, poisson_bracket(a2, a4)))

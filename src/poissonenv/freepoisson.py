@@ -295,25 +295,14 @@ def _star_sum(a, b, cap):
     return PoissonElement._of(out)
 
 
-def _star_pieces(m1, m2):
-    """The pair's star table ``_star_monomials(m1, m2)`` filed by p, as a
-    dict p -> list of (m, c): a term m of the pair's sym-degree sum s =
-    sym m1 + sym m2 belongs to B_p with p = s - sym m."""
-    s = m1.sym_degree + m2.sym_degree
-    pieces = {}
-    for m, c in _star_monomials(m1, m2).items():
-        pieces.setdefault(s - m.sym_degree, []).append((m, c))
-    return pieces
-
-
 def star_components(a, b):
     """Every B_p at once: a dict p -> B_p for p = 0 .. the largest sum of a
     sym degree of ``a`` and one of ``b`` (empty if either is zero); B_p is
     zero past that.
 
-    One pass over the monomial pairs, each pair's star table filed by p
-    (``_star_pieces``).  A term m of B_p comes only from pairs of sym-degree
-    sum p + sym m, so the pieces are disjoint.
+    One pass over the monomial pairs: a term m of the star table of a pair
+    (m1, m2) belongs to B_p with p = sym m1 + sym m2 - sym m, so the pieces
+    are disjoint.
     """
     if not a.terms or not b.terms:
         return {}
@@ -321,8 +310,9 @@ def star_components(a, b):
     out = {p: {} for p in range(top + 1)}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            for p, items in _star_pieces(m1, m2).items():
-                merge(out[p], items, c1 * c2)
+            s, c = m1.sym_degree + m2.sym_degree, c1 * c2
+            for m, v in _star_monomials(m1, m2).items():
+                merge(out[s - m.sym_degree], ((m, v),), c)
     return {p: PoissonElement._of(terms) for p, terms in out.items()}
 
 
@@ -330,16 +320,19 @@ def star_component(a, b, p):
     """B_p: the component of the star product dropping sym degree by p.
 
     Applied bilinearly over the sym-homogeneous components of the inputs:
-    only the B_p terms of each pair's star table are summed.  On
-    star-homogeneous inputs it is also the component raising star degree by
-    exactly p.  A negative p raises ``ValueError``.
+    only the B_p terms of each pair's star table, those of sym degree
+    sym m1 + sym m2 - p, are summed.  On star-homogeneous inputs it is also
+    the component raising star degree by exactly p.  A negative p raises
+    ``ValueError``.
     """
     if p < 0:
         raise ValueError(f"need p >= 0, got {p}")
     out = {}
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
-            merge(out, _star_pieces(m1, m2).get(p, ()), c1 * c2)
+            want = m1.sym_degree + m2.sym_degree - p
+            table = _star_monomials(m1, m2).items()
+            merge(out, ((m, c) for m, c in table if m.sym_degree == want), c1 * c2)
     return PoissonElement._of(out)
 
 

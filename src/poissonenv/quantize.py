@@ -12,7 +12,9 @@ of star degree above d.  Every table is straightened, symmetrized and peeled
 with the cap d (see ``pbw``), so no term of that span is ever computed.
 Every object in sight is graded by total letter count, so windows by total
 degree are honest finite quotients and the computed chains restrict
-exactly.
+exactly.  The windowed claims, F_n equal to the star >= n tail and
+F_n/F_{n+1} of the rank of P_n, are read off one kept comparison per
+window and SV-part bound (``UWindow.window``).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .filtration import FiniteAlgebra, TruncatedAlgebra, filtration_chain, span_
 from .freelie import generator
 from .freepoisson import (
     PoissonElement,
+    PoissonMonomial,
     _star_sum,
     monomials_star_total,
     monomials_up_to_total,
@@ -32,8 +35,6 @@ from .freepoisson import (
     poisson_bracket,
 )
 from .linalg import Echelon, merge
-
-NCWord = tuple  # sequence of 1-based generator indices; empty = unit
 
 
 @dataclass(frozen=True)
@@ -63,13 +64,15 @@ def truncated_product(alg, a, b):
 
 
 def nc_embed(alg, w):
-    """Image of a noncommutative word under the product of the generators."""
-    out = PoissonElement.one()
+    """Image of a noncommutative word under the product of the generators:
+    e^{-1} of the word, an algebra map, with the ideal of star degrees > d
+    dropped, so its letters straightened and peeled with the cap d."""
     for i in w:
         if not 1 <= i <= alg.n_gens:
             raise ValueError(f"letter {i} outside 1..{alg.n_gens}")
-        out = truncated_product(alg, out, PoissonElement.generator(i))
-    return out
+    table = pbw.normal_table(tuple(generator(i) for i in w), alg.d)
+    peeled = pbw.e_inverse_pbw(table, 1, alg.d)
+    return PoissonElement._of({PoissonMonomial.of(t): c for t, c in peeled.items()})
 
 
 class UWindow(FiniteAlgebra):
@@ -81,8 +84,8 @@ class UWindow(FiniteAlgebra):
 
     Every table the window reads, straightened product or e-image, is
     capped at star degree ``d`` (``pbw``), so nothing past the window is
-    computed.  ``window_span`` keeps the e-image Echelon of each SV-part
-    bound for later calls.
+    computed.  The chain is kept, and so is ``window(N)``, the star-tail
+    chain of each SV-part bound N with the chain's ranks inside it.
     """
 
     def __init__(self, n_gens, d, max_total):
@@ -103,7 +106,7 @@ class UWindow(FiniteAlgebra):
         self.dim = len(self.tuples)
         self.unit = self.index[()]
         self._rows = {}
-        self._spans = {}
+        self._windows = {}
         self._chain = None
 
     @property
@@ -159,36 +162,41 @@ class UWindow(FiniteAlgebra):
             self._chain = filtration_chain(self, self.commutator)
         return [self._chain[n] for n in range(levels + 1)]
 
+    def _e_row(self, m):
+        """The e-image of window monomial ``m`` by coordinate, as the int
+        table k! e(m) capped at d: a span does not depend on row scales."""
+        return self._cut(pbw.sym_table(m.factors, self.d))
+
     def poisson_span(self, monomials):
-        """Echelon of the e-images of window monomials, star-truncated.
+        """Echelon of the e-images of window monomials, star-truncated."""
+        return Echelon.spanning(map(self._e_row, monomials))
 
-        Each row is the int table k! e(m) of ``pbw.sym_table``, capped at d:
-        the span does not depend on the scale of a row, and ``Echelon``
-        stores every row normalized, so the result equals that of the rows
-        e(m) themselves.
+    def window_monomials(self, max_poly):
+        """The window's monomials of SV-part degree <= max_poly, in order."""
+        return [m for m in self.monomials if m.poly_degree <= max_poly]
+
+    def window(self, max_poly):
+        """``(tails, ranks)`` for the SV-part bound ``max_poly``, built once
+        and kept: ``graded_of_Q`` and ``commutator_filtration_Q`` read it.
+
+        ``tails[n]``, n = 0 .. d + 1, is the Echelon of the e-images of
+        ``window_monomials(max_poly)`` of star degree >= n, grown from a
+        copy of ``tails[n + 1]`` (empty at d + 1) by the star-n rows;
+        ``ranks[n]`` is the rank of F_n inside ``tails[0]``.
         """
-        tables = (pbw.sym_table(m.factors, self.d) for m in monomials)
-        return Echelon.spanning(self._cut(table) for table in tables)
-
-    def window_monomials(self, max_poly, min_star=0):
-        """The window's monomials of SV-part degree <= max_poly and star
-        degree >= min_star, in the window's order."""
-        return [
-            m
-            for m in self.monomials
-            if m.poly_degree <= max_poly and m.star_degree >= min_star
-        ]
-
-    def window_span(self, max_poly):
-        """``poisson_span`` of ``window_monomials(max_poly)``, built on the
-        first call and kept: ``graded_of_Q`` and every level of
-        ``commutator_filtration_Q`` read it, and only read it.  The tail and
-        single-star spans are read once per call, so they are not kept."""
-        ech = self._spans.get(max_poly)
-        if ech is None:
-            monomials = self.window_monomials(max_poly)
-            ech = self._spans[max_poly] = self.poisson_span(monomials)
-        return ech
+        hit = self._windows.get(max_poly)
+        if hit is None:
+            window = self.window_monomials(max_poly)
+            tails = [Echelon()]
+            for n in range(self.d, -1, -1):
+                tails.insert(0, tails[0].copy())
+                for m in window:
+                    if m.star_degree == n:
+                        tails[0].add(self._e_row(m))
+            chain = self.filtration(self.d + 1)
+            ranks = [_intersection_rank(f, tails[0]) for f in chain]
+            hit = self._windows[max_poly] = (tails, ranks)
+        return hit
 
 
 _UWINDOW_CACHE = {}
@@ -227,7 +235,8 @@ class FiltrationWindowReport:
 
 def commutator_filtration_Q(alg, n, N):
     """Compare F_n of the commutator filtration of Q_X^(d) with the span of
-    the star degrees >= n, inside the (star <= d, poly <= N) window."""
+    the star degrees >= n, inside the (star <= d, poly <= N) window: a read
+    of the window's kept comparison ``UWindow.window(N)``."""
     if n < 0:
         raise ValueError(f"need filtration level n >= 0, got {n}")
     if n > alg.d + 1:
@@ -235,17 +244,14 @@ def commutator_filtration_Q(alg, n, N):
     if N < 0:
         raise ValueError(f"need window N >= 0, got {N}")
     win = u_window(alg.n_gens, alg.d, N + 2 * alg.d)
-    chain = win.filtration(n)
-    window_span = win.window_span(N)
-    tail_span = win.poisson_span(win.window_monomials(N, n)) if n else window_span
-    rank_filtration = _intersection_rank(chain[n], window_span)
-    tail_inside = all(chain[n].contains(row) for row in tail_span.basis())
+    tails, ranks = win.window(N)
+    piece = win.filtration(n)[n]
     return FiltrationWindowReport(
         n=n,
         N=N,
-        rank_filtration=rank_filtration,
-        rank_expected=tail_span.rank,
-        tail_inside_filtration=tail_inside,
+        rank_filtration=ranks[n],
+        rank_expected=tails[n].rank,
+        tail_inside_filtration=all(piece.contains(row) for row in tails[n].basis()),
     )
 
 
@@ -262,20 +268,23 @@ class GradedRankReport:
 
 def graded_of_Q(alg, N):
     """Ranks of F_n/F_{n+1} in the window against the graded envelope piece
-    P_n (the graded-reconstruction witness for polynomial coordinates)."""
+    P_n (the graded-reconstruction witness for polynomial coordinates).
+
+    Both are read off ``UWindow.window(N)``.  The rank of P_n, the span of
+    the star-n e-images, is tails[n].rank - tails[n + 1].rank: e is
+    injective, so those images meet the star > n tail only in 0.
+    """
     if N < 0:
         raise ValueError(f"need window N >= 0, got {N}")
-    win = u_window(alg.n_gens, alg.d, N + 2 * alg.d)
-    chain = win.filtration(alg.d + 1)
-    window = win.window_monomials(N)
-    window_span = win.window_span(N)
-    ranks = [_intersection_rank(chain[n], window_span) for n in range(alg.d + 2)]
-    out = []
-    for n in range(alg.d + 1):
-        p_n = win.poisson_span([m for m in window if m.star_degree == n]).rank
-        graded = ranks[n] - ranks[n + 1]
-        out.append(GradedRankReport(n=n, graded_rank=graded, envelope_rank=p_n))
-    return out
+    tails, ranks = u_window(alg.n_gens, alg.d, N + 2 * alg.d).window(N)
+    return [
+        GradedRankReport(
+            n=n,
+            graded_rank=ranks[n] - ranks[n + 1],
+            envelope_rank=tails[n].rank - tails[n + 1].rank,
+        )
+        for n in range(alg.d + 1)
+    ]
 
 
 def _capped_right_products(win, cap):

@@ -144,8 +144,37 @@ def test_gap_witness_values():
 
 def test_gap_witness_any_injective_assignment():
     for idx in ((2, 1, 4, 3), (4, 3, 2, 1), (1, 3, 2, 4)):
-        side, naive = gap_witness(4, idx)
+        side, naive = gap_witness(idx)
         assert side.is_zero() and not naive.is_zero()
+
+
+def test_gap_witness_reads_its_generator_count_from_the_indices():
+    # the naive rule differentiates in every letter up to the largest index,
+    # so x5 is not dropped from the image
+    side, naive = gap_witness((1, 2, 3, 5))
+    assert side.is_zero()
+    want = PoissonElement.zero()
+    for w1, w2 in (((1, 2), (3, 5)), ((1, 3), (2, 5))):
+        m = PoissonMonomial.of(
+            (LieBasisElement.from_word(w1), LieBasisElement.from_word(w2))
+        )
+        want = want + PoissonElement.monomial(m)
+    assert naive == want
+
+
+@pytest.mark.parametrize(
+    "indices, message",
+    [
+        ((0, 1, 2, 3), "distinct generator indices >= 1"),
+        ((-1, 2, 3, 4), "distinct generator indices >= 1"),
+        ((1, 2, 2, 3), "4 distinct generator"),
+        ((1, 2, 3), "4 distinct generator"),
+        ((1, 2, 3, 4, 5), "4 distinct generator"),
+    ],
+)
+def test_gap_witness_refuses_a_bad_index(indices, message):
+    with pytest.raises(ValueError, match=message):
+        gap_witness(indices)
 
 
 def test_local_model_matches_generators():

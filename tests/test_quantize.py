@@ -5,13 +5,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poissonenv import clear_caches, pbw, quantize
 from poissonenv.filtration import span_closure
-from poissonenv.freelie import LieBasisElement, LieElement
+from poissonenv.freelie import LieBasisElement, LieElement, TensorElement
 from poissonenv.linalg import merge
 from poissonenv.freepoisson import (
     PoissonElement,
+    e_inverse,
     monomials_star_maxpoly,
     monomials_star_total,
     multiply,
@@ -515,13 +518,16 @@ def test_negative_window_or_level_is_refused(call, message):
         call(QuantizedAlgebra(2, 1))
 
 
-@pytest.mark.parametrize("n_gens, d, N", [(2, 3, 5), (3, 2, 3), (2, 4, 3)])
+@pytest.mark.parametrize(
+    "n_gens, d, N", [(2, 3, 5), (3, 2, 3), (2, 4, 3), (3, 3, 3)]
+)
 def test_deep_windows_match_the_star_tail_and_the_graded_envelope(n_gens, d, N):
-    # past the suite's other windows: 3 generators at d = 2, d = 4, N = 5
+    # past the suite's other windows: 3 generators at d = 2 and 3, d = 4, N = 5
     alg = QuantizedAlgebra(n_gens, d)
     for n in range(d + 2):
         assert commutator_filtration_Q(alg, n, N).matches, n
     assert all(rep.matches for rep in graded_of_Q(alg, N))
+    _assert_reports_match_the_reference(n_gens, d, N)
 
 
 @pytest.mark.parametrize(
@@ -538,25 +544,111 @@ def test_u_window_refuses_a_domain_error(shape, message):
         UWindow(*shape)
 
 
-def test_window_span_is_built_once_per_bound(monkeypatch):
+def test_window_comparison_is_built_once_per_bound(monkeypatch):
     # graded_of_Q and every level of commutator_filtration_Q read one kept
-    # e-image Echelon of the whole N-window; the level-0 tail is that span
+    # star-tail chain per SV-part bound, with one intersection per level
     alg = QuantizedAlgebra(2, 2)
     win = UWindow(2, 2, 2 + 2 * alg.d)
     monkeypatch.setitem(quantize._UWINDOW_CACHE, (2, 2, win.max_total), win)
-    whole = win.window_monomials(2)
-    built = []
-    span = UWindow.poisson_span
+    intersected = []
+    rank = quantize._intersection_rank
 
-    def counting(self, monomials):
-        built.append(monomials == whole)
-        return span(self, monomials)
+    def counting(a, b):
+        intersected.append(b)
+        return rank(a, b)
 
-    monkeypatch.setattr(UWindow, "poisson_span", counting)
+    monkeypatch.setattr(quantize, "_intersection_rank", counting)
     for _ in range(2):
         graded_of_Q(alg, 2)
         for n in range(alg.d + 2):
             assert commutator_filtration_Q(alg, n, 2).matches
-    assert built.count(True) == 1
-    assert list(win._spans) == [2]
-    assert win.window_span(2) is win._spans[2]
+    assert list(win._windows) == [2]
+    tails, ranks = win.window(2)
+    assert win.window(2) is win._windows[2]
+    assert len(tails) == len(ranks) == alg.d + 2
+    assert len(intersected) == alg.d + 2
+    assert all(b is tails[0] for b in intersected)
+    assert tails[alg.d + 1].rank == 0
+    for upper, lower in zip(tails[1:], tails):
+        # each tail is grown from a copy of the one above it
+        assert set(upper.rows) <= set(lower.rows)
+        assert all(lower.contains(row) for row in upper.basis())
+    win.window(1)
+    assert list(win._windows) == [2, 1]
+
+
+def _reference_intersection_rank(a, b):
+    ech = a.copy()
+    return b.rank - sum(ech.add(row) for row in b.rows.values())
+
+
+def reference_window_reports(alg, N):
+    """Both reports computed directly, with no kept chain of tails: a
+    copy-and-add intersection against the e-image span of the whole window,
+    one tail span per level and one P_n span per star slice."""
+    win = u_window(alg.n_gens, alg.d, N + 2 * alg.d)
+    chain = win.filtration(alg.d + 1)
+    window = [m for m in win.monomials if m.poly_degree <= N]
+    whole = win.poisson_span(window)
+    levels = []
+    for n in range(alg.d + 2):
+        tail = win.poisson_span([m for m in window if m.star_degree >= n])
+        levels.append(
+            quantize.FiltrationWindowReport(
+                n=n,
+                N=N,
+                rank_filtration=_reference_intersection_rank(chain[n], whole),
+                rank_expected=tail.rank,
+                tail_inside_filtration=all(
+                    chain[n].contains(row) for row in tail.basis()
+                ),
+            )
+        )
+    graded = [
+        quantize.GradedRankReport(
+            n=n,
+            graded_rank=levels[n].rank_filtration - levels[n + 1].rank_filtration,
+            envelope_rank=win.poisson_span(
+                [m for m in window if m.star_degree == n]
+            ).rank,
+        )
+        for n in range(alg.d + 1)
+    ]
+    return levels, graded
+
+
+def _assert_reports_match_the_reference(n_gens, d, N):
+    alg = QuantizedAlgebra(n_gens, d)
+    levels, graded = reference_window_reports(alg, N)
+    assert [commutator_filtration_Q(alg, n, N) for n in range(d + 2)] == levels
+    assert graded_of_Q(alg, N) == graded
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+def test_window_reports_equal_the_reference(n_gens, d, N):
+    _assert_reports_match_the_reference(n_gens, d, min(N, 5 - n_gens))
+
+
+def _nc_embed_by_products(alg, w):
+    """The image of a word as the product of its letters, one truncated
+    product at a time."""
+    out = PoissonElement.one()
+    for i in w:
+        out = truncated_product(alg, out, PoissonElement.generator(i))
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), max_size=6))
+    ),
+    st.integers(0, 3),
+)
+def test_nc_embed_is_the_capped_e_inverse_of_its_word(case, d):
+    n_gens, word = case
+    alg = QuantizedAlgebra(n_gens, d)
+    got = nc_embed(alg, tuple(word))
+    assert got == _nc_embed_by_products(alg, word)
+    assert got == e_inverse(TensorElement.word(word)).star_truncate(d)
