@@ -41,7 +41,8 @@ from .linalg import Echelon, merge
 
 @dataclass(frozen=True)
 class EnvelopePresentation:
-    """A = polynomial algebra on n_gens generators modulo ``relations``."""
+    """A = polynomial algebra on n_gens generators modulo ``relations``,
+    nonzero commutative polynomials in the letters 1..n_gens."""
 
     n_gens: int
     relations: tuple
@@ -62,6 +63,9 @@ class EnvelopePresentation:
                 raise ValueError("relations must be nonzero")
             if f.max_star_degree() != 0:
                 raise ValueError("relations must be commutative polynomials")
+            for a in (x.word[0] for m in f.terms for x in m.factors):
+                if not 1 <= a <= self.n_gens:
+                    raise ValueError(f"letter {a} outside 1..{self.n_gens}")
         if rels and self.N < self.max_relation_degree:
             raise ValueError("window N must cover the relation degrees")
 
@@ -193,8 +197,7 @@ def _window_part(rows, inside, key):
     index = {c: i for i, c in enumerate(cols)}
     first = sum(1 for c in cols if c not in inside)
     ech = Echelon.spanning({index[c]: v for c, v in row.items()} for row in rows)
-    pivots = [p for p in sorted(ech.rows) if p >= first]
-    return [{cols[i]: v for i, v in ech.rows[p].items()} for p in pivots]
+    return [{cols[i]: v for i, v in row.items()} for row in ech.basis() if min(row) >= first]
 
 
 def _ideal_window_rows(pres, n):

@@ -151,15 +151,6 @@ class PoissonElement(Combination):
             {m: c for m, c in self.terms.items() if m.star_degree == q}
         )
 
-    def bigraded_part(self, p, q):
-        return PoissonElement._of(
-            {
-                m: c
-                for m, c in self.terms.items()
-                if m.sym_degree == p and m.star_degree == q
-            }
-        )
-
     def star_truncate(self, d):
         return PoissonElement._of(
             {m: c for m, c in self.terms.items() if m.star_degree <= d}

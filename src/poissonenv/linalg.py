@@ -14,9 +14,10 @@ adds one operand's rows to a copy of the other.  Elimination is
 deterministic: it always clears the smallest column index of the row at
 hand; there is no other pivot rule and no column order to choose.  It runs
 on integers: ``Echelon`` scales each row it is given to integers once,
-clears columns by integer cross-multiplication and keeps every pivot row
-as primitive integers beside its normalized form.  No floating point
-anywhere.
+clears columns by integer cross-multiplication and stores every pivot row
+once, as primitive integers; ``basis`` derives the rows normalized to
+pivot 1 when it is read.  ``normal_form`` is the one residue routine.  No
+floating point anywhere.
 
 A stored coefficient is an ``int`` exactly when its value is integral, and
 otherwise a reduced ``fractions.Fraction``; never a Fraction with
@@ -182,12 +183,11 @@ class Combination:
 class Echelon:
     """Incremental row-echelon container for span/membership computations.
 
-    ``rows`` maps each pivot column to its row normalized to pivot
-    coefficient 1, as stored coefficients, newest pivot last.  Elimination
-    runs on integers: ``_ints`` keeps the same rows as primitive integers
-    with a positive pivot, and a row entering ``add``, ``reduce``,
-    ``contains`` or ``normal_form`` is scaled once by the lcm of its
-    denominators, its zero entries dropped.  Results are stored
+    ``rows`` maps each pivot column to its row as primitive integers with
+    a positive pivot, newest pivot last; it is the only stored form, and
+    ``basis`` derives the rows normalized to pivot 1 from it.  A row
+    entering ``add``, ``contains`` or ``normal_form`` is scaled once by the
+    lcm of its denominators, its zero entries dropped.  Results are stored
     coefficients, equal to those of Fraction elimination.  Elimination
     always clears the smallest column index of the row being reduced; a
     caller that wants other columns cleared first numbers them first (see
@@ -195,8 +195,7 @@ class Echelon:
     """
 
     def __init__(self):
-        self.rows = {}  # pivot col -> row dict, pivot 1, stored coefficients
-        self._ints = {}  # pivot col -> the same row, primitive ints, pivot > 0
+        self.rows = {}  # pivot col -> row dict, primitive ints, pivot > 0
 
     @classmethod
     def spanning(cls, rows):
@@ -210,12 +209,11 @@ class Echelon:
         """An Echelon of the same span that grows on its own.
 
         The row dicts are shared, not copied: a pivot row is never mutated
-        after it is inserted, so only the two maps are new.  They keep the
+        after it is inserted, so only the map is new.  It keeps the
         insertion order, newest pivot last.
         """
         out = Echelon()
         out.rows = dict(self.rows)
-        out._ints = dict(self._ints)
         return out
 
     @property
@@ -234,11 +232,11 @@ class Echelon:
         that came in.  Subtracting a pivot row only introduces entries at
         larger columns, so the sweep terminates.
         """
-        ints = self._ints
+        rows = self.rows
         scale = 1
         while row:
             col = min(row)
-            piv = ints.get(col)
+            piv = rows.get(col)
             if piv is None:
                 return col, row, scale
             a, p = row[col], piv[col]
@@ -252,15 +250,6 @@ class Echelon:
             merge(row, piv.items(), -a)
         return None, row, scale
 
-    def reduce(self, row):
-        """Return the residue of ``row`` (a dict) after elimination."""
-        row, den = int_row(row)
-        _, row, scale = self._lead(row)
-        den *= scale
-        if den == 1:
-            return row
-        return {c: quotient(v, den) for c, v in row.items()}
-
     def add(self, row):
         """Insert ``row`` into the echelon; returns True if the rank grew."""
         col, row, _ = self._lead(int_row(row)[0])
@@ -271,12 +260,7 @@ class Echelon:
             g = -g
         if g != 1:
             row = {c: v // g for c, v in row.items()}
-        self._ints[col] = row
-        p = row[col]
-        if p == 1:
-            self.rows[col] = dict(row)
-        else:
-            self.rows[col] = {c: quotient(v, p) for c, v in row.items()}
+        self.rows[col] = row
         return True
 
     def contains(self, row):
@@ -294,8 +278,14 @@ class Echelon:
             out[col] = quotient(row.pop(col), den)
 
     def basis(self):
-        """Current echelon rows, ordered by pivot column."""
-        return [dict(self.rows[c]) for c in sorted(self.rows)]
+        """Current echelon rows normalized to pivot 1, as stored
+        coefficients, ordered by pivot column."""
+        out = []
+        for col in sorted(self.rows):
+            row = self.rows[col]
+            p = row[col]
+            out.append(dict(row) if p == 1 else {c: quotient(v, p) for c, v in row.items()})
+        return out
 
 
 def int_row(row):
@@ -316,7 +306,9 @@ class SpanSolver:
     ``range(dim)``.  Row i enters one ``Echelon`` tagged with an extra
     column ``dim + i``, so every echelon row carries the combination of rows
     it stands for.  A row whose untagged part reduces to zero depends on the
-    earlier ones and is left out; its coefficient is 0.
+    earlier ones and is left out; its coefficient is 0.  So every pivot is
+    an untagged column, and the normal form of a target in the span has
+    only tag columns left: minus its coefficients.
     """
 
     def __init__(self, dim, rows):
@@ -324,13 +316,13 @@ class SpanSolver:
         self.rows = list(rows)
         self._ech = Echelon()
         for i, row in enumerate(self.rows):
-            res = self._ech.reduce({**row, dim + i: ONE})
+            res = self._ech.normal_form({**row, dim + i: ONE})
             if min(res) < dim:
                 self._ech.add(res)
 
     def solve(self, target):
         """Coefficients c with sum(c[i] * rows[i]) == target, or None."""
-        res = self._ech.reduce(target)
+        res = self._ech.normal_form(target)
         if res and min(res) < self.dim:
             return None
         return [-res.get(self.dim + i, ZERO) for i in range(len(self.rows))]

@@ -136,6 +136,12 @@ def test_domain_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_ncembed_refuses_a_letter_past_n_with_the_library_message(capsys):
+    code, out, err = run_cli(capsys, "ncembed", "-n", "3", "-d", "1", "124")
+    assert code == 1 and out == ""
+    assert err == "error: letter 4 outside 1..3\n"
+
+
 def test_envelope_command(tmp_path, capsys):
     path = tmp_path / "pres.txt"
     path.write_text("gens 2\nx1*x1\n")

@@ -177,6 +177,21 @@ def test_gap_witness_refuses_a_bad_index(indices, message):
         gap_witness(indices)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [envelope_truncated, p1_rank_check, lambda pres: envelope_window_algebra(pres, 2)],
+    ids=["envelope_truncated", "p1_rank_check", "envelope_window_algebra"],
+)
+def test_a_relation_letter_past_n_gens_is_refused(entry):
+    # x3 is no generator of a 2-generator presentation; building the
+    # presentation refuses it before any entry point sees the relation
+    with pytest.raises(ValueError, match=r"letter 3 outside 1\.\.2"):
+        entry(EnvelopePresentation(2, (multiply(gen(1), gen(3)),), 1, 2))
+    with pytest.raises(ValueError, match=r"letter 0 outside 1\.\.2"):
+        entry(EnvelopePresentation(2, (sq(1) + multiply(gen(0), gen(2)),), 1, 2))
+    entry(EnvelopePresentation(3, (multiply(gen(1), gen(3)),), 1, 2))
+
+
 def test_local_model_matches_generators():
     assert local_model_bracket(gen(1), gen(2)) == lie((1, 2))
 

@@ -253,11 +253,11 @@ def test_star_components_match_per_component_reference(pair):
 def test_bigraded_component():
     x1 = gen(1)
     p = multiply(x1, lie((1, 2)))
-    assert p.bigraded_part(2, 1) == p
-    assert p.bigraded_part(1, 1).is_zero()
+    assert p.sym_part(2).star_part(1) == p
+    assert p.sym_part(1).star_part(1).is_zero()
     b = star_product(gen(1), gen(2))
-    assert b.bigraded_part(2, 0) == multiply(gen(1), gen(2))
-    assert b.bigraded_part(1, 1) == Fraction(1, 2) * lie((1, 2))
+    assert b.sym_part(2).star_part(0) == multiply(gen(1), gen(2))
+    assert b.sym_part(1).star_part(1) == Fraction(1, 2) * lie((1, 2))
 
 
 def test_poisson_bracket_leibniz_and_jacobi_random():

@@ -241,18 +241,21 @@ def test_echelon_divides_int_rows_exactly():
     ech = Echelon()
     assert ech.add({0: 2, 1: _BIG})
     assert ech.rows[0] == {0: 1, 1: _BIG // 2}
-    assert all(type(v) is int for v in ech.rows[0].values())
+    assert ech.basis()[0] == {0: 1, 1: _BIG // 2}
+    assert all(type(v) is int for v in ech.basis()[0].values())
     assert ech.add({0: 2, 1: _BIG + 1})
-    # normalized rows, residues and normal forms: ints where integral
-    assert [type(v) for v in ech.rows[1].values()] == [int]
+    # normalized rows and normal forms: ints where integral
+    assert [type(v) for v in ech.basis()[1].values()] == [int]
     ech = Echelon()
     assert ech.add({0: 2, 1: 3, 2: 4})
-    assert ech.rows[0] == {0: 1, 1: Fraction(3, 2), 2: 2}
-    assert [type(v) for v in ech.rows[0].values()] == [int, Fraction, int]
-    res = ech.reduce({0: Fraction(1, 3), 1: 1, 2: Fraction(1, 3)})
+    # stored once, as primitive ints; basis() divides by the pivot
+    assert ech.rows == {0: {0: 2, 1: 3, 2: 4}}
+    assert ech.basis()[0] == {0: 1, 1: Fraction(3, 2), 2: 2}
+    assert [type(v) for v in ech.basis()[0].values()] == [int, Fraction, int]
+    res = ech.normal_form({0: Fraction(1, 3), 1: 1, 2: Fraction(1, 3)})
     assert res == {1: Fraction(1, 2), 2: Fraction(-1, 3)}
     assert [type(v) for v in res.values()] == [Fraction, Fraction]
-    res = ech.reduce({0: 1, 1: 2, 2: 5})
+    res = ech.normal_form({0: 1, 1: 2, 2: 5})
     assert res == {1: Fraction(1, 2), 2: 3}
     assert [type(v) for v in res.values()] == [Fraction, int]
     nf = ech.normal_form({0: 4, 1: 6, 2: 9})
@@ -345,8 +348,8 @@ def test_explicit_zero_entries_are_dropped():
     ech = Echelon()
     ech.add({1: 1})
     assert ech.contains({0: 0, 1: 1})
-    assert ech.reduce({0: 0, 1: 1}) == {}
-    assert ech.reduce({0: Fraction(0), 1: 1, 2: 3}) == {2: 3}
+    assert ech.normal_form({0: 0, 1: 1}) == {}
+    assert ech.normal_form({0: Fraction(0), 1: 1, 2: 3}) == {2: 3}
     assert ech.normal_form({0: 0, 1: 2, 2: Fraction(1, 2)}) == {2: Fraction(1, 2)}
     fresh = Echelon()
     assert fresh.add({0: 0, 1: 2})
@@ -431,15 +434,15 @@ def test_echelon_matches_fraction_reference(data):
     for row in data.draw(st.lists(_ROWS, max_size=7)):
         assert ech.add(row) == ref.add(_nonzero(row))
         assert ech.rank == ref.rank
-        assert [(c, _ordered(r)) for c, r in ech.rows.items()] == [
-            (c, _ordered(r)) for c, r in ref.rows.items()
-        ]
+        assert list(ech.rows) == list(ref.rows)  # pivots, newest last
+        assert [_ordered(r) for r in ech.basis()] == [_ordered(r) for r in ref.basis()]
         added.append(row)
-    for col, ints in ech._ints.items():
-        # the integer twin of each row: primitive, positive pivot
-        assert ints[col] > 0 and gcd(*ints.values()) == 1
-        assert ech.rows[col] == {c: Fraction(v, ints[col]) for c, v in ints.items()}
-    assert [_ordered(r) for r in ech.basis()] == [_ordered(r) for r in ref.basis()]
+    for col, ints in ech.rows.items():
+        # the one stored form of each row: primitive ints, positive pivot
+        assert all(type(v) is int for v in ints.values())
+        assert min(ints) == col and ints[col] > 0 and gcd(*ints.values()) == 1
+    for r in ech.basis():
+        assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in r.values())
     queries = data.draw(st.lists(_ROWS, min_size=1, max_size=4))
     for row in added[:3]:
         # a combination of the added rows, plus stray zeros: often inside
@@ -450,16 +453,13 @@ def test_echelon_matches_fraction_reference(data):
         queries.append({**dict.fromkeys(range(_COLS), 0), **mix})
     for row in queries:
         plain = _nonzero(row)
-        assert _ordered(ech.reduce(row)) == _ordered(ref.reduce(plain))
         assert _ordered(ech.normal_form(row)) == _ordered(ref.normal_form(plain))
         assert ech.contains(row) == ref.contains(plain)
 
 
 def _snapshot(ech):
     """The rows of ``ech`` in insertion order, as item lists."""
-    return [(c, _ordered(r)) for c, r in ech.rows.items()], [
-        (c, _ordered(r)) for c, r in ech._ints.items()
-    ]
+    return [(c, _ordered(r)) for c, r in ech.rows.items()]
 
 
 @settings(deadline=None, max_examples=60)
@@ -475,8 +475,38 @@ def test_rows_added_to_a_copy_leave_the_original_alone(data):
         copy.add(row)
     assert all(copy.contains(row) for row in queries)
     assert _snapshot(ech) == before
-    assert ech.rank == len(before[0])
+    assert ech.rank == len(before)
     assert [ech.contains(row) for row in queries] == answers
+
+
+def _combine(coeffs, rows):
+    out = {}
+    for c, row in zip(coeffs, rows):
+        merge(out, _nonzero(row).items(), c)
+    return out
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_span_solver_rebuilds_combinations_and_refuses_the_rest(data):
+    # the rows use columns below _COLS, so a target with an entry at _COLS
+    # is off their span
+    rows = data.draw(st.lists(_ROWS, max_size=6))
+    solver = SpanSolver(_COLS + 1, rows)
+    ref = FractionEchelon()
+    # a row in the span of the earlier ones is left out: coefficient 0
+    dependent = [i for i, row in enumerate(rows) if not ref.add(_nonzero(row))]
+    coeffs = data.draw(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)))
+    target = _combine(coeffs, rows)
+    other = _nonzero(data.draw(_ROWS))
+    for goal, in_span in ((target, True), (other, ref.contains(other))):
+        got = solver.solve(goal)
+        assert (got is not None) == in_span
+        if got is not None:
+            assert len(got) == len(rows) and all(got[i] == 0 for i in dependent)
+            assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in got)
+            assert _combine(got, rows) == goal
+    assert solver.solve({**target, _COLS: data.draw(_ENTRIES) or 1}) is None
 
 
 @settings(deadline=None, max_examples=60)
