@@ -69,6 +69,8 @@ _MEMO_TABLES = (
     _freepoisson._MONOMIALS,
     _freepoisson._BRACKET_MONO_CACHE,
     _freepoisson._STAR_MONO_CACHE,
+    _freepoisson._NESTED_CACHE,
+    _freepoisson._BERNOULLI_CACHE,
     _pbw._NORMAL_CACHE,
     _pbw._NORMAL_CAP_CACHE,
     _pbw._SYM_PBW_CACHE,

@@ -12,25 +12,27 @@ B(a, b) = e^{-1}(e(a) e(b)); its graded component B_p lowers sym degree by p
 and raises star degree by p.  B_0 is the commutative product and B_1 is half
 the Poisson bracket.
 
-B is computed in PBW coordinates, one monomial pair at a time, on ints:
-k! e(m) of each k-factor monomial comes from the int table ``pbw.sym_table``,
-the product is the sum of c1 c2 ``pbw.normal_table(t1 + t2)`` over the
-terms of the two tables, an int vector that is k1! k2! e(m1) e(m2), and one
-triangular peel ``pbw.e_inverse_pbw`` over the scale k1! k2! maps it back.
-Only the peel's results are divided by its scale.
+B is computed one monomial pair at a time, without PBW coordinates.  Left
+multiplication by a Lie basis element f, read in symmetric coordinates, is
+f * P = sum_S (B_k / k!) (nested brackets of S into f) (P - S) over the
+sub-multisets S of P of size k, with B_k the Bernoulli numbers (Berezin
+1967; Gutt 1983).  A monomial acts through e(m) = (1/k) sum_f mult_f f e(m/f).
+Only ``bracket_basis`` and commutative products are used, on ints over one
+denominator per pair table.
 ``symmetrize`` and ``e_inverse`` are e and e^{-1} through the word basis of
 the tensor algebra; they are the independent reference B is tested against.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-from math import factorial
+from fractions import Fraction
+from itertools import combinations_with_replacement, groupby
+from math import factorial, lcm
 from operator import attrgetter
 
 from . import pbw
 from .freelie import TensorElement, bracket_basis, generator, lyndon_basis_of_length
-from .linalg import ONE, Combination, merge
+from .linalg import ONE, Combination, int_row, merge, quotient
 
 
 class PoissonMonomial:
@@ -224,54 +226,173 @@ def e_inverse(t):
 
 
 _STAR_MONO_CACHE = {}
+# (S, f) -> N(S, f), S a nondecreasing factor tuple and f a Lie basis element
+_NESTED_CACHE = {}
+# n -> (D, w) with w[k] = D B_k / k! for k <= n
+_BERNOULLI_CACHE = {}
+
+
+def _bernoulli_weights(n):
+    """(D, w): w[k] = D B_k / k! for k = 0 .. n, all ints, with B_1 = -1/2
+    and D the lcm of the denominators of the B_k / k! (memoized).
+
+    The B_k / k! are the Taylor coefficients of z / (e^z - 1), whose product
+    with (e^z - 1) / z = sum_i z^i / (i + 1)! is 1; so
+    B_k / k! = -sum_{j < k} (B_j / j!) / (k - j + 1)!.
+    """
+    hit = _BERNOULLI_CACHE.get(n)
+    if hit is None:
+        b = [Fraction(1)]
+        for k in range(1, n + 1):
+            b.append(-sum(b[j] / factorial(k - j + 1) for j in range(k)))
+        den = lcm(*[q.denominator for q in b])
+        hit = den, [q.numerator * (den // q.denominator) for q in b]
+        _BERNOULLI_CACHE[n] = hit
+    return hit
+
+
+def _nested(s, f):
+    """N(S, f) = sum_{g distinct in S} [g, N(S - g, f)], N((), f) = f: the
+    nested brackets [g_1, [g_2, ... [g_k, f] ...]] summed over the distinct
+    orders of the multiset S, as {basis element: int} (memoized; callers
+    only read it)."""
+    key = (s, f)
+    hit = _NESTED_CACHE.get(key)
+    if hit is None:
+        if not s:
+            hit = {f: 1}
+        else:
+            acc = {}
+            get = acc.get
+            for i, g in enumerate(s):
+                if i and s[i - 1] == g:
+                    continue
+                for b, c in _nested(s[:i] + s[i + 1 :], f).items():
+                    for t, v in bracket_basis(g, b).terms.items():
+                        acc[t] = get(t, 0) + c * v
+            hit = {t: c for t, c in acc.items() if c}
+        _NESTED_CACHE[key] = hit
+    return hit
+
+
+def _submultisets(factors, room):
+    """(S, P - S, prod_g P_g! / (P_g - S_g)!, |S|) for every sub-multiset S
+    of the nondecreasing ``factors`` P with |S| <= room, built one distinct
+    factor g at a time: the number of ordered picks of |S| distinct
+    positions of P that give S, over the distinct orders of S."""
+    subs = [((), (), 1, 0)]
+    for g, run in groupby(factors):
+        n = len(tuple(run))
+        picks = []
+        falling = 1
+        for t in range(min(n, room) + 1):
+            picks.append(((g,) * t, (g,) * (n - t), falling, t))
+            falling *= n - t
+        subs = [
+            (s + ps, rest + pr, w * pw, k + t)
+            for s, rest, w, k in subs
+            for ps, pr, pw, t in picks
+            if k + t <= room
+        ]
+    return subs
 
 
 def _star_monomials(m1, m2, cap=None):
     """The star table of a monomial pair, a dict monomial -> coefficient
     (memoized; callers only read it).
 
+    For m1 = f_1 ... f_k, e(m1) = (1/k) sum_f mult_f f e(m1/f) over the
+    distinct factors f of multiplicity mult_f, so
+
+        m1 * m2 = (1/k) sum_f mult_f f * ((m1/f) * m2).
+
+    Left multiplication by a Lie basis element f, read in symmetric
+    coordinates (Berezin 1967; Gutt 1983), is grouped by the sub-multiset S
+    of each monomial Q = l_1 ... l_n that the brackets pick:
+
+        f * Q = sum_S (B_k / k!) prod_g Q_g! / (Q_g - S_g)! N(S, f) (Q - S)
+
+    with k = |S| (``_submultisets``, ``_nested``, ``_bernoulli_weights``).
+    Only ``bracket_basis`` and commutative products are used, never PBW
+    coordinates, on ints over one common denominator (``_left_sum``).
+    When m1 has more factors than m2, the table is read off that of
+    (m2, m1) by B_p(m1, m2) = (-1)^p B_p(m2, m1): the antipode of U (-1 on
+    Lie elements) reverses products and maps e(a) to e((-1)^sym a).
+
     With ``cap``, only its terms of star degree <= cap, filed under
-    (m1.factors, m2.factors, cap).  Every intermediate is capped:
-    k! e(m1) at cap - star m2 and k! e(m2) at cap - star m1, since a
-    product term has at least the star degree of each side, then the
-    straightened products and the peel at cap (see ``pbw``).  The pair's
-    terms have star degree star m1 + star m2 + p for p < sym m1 + sym m2,
-    so a cap past that reads the full table.
+    (m1.factors, m2.factors, cap).  A term of f * Q has star degree
+    star f + star Q + k, so (m1/f) * m2 is read at cap - star f and k is
+    at most cap - star f - star Q.  The pair's terms have star degree
+    star m1 + star m2 + p for p < sym m1 + sym m2, so a cap past that reads
+    the full table.
     """
     if cap is not None:
         room = cap - m1.star_degree - m2.star_degree
         if room >= max(m1.sym_degree + m2.sym_degree - 1, 0):
             cap = None
+        elif room < 0:
+            return {}
     key = (m1.factors, m2.factors) if cap is None else (m1.factors, m2.factors, cap)
     hit = _STAR_MONO_CACHE.get(key)
     if hit is None:
-        f1, f2 = m1.factors, m2.factors
-        cap1 = cap2 = None
-        if cap is not None:
-            cap1, cap2 = cap - m2.star_degree, cap - m1.star_degree
-        e2 = pbw.sym_table(f2, cap2).items()
-        prod = {}
-        for t1, c1 in pbw.sym_table(f1, cap1).items():
-            for t2, c2 in e2:
-                merge(prod, pbw.normal_table(t1 + t2, cap).items(), c1 * c2)
-        scale = factorial(len(f1)) * factorial(len(f2))
-        hit = {
-            PoissonMonomial.of(t): c
-            for t, c in pbw.e_inverse_pbw(prod, scale, cap).items()
-        }
+        f1 = m1.factors
+        if not f1:
+            hit = {m2: 1}
+        elif m1.sym_degree > m2.sym_degree:
+            # the recursion runs over the factors of m1: take the shorter side
+            s = m1.sym_degree + m2.sym_degree
+            hit = {
+                m: -c if (s - m.sym_degree) % 2 else c
+                for m, c in _star_monomials(m2, m1, cap).items()
+            }
+        else:
+            acc, den = _left_sum(f1, m2, cap)
+            hit = {m: quotient(c, den) for m, c in acc.items() if c}
         _STAR_MONO_CACHE[key] = hit
     return hit
+
+
+def _left_sum(f1, m2, cap):
+    """(acc, den): (1/k) sum_f mult_f f * ((m1/f) * m2) for the monomial m1
+    of the nonempty ``f1``, as an int vector over den."""
+    parts = []
+    den = 1
+    for i, f in enumerate(f1):
+        if i and f1[i - 1] == f:
+            continue
+        sub = None if cap is None else cap - f.star_degree
+        rest = PoissonMonomial.of(f1[:i] + f1[i + 1 :])
+        ints, d = int_row(_star_monomials(rest, m2, sub))
+        d_w, weights = _bernoulli_weights(max((q.sym_degree for q in ints), default=0))
+        parts.append((f, f1.count(f), ints, sub, d * d_w, weights))
+        den = lcm(den, d * d_w)
+    acc = {}
+    get = acc.get
+    of, interned = PoissonMonomial.of, _MONOMIALS.get
+    for f, mult, ints, sub, d, weights in parts:
+        scale = mult * (den // d)
+        for q, c in ints.items():
+            c *= scale
+            # a bracket may pick at most sub - star q factors of q
+            room = q.sym_degree if sub is None else sub - q.star_degree
+            for s, rest, pick, k in _submultisets(q.factors, room):
+                w = c * pick * weights[k]
+                if not w:
+                    continue
+                for b, v in _nested(s, f).items():
+                    t = (b,) + rest
+                    m = interned(t) or of(t)
+                    acc[m] = get(m, 0) + v * w
+    return acc, den * len(f1)
 
 
 def star_product(a, b):
     """The PBW quantized product B(a, b) = e^{-1}(e(a) e(b)).
 
-    Each monomial pair is multiplied in PBW coordinates: k! e(m1) and
-    k! e(m2) from ``pbw.sym_table``, their product by normal ordering the
-    concatenated factor tuples, and e^{-1} by one triangular peel over the
-    product of the two scales (``pbw.e_inverse_pbw``).
-    The word-space ``e_inverse(symmetrize(a) * symmetrize(b))`` gives the
-    same element.
+    Each monomial pair's star table comes from the Berezin-Gutt left
+    multiplication (``_star_monomials``), with no straightening and no
+    peel.  The word-space ``e_inverse(symmetrize(a) * symmetrize(b))``
+    gives the same element.
     """
     return _star_sum(a, b, None)
 

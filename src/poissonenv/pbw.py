@@ -16,14 +16,14 @@ in PBW coordinates is the sorted product plus terms with fewer factors, so e
 is unitriangular with respect to the factor count.  Its 1/k! weights are
 kept out of the arithmetic: ``sym_table`` memoizes k! e(m), whose entries
 are all ints, and ``sym_pbw`` divides a copy by k! for callers that want e
-itself.  The one inverse, ``e_inverse_pbw``, peels an int PBW vector over
-one common integer scale from the top: it records the terms of maximal
-factor count divided by the scale, multiplies the vector and the scale by
-k!, subtracts the top terms' tables, which cancels them exactly, and
-repeats on the strictly shorter rest.  ``e_inverse_word`` is that peel
-applied to the straightened letters of the word, and the star product in
-``freepoisson`` applies it to a product of two ``sym_table`` vectors over
-the scale k1! k2!.
+itself.  The one inverse, ``e_inverse_pbw``, peels a PBW vector, brought
+to ints over one common integer scale, from the top: it records the terms
+of maximal factor count divided by the scale, multiplies the vector and the
+scale by k!, subtracts the top terms' tables, which cancels them exactly,
+and repeats on the strictly shorter rest.  ``e_inverse_word`` is that peel
+applied to the straightened letters of the word.  The star product in
+``freepoisson`` does not come through here: it multiplies in symmetric
+coordinates directly.
 
 Capping.  ``normal_table``, ``sym_table`` and ``e_inverse_pbw`` take an
 optional ``cap`` and then return only the terms of star degree <= cap
@@ -62,7 +62,7 @@ recursion body serves both paths (``_normal``, ``_sym``).
 definition, the average over factor orders, and memoizes it read-only as
 ``normal_table`` does; ``symmetrize_factors`` is the public form and returns
 a fresh copy.  Together with ``e_inverse_word`` it is the word-space
-reference that the PBW-coordinate star product is tested against.
+reference that the star product is tested against.
 """
 
 from __future__ import annotations
@@ -241,30 +241,29 @@ def sym_pbw(factors):
     return {t: quotient(c, k) for t, c in sym_table(factors).items()}
 
 
-def e_inverse_pbw(vec, scale=1, cap=None):
-    """e^{-1} of the PBW vector vec / scale, as a dict factor-tuple ->
+def e_inverse_pbw(vec, cap=None):
+    """e^{-1} of the PBW vector ``vec``, as a dict factor-tuple ->
     coefficient.
 
     ``vec`` maps nondecreasing factor tuples to coefficients and is not
-    modified; ``scale`` is a positive int.  Triangular induction on the
-    factor count: a PBW monomial t is the only term of its factor count in
-    e(t), so the top part of the vector is its own e^{-1} there, and
-    subtracting its symmetrization strictly lowers the maximal factor count.
+    modified.  Triangular induction on the factor count: a PBW monomial t
+    is the only term of its factor count in e(t), so the top part of the
+    vector is its own e^{-1} there, and subtracting its symmetrization
+    strictly lowers the maximal factor count.
 
-    The peel runs on ints over one common scale.  A vector with Fraction
-    values is first brought to the lcm of its denominators (``int_row``).
-    At top factor count k, each top term c t is recorded as c / scale; the
-    vector is then multiplied by k! and c ``sym_table(t)`` subtracted, which
-    cancels the top terms exactly, and the scale is multiplied by k!.  The
-    gcd of the vector's values and the scale is divided out of both.
+    The peel runs on ints over one common scale, which starts as the lcm of
+    the vector's denominators (``int_row``).  At top factor count k, each
+    top term c t is recorded as c / scale; the vector is then multiplied by
+    k! and c ``sym_table(t)`` subtracted, which cancels the top terms
+    exactly, and the scale is multiplied by k!.  The gcd of the vector's
+    values and the scale is divided out of both.
 
     With ``cap``, only the terms of star degree <= cap: the vector's terms
     past the cap are dropped first and every subtracted table is capped.
     """
     if cap is not None:
         vec = {t: c for t, c in vec.items() if len(t) >= _least(t, cap)}
-    current, den = int_row(vec)
-    scale *= den
+    current, scale = int_row(vec)
     result = {}
     guard = max(map(len, current), default=0) + 1
     while current:

@@ -54,9 +54,9 @@ def truncated_product(alg, a, b):
     """The associative product sum of B^X_p with star degrees > d dropped.
 
     No term past star degree d is computed: each monomial pair's table is
-    built with every intermediate capped at d (``freepoisson._star_monomials``
-    and ``pbw``), which is exact because e, e^{-1} and straightening never
-    lower star degree.
+    built with every intermediate capped at d (``freepoisson._star_monomials``),
+    which is exact because no term of the Berezin-Gutt product f * Q has
+    star degree below star f + star Q.
     """
     if a.max_star_degree() > alg.d or b.max_star_degree() > alg.d:
         raise ValueError(f"inputs must have star degree <= {alg.d}")
@@ -71,7 +71,7 @@ def nc_embed(alg, w):
         if not 1 <= i <= alg.n_gens:
             raise ValueError(f"letter {i} outside 1..{alg.n_gens}")
     table = pbw.normal_table(tuple(generator(i) for i in w), alg.d)
-    peeled = pbw.e_inverse_pbw(table, 1, alg.d)
+    peeled = pbw.e_inverse_pbw(table, alg.d)
     return PoissonElement._of({PoissonMonomial.of(t): c for t, c in peeled.items()})
 
 

@@ -7,6 +7,8 @@ star + length - 1, where nothing is dropped and the full memo entry itself
 comes back, and one past it.
 """
 
+from fractions import Fraction
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,11 +96,12 @@ _COEFFS = st.integers(-6, 6).filter(bool)
     st.integers(1, 24),
 )
 def test_capped_peel_is_the_full_peel_below_the_cap(vec, scale):
-    full = pbw.e_inverse_pbw(vec, scale)
+    vec = {t: Fraction(c, scale) for t, c in vec.items()}
+    full = pbw.e_inverse_pbw(vec)
     top = max((star_of(t) + len(t) for t in vec), default=0)
     for cap in range(-1, top + 1):
-        assert pbw.e_inverse_pbw(vec, scale, cap) == _below(full, cap), cap
-    assert pbw.e_inverse_pbw({}, 1, 0) == {}
+        assert pbw.e_inverse_pbw(vec, cap) == _below(full, cap), cap
+    assert pbw.e_inverse_pbw({}, 0) == {}
 
 
 _PAIRS = st.sampled_from((2, 3)).flatmap(

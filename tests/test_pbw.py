@@ -108,8 +108,9 @@ def test_peel_matches_fraction_reference(vec):
 @given(st.dictionaries(_pbw_tuples(), st.integers(-50, 50).filter(bool), max_size=5),
        st.integers(1, 720))
 def test_scaled_peel_matches_fraction_reference(vec, scale):
-    want = reference_e_inverse_pbw({t: canonical(Fraction(c, scale)) for t, c in vec.items()})
-    got = pbw.e_inverse_pbw(vec, scale)
+    scaled = {t: canonical(Fraction(c, scale)) for t, c in vec.items()}
+    want = reference_e_inverse_pbw(scaled)
+    got = pbw.e_inverse_pbw(scaled)
     assert got == want
     assert all(_stored(c) for c in got.values())
 

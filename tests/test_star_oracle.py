@@ -1,4 +1,4 @@
-"""A second star product with no straightening and no peel.
+"""Star-product references: the naive Bernoulli sum and the PBW peel.
 
 For a Lie element x, left multiplication by x in U(g), read in symmetric
 coordinates, is x * beta(e^y) = beta(phi(ad y)(x) e^y) with
@@ -9,23 +9,34 @@ Bernoulli numbers and B_1 = -1/2:
                         [l_{i_1}, [... [l_{i_k}, x] ...]] * prod_{j not in I} l_j
 
 A monomial m = f_1 ... f_k acts through e(m) = (1/k) sum_f mult_f f e(m/f),
-so m * Q = (1/k) sum_f mult_f f * ((m/f) * Q).  Only ``lie_bracket`` and the
-commutative product of SLV are used, never ``pbw``: this is an independent
-check of ``star_product`` and of each ``star_component``.
+so m * Q = (1/k) sum_f mult_f f * ((m/f) * Q).  ``star_product`` computes
+this same formula, grouped by the multiset of picked factors and with
+memoized nested brackets, so the naive sum here checks the grouping, the
+memo and the Bernoulli weights, not the formula.
+
+The independent paths are two.  The word-space identity
+e(a * b) = e(a) e(b) (``tests/test_freepoisson.py``) and the PBW reference
+below: k1! e(m1) times k2! e(m2) from ``pbw.sym_table``, straightened by
+``pbw.normal_table`` and peeled back by ``pbw.e_inverse_pbw``, with every
+intermediate capped as in the capped pair table.
 """
 
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
-from math import comb, factorial
+from math import comb, factorial, lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonenv.freelie import LieElement, lie_bracket
+from poissonenv import pbw
+from poissonenv.freelie import LieElement, generator, lie_bracket
 from poissonenv.freepoisson import (
     PoissonElement,
     PoissonMonomial,
+    _bernoulli_weights,
+    _star_monomials,
     monomials_up_to_total,
     star_component,
     star_product,
@@ -128,3 +139,69 @@ def test_star_components_match_the_bernoulli_oracle(pair):
     top = max(a.sym_degrees()) + max(b.sym_degrees())
     for p in range(top + 2):
         assert star_component(a, b, p) == want.get(p, PoissonElement())
+
+
+def test_bernoulli_weights_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    want = [Fraction(int(q.p), int(q.q)) / factorial(k)
+            for k, q in enumerate(sympy.bernoulli(k) for k in range(31))]
+    # sympy 1.12 and later give B_1 = +1/2; the product uses B_1 = -1/2
+    want[1] = -abs(want[1])
+    assert want[1] == Fraction(-1, 2)
+    for n in range(31):
+        den, weights = _bernoulli_weights(n)
+        assert den == lcm(*[w.denominator for w in want[: n + 1]]), n
+        assert all(type(w) is int for w in weights), n
+        assert [Fraction(w, den) for w in weights] == want[: n + 1], n
+        assert all((den * w).denominator == 1 for w in want[: n + 1])
+
+
+def _pbw_star_table(m1, m2, cap=None):
+    """The pair table of (m1, m2) in PBW coordinates, as {monomial: coeff}:
+    k1! e(m1) and k2! e(m2) from ``sym_table``, capped at cap - star m2 and
+    cap - star m1, the sum of c1 c2 ``normal_table(t1 + t2, cap)`` over
+    their terms, and the peel at cap of that vector over k1! k2!."""
+    f1, f2 = m1.factors, m2.factors
+    cap1 = cap2 = None
+    if cap is not None:
+        cap1, cap2 = cap - m2.star_degree, cap - m1.star_degree
+    prod = {}
+    for t1, c1 in pbw.sym_table(f1, cap1).items():
+        for t2, c2 in pbw.sym_table(f2, cap2).items():
+            merge(prod, pbw.normal_table(t1 + t2, cap).items(), c1 * c2)
+    scale = factorial(len(f1)) * factorial(len(f2))
+    vec = {t: Fraction(c, scale) for t, c in prod.items()}
+    return {PoissonMonomial.of(t): c for t, c in pbw.e_inverse_pbw(vec, cap).items()}
+
+
+def _check_against_pbw_reference(m1, m2):
+    assert _star_monomials(m1, m2) == _pbw_star_table(m1, m2)
+    top = m1.star_degree + m2.star_degree + m1.sym_degree + m2.sym_degree
+    for cap in range(top + 1):
+        assert _star_monomials(m1, m2, cap) == _pbw_star_table(m1, m2, cap), cap
+
+
+_SMALL = {n: monomials_up_to_total(n, 5) for n in (1, 2, 3)}
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """Two monomials in 1-3 generators with total letter count <= 6."""
+    pool = _SMALL[draw(st.integers(1, 3))]
+    m1 = draw(st.sampled_from(pool))
+    room = 6 - m1.total_degree
+    m2 = draw(st.sampled_from([m for m in pool if m.total_degree <= room]))
+    return m1, m2
+
+
+@settings(deadline=None, max_examples=80)
+@given(_monomial_pairs())
+def test_pair_tables_match_the_pbw_reference(pair):
+    _check_against_pbw_reference(*pair)
+
+
+def test_cliff_pair_4x4_matches_the_pbw_reference():
+    def word(letters):
+        return PoissonMonomial.of(tuple(generator(i) for i in letters))
+
+    _check_against_pbw_reference(word((1, 2, 3, 1)), word((2, 3, 1, 2)))
