@@ -25,9 +25,9 @@ applied to the straightened letters of the word.  The star product in
 ``freepoisson`` does not come through here: it multiplies in symmetric
 coordinates directly.
 
-Capping.  ``normal_table``, ``sym_table`` and ``e_inverse_pbw`` take an
-optional ``cap`` and then return only the terms of star degree <= cap
-(the sum of the factors' star degrees).  This is exact:
+Capping.  ``normal_table`` and ``sym_table`` take an optional ``cap`` and
+then return only the terms of star degree <= cap (the sum of the factors'
+star degrees).  This is exact:
 
 * A swap keeps a term's star degree and its factor count.  A bracket term
   has one factor fewer and star degree one more, since the bracket of two
@@ -43,11 +43,6 @@ optional ``cap`` and then return only the terms of star degree <= cap
   k! e(m) = sum_f mult_f f ((k-1)! e(m/f)), a term of f t has at most
   len(t) + 1 factors, so (k-1)! e(m/f) is read with the least count less 1
   and f t straightened with that of m.
-* e^{-1} never lowers star degree either, as the inverse of a map that is
-  the identity plus terms of strictly higher star degree.  So the star <=
-  cap part of e^{-1}(v) is the peel of the star <= cap part of v with every
-  subtracted table capped: in the quotient by the span of the tuples of
-  star > cap, capped e is still unitriangular in the factor count.
 
 Carrying the least factor count, instead of the room cap - star, keeps one
 bound for the whole recursion.  The no-bite rule: when star(t) +
@@ -241,7 +236,7 @@ def sym_pbw(factors):
     return {t: quotient(c, k) for t, c in sym_table(factors).items()}
 
 
-def e_inverse_pbw(vec, cap=None):
+def e_inverse_pbw(vec):
     """e^{-1} of the PBW vector ``vec``, as a dict factor-tuple ->
     coefficient.
 
@@ -257,12 +252,7 @@ def e_inverse_pbw(vec, cap=None):
     k! and c ``sym_table(t)`` subtracted, which cancels the top terms
     exactly, and the scale is multiplied by k!.  The gcd of the vector's
     values and the scale is divided out of both.
-
-    With ``cap``, only the terms of star degree <= cap: the vector's terms
-    past the cap are dropped first and every subtracted table is capped.
     """
-    if cap is not None:
-        vec = {t: c for t, c in vec.items() if len(t) >= _least(t, cap)}
     current, scale = int_row(vec)
     result = {}
     guard = max(map(len, current), default=0) + 1
@@ -279,7 +269,7 @@ def e_inverse_pbw(vec, cap=None):
             current = {t: c * k for t, c in current.items()}
             scale *= k
         for t, c in top:
-            merge(current, sym_table(t, cap).items(), -c)
+            merge(current, sym_table(t).items(), -c)
         if any(len(t) >= top_count for t in current):  # pragma: no cover
             raise RuntimeError("symmetrization is not unitriangular")
         g = gcd(scale, *current.values())

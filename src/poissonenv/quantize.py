@@ -8,13 +8,15 @@ two-sided ideal.
 The filtration computations run in PBW coordinates (nondecreasing products
 of Lyndon basis elements), where the product is concatenation followed by
 straightening and the star truncation is the coordinate span of the tuples
-of star degree above d.  Every table is straightened, symmetrized and peeled
-with the cap d (see ``pbw``), so no term of that span is ever computed.
-Every object in sight is graded by total letter count, so windows by total
-degree are honest finite quotients and the computed chains restrict
-exactly.  The windowed claims, F_n equal to the star >= n tail and
-F_n/F_{n+1} of the rank of P_n, are read off one kept comparison per
-window and SV-part bound (``UWindow.window``).
+of star degree above d.  Every product is straightened with the cap d (see
+``pbw``), so no term of that span is ever computed.  Every object in sight
+is graded by total letter count, so windows by total degree are honest
+finite quotients and the computed chains restrict exactly.  The windowed
+claims, F_n equal to the star >= n tail and F_n/F_{n+1} of the rank of P_n,
+are read off one kept comparison per window and SV-part bound
+(``UWindow.window``), where each tail is a coordinate span.  ``nc_embed``
+and ``truncated_product`` work in symmetric coordinates, with the capped
+star product of ``freepoisson``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .filtration import FiniteAlgebra, TruncatedAlgebra, filtration_chain, span_
 from .freelie import generator
 from .freepoisson import (
     PoissonElement,
-    PoissonMonomial,
     _star_sum,
     monomials_star_total,
     monomials_up_to_total,
@@ -65,14 +66,15 @@ def truncated_product(alg, a, b):
 
 def nc_embed(alg, w):
     """Image of a noncommutative word under the product of the generators:
-    e^{-1} of the word, an algebra map, with the ideal of star degrees > d
-    dropped, so its letters straightened and peeled with the cap d."""
+    the capped star product x_{i1} * ... * x_{ik} of its letters, which is
+    e^{-1} of the word with the ideal of star degrees > d dropped."""
     for i in w:
         if not 1 <= i <= alg.n_gens:
             raise ValueError(f"letter {i} outside 1..{alg.n_gens}")
-    table = pbw.normal_table(tuple(generator(i) for i in w), alg.d)
-    peeled = pbw.e_inverse_pbw(table, alg.d)
-    return PoissonElement._of({PoissonMonomial.of(t): c for t, c in peeled.items()})
+    out = PoissonElement.one()
+    for i in w:
+        out = _star_sum(out, PoissonElement.generator(i), alg.d)
+    return out
 
 
 class UWindow(FiniteAlgebra):
@@ -84,8 +86,8 @@ class UWindow(FiniteAlgebra):
 
     Every table the window reads, straightened product or e-image, is
     capped at star degree ``d`` (``pbw``), so nothing past the window is
-    computed.  The chain is kept, and so is ``window(N)``, the star-tail
-    chain of each SV-part bound N with the chain's ranks inside it.
+    computed.  The chain is kept, and so is ``window(N)``, the star tails
+    of each SV-part bound N with the chain's ranks inside them.
     """
 
     def __init__(self, n_gens, d, max_total):
@@ -162,39 +164,32 @@ class UWindow(FiniteAlgebra):
             self._chain = filtration_chain(self, self.commutator)
         return [self._chain[n] for n in range(levels + 1)]
 
-    def _e_row(self, m):
-        """The e-image of window monomial ``m`` by coordinate, as the int
-        table k! e(m) capped at d: a span does not depend on row scales."""
-        return self._cut(pbw.sym_table(m.factors, self.d))
-
     def poisson_span(self, monomials):
-        """Echelon of the e-images of window monomials, star-truncated."""
-        return Echelon.spanning(map(self._e_row, monomials))
-
-    def window_monomials(self, max_poly):
-        """The window's monomials of SV-part degree <= max_poly, in order."""
-        return [m for m in self.monomials if m.poly_degree <= max_poly]
+        """Echelon of the e-images of window monomials, star-truncated: each
+        row is the int table k! e(m) capped at d, as a span does not depend
+        on row scales."""
+        return Echelon.spanning(
+            self._cut(pbw.sym_table(m.factors, self.d)) for m in monomials
+        )
 
     def window(self, max_poly):
         """``(tails, ranks)`` for the SV-part bound ``max_poly``, built once
         and kept: ``graded_of_Q`` and ``commutator_filtration_Q`` read it.
 
-        ``tails[n]``, n = 0 .. d + 1, is the Echelon of the e-images of
-        ``window_monomials(max_poly)`` of star degree >= n, grown from a
-        copy of ``tails[n + 1]`` (empty at d + 1) by the star-n rows;
-        ``ranks[n]`` is the rank of F_n inside ``tails[0]``.
+        ``tails[n]``, n = 0 .. d + 1, lists the coordinates of the window
+        monomials of SV-part degree <= max_poly and star degree >= n, whose
+        span is the star >= n tail, the span of their e-images: capped e
+        keeps the total, never lowers the star degree, never raises the
+        SV-part degree and is unitriangular in the factor count, so it maps
+        the span of those tuples onto itself.  ``ranks[n]`` is the rank of
+        F_n inside the span of ``tails[0]``.
         """
         hit = self._windows.get(max_poly)
         if hit is None:
-            window = self.window_monomials(max_poly)
-            tails = [Echelon()]
-            for n in range(self.d, -1, -1):
-                tails.insert(0, tails[0].copy())
-                for m in window:
-                    if m.star_degree == n:
-                        tails[0].add(self._e_row(m))
-            chain = self.filtration(self.d + 1)
-            ranks = [_intersection_rank(f, tails[0]) for f in chain]
+            window = [i for i, m in enumerate(self.monomials) if m.poly_degree <= max_poly]
+            tails = [[i for i in window if self.stars[i] >= n] for n in range(self.d + 2)]
+            inside = set(window)
+            ranks = [_rank_inside(f, inside) for f in self.filtration(self.d + 1)]
             hit = self._windows[max_poly] = (tails, ranks)
         return hit
 
@@ -209,11 +204,12 @@ def u_window(n_gens, d, max_total):
     return _UWINDOW_CACHE[key]
 
 
-def _intersection_rank(a, b):
-    """dim(span a & span b) for Echelons ``a`` and ``b``: the rank of ``b``
-    less the number of its rows that raise the rank of a copy of ``a``."""
-    ech = a.copy()
-    return b.rank - sum(ech.add(row) for row in b.rows.values())
+def _rank_inside(ech, inside):
+    """dim(span ech & the coordinate span of the columns ``inside``): the
+    rank of ``ech`` less the rank of its rows cut to the columns outside,
+    as that cut is a projection whose kernel is the intersection."""
+    cut = ({c: v for c, v in row.items() if c not in inside} for row in ech.rows.values())
+    return ech.rank - Echelon.spanning(cut).rank
 
 
 @dataclass
@@ -250,8 +246,8 @@ def commutator_filtration_Q(alg, n, N):
         n=n,
         N=N,
         rank_filtration=ranks[n],
-        rank_expected=tails[n].rank,
-        tail_inside_filtration=all(piece.contains(row) for row in tails[n].basis()),
+        rank_expected=len(tails[n]),
+        tail_inside_filtration=all(piece.contains({i: 1}) for i in tails[n]),
     )
 
 
@@ -271,7 +267,7 @@ def graded_of_Q(alg, N):
     P_n (the graded-reconstruction witness for polynomial coordinates).
 
     Both are read off ``UWindow.window(N)``.  The rank of P_n, the span of
-    the star-n e-images, is tails[n].rank - tails[n + 1].rank: e is
+    the star-n e-images, is len(tails[n]) - len(tails[n + 1]): e is
     injective, so those images meet the star > n tail only in 0.
     """
     if N < 0:
@@ -281,7 +277,7 @@ def graded_of_Q(alg, N):
         GradedRankReport(
             n=n,
             graded_rank=ranks[n] - ranks[n + 1],
-            envelope_rank=tails[n].rank - tails[n + 1].rank,
+            envelope_rank=len(tails[n]) - len(tails[n + 1]),
         )
         for n in range(alg.d + 1)
     ]

@@ -1,4 +1,4 @@
-"""Capped straightening, symmetrization, peel and truncated product.
+"""Capped straightening, symmetrization and truncated product.
 
 A cap drops every term of star degree above it.  Each capped result must be
 the full result filtered to star degree <= cap, on every input and at every
@@ -6,8 +6,6 @@ cap: below everything (-1), 0, each cap up to the no-bite boundary
 star + length - 1, where nothing is dropped and the full memo entry itself
 comes back, and one past it.
 """
-
-from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,23 +85,6 @@ def test_capped_sym_table_is_the_full_table_below_the_cap(factors):
             assert pbw.sym_table(factors, cap) is got
 
 
-_COEFFS = st.integers(-6, 6).filter(bool)
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    st.dictionaries(_factor_tuples(nondecreasing=True), _COEFFS, max_size=4),
-    st.integers(1, 24),
-)
-def test_capped_peel_is_the_full_peel_below_the_cap(vec, scale):
-    vec = {t: Fraction(c, scale) for t, c in vec.items()}
-    full = pbw.e_inverse_pbw(vec)
-    top = max((star_of(t) + len(t) for t in vec), default=0)
-    for cap in range(-1, top + 1):
-        assert pbw.e_inverse_pbw(vec, cap) == _below(full, cap), cap
-    assert pbw.e_inverse_pbw({}, 0) == {}
-
-
 _PAIRS = st.sampled_from((2, 3)).flatmap(
     lambda n: st.tuples(st.sampled_from(_MONOMIALS[n]), st.sampled_from(_MONOMIALS[n]))
 )
@@ -120,6 +101,9 @@ def test_capped_pair_table_is_the_full_table_below_the_cap(pair):
         assert got == {m: c for m, c in full.items() if m.star_degree <= cap}, cap
         if _no_bite(star, m1.sym_degree + m2.sym_degree, cap):
             assert got is full
+
+
+_COEFFS = st.integers(-6, 6).filter(bool)
 
 
 def _terms(n):

@@ -1,6 +1,10 @@
 import json
+import os
+import shlex
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -362,3 +366,40 @@ def test_verify_json_output(capsys):
     data = json.loads(out)
     assert data["failed"] == 0
     assert data["results"][0]["name"] == "07-gap-counterexample"
+
+
+ROOT = Path(__file__).parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["star", "-n", "2", "-d", "1", "x1", "x2"], ["lyndon", "-n", "2", "-d", "-1"]],
+)
+def test_python_m_poissonenv_runs_main(capsys, argv):
+    # one good and one refused command: same stdout and exit code either way
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "poissonenv", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=ROOT,
+    )
+    code, out, _ = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
+def _ci_commands():
+    """Each ``poissonenv ...`` line of the CI workflow, split as a shell would."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    lines = [line.strip() for line in text.splitlines()]
+    return [shlex.split(line)[1:] for line in lines if line.startswith("poissonenv ")]
+
+
+def test_every_ci_command_exits_0(capsys, monkeypatch):
+    commands = _ci_commands()
+    assert len(commands) >= 12
+    monkeypatch.chdir(ROOT)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    capsys.readouterr()

@@ -473,6 +473,99 @@ def test_quotient_ranks_do_not_drop_as_the_window_grows(presentation):
         assert all(a <= b for a, b in zip(smaller, larger)), ranks
 
 
+# -- the star-degree-0 piece against a Groebner basis ----------------------
+
+
+def _standard_monomial_count(n_gens, relations, N):
+    """The number of monomials of degree <= N that no leading monomial of a
+    grevlex Groebner basis of the relations' ideal divides: dim of
+    k[x]_{<=N} / (I & k[x]_{<=N}), as grevlex is degree-compatible (Cox,
+    Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 9 sec. 3)."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{n_gens + 1}")
+    polys = [
+        sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(xs[b.word[0] - 1] for b in m.factors))
+            for m, c in f.terms.items()
+        )
+        for f in relations
+    ]
+    basis = sympy.groebner(polys, *xs, order="grevlex")
+    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
+    return sum(
+        not any(all(a >= b for a, b in zip(e, lead)) for lead in leads)
+        for e in product(range(N + 1), repeat=n_gens)
+        if sum(e) <= N
+    )
+
+
+def _p0_rank(n_gens, relations, N):
+    pres = EnvelopePresentation(n_gens, relations, 0, N)
+    return envelope_truncated(pres)[0].quotient_rank
+
+
+@st.composite
+def _inhomogeneous(draw):
+    """(n_gens, relations): n <= 3 and 1-2 relations of polynomial degree
+    <= 3, the first with terms of two different degrees."""
+    n = draw(st.integers(1, 3))
+    pool = monomials_star_maxpoly(n, 0, 3)
+    coeffs = st.sampled_from((-2, -1, 1, 2))
+    degrees = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+    relations = []
+    for k in range(draw(st.integers(1, 2))):
+        monos = set(draw(st.lists(st.sampled_from(pool), max_size=2)))
+        for deg in degrees if k == 0 else ():
+            monos.add(draw(st.sampled_from([m for m in pool if m.poly_degree == deg])))
+        if monos:
+            relations.append(PoissonElement({m: draw(coeffs) for m in monos}))
+    return n, tuple(relations)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_inhomogeneous())
+def test_inhomogeneous_p0_rank_bounds_the_standard_monomials(presentation):
+    # the carve spans part of I & k[x]_{<=N}, so its quotient is no smaller
+    n_gens, relations = presentation
+    top = max(m.poly_degree for f in relations for m in f.terms)
+    for N in range(top, top + 3):
+        assert _p0_rank(n_gens, relations, N) >= _standard_monomial_count(
+            n_gens, relations, N
+        ), N
+
+
+def _poly(*terms):
+    """A commutative polynomial from (coefficient, letters) pairs."""
+    out = PoissonElement.zero()
+    for c, letters in terms:
+        m = PoissonElement.one(c)
+        for i in letters:
+            m = multiply(m, gen(i))
+        out = out + m
+    return out
+
+
+@pytest.mark.parametrize(
+    "relations, ranks",
+    [
+        ((_poly((1, (1, 2)), (-1, (3,))),), [16, 25, 36]),
+        (
+            (
+                _poly((2, (1,)), (1, (1, 1, 3)), (2, (1, 2, 2))),
+                _poly((-1, (3, 3)), (1, (1, 1, 2)), (-1, (1, 3, 3))),
+            ),
+            [18, 26, 34],
+        ),
+    ],
+)
+def test_inhomogeneous_p0_rank_equals_the_standard_monomials(relations, ranks):
+    # x1*x2 - x3 and the slow two-relation presentation, at N = 3, 4, 5
+    for N, rank in zip((3, 4, 5), ranks):
+        assert _p0_rank(3, relations, N) == rank, N
+        assert _standard_monomial_count(3, relations, N) == rank, N
+
+
 # -- right-normed generators against every insertion position ---------------
 
 

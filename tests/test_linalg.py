@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from poissonenv.envelope import _window_part
 from poissonenv.freelie import TensorElement
 from poissonenv.linalg import Echelon, Rational, SpanSolver, merge
-from poissonenv.quantize import _intersection_rank
+from poissonenv.quantize import _rank_inside
 
 
 def mat(rows):
@@ -512,9 +512,11 @@ def test_span_solver_rebuilds_combinations_and_refuses_the_rest(data):
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_intersection_rank_is_the_dimension_formula(data):
+    # the intersection with a coordinate span, by the projection rank
     a = Echelon.spanning(data.draw(st.lists(_ROWS, max_size=6)))
-    b = Echelon.spanning(data.draw(st.lists(_ROWS, max_size=6)))
+    inside = data.draw(st.sets(st.integers(0, _COLS - 1)))
+    units = [{c: 1} for c in inside]
     a_rows = _snapshot(a)
-    want = a.rank + b.rank - Echelon.spanning(a.basis() + b.basis()).rank
-    assert _intersection_rank(a, b) == want
+    want = a.rank + len(inside) - Echelon.spanning(a.basis() + units).rank
+    assert _rank_inside(a, inside) == want
     assert _snapshot(a) == a_rows

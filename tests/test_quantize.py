@@ -546,18 +546,18 @@ def test_u_window_refuses_a_domain_error(shape, message):
 
 def test_window_comparison_is_built_once_per_bound(monkeypatch):
     # graded_of_Q and every level of commutator_filtration_Q read one kept
-    # star-tail chain per SV-part bound, with one intersection per level
+    # comparison per SV-part bound, with one projection rank per level
     alg = QuantizedAlgebra(2, 2)
     win = UWindow(2, 2, 2 + 2 * alg.d)
     monkeypatch.setitem(quantize._UWINDOW_CACHE, (2, 2, win.max_total), win)
-    intersected = []
-    rank = quantize._intersection_rank
+    projected = []
+    rank = quantize._rank_inside
 
-    def counting(a, b):
-        intersected.append(b)
-        return rank(a, b)
+    def counting(ech, inside):
+        projected.append(inside)
+        return rank(ech, inside)
 
-    monkeypatch.setattr(quantize, "_intersection_rank", counting)
+    monkeypatch.setattr(quantize, "_rank_inside", counting)
     for _ in range(2):
         graded_of_Q(alg, 2)
         for n in range(alg.d + 2):
@@ -566,13 +566,12 @@ def test_window_comparison_is_built_once_per_bound(monkeypatch):
     tails, ranks = win.window(2)
     assert win.window(2) is win._windows[2]
     assert len(tails) == len(ranks) == alg.d + 2
-    assert len(intersected) == alg.d + 2
-    assert all(b is tails[0] for b in intersected)
-    assert tails[alg.d + 1].rank == 0
-    for upper, lower in zip(tails[1:], tails):
-        # each tail is grown from a copy of the one above it
-        assert set(upper.rows) <= set(lower.rows)
-        assert all(lower.contains(row) for row in upper.basis())
+    assert len(projected) == alg.d + 2
+    assert all(inside == set(tails[0]) for inside in projected)
+    assert tails[alg.d + 1] == []
+    for n, tail in enumerate(tails):
+        # each tail is the star >= n part of the SV-part bound's coordinates
+        assert tail == [i for i in tails[0] if win.stars[i] >= n]
     win.window(1)
     assert list(win._windows) == [2, 1]
 
@@ -630,13 +629,20 @@ def test_window_reports_equal_the_reference(n_gens, d, N):
     _assert_reports_match_the_reference(n_gens, d, min(N, 5 - n_gens))
 
 
-def _nc_embed_by_products(alg, w):
-    """The image of a word as the product of its letters, one truncated
-    product at a time."""
-    out = PoissonElement.one()
-    for i in w:
-        out = truncated_product(alg, out, PoissonElement.generator(i))
-    return out
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+def test_each_star_tail_is_the_span_of_its_coordinates(n_gens, d, N):
+    # the e-images of the window monomials of star >= n and SV-part <= N
+    # span exactly the coordinates of those monomials
+    N = min(N, 5 - n_gens)
+    win = u_window(n_gens, d, N + 2 * d)
+    tails, _ = win.window(N)
+    for n, tail in enumerate(tails):
+        span = win.poisson_span(
+            [m for m in win.monomials if m.star_degree >= n and m.poly_degree <= N]
+        )
+        assert span.rank == len(tail), n
+        assert all(span.contains({i: 1}) for i in tail), n
 
 
 @settings(deadline=None, max_examples=60)
@@ -650,5 +656,4 @@ def test_nc_embed_is_the_capped_e_inverse_of_its_word(case, d):
     n_gens, word = case
     alg = QuantizedAlgebra(n_gens, d)
     got = nc_embed(alg, tuple(word))
-    assert got == _nc_embed_by_products(alg, word)
     assert got == e_inverse(TensorElement.word(word)).star_truncate(d)

@@ -17,8 +17,8 @@ memo and the Bernoulli weights, not the formula.
 The independent paths are two.  The word-space identity
 e(a * b) = e(a) e(b) (``tests/test_freepoisson.py``) and the PBW reference
 below: k1! e(m1) times k2! e(m2) from ``pbw.sym_table``, straightened by
-``pbw.normal_table`` and peeled back by ``pbw.e_inverse_pbw``, with every
-intermediate capped as in the capped pair table.
+``pbw.normal_table`` and peeled back by ``pbw.e_inverse_pbw``, with the
+tables capped as in the capped pair table and the peel cut at the cap.
 """
 
 from collections import Counter
@@ -160,7 +160,9 @@ def _pbw_star_table(m1, m2, cap=None):
     """The pair table of (m1, m2) in PBW coordinates, as {monomial: coeff}:
     k1! e(m1) and k2! e(m2) from ``sym_table``, capped at cap - star m2 and
     cap - star m1, the sum of c1 c2 ``normal_table(t1 + t2, cap)`` over
-    their terms, and the peel at cap of that vector over k1! k2!."""
+    their terms, and the full peel of that vector over k1! k2! with its terms
+    past the cap dropped: e^{-1} never lowers the star degree, so the terms
+    past the cap missing from the vector show only past the cap."""
     f1, f2 = m1.factors, m2.factors
     cap1 = cap2 = None
     if cap is not None:
@@ -171,7 +173,8 @@ def _pbw_star_table(m1, m2, cap=None):
             merge(prod, pbw.normal_table(t1 + t2, cap).items(), c1 * c2)
     scale = factorial(len(f1)) * factorial(len(f2))
     vec = {t: Fraction(c, scale) for t, c in prod.items()}
-    return {PoissonMonomial.of(t): c for t, c in pbw.e_inverse_pbw(vec, cap).items()}
+    table = {PoissonMonomial.of(t): c for t, c in pbw.e_inverse_pbw(vec).items()}
+    return {m: c for m, c in table.items() if cap is None or m.star_degree <= cap}
 
 
 def _check_against_pbw_reference(m1, m2):
