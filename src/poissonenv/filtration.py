@@ -675,8 +675,8 @@ def endo_contraction_check(alg, f, chain, use_bracket=True):
     top = chain.length - 1
     for n in range(chain.length):
         nxt = chain[n + 1]
-        inclusions.append(all(nxt.contains(D(row)) for row in chain[n].basis()))
-    identity_on_top = all(not D(row) for row in chain[top].basis())
+        inclusions.append(all(nxt.contains(D(row)) for row in chain[n].rows.values()))
+    identity_on_top = all(not D(row) for row in chain[top].rows.values())
 
     return ContractionReport(
         is_endomorphism=ok_endo,

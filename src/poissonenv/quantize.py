@@ -28,7 +28,10 @@ from .envelope import EnvelopePresentation, _generators_up_to, ideal_block
 from .filtration import FiniteAlgebra, TruncatedAlgebra, filtration_chain, span_closure
 from .freelie import generator
 from .freepoisson import (
+    MONOMIAL_ONE,
     PoissonElement,
+    PoissonMonomial,
+    _star_monomials,
     _star_sum,
     monomials_star_total,
     monomials_up_to_total,
@@ -71,10 +74,13 @@ def nc_embed(alg, w):
     for i in w:
         if not 1 <= i <= alg.n_gens:
             raise ValueError(f"letter {i} outside 1..{alg.n_gens}")
-    out = PoissonElement.one()
+    out = {MONOMIAL_ONE: 1}
     for i in w:
-        out = _star_sum(out, PoissonElement.generator(i), alg.d)
-    return out
+        x, acc = PoissonMonomial.of((generator(i),)), {}
+        for m, c in out.items():
+            merge(acc, _star_monomials(m, x, alg.d).items(), c)
+        out = acc
+    return PoissonElement._of(out)
 
 
 class UWindow(FiniteAlgebra):
@@ -284,9 +290,9 @@ def graded_of_Q(alg, N):
 
 
 def _capped_right_products(win, cap):
-    """Right products by the letters on total-homogeneous vectors, as maps
-    for ``span_closure``; a product past total ``cap`` is 0, and is never
-    formed.  Closing the letters under them spans all totals 1 .. cap."""
+    """Right products by the letters on total-homogeneous vectors; a product
+    past total ``cap`` is 0, and is never formed.  Closing the letters under
+    them spans all totals 1 .. cap."""
 
     def right(lv):
         return lambda v: win.mul(v, lv) if win.totals[next(iter(v))] < cap else {}
@@ -322,6 +328,17 @@ def star_ideal_topology_check(n_gens, d, m):
     term x1*(12) of SV-degree 1).  The containment target is a coordinate
     subspace in Poisson coordinates: monomials with SV-part degree >= m or
     star degree >= m.
+
+    J, the span of the totals >= 1, is the right closure of the letters:
+    every word starts with a letter.  Each later power is one right product
+    by V, the span of the letters: J^{*k} = J^{*(k-1)} J is the sum of the
+    J^{*(k-1)} x_i w over the words w, and J^{*(k-1)} is a right ideal, so
+    J^{*(k-1)} x_i x_j lies in J^{*(k-1)} x_j; by induction on w,
+    J^{*k} = span(J^{*(k-1)} V), which right letter products keep.  By
+    total, J^{*k}_t = J^{*(k-1)}_{t-1} V, and the test of J^{*N} reads
+    totals up to N + 2: J is closed up to total 3, and stage k holds totals
+    k .. k + 2, which needs stage k - 1 only up to total k + 1.  Span and
+    membership ignore row scales, so both read the primitive int rows.
     """
     if n_gens < 1 or d < 0:
         raise ValueError(f"need n_gens >= 1 and d >= 0, got {n_gens} and {d}")
@@ -341,26 +358,14 @@ def star_ideal_topology_check(n_gens, d, m):
         ]
     )
 
-    # J^{*k} elements have total >= k and the final membership test only
-    # looks below max_total, so stage k is capped at k + _EXTRA_TOTALS.
-    # Right closure of the letters is all of total degree >= 1: every word
-    # starts with a letter, so sum_i x_i * R is the full positive part.
-    maps = _capped_right_products(win, min(1 + _EXTRA_TOTALS, max_total))
-    j_span = span_closure(maps, win.generators())
-    for k in range(2, power + 1):
-        maps = _capped_right_products(win, k + _EXTRA_TOTALS)
-        # J^{*k} = J^{*(k-1)} * J = sum of J^{*(k-1)} x_i R: close on the right
-        j_span = span_closure(maps, [f(v) for v in j_span.basis() for f in maps])
+    letters = win.generators()
+    j_span = span_closure(_capped_right_products(win, 1 + _EXTRA_TOTALS), letters)
+    for _ in range(2, power + 1):
+        rows = j_span.rows.values()
+        j_span = Echelon.spanning(win.mul(v, x) for v in rows for x in letters)
 
-    included = all(target.contains(row) for row in j_span.basis())
-    return StarIdealReport(
-        d=d,
-        m=m,
-        alpha=alpha,
-        power=power,
-        max_total=max_total,
-        included=included,
-    )
+    included = all(target.contains(row) for row in j_span.rows.values())
+    return StarIdealReport(d, m, alpha, power, max_total, included)
 
 
 # -- finite window algebras (structure-constant form) ------------------------
@@ -381,17 +386,12 @@ def quantized_window_algebra(n_gens, d, max_total):
     """Q_X^(d) cut to total degree <= max_total, in PBW coordinates, as an
     associative TruncatedAlgebra (no bracket table)."""
     win = UWindow(n_gens, d, max_total)
-    product = {}
-    for i in range(win.dim):
-        for j in range(win.dim):
-            row = win._row(i, j)
-            if row:
-                product[(i, j)] = row
+    pairs = [(i, j) for i in range(win.dim) for j in range(win.dim)]
     return TruncatedAlgebra(
         dim=win.dim,
         labels=[repr(m) for m in win.monomials],
         unit=win.unit,
-        product=product,
+        product={ij: row for ij in pairs if (row := win._row(*ij))},
     )
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from poissonenv import clear_caches, pbw, quantize
 from poissonenv.filtration import span_closure
 from poissonenv.freelie import LieBasisElement, LieElement, TensorElement
-from poissonenv.linalg import merge
+from poissonenv.linalg import Echelon, merge
 from poissonenv.freepoisson import (
     PoissonElement,
     e_inverse,
@@ -334,6 +334,107 @@ def test_capped_right_closure_of_letters_is_positive_part(shape):
         inside = [i for i, t in enumerate(win.totals) if 1 <= t <= cap]
         assert span.rank == len(inside)
         assert all(span.contains({i: Fraction(1)}) for i in inside)
+
+
+def _closure_stage(win, prev, k):
+    # the reference stage k >= 2: the right products of J^{*(k-1)} by the
+    # letters, closed under right letter products
+    maps = _capped_right_products(win, k + quantize._EXTRA_TOTALS)
+    return span_closure(maps, [f(v) for v in prev.basis() for f in maps])
+
+
+def _product_stage(win, prev):
+    # stage k >= 2 as star_ideal_topology_check builds it: one right product
+    # of J^{*(k-1)} by the letters
+    letters = win.generators()
+    return Echelon.spanning(win.mul(v, x) for v in prev.rows.values() for x in letters)
+
+
+def _first_stage(win):
+    maps = _capped_right_products(win, 1 + quantize._EXTRA_TOTALS)
+    return span_closure(maps, win.generators())
+
+
+def _same_span(a, b):
+    return (
+        a.rank == b.rank
+        and all(a.contains(row) for row in b.rows.values())
+        and all(b.contains(row) for row in a.rows.values())
+    )
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.integers(0, 2), st.integers(2, 4), st.integers(0, 2))
+def test_one_right_product_stage_equals_the_closure_stage(n_gens, d, top, extra):
+    # J^{*(k-1)} is a right ideal, so one right product by the letters is
+    # already closed; windows as tall as the check's (top + 2) and lower
+    win = u_window(n_gens, d, top + extra)
+    stage = _first_stage(win)
+    for k in range(2, top + 1):
+        closed = _closure_stage(win, stage, k)
+        stage = _product_stage(win, stage)
+        assert _same_span(stage, closed), k
+
+
+def _coordinate_span(win, low, high):
+    return Echelon.spanning({i: 1} for i, t in enumerate(win.totals) if low <= t <= high)
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 5), (3, 1, 3), (2, 2, 6)])
+def test_star_powers_of_the_augmentation_ideal_are_the_totals_past_k(shape):
+    # the window is graded by total and generated in total 1, so J^{*k} is
+    # the span of the tuples of total >= k; the check never uses this
+    win = UWindow(*shape)
+    stage = _first_stage(win)
+    assert _same_span(stage, _coordinate_span(win, 1, min(3, win.max_total)))
+    for k in range(2, win.max_total + 1):
+        stage = _product_stage(win, stage)
+        top = min(k + quantize._EXTRA_TOTALS, win.max_total)
+        assert _same_span(stage, _coordinate_span(win, k, top)), k
+
+
+@pytest.mark.parametrize(
+    "config, pinned",
+    [
+        ((2, 0, 1), (1, 3, True)),
+        ((2, 1, 1), (3, 5, True)),
+        ((2, 0, 2), (2, 4, True)),
+        ((2, 1, 2), (5, 7, True)),
+        ((2, 2, 1), (6, 8, True)),
+        ((3, 1, 1), (3, 5, True)),
+        ((2, 2, 2), (10, 12, True)),
+    ],
+)
+def test_star_ideal_reports_are_pinned(config, pinned):
+    rep = star_ideal_topology_check(*config)
+    assert (rep.power, rep.max_total, rep.included) == pinned
+
+
+@pytest.mark.parametrize("config", [(2, 1, 1), (2, 2, 1), (3, 1, 1)])
+def test_star_ideal_check_closes_only_the_first_stage(monkeypatch, config):
+    # span_closure builds J alone; each later stage is one Echelon.spanning
+    # call, after the target's, and spans the tuples of total k .. k + 2
+    closures, spans = [], []
+
+    def closure(maps, seeds):
+        closures.append(span_closure(maps, seeds))
+        return closures[-1]
+
+    class Recording(Echelon):
+        @classmethod
+        def spanning(cls, rows):
+            spans.append(Echelon.spanning(rows))
+            return spans[-1]
+
+    monkeypatch.setattr(quantize, "span_closure", closure)
+    monkeypatch.setattr(quantize, "Echelon", Recording)
+    rep = star_ideal_topology_check(*config)
+    win = u_window(config[0], config[1], rep.max_total)
+    assert len(closures) == 1
+    assert _same_span(closures[0], _coordinate_span(win, 1, 3))
+    assert len(spans) == rep.power
+    for k, stage in enumerate(spans[1:], start=2):
+        assert _same_span(stage, _coordinate_span(win, k, k + quantize._EXTRA_TOTALS)), k
 
 
 def _reference_mul(win, v, w):
