@@ -180,7 +180,7 @@ class FiniteAlgebra:
         """Echelon spanning the two-sided ideal generated by ``seeds``: the
         span closed under products by each generator on the left and on the
         right, which suffices because the generators generate the algebra."""
-        return span_closure(self._ideal_maps(), seeds)
+        return span_closure(Echelon(), self._ideal_maps(), seeds)
 
     def _ideal_maps(self):
         """Products by each generator, on the left and on the right."""
@@ -419,15 +419,10 @@ class FiltrationChain:
         return [p.rank for p in self.pieces]
 
 
-def span_closure(maps, seeds):
-    """Echelon spanning the smallest subspace that contains ``seeds`` and is
-    closed under every linear map in ``maps``."""
-    return _grow(Echelon(), maps, seeds)
-
-
-def _grow(ech, maps, seeds):
+def span_closure(ech, maps, seeds):
     """Grow ``ech``, whose span is already closed under ``maps``, to the
-    closure of its span and ``seeds``: a worklist that applies each map, in
+    smallest subspace that contains its span and ``seeds`` and is closed
+    under every linear map in ``maps``: a worklist that applies each map, in
     order, to every vector that raises the rank.  Returns ``ech``."""
     queue = list(seeds)
     while queue:
@@ -498,7 +493,7 @@ def filtration_chain(alg, pair_map):
     below = Echelon()
     deep = [below]
     for seeds in reversed(levels):
-        below = _grow(below.copy(), maps, seeds)
+        below = span_closure(below.copy(), maps, seeds)
         deep.append(below)
     return FiltrationChain(pieces + deep[::-1])
 

@@ -7,10 +7,10 @@ step, ``Combination`` the one base of the algebra elements, and ``Echelon``
 the one elimination routine (rank is ``Echelon.spanning(rows).rank``, and
 ``SpanSolver`` feeds its rows through it).  ``Echelon.copy`` starts a new
 span from one already eliminated, so a caller that holds a subspace grows
-a larger one, or intersects with it, without adding its rows again: the
-filtration chain of a graded algebra is closed from its deepest piece up,
-each piece grown from a copy of the one below it, and an intersection rank
-adds one operand's rows to a copy of the other.  Elimination is
+a larger one without adding its rows again: the filtration chain of a
+graded algebra is closed from its deepest piece up, each piece grown from
+a copy of the one below it, and ``associated_graded`` picks each grade's
+rows independent modulo a copy of the piece below.  Elimination is
 deterministic: it always clears the smallest column index of the row at
 hand; there is no other pivot rule and no column order to choose.  It runs
 on integers: ``Echelon`` scales each row it is given to integers once,

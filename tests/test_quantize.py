@@ -24,7 +24,7 @@ from poissonenv.freepoisson import (
 from poissonenv.quantize import (
     QuantizedAlgebra,
     UWindow,
-    _capped_right_products,
+    _star_power_included,
     commutator_filtration_Q,
     graded_of_Q,
     nc_embed,
@@ -323,36 +323,55 @@ def test_window_algebras_match_pinned_files(build, shape, name):
     assert build(*shape).to_json_dict() == json.loads(path.read_text())
 
 
+# -- J^{*k} built by products: the reference for the star-ideal check -------
+
+
+def _capped_right_products(win, cap):
+    # right products by the letters on total-homogeneous vectors; a product
+    # past total cap is 0, and is never formed
+    def right(lv):
+        return lambda v: win.mul(v, lv) if win.totals[next(iter(v))] < cap else {}
+
+    return [right(lv) for lv in win.generators()]
+
+
 @pytest.mark.parametrize("shape", [(2, 1, 5), (3, 1, 3)])
 def test_capped_right_closure_of_letters_is_positive_part(shape):
-    # the claim behind star_ideal_topology_check's first stage: every tuple
-    # of total >= 1 starts with a letter, so closing the letters under
-    # right products capped at total c spans all tuples of total 1 .. c
+    # every tuple of total >= 1 starts with a letter, so closing the letters
+    # under right products capped at total c spans all tuples of total 1 .. c
     win = UWindow(*shape)
     for cap in range(1, win.max_total + 1):
-        span = span_closure(_capped_right_products(win, cap), win.generators())
+        span = span_closure(Echelon(), _capped_right_products(win, cap), win.generators())
         inside = [i for i, t in enumerate(win.totals) if 1 <= t <= cap]
         assert span.rank == len(inside)
         assert all(span.contains({i: Fraction(1)}) for i in inside)
 
 
 def _closure_stage(win, prev, k):
-    # the reference stage k >= 2: the right products of J^{*(k-1)} by the
-    # letters, closed under right letter products
+    # stage k >= 2: the right products of J^{*(k-1)} by the letters, closed
+    # under right letter products
     maps = _capped_right_products(win, k + quantize._EXTRA_TOTALS)
-    return span_closure(maps, [f(v) for v in prev.basis() for f in maps])
+    return span_closure(Echelon(), maps, [f(v) for v in prev.basis() for f in maps])
 
 
 def _product_stage(win, prev):
-    # stage k >= 2 as star_ideal_topology_check builds it: one right product
-    # of J^{*(k-1)} by the letters
+    # stage k >= 2 as one right product of J^{*(k-1)} by the letters
     letters = win.generators()
     return Echelon.spanning(win.mul(v, x) for v in prev.rows.values() for x in letters)
 
 
 def _first_stage(win):
+    # J up to total 3, the right closure of the letters
     maps = _capped_right_products(win, 1 + quantize._EXTRA_TOTALS)
-    return span_closure(maps, win.generators())
+    return span_closure(Echelon(), maps, win.generators())
+
+
+def _reference_power(win, k):
+    # J^{*k} up to total k + 2, built stage by stage from J
+    stage = _first_stage(win)
+    for _ in range(2, k + 1):
+        stage = _product_stage(win, stage)
+    return stage
 
 
 def _same_span(a, b):
@@ -382,8 +401,9 @@ def _coordinate_span(win, low, high):
 
 @pytest.mark.parametrize("shape", [(2, 1, 5), (3, 1, 3), (2, 2, 6)])
 def test_star_powers_of_the_augmentation_ideal_are_the_totals_past_k(shape):
-    # the window is graded by total and generated in total 1, so J^{*k} is
-    # the span of the tuples of total >= k; the check never uses this
+    # the grading lemma behind star_ideal_topology_check: the window is
+    # graded by total and generated in total 1, so J^{*k} is the span of
+    # the tuples of total >= k
     win = UWindow(*shape)
     stage = _first_stage(win)
     assert _same_span(stage, _coordinate_span(win, 1, min(3, win.max_total)))
@@ -391,6 +411,57 @@ def test_star_powers_of_the_augmentation_ideal_are_the_totals_past_k(shape):
         stage = _product_stage(win, stage)
         top = min(k + quantize._EXTRA_TOTALS, win.max_total)
         assert _same_span(stage, _coordinate_span(win, k, top)), k
+
+
+def _reference_included(win, power, m):
+    target = win.poisson_span(
+        [
+            mono
+            for mono in win.monomials
+            if mono.total_degree >= power
+            and (mono.poly_degree >= m or mono.star_degree >= m)
+        ]
+    )
+    return all(target.contains(row) for row in _reference_power(win, power).rows.values())
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(1, 3), st.data())
+def test_counted_inclusion_equals_the_product_built_one(n_gens, d, m, data):
+    # powers from 1 to the check's bound, capped at 7 to keep the windows
+    # small; below the bound the inclusion may fail
+    bound = m * max(2, d) ** d + d
+    power = data.draw(st.integers(1, min(bound, 7)), label="power")
+    win = u_window(n_gens, d, power + quantize._EXTRA_TOTALS)
+    assert _star_power_included(win, power, m) == _reference_included(win, power, m)
+
+
+@pytest.mark.parametrize("config", [(2, 1, 1), (2, 2, 1), (3, 1, 1)])
+def test_star_ideal_check_eliminates_only_the_target(monkeypatch, config):
+    # no power of J is built: no window product, one elimination
+    spans = []
+
+    class Recording(Echelon):
+        @classmethod
+        def spanning(cls, rows):
+            spans.append(Echelon.spanning(rows))
+            return spans[-1]
+
+    def no_mul(self, v, w):
+        raise AssertionError("UWindow.mul called")
+
+    monkeypatch.setattr(quantize, "Echelon", Recording)
+    monkeypatch.setattr(UWindow, "mul", no_mul)
+    assert star_ideal_topology_check(*config).included
+    assert len(spans) == 1
+
+
+def test_star_power_below_the_bound_is_not_included():
+    # the docstring's case: at d = 1 the literal order 1 would give the bound
+    # N = 3 for m = 2, and x1 * x1 * x2 picks up x1*(12) of SV-degree 1
+    win = u_window(2, 1, 3 + quantize._EXTRA_TOTALS)
+    assert not _star_power_included(win, 3, 2)
+    assert not _reference_included(win, 3, 2)
 
 
 @pytest.mark.parametrize(
@@ -408,33 +479,6 @@ def test_star_powers_of_the_augmentation_ideal_are_the_totals_past_k(shape):
 def test_star_ideal_reports_are_pinned(config, pinned):
     rep = star_ideal_topology_check(*config)
     assert (rep.power, rep.max_total, rep.included) == pinned
-
-
-@pytest.mark.parametrize("config", [(2, 1, 1), (2, 2, 1), (3, 1, 1)])
-def test_star_ideal_check_closes_only_the_first_stage(monkeypatch, config):
-    # span_closure builds J alone; each later stage is one Echelon.spanning
-    # call, after the target's, and spans the tuples of total k .. k + 2
-    closures, spans = [], []
-
-    def closure(maps, seeds):
-        closures.append(span_closure(maps, seeds))
-        return closures[-1]
-
-    class Recording(Echelon):
-        @classmethod
-        def spanning(cls, rows):
-            spans.append(Echelon.spanning(rows))
-            return spans[-1]
-
-    monkeypatch.setattr(quantize, "span_closure", closure)
-    monkeypatch.setattr(quantize, "Echelon", Recording)
-    rep = star_ideal_topology_check(*config)
-    win = u_window(config[0], config[1], rep.max_total)
-    assert len(closures) == 1
-    assert _same_span(closures[0], _coordinate_span(win, 1, 3))
-    assert len(spans) == rep.power
-    for k, stage in enumerate(spans[1:], start=2):
-        assert _same_span(stage, _coordinate_span(win, k, k + quantize._EXTRA_TOTALS)), k
 
 
 def _reference_mul(win, v, w):
