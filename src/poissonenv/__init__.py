@@ -54,6 +54,7 @@ from .quantize import (
     truncated_product,
 )
 
+from . import exprparse as _exprparse
 from . import freelie as _freelie
 from . import freepoisson as _freepoisson
 from . import pbw as _pbw
@@ -61,6 +62,7 @@ from . import quantize as _quantize
 
 # every module-level memo table of the library
 _MEMO_TABLES = (
+    _exprparse._WORD_LISTS,
     _freelie._ELEMENT_CACHE,
     _freelie._BASIS_CACHE,
     _freelie._EXPAND_CACHE,

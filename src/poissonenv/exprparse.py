@@ -34,7 +34,6 @@ from .freelie import (
     lie_bracket,
 )
 from .freepoisson import (
-    MONOMIAL_ONE,
     PoissonElement,
     PoissonMonomial,
     poisson_bracket,
@@ -99,17 +98,17 @@ def _monomial_product(m1, m2):
 class _Parser:
     """Recursive descent over term dicts.
 
-    Every grammar method returns a fresh dict key -> stored coefficient,
-    which its caller may modify: a key is a PoissonMonomial, or a word in
-    tensor mode, and the product of two keys is the commutative product or
-    the concatenation.  Elements are built only for the operations that
-    need them ({,}, [,] and **) and for the result.
+    ``sum``, ``starprod``, ``prod`` and ``atom`` each return a fresh dict
+    key -> stored coefficient, which its caller may modify: a key is a
+    PoissonMonomial, or a word in tensor mode, and the product of two keys
+    is the commutative product or the concatenation.  Elements are built
+    only for the operations that need them ({,}, [,] and **) and for the
+    result.
     """
 
     def __init__(self, src, n_gens, mode):
         self.n_gens = n_gens
         self.tensor = mode == "tensor"
-        self.unit = () if self.tensor else MONOMIAL_ONE
         self.join = add if self.tensor else _monomial_product
         self.tokens = _tokenize(src)
         self.pos = 0
@@ -179,53 +178,90 @@ class _Parser:
             out = star_product(PoissonElement._of(out), PoissonElement._of(b)).terms
 
     def prod(self):
-        out = self.unary()
-        while self.tokens[self.pos][0] == "*":
+        """A product of signed operands.  Scalars, generators and (in poisson
+        mode) Lyndon atoms fold into one coefficient and one factor list;
+        only compound operands go through ``mul``.  Concatenation does not
+        commute, so in tensor mode the letters read so far are multiplied in
+        before each compound operand."""
+        tokens = self.tokens
+        tensor = self.tensor
+        coeff = 1
+        factors = []
+        out = None
+        while True:
+            kind, val, at = tokens[self.pos]
             self.pos += 1
-            out = self.mul(out, self.unary())
+            if kind == "-":
+                coeff = -coeff
+                continue
+            if kind == "gen":
+                if not 1 <= val <= self.n_gens:
+                    raise ParseError(f"unknown generator x{val}", at)
+                factors.append(val if tensor else generator(val))
+            elif kind == "int":
+                coeff *= self.rational(val, at)
+            else:
+                b = self.lyndon_atom() if kind == "(" else None
+                if b is not None and not tensor:
+                    factors.append(b)
+                else:
+                    if b is not None:
+                        operand = dict(expand_to_tensor(b).terms)
+                    else:
+                        operand = self.atom(kind, at)
+                    if tensor and factors:
+                        run = {tuple(factors): 1}
+                        out = run if out is None else self.mul(out, run)
+                        factors = []
+                    out = operand if out is None else self.mul(out, operand)
+            if tokens[self.pos][0] != "*":
+                break
+            self.pos += 1
+        if not coeff:
+            return {}
+        key = tuple(factors) if tensor else PoissonMonomial.of(factors)
+        if out is None:
+            return {key: canonical(coeff)}
+        if factors:
+            out = self.mul(out, {key: 1})
+        if coeff != 1:
+            out = {k: canonical(c * coeff) for k, c in out.items()}
         return out
 
-    def unary(self):
-        if self.tokens[self.pos][0] == "-":
+    def rational(self, digits, at):
+        """The integer ``digits``, or a fraction if a '/' follows it."""
+        q = _int(digits, at)
+        if self.tokens[self.pos][0] == "/":
             self.pos += 1
-            return {k: -c for k, c in self.unary().items()}
-        return self.atom()
+            k3, v3, at3 = self.next()
+            if k3 != "int":
+                raise ParseError("expected denominator", at3)
+            den = _int(v3, at3)
+            if not den:
+                raise ParseError("zero denominator", at3)
+            q = quotient(q, den)
+        return q
 
-    def atom(self):
-        kind, val, at = self.next()
-        if kind == "gen":
-            if not 1 <= val <= self.n_gens:
-                raise ParseError(f"unknown generator x{val}", at)
-            if self.tensor:
-                return {(val,): 1}
-            return {PoissonMonomial.of((generator(val),)): 1}
-        if kind == "int":
-            q = _int(val, at)
-            if self.tokens[self.pos][0] == "/":
-                self.pos += 1
-                k3, v3, at3 = self.next()
-                if k3 != "int":
-                    raise ParseError("expected denominator", at3)
-                den = _int(v3, at3)
-                if not den:
-                    raise ParseError("zero denominator", at3)
-                q = quotient(q, den)
-            return {self.unit: q} if q else {}
+    def lyndon_atom(self):
+        """After a '(': the basis element of a parenthesized Lyndon word of
+        at least two valid letters, its digits and ')' consumed, or None."""
+        k2, v2, _ = self.tokens[self.pos]
+        if (
+            k2 == "int"
+            and len(v2) >= 2
+            and self.tokens[self.pos + 1][0] == ")"
+            and all(1 <= int(c) <= self.n_gens for c in v2)
+        ):
+            word = tuple(map(int, v2))
+            if is_lyndon(word):
+                self.pos += 2
+                return LieBasisElement.from_word(word)
+        return None
+
+    def atom(self, kind, at):
+        """A compound operand, its first token ``kind`` at ``at`` consumed:
+        a parenthesized sum or a bracket."""
         if kind == "(":
-            k2, v2, at2 = self.tokens[self.pos]
-            if (
-                k2 == "int"
-                and len(v2) >= 2
-                and self.tokens[self.pos + 1][0] == ")"
-                and all(1 <= int(c) <= self.n_gens for c in v2)
-            ):
-                word = tuple(map(int, v2))
-                if is_lyndon(word):
-                    self.pos += 2
-                    b = LieBasisElement.from_word(word)
-                    if self.tensor:
-                        return dict(expand_to_tensor(b).terms)
-                    return {PoissonMonomial.of((b,)): 1}
             out = self.sum()
             self.expect(")")
             return out
@@ -276,8 +312,9 @@ def format_rational(q):
 
 
 def _format_terms(terms):
-    """Signed sum of (coefficient, factor strings) terms: a coefficient 1 is
-    left out before factors, and no terms print as 0."""
+    """Signed sum of (coefficient, factor text) terms, the factors already
+    joined by '*' and the unit's text empty: a coefficient 1 is left out
+    before factors, and no terms print as 0."""
     out = []
     for c, factors in terms:
         text = format_rational(c)
@@ -289,7 +326,7 @@ def _format_terms(terms):
         if factors:
             if text != "1":
                 out.append(text + "*")
-            out.append("*".join(factors))
+            out.append(factors)
         else:
             out.append(text)
     return "".join(out) or "0"
@@ -298,19 +335,34 @@ def _format_terms(terms):
 _sort_key = attrgetter("sort_key")
 
 
+def _word_key(w):
+    return len(w), w
+
+
+def _forms(m):
+    """(printed text, JSON factor list) of the monomial ``m``, built on its
+    first print and kept in ``m.forms``."""
+    forms = m.forms
+    if forms is None:
+        factors = m.factors
+        forms = m.forms = (
+            "*".join([b.text for b in factors]),
+            [{"word": list(b.word)} for b in factors],
+        )
+    return forms
+
+
 def format_poisson(p):
     """Canonical text form, e.g. ``x1*x2 + 1/2*(12)``."""
     terms = p.terms
-    return _format_terms(
-        (terms[m], [b.text for b in m.factors]) for m in sorted(terms, key=_sort_key)
-    )
+    return _format_terms((terms[m], _forms(m)[0]) for m in sorted(terms, key=_sort_key))
 
 
 def format_tensor(t):
     """Canonical text form with '*' as concatenation, e.g. ``x1*x2 - x2*x1``."""
+    terms = t.terms
     return _format_terms(
-        (t.terms[w], [f"x{i}" for i in w])
-        for w in sorted(t.terms, key=lambda w: (len(w), w))
+        (terms[w], "*".join([f"x{i}" for i in w])) for w in sorted(terms, key=_word_key)
     )
 
 
@@ -318,15 +370,23 @@ def format_tensor(t):
 
 
 def poisson_to_json(p):
-    terms = []
-    for m in sorted(p.terms, key=_sort_key):
-        terms.append(
-            {
-                "coeff": format_rational(p.terms[m]),
-                "factors": [{"word": list(b.word)} for b in m.factors],
-            }
-        )
-    return {"kind": "poisson", "terms": terms}
+    """ElementJSON of a PoissonElement: ``{"kind": "poisson", "terms":
+    [{"coeff": "p/q", "factors": [{"word": [...]}, ...]}, ...]}``, the terms
+    in canonical order.
+
+    Each term's ``"factors"`` list is its monomial's one shared list, built
+    on the monomial's first print (``_forms``), so it is read-only: a caller
+    that wants to change it must copy it.  The outer dict, the terms list
+    and each term dict are fresh on every call.
+    """
+    terms = p.terms
+    return {
+        "kind": "poisson",
+        "terms": [
+            {"coeff": format_rational(terms[m]), "factors": _forms(m)[1]}
+            for m in sorted(terms, key=_sort_key)
+        ],
+    }
 
 
 def poisson_from_json(data):
@@ -340,11 +400,25 @@ def poisson_from_json(data):
     return PoissonElement._of(out)
 
 
+# word -> its JSON list, shared by every tensor_to_json that prints the word
+_WORD_LISTS = {}
+
+
 def tensor_to_json(t):
-    terms = []
-    for w in sorted(t.terms, key=lambda w: (len(w), w)):
-        terms.append({"coeff": format_rational(t.terms[w]), "word": list(w)})
-    return {"kind": "tensor", "terms": terms}
+    """ElementJSON of a TensorElement: ``{"kind": "tensor", "terms":
+    [{"coeff": "p/q", "word": [...]}, ...]}``, the words in canonical order.
+
+    Each ``"word"`` list is shared by every call that prints the same word
+    (``_WORD_LISTS``), so it is read-only: copy it before changing it.
+    """
+    terms = t.terms
+    out = []
+    for w in sorted(terms, key=_word_key):
+        word = _WORD_LISTS.get(w)
+        if word is None:
+            word = _WORD_LISTS[w] = list(w)
+        out.append({"coeff": format_rational(terms[w]), "word": word})
+    return {"kind": "tensor", "terms": out}
 
 
 def tensor_from_json(data):

@@ -165,7 +165,7 @@ class LieElement(Combination):
         from .exprparse import _format_terms
 
         return _format_terms(
-            (self.terms[b], [b.text])
+            (self.terms[b], b.text)
             for b in sorted(self.terms, key=lambda b: b.sort_key)
         )
 

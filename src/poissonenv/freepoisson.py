@@ -48,6 +48,9 @@ class PoissonMonomial:
     and hash are computed once.  Direct construction from an already sorted
     tuple still works and gives a monomial that compares and hashes equal to
     the shared one; equality is by factors, never by identity.
+
+    ``forms`` is None until the monomial is first printed; ``exprparse``
+    then keeps its printed text and JSON factor list there.
     """
 
     __slots__ = (
@@ -58,6 +61,7 @@ class PoissonMonomial:
         "total_degree",
         "sort_key",
         "_hash",
+        "forms",
     )
 
     def __init__(self, factors):
@@ -72,6 +76,7 @@ class PoissonMonomial:
             tuple(f.sort_key for f in factors),
         )
         self._hash = hash(factors)
+        self.forms = None
 
     @classmethod
     def of(cls, factors):

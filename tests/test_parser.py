@@ -1,9 +1,15 @@
+import argparse
+import copy
+import json
 import random
 import sys
 from fractions import Fraction
 
 import pytest
+from test_parser_reference import _reference_poisson_to_json, _reference_tensor_to_json
 
+import poissonenv
+from poissonenv import cli
 from poissonenv.exprparse import (
     ParseError,
     format_poisson,
@@ -212,3 +218,70 @@ def test_json_terms_canonically_ordered():
     assert keys == sorted(keys, key=lambda k: (len(k), k)) or keys == keys
     # deterministic: serializing twice gives the identical structure
     assert data == poisson_to_json(p)
+
+
+# -- the shared output forms ---------------------------------------------------
+# Each monomial keeps its printed text and JSON factor list from its first
+# print, and tensor_to_json keeps one list per word; the JSON lists are shared
+# between calls and read-only.
+
+
+def _factors_of(data, words):
+    return next(t["factors"] for t in data["terms"] if [f["word"] for f in t["factors"]] == words)
+
+
+def test_json_factor_lists_are_shared_between_calls():
+    x1x2 = multiply(PoissonElement.generator(1), PoissonElement.generator(2))
+    (m,) = x1x2.terms
+    a = x1x2 + lie((1, 2))
+    b = PoissonElement.monomial(m, Fraction(-3, 2)) + PoissonElement.generator(2)
+    data_a, data_b = poisson_to_json(a), poisson_to_json(b)
+    assert _factors_of(data_a, [[1], [2]]) is _factors_of(data_b, [[1], [2]])
+    assert data_a["terms"] is not poisson_to_json(a)["terms"]
+    assert data_a == _reference_poisson_to_json(a)
+    assert data_b == _reference_poisson_to_json(b)
+
+    s = TensorElement.word((1, 2)) + TensorElement.word((2,), 3)
+    t = TensorElement.word((1, 2), -1)
+    data_s, data_t = tensor_to_json(s), tensor_to_json(t)
+    assert data_s["terms"][1]["word"] is data_t["terms"][0]["word"] == [1, 2]
+    assert data_s == _reference_tensor_to_json(s)
+    assert data_t == _reference_tensor_to_json(t)
+
+
+def _printed(poissons, tensors):
+    return [(format_poisson(p), json.dumps(poisson_to_json(p))) for p in poissons] + [
+        (format_tensor(t), json.dumps(tensor_to_json(t))) for t in tensors
+    ]
+
+
+def test_clear_caches_between_prints_changes_no_byte():
+    rng = random.Random(11)
+    poissons = [_random_poisson(rng, 3) for _ in range(20)]
+    tensors = [_random_tensor(rng, 3) for _ in range(20)]
+    before = _printed(poissons, tensors)
+    poissonenv.clear_caches()
+    assert _printed(poissons, tensors) == before
+    # elements built after the clear have fresh monomials, printed anew
+    fresh = [parse(text, 3) for text, _ in before[:20]]
+    fresh_tensors = [parse(text, 3, mode="tensor") for text, _ in before[20:]]
+    assert fresh == poissons and fresh_tensors == tensors
+    assert _printed(fresh, fresh_tensors) == before
+
+
+def test_readers_leave_the_shared_lists_unchanged(capsys):
+    p = parse("x1*x2 - 2*(12)*x3 + 1/2*x1*x1*(112)", 3)
+    t = parse("x1*x2 - 3*x2*x1*x1", 2, mode="tensor")
+    data, tdata = poisson_to_json(p), tensor_to_json(t)
+    want, twant = copy.deepcopy(data), copy.deepcopy(tdata)
+    assert poisson_from_json(data) == p and tensor_from_json(tdata) == t
+    json.dumps(data, indent=1, sort_keys=True)
+    json.dumps(tdata, indent=1, sort_keys=True)
+    cli._poisson_out(argparse.Namespace(json=True), p)
+    cli._tensor_out(argparse.Namespace(json=True), t)
+    out = capsys.readouterr().out
+    assert out == f"{json.dumps(want, indent=1)}\n{json.dumps(twant, indent=1)}\n"
+    cli._poisson_out(argparse.Namespace(json=False), p)
+    assert capsys.readouterr().out == format_poisson(p) + "\n"
+    assert data == want and tdata == twant
+    assert poisson_to_json(p) == want and tensor_to_json(t) == twant
