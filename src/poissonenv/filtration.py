@@ -63,6 +63,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import factorial, lcm
 
 from .linalg import Echelon, SpanSolver, _clean, merge
@@ -118,12 +119,63 @@ def _nonzero(name, table):
     return out
 
 
-def _support(table, dim):
-    """``out[a]`` = {b : table[a, b] != 0}."""
-    out = [set() for _ in range(dim)]
-    for a, b in table:
-        out[a].add(b)
+def _by_left_index(table):
+    """``out[a][b]`` = table[a, b], only for the rows present."""
+    out = {}
+    for (a, b), row in table.items():
+        out.setdefault(a, {})[b] = row
     return out
+
+
+def _packed(table, powers):
+    """``out[m]`` = sum_k powers[k] table[m, k]: basis_m times the packed
+    vector sum_k powers[k] basis_k, for each m with a row in ``table``."""
+    out = {}
+    for (m, k), row in table.items():
+        merge(out.setdefault(m, {}), row.items(), powers[k])
+    return out
+
+
+def _combine(rows, coeffs, out=None):
+    """``out`` plus sum_m coeffs[m] rows[m], a missing row being 0."""
+    out = {} if out is None else out
+    for m, c in coeffs.items():
+        row = rows.get(m)
+        if row:
+            merge(out, row.items(), c)
+    return out
+
+
+def _associativity_fails(P, i, j, k):
+    return _table_mul(P, P.get((i, j), {}), {k: 1}) != _table_mul(
+        P, {i: 1}, P.get((j, k), {})
+    )
+
+
+def _jacobi_fails(B, i, j, k):
+    jac = _table_mul(B, {i: 1}, B.get((j, k), {}))
+    merge(jac, _table_mul(B, {j: 1}, B.get((k, i), {})).items())
+    merge(jac, _table_mul(B, {k: 1}, B.get((i, j), {})).items())
+    return bool(jac)
+
+
+def _leibniz_fails(P, B, i, j, k):
+    leib = _table_mul(B, {i: 1}, P.get((j, k), {}))
+    merge(leib, _table_mul(P, {j: 1}, B.get((i, k), {})).items(), -1)
+    merge(leib, _table_mul(P, B.get((i, j), {}), {k: 1}).items(), -1)
+    return bool(leib)
+
+
+def _report_first_triple(i, j, dim, checks):
+    """Raise ``ValueError`` at the first k, and at that k the first of
+    ``checks`` (pairs of an identity's name and its test of (i, j, k)), that
+    fails.  Runs once a packed comparison at (i, j) has differed, which the
+    packing lemma says happens only when some k fails."""
+    for k in range(dim):
+        for name, fails in checks:
+            if fails(i, j, k):
+                raise ValueError(f"{name} fails at {(i, j, k)}")
+    raise RuntimeError(f"packed comparison differs at {(i, j)} but no triple fails")
 
 
 class FiniteAlgebra:
@@ -200,13 +252,27 @@ class TruncatedAlgebra(FiniteAlgebra):
     table index lie in [0, dim), then the unit law, associativity and (when a
     bracket is present) antisymmetry, Jacobi and Leibniz on all basis triples,
     raising ``ValueError`` at the first failing one.  The checks run on
-    integer copies of the tables, each scaled by the lcm of its denominators
-    (every identity is homogeneous in the constants, so none changes).  They
-    visit only the triples where some side of the identity can be nonzero,
-    found from the nonzero pattern of the tables, and skip associativity
-    triples through the unit, which the unit law settles.  The visited
-    triples keep (i, j, k) order, so the reported triple is the first
-    failing one of the full O(dim^3) loop.
+    integer copies P and B of the tables, each scaled by the lcm of its
+    denominators (every identity is homogeneous in the constants, so none
+    changes).
+
+    Each identity is checked once per basis pair (i, j) for every k at once,
+    by Kronecker substitution.  Let b be the largest absolute row sum of P
+    and B, t = 3 b^2 + 1, and v = sum_k t^k e_k.  At a fixed (i, j), each
+    coordinate D_k of an identity's difference at (i, j, k) is a sum of at
+    most three terms sum_m x_m y_m, x a row of P or B (sum_m |x_m| <= b) and
+    each y_m an entry (|y_m| <= b), so |D_k| <= 3 b^2 = t - 1.  Then
+    sum_k t^k D_k = 0 forces every D_k = 0: the lowest nonzero D_k would be
+    divisible by t.  So the identity at (i, j, v), formed from
+    the products e_m v, {e_m, v} built once per algebra, is exact and
+    equivalent to the identity at every (i, j, k).  Only when a packed
+    comparison differs are the triples (i, j, k) of that pair checked one by
+    one, in k order and Jacobi before Leibniz at each k, so the reported
+    triple is the first failing one of the full O(dim^3) loop; a packed
+    difference with no failing triple raises ``RuntimeError``.
+    Associativity pairs through the unit are skipped, as the unit law
+    settles them, and Jacobi and Leibniz pairs (i, j) with {e_i, -} = 0, as
+    every term of theirs is 0.
     """
 
     def __init__(self, dim, labels, unit, product, bracket=None):
@@ -255,61 +321,57 @@ class TruncatedAlgebra(FiniteAlgebra):
                         )
 
     def _validate(self):
-        dim = self.dim
-        basis = [{i: 1} for i in range(dim)]
+        dim, unit = self.dim, self.unit
         P, p_scale = _integer_table(self.product)
-        p_right = _support(P, dim)
         for i in range(dim):
             want = {i: p_scale}
-            if P.get((self.unit, i)) != want or P.get((i, self.unit)) != want:
+            if P.get((unit, i)) != want or P.get((i, unit)) != want:
                 raise ValueError(f"unit law fails at basis {i}")
-        # with the unit law holding, every triple containing the unit is
-        # associative; otherwise (e_i e_j) e_k and e_i (e_j e_k) are 0 unless
-        # e_j e_k != 0 or e_m e_k != 0 for some m in e_i e_j
-        rest = [i for i in range(dim) if i != self.unit]
+        tables = [P]
+        if self.bracket is not None:
+            B, _ = _integer_table(self.bracket)
+            tables.append(B)
+        b = max(sum(map(abs, row.values())) for T in tables for row in T.values())
+        t = 3 * b * b + 1
+        powers = [t**k for k in range(dim)]
+        # e_m v, with the packed vector v = sum_k t^k e_k, and e_a w as the
+        # combination of the rows e_a e_m by the coordinates w_m
+        Pv, P_left = _packed(P, powers), _by_left_index(P)
+        # with the unit law holding, every pair through the unit is associative
+        rest = [i for i in range(dim) if i != unit]
         for i in rest:
+            Pi = P_left.get(i, {})
             for j in rest:
-                ij = P.get((i, j), {})
-                ks = set(p_right[j])
-                for m in ij:
-                    ks |= p_right[m]
-                ks.discard(self.unit)
-                for k in sorted(ks):
-                    lhs = _table_mul(P, ij, basis[k])
-                    if lhs != _table_mul(P, basis[i], P.get((j, k), {})):
-                        raise ValueError(f"associativity fails at {(i, j, k)}")
+                # (e_i e_j) v = e_i (e_j v)
+                if _combine(Pv, P.get((i, j), {})) != _combine(Pi, Pv.get(j, {})):
+                    checks = [("associativity", partial(_associativity_fails, P))]
+                    _report_first_triple(i, j, dim, checks)
         if self.bracket is None:
             return
-        B, _ = _integer_table(self.bracket)
-        b_right = _support(B, dim)
         for i in range(dim):
             for j in range(dim):
                 if merge(dict(B.get((i, j), {})), B.get((j, i), {}).items()):
                     raise ValueError(f"bracket not antisymmetric at {(i, j)}")
-        # the bracket is antisymmetric from here, so {e_a, e_b} != 0 iff
-        # {e_b, e_a} != 0.  When {e_i, -} = 0 every Jacobi and Leibniz term
-        # of (i, j, k) is 0; otherwise a term can be nonzero only for k with
-        # e_j e_k, {e_j, e_k} or {e_i, e_k} != 0, or e_m e_k or {e_m, e_k}
-        # != 0 for some m in {e_i, e_j}
-        for i in range(dim):
-            if not b_right[i]:
-                continue
+        # {v, w} = -{w, v} from here, so {e_m, v} is the one packed bracket
+        Bv, B_left = _packed(B, powers), _by_left_index(B)
+        # when {e_i, -} = 0 every Jacobi and Leibniz term at (i, j, k) is 0,
+        # so only the i with a bracket row are visited
+        for i, Bi in sorted(B_left.items()):
+            Bvi = Bv.get(i, {})
             for j in range(dim):
                 ij = B.get((i, j), {})
-                ks = p_right[j] | b_right[j] | b_right[i]
-                for m in ij:
-                    ks |= p_right[m] | b_right[m]
-                for k in sorted(ks):
-                    jac = _table_mul(B, basis[i], B.get((j, k), {}))
-                    merge(jac, _table_mul(B, basis[j], B.get((k, i), {})).items())
-                    merge(jac, _table_mul(B, basis[k], ij).items())
-                    if jac:
-                        raise ValueError(f"Jacobi fails at {(i, j, k)}")
-                    leib = _table_mul(B, basis[i], P.get((j, k), {}))
-                    merge(leib, _table_mul(P, basis[j], B.get((i, k), {})).items(), -1)
-                    merge(leib, _table_mul(P, ij, basis[k]).items(), -1)
-                    if leib:
-                        raise ValueError(f"Leibniz fails at {(i, j, k)}")
+                # Jacobi: {e_i, {e_j, v}} = {e_j, {e_i, v}} + {{e_i, e_j}, v}
+                jac = _combine(Bv, ij, _combine(B_left.get(j, {}), Bvi))
+                # Leibniz: {e_i, e_j v} = e_j {e_i, v} + {e_i, e_j} v
+                leib = _combine(Pv, ij, _combine(P_left.get(j, {}), Bvi))
+                if jac != _combine(Bi, Bv.get(j, {})) or (
+                    leib != _combine(Bi, Pv.get(j, {}))
+                ):
+                    checks = [
+                        ("Jacobi", partial(_jacobi_fails, B)),
+                        ("Leibniz", partial(_leibniz_fails, P, B)),
+                    ]
+                    _report_first_triple(i, j, dim, checks)
 
     # -- serialization ------------------------------------------------------
     def to_json_dict(self):

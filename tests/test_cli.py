@@ -11,6 +11,9 @@ import pytest
 from poissonenv.cli import main
 from poissonenv.filtration import TruncatedAlgebra
 from poissonenv.quantize import poisson_window_algebra
+from test_filtration import TableAlgebra, reference_validate
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(capsys, *argv):
@@ -224,6 +227,51 @@ def test_filtration_refuses_a_float_coefficient(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "filtration", str(path))
     assert code == 0
     assert "commutator filtration ranks:" in out
+
+
+def _changed_copy(table, entry, value):
+    """tests/data/poisson_window_2_1_3.json with the constant of ``table`` at
+    ``entry`` = (i, j, k) set to ``value``; a bracket entry's mirror (j, i, k)
+    is set to -value, keeping the bracket antisymmetric."""
+    data = json.loads((DATA / "poisson_window_2_1_3.json").read_text())
+    i, j, k = entry
+    changes = {(i, j, k): value}
+    if table == "bracket":
+        changes[j, i, k] = -value
+    for row in data[table]:
+        if tuple(row[:3]) in changes:
+            row[3] = str(changes.pop(tuple(row[:3])))
+    assert not changes
+    return data
+
+
+def _reference_message(data):
+    tables = {}
+    for name in ("product", "bracket"):
+        tables[name] = {}
+        for i, j, k, c in data[name]:
+            tables[name].setdefault((i, j), {})[k] = Fraction(c)
+    return reference_validate(
+        TableAlgebra(data["dim"], data["unit"], tables["product"], tables["bracket"])
+    )
+
+
+@pytest.mark.parametrize(
+    "table, entry, value, identity",
+    [("bracket", (1, 2, 6), 2, "Leibniz"), ("product", (1, 3, 7), 2, "associativity")],
+)
+def test_filtration_names_the_first_failing_triple(
+    tmp_path, capsys, table, entry, value, identity
+):
+    data = _changed_copy(table, entry, value)
+    message = _reference_message(data)
+    assert message.startswith(f"{identity} fails at (")
+    path = tmp_path / "changed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "filtration", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_filtration_refuses_a_zero_denominator(tmp_path, capsys):

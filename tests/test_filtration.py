@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poissonenv import filtration
 from poissonenv.filtration import (
     EndoMap,
     FiltrationChain,
@@ -649,26 +650,146 @@ SMALL_ALGEBRAS = {
 CORRUPT_COEFFS = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3)]
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.data())
-def test_validation_matches_reference_on_corruptions(data):
-    alg = SMALL_ALGEBRAS[data.draw(st.sampled_from(sorted(SMALL_ALGEBRAS)))]
+LARGE_COEFFS = [10**6, -(10**6), 10**12, -(10**12), Fraction(10**6, 7)]
+
+
+@cache
+def _window_43():
+    return poisson_window_algebra(2, 1, 6)
+
+
+def _corrupted_outcomes(data, alg, coeffs, kinds=("product", "bracket", "mirrored")):
+    """Outcomes for one or two drawn corruptions of ``alg``, of the given
+    kinds: plain product or bracket entries, or mirrored ones that keep the
+    bracket antisymmetric.  Only product ones without a bracket."""
     product = {k: dict(v) for k, v in alg.product.items()}
     bracket = None
     if alg.bracket is not None:
         bracket = {k: dict(v) for k, v in alg.bracket.items()}
-    kinds = ["product"] if bracket is None else ["product", "bracket", "mirrored"]
+    else:
+        kinds = ["product"]
     index = st.integers(0, alg.dim - 1)
     for _ in range(data.draw(st.integers(1, 2))):
         kind = data.draw(st.sampled_from(kinds))
         i, j, k = data.draw(index), data.draw(index), data.draw(index)
-        c = data.draw(st.sampled_from(CORRUPT_COEFFS))
+        c = data.draw(st.sampled_from(coeffs))
         (product if kind == "product" else bracket).setdefault((i, j), {})[k] = c
         if kind == "mirrored":
             # the bracket stays antisymmetric, so Jacobi and Leibniz are reached
             bracket.setdefault((j, i), {})[k] = -c
-    ref, got = validation_outcomes(alg, product, bracket)
+    return validation_outcomes(alg, product, bracket)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_validation_matches_reference_on_corruptions(data):
+    alg = SMALL_ALGEBRAS[data.draw(st.sampled_from(sorted(SMALL_ALGEBRAS)))]
+    ref, got = _corrupted_outcomes(data, alg, CORRUPT_COEFFS)
     assert got == ref
+
+
+@pytest.mark.parametrize("mirrored_only", [False, True])
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_validation_matches_reference_on_large_corruptions(mirrored_only, data):
+    # large constants make the packing base t = 3 b^2 + 1 large, and the
+    # dim-43 window packs 43 coordinates into each compared integer; mirrored
+    # corruptions alone leave the product intact, so they fail Jacobi or
+    # Leibniz, or antisymmetry where a draw has i = j or two draws overlap
+    names = [name for name, alg in SMALL_ALGEBRAS.items()
+             if alg.bracket is not None or not mirrored_only]
+    name = data.draw(st.sampled_from([*sorted(names), "window_43"]))
+    alg = _window_43() if name == "window_43" else SMALL_ALGEBRAS[name]
+    kinds = ["mirrored"] if mirrored_only else ["product", "bracket", "mirrored"]
+    ref, got = _corrupted_outcomes(data, alg, LARGE_COEFFS, kinds)
+    assert got == ref
+
+
+def _cancelling_associativity(N):
+    """Basis 1, x, a, c, m, n, p, l with x x = N m, m a = N l, x a = -N n,
+    x n = N l, x c = p and x p = l: the largest row sum is b = N, and the
+    pair (x, x) fails at a with (x x) a - x (x a) = 2 N^2 l and at c = a + 1
+    with -l, every other triple being associative.  Packed by t, the pair's
+    difference is t^a (2 N^2 - t) l, which vanishes for t = 2 b^2."""
+    product = {
+        **_square_zero(7),
+        (1, 1): {4: Fraction(N)},
+        (4, 2): {7: Fraction(N)},
+        (1, 2): {5: Fraction(-N)},
+        (1, 5): {7: Fraction(N)},
+        (1, 3): {6: Fraction(1)},
+        (1, 6): {7: Fraction(1)},
+    }
+    return 8, product, None
+
+
+def _cancelling_leibniz(N):
+    """Basis 1, x, y, a, c, m1, m2, m3, m4, l with the products y a = N m1,
+    y m2 = -N l, m3 a = -N l, y c = m4 and the brackets {x, m1} = N l,
+    {x, a} = N m2, {x, y} = N m3, {x, m4} = -l (and their mirrors): b = N,
+    every double bracket is 0, and the pair (x, y) fails Leibniz at a with
+    {x, y a} - y {x, a} - {x, y} a = 3 N^2 l, all three terms at their
+    bound, and at c = a + 1 with -l.  Packed by t that is t^a (3 N^2 - t) l,
+    which vanishes for t = 3 b^2; later pairs fail too, at other triples."""
+    product = {
+        **_square_zero(9),
+        (2, 3): {5: Fraction(N)},
+        (2, 6): {9: Fraction(-N)},
+        (7, 3): {9: Fraction(-N)},
+        (2, 4): {8: Fraction(1)},
+    }
+    bracket = {}
+    for a, row in [(5, {9: N}), (3, {6: N}), (2, {7: N}), (8, {9: -1})]:
+        bracket[1, a] = {k: Fraction(c) for k, c in row.items()}
+        bracket[a, 1] = {k: -Fraction(c) for k, c in row.items()}
+    return 10, product, bracket
+
+
+@pytest.mark.parametrize(
+    "tables, message",
+    [
+        (_cancelling_associativity, "associativity fails at (1, 1, 2)"),
+        (_cancelling_leibniz, "Leibniz fails at (1, 2, 3)"),
+    ],
+)
+def test_validation_sees_failures_that_cancel_under_a_smaller_base(tables, message):
+    # the packing base t = 3 b^2 + 1 is the least that keeps these apart
+    dim, product, bracket = tables(2)
+    assert reference_validate(TableAlgebra(dim, 0, product, bracket)) == message
+    with pytest.raises(ValueError) as exc:
+        TruncatedAlgebra(dim, [f"b{i}" for i in range(dim)], 0, product, bracket)
+    assert str(exc.value) == message
+
+
+def _presented_window_algebras():
+    """Window algebras of one two-term quadric at the shapes of the
+    benchmark's presented workload: (n_gens, d, max_total), N = 2."""
+    x = PoissonElement.generator
+    quadric = x(1) * x(2) + 2 * x(1) * x(1)
+    return [
+        envelope_window_algebra(EnvelopePresentation(n, (quadric,), d, 2), top)
+        for n, d, top in [(2, 1, 5), (2, 2, 4), (3, 1, 2), (3, 2, 2)]
+    ]
+
+
+def test_valid_algebras_are_checked_by_pairs_only(monkeypatch):
+    def no_triples(*args):
+        raise AssertionError("a triple was checked on a valid algebra")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(filtration, "_report_first_triple", no_triples)
+        algebras = _presented_window_algebras() + [_window_43()]
+        for alg in algebras:
+            TruncatedAlgebra(alg.dim, alg.labels, alg.unit, alg.product, alg.bracket)
+    # a corrupted copy still names the reference's first failing triple
+    alg = _window_43()
+    bracket = {key: dict(row) for key, row in alg.bracket.items()}
+    (i, j), row = sorted(bracket.items())[3]
+    k = min(row)
+    bracket[i, j][k] += 1
+    bracket[j, i][k] -= 1
+    ref, got = validation_outcomes(alg, alg.product, bracket)
+    assert ref is not None and got == ref
 
 
 @pytest.mark.parametrize(
