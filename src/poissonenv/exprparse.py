@@ -91,6 +91,10 @@ def _tokenize(src):
     return tokens
 
 
+# the deepest nesting of parentheses and brackets that parses
+_MAX_NESTING = 200
+
+
 def _monomial_product(m1, m2):
     return PoissonMonomial.of(m1.factors + m2.factors)
 
@@ -112,6 +116,7 @@ class _Parser:
         self.join = add if self.tensor else _monomial_product
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.depth = 0  # parentheses and brackets open around the position
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -260,18 +265,25 @@ class _Parser:
 
     def atom(self, kind, at):
         """A compound operand, its first token ``kind`` at ``at`` consumed:
-        a parenthesized sum or a bracket."""
+        a parenthesized sum or a bracket.  Each level of nesting takes four
+        Python frames, so levels past ``_MAX_NESTING`` are refused before
+        the interpreter's recursion limit is reached."""
+        if kind != "(" and kind != "{" and kind != "[":
+            raise ParseError("expected an expression", at)
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", at)
+        self.depth += 1
         if kind == "(":
             out = self.sum()
             self.expect(")")
-            return out
-        if kind == "{" or kind == "[":
+        else:
             a = self.sum()
             self.expect(",")
             b = self.sum()
             self.expect("}" if kind == "{" else "]")
-            return self.bracket(a, b, kind, at)
-        raise ParseError("expected an expression", at)
+            out = self.bracket(a, b, kind, at)
+        self.depth -= 1
+        return out
 
 
 def _as_lie(terms):

@@ -63,7 +63,6 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import factorial, lcm
 
 from .linalg import Echelon, SpanSolver, _clean, merge
@@ -146,36 +145,23 @@ def _combine(rows, coeffs, out=None):
     return out
 
 
-def _associativity_fails(P, i, j, k):
-    return _table_mul(P, P.get((i, j), {}), {k: 1}) != _table_mul(
-        P, {i: 1}, P.get((j, k), {})
-    )
-
-
-def _jacobi_fails(B, i, j, k):
-    jac = _table_mul(B, {i: 1}, B.get((j, k), {}))
-    merge(jac, _table_mul(B, {j: 1}, B.get((k, i), {})).items())
-    merge(jac, _table_mul(B, {k: 1}, B.get((i, j), {})).items())
-    return bool(jac)
-
-
-def _leibniz_fails(P, B, i, j, k):
-    leib = _table_mul(B, {i: 1}, P.get((j, k), {}))
-    merge(leib, _table_mul(P, {j: 1}, B.get((i, k), {})).items(), -1)
-    merge(leib, _table_mul(P, B.get((i, j), {}), {k: 1}).items(), -1)
-    return bool(leib)
-
-
-def _report_first_triple(i, j, dim, checks):
-    """Raise ``ValueError`` at the first k, and at that k the first of
-    ``checks`` (pairs of an identity's name and its test of (i, j, k)), that
-    fails.  Runs once a packed comparison at (i, j) has differed, which the
-    packing lemma says happens only when some k fails."""
-    for k in range(dim):
-        for name, fails in checks:
-            if fails(i, j, k):
-                raise ValueError(f"{name} fails at {(i, j, k)}")
-    raise RuntimeError(f"packed comparison differs at {(i, j)} but no triple fails")
+def _report_first_digit(i, j, t, dim, sides):
+    """Raise ``ValueError`` at the first failing triple (i, j, k) of a pair
+    whose packed comparison differs, ``sides`` holding each identity's name
+    and its two packed sides at (i, j): the least t-adic valuation of a
+    coordinate of their differences, the earlier identity winning a tie."""
+    first = dim
+    for name, lhs, rhs in sides:
+        for c in merge(lhs, rhs.items(), -1).values():
+            k = 0
+            while k < first and c % t == 0:
+                c //= t
+                k += 1
+            if k < first:
+                first, failing = k, name
+    if first == dim:
+        raise RuntimeError(f"packed difference at {(i, j)} has no digit below t^{dim}")
+    raise ValueError(f"{failing} fails at {(i, j, first)}")
 
 
 class FiniteAlgebra:
@@ -265,11 +251,12 @@ class TruncatedAlgebra(FiniteAlgebra):
     sum_k t^k D_k = 0 forces every D_k = 0: the lowest nonzero D_k would be
     divisible by t.  So the identity at (i, j, v), formed from
     the products e_m v, {e_m, v} built once per algebra, is exact and
-    equivalent to the identity at every (i, j, k).  Only when a packed
-    comparison differs are the triples (i, j, k) of that pair checked one by
-    one, in k order and Jacobi before Leibniz at each k, so the reported
-    triple is the first failing one of the full O(dim^3) loop; a packed
-    difference with no failing triple raises ``RuntimeError``.
+    equivalent to the identity at every (i, j, k).  A packed difference
+    names its first failing k too: in a coordinate sum_k t^k D_k the lowest
+    nonzero D_k0 is not divisible by t, so k0 is its t-adic valuation.  The
+    least valuation over a pair's differences, Jacobi before Leibniz on a
+    tie, is the first failing triple of the full O(dim^3) loop; one not
+    below dim, which the lemma rules out, raises ``RuntimeError``.
     Associativity pairs through the unit are skipped, as the unit law
     settles them, and Jacobi and Leibniz pairs (i, j) with {e_i, -} = 0, as
     every term of theirs is 0.
@@ -343,9 +330,9 @@ class TruncatedAlgebra(FiniteAlgebra):
             Pi = P_left.get(i, {})
             for j in rest:
                 # (e_i e_j) v = e_i (e_j v)
-                if _combine(Pv, P.get((i, j), {})) != _combine(Pi, Pv.get(j, {})):
-                    checks = [("associativity", partial(_associativity_fails, P))]
-                    _report_first_triple(i, j, dim, checks)
+                lhs, rhs = _combine(Pv, P.get((i, j), {})), _combine(Pi, Pv.get(j, {}))
+                if lhs != rhs:
+                    _report_first_digit(i, j, t, dim, [("associativity", lhs, rhs)])
         if self.bracket is None:
             return
         for i in range(dim):
@@ -364,14 +351,11 @@ class TruncatedAlgebra(FiniteAlgebra):
                 jac = _combine(Bv, ij, _combine(B_left.get(j, {}), Bvi))
                 # Leibniz: {e_i, e_j v} = e_j {e_i, v} + {e_i, e_j} v
                 leib = _combine(Pv, ij, _combine(P_left.get(j, {}), Bvi))
-                if jac != _combine(Bi, Bv.get(j, {})) or (
-                    leib != _combine(Bi, Pv.get(j, {}))
-                ):
-                    checks = [
-                        ("Jacobi", partial(_jacobi_fails, B)),
-                        ("Leibniz", partial(_leibniz_fails, P, B)),
-                    ]
-                    _report_first_triple(i, j, dim, checks)
+                jac_rhs = _combine(Bi, Bv.get(j, {}))
+                leib_rhs = _combine(Bi, Pv.get(j, {}))
+                if jac != jac_rhs or leib != leib_rhs:
+                    sides = [("Jacobi", jac, jac_rhs), ("Leibniz", leib, leib_rhs)]
+                    _report_first_digit(i, j, t, dim, sides)
 
     # -- serialization ------------------------------------------------------
     def to_json_dict(self):
@@ -414,6 +398,9 @@ class TruncatedAlgebra(FiniteAlgebra):
             # zero sums once the index check has seen every entry
             t = {}
             for i, j, k, c in rows:
+                # a list index is no dict key, and a float or a bool no index
+                if not all(type(x) is int for x in (i, j, k)):
+                    raise ValueError(f"{name} entry {(i, j, k)} has a non-int index")
                 # a float is already rounded, and Fraction(True) is 1: refuse
                 # both rather than load an algebra nobody wrote down; "1/0"
                 # names no number either
@@ -444,7 +431,11 @@ class TruncatedAlgebra(FiniteAlgebra):
 
     @classmethod
     def load(cls, fp):
-        return cls.from_json_dict(json.load(fp))
+        try:
+            data = json.load(fp)
+        except RecursionError:
+            raise ValueError("algebra file is nested too deeply to read") from None
+        return cls.from_json_dict(data)
 
 
 @dataclass

@@ -85,6 +85,28 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("open_, close", [("(", ")"), ("[", ",x1]")])
+def test_deep_nesting_is_a_parse_error(capsys, open_, close):
+    def nested(depth):
+        return open_ * depth + "x1" + close * depth
+
+    code, out, err = run_cli(capsys, "bracket", "-n", "2", nested(300), "x2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: nesting deeper than 200 levels")
+    code, _, _ = run_cli(capsys, "bracket", "-n", "2", nested(200), "x2")
+    assert code == 0
+
+
+def test_filtration_refuses_a_deeply_nested_file(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "filtration", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: algebra file is nested too deeply to read\n"
+
+
 def test_zero_denominator_is_a_parse_error(capsys):
     code, _, err = run_cli(capsys, "bracket", "-n", "2", "1/0", "x1")
     assert code == 2
@@ -305,6 +327,12 @@ MALFORMED = {
     "int-entry": (lambda data: {**data, "product": [5]}, "product"),
     "int-labels": (lambda data: {**data, "labels": 7}, "labels"),
     "int-bracket": (lambda data: {**data, "bracket": 3}, "bracket"),
+    # a list or an object is no dict key, so the index check must come first
+    "list-index": (lambda data: {**data, "product": [[[0], 0, 0, "1"]]}, "product"),
+    "object-index": (
+        lambda data: {**data, "product": [[0, 0, {"a": 1}, "1"]]},
+        "product",
+    ),
 }
 
 

