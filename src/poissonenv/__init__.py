@@ -74,9 +74,7 @@ _MEMO_TABLES = (
     _freepoisson._NESTED_CACHE,
     _freepoisson._BERNOULLI_CACHE,
     _pbw._NORMAL_CACHE,
-    _pbw._NORMAL_CAP_CACHE,
     _pbw._SYM_PBW_CACHE,
-    _pbw._SYM_CAP_CACHE,
     _pbw._SYM_WORD_CACHE,
     _pbw._EINV_WORD_CACHE,
     _quantize._UWINDOW_CACHE,

@@ -206,7 +206,7 @@ class _Parser:
             elif kind == "int":
                 coeff *= self.rational(val, at)
             else:
-                b = self.lyndon_atom() if kind == "(" else None
+                b = self.lyndon_atom(at) if kind == "(" else None
                 if b is not None and not tensor:
                     factors.append(b)
                 else:
@@ -247,9 +247,12 @@ class _Parser:
             q = quotient(q, den)
         return q
 
-    def lyndon_atom(self):
-        """After a '(': the basis element of a parenthesized Lyndon word of
-        at least two valid letters, its digits and ')' consumed, or None."""
+    def lyndon_atom(self, at):
+        """After the '(' at ``at``: the basis element of a parenthesized
+        Lyndon word of at least two valid letters, its digits and ')'
+        consumed, or None.  Its standard bracketing of L letters is built and
+        expanded by recursion up to L - 1 levels deep, so those levels count
+        against ``_MAX_NESTING``."""
         k2, v2, _ = self.tokens[self.pos]
         if (
             k2 == "int"
@@ -259,6 +262,12 @@ class _Parser:
         ):
             word = tuple(map(int, v2))
             if is_lyndon(word):
+                if self.depth + len(word) - 1 > _MAX_NESTING:
+                    raise ParseError(
+                        f"Lyndon atom of {len(word)} letters nests deeper than"
+                        f" {_MAX_NESTING} levels",
+                        at,
+                    )
                 self.pos += 2
                 return LieBasisElement.from_word(word)
         return None

@@ -45,27 +45,29 @@ star degrees).  This is exact:
   and f t straightened with that of m.
 
 Carrying the least factor count, instead of the room cap - star, keeps one
-bound for the whole recursion.  The no-bite rule: when star(t) +
-len(t) - 1 <= cap, the least count is at most 1 and no term of a nonempty
-t's table passes the cap, so a capped call returns the full memo entry
-itself, and the full path is the one with no cap.  Otherwise a capped
-table is memoized by (factors, least count) in its own table, read-only
-like the full one, and a cap below star(t) gives an empty dict.  One
-recursion body serves both paths (``_normal``, ``_sym``).
+bound for the whole recursion, and each table has one memo keyed by
+(factors, least count).  The no-bite rule is a normalization of that key:
+every term of a nonempty t's table has a factor, so a least count <= 1,
+which is star(t) + len(t) - 1 <= cap, keeps every term and is filed as 1,
+the full table, and a cap that cannot bite returns the full memo entry
+itself.  The uncapped call passes the count 0, so the empty tuple's table
+is {(): 1}; a least count above len(t), a cap below star(t), gives an
+empty dict.  One recursion body serves both paths (``_normal``, ``_sym``).
 
-``sym_word_table`` computes e in the word basis straight from its
-definition, the average over factor orders, and memoizes it read-only as
-``normal_table`` does; ``symmetrize_factors`` is the public form and returns
-a fresh copy.  Together with ``e_inverse_word`` it is the word-space
-reference that the star product is tested against.
+``sym_word_table`` computes e in the word basis by the same first-factor
+recursion, e(m) = (1/k) sum_f mult_f f e(m/f) with f expanded to words, so
+it visits at most 2^k sub-multisets of m instead of k! factor orders, and
+memoizes it read-only as ``normal_table`` does; ``symmetrize_factors`` is
+the public form, takes the factors in any order and returns a fresh copy.
+Together with ``e_inverse_word`` it is the word-space reference that the
+star product is tested against.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from itertools import permutations
-from math import factorial, gcd, prod
+from itertools import groupby
+from math import factorial, gcd
 
 from .freelie import (
     TensorElement,
@@ -77,14 +79,6 @@ from .linalg import int_row, merge, quotient
 
 
 _NORMAL_CACHE = {}
-_NORMAL_CAP_CACHE = {}
-
-
-def _least(factors, cap):
-    """The least factor count of a term of star degree <= cap in the table
-    of ``factors``: its letter count less the cap (a basis element is the
-    tuple of its word's letters)."""
-    return sum(map(len, factors)) - cap
 
 
 def normal_table(factors, cap=None):
@@ -93,24 +87,28 @@ def normal_table(factors, cap=None):
 
     With ``cap``, only the terms of star degree <= cap (see the module
     docstring); a cap that cannot bite returns the full entry."""
-    if cap is None:
-        hit = _NORMAL_CACHE.get(factors)
-        return hit if hit is not None else _normal(factors, 0)
-    least = _least(factors, cap)
-    return _normal(factors, least) if least <= len(factors) else {}
+    return _normal(factors, 0 if cap is None else sum(map(len, factors)) - cap)
+
+
+def _first_factors(factors):
+    """Each distinct factor f of a nondecreasing tuple, with its
+    multiplicity and the tuple less one f."""
+    i = 0
+    for f, group in groupby(factors):
+        mult = sum(1 for _ in group)
+        yield f, mult, factors[:i] + factors[i + 1 :]
+        i += mult
 
 
 def _normal(factors, least):
-    """``normal_table`` of a nonempty ``factors`` (or of () at least <= 0)
-    keeping only its terms of at least ``least`` factors; least <= 1 keeps
-    every term.  The swapped tuple and each bracket tuple keep the bound."""
-    if least <= 1:
-        cache, key = _NORMAL_CACHE, factors
-    elif least > len(factors):
+    """``normal_table`` of ``factors`` keeping only its terms of at least
+    ``least`` factors, memoized by (factors, least) with every least <= 1
+    filed as 1, the full table.  The swapped tuple and each bracket tuple
+    keep the bound."""
+    if least > len(factors):
         return {}
-    else:
-        cache, key = _NORMAL_CAP_CACHE, (factors, least)
-    hit = cache.get(key)
+    key = (factors, least if least > 1 else 1)
+    hit = _NORMAL_CACHE.get(key)
     if hit is None:
         swap_at = None
         for i in range(len(factors) - 1):
@@ -126,7 +124,7 @@ def _normal(factors, least):
             for b, c in bracket_basis(factors[i], factors[i + 1]).terms.items():
                 rest = _normal(factors[:i] + (b,) + factors[i + 2 :], least)
                 merge(hit, rest.items(), c)
-        cache[key] = hit
+        _NORMAL_CACHE[key] = hit
     return hit
 
 
@@ -136,39 +134,38 @@ def normal(factors):
     return dict(normal_table(tuple(factors)))
 
 
-def pbw_to_tensor(factors):
-    out = TensorElement.one()
-    for f in factors:
-        out = out * expand_to_tensor(f)
-    return out
-
-
 _SYM_WORD_CACHE = {}
 
 
 def sym_word_table(factors):
-    """e(l_1 ... l_k) of a tuple of basis elements in the word basis, the
-    average of the concatenations over all factor orders (memoized): the
-    memo entry itself, a dict word -> coefficient that callers only read."""
+    """e(l_1 ... l_k) of a nondecreasing tuple of basis elements in the word
+    basis (memoized): the memo entry itself, a dict word -> coefficient that
+    callers only read.
+
+    The first-factor recursion of ``sym_table`` with each f expanded to
+    words, e(m) = (1/k) sum_f mult_f f e(m/f), which is the average of the
+    concatenations over all factor orders grouped by the first factor.
+    """
     hit = _SYM_WORD_CACHE.get(factors)
     if hit is None:
-        # each distinct order stands for prod(mult_f!) of the k! orders
-        mult = prod(map(factorial, Counter(factors).values()))
-        weight = Fraction(mult, factorial(len(factors)))
-        hit = {}
-        for perm in sorted(set(permutations(factors))):
-            merge(hit, pbw_to_tensor(perm).terms.items(), weight)
+        k = len(factors)
+        hit = {} if k else {(): 1}
+        for f, mult, rest in _first_factors(factors):
+            rest = sym_word_table(rest).items()
+            for u, a in expand_to_tensor(f).terms.items():
+                merge(hit, [(u + w, c) for w, c in rest], Fraction(mult * a, k))
         _SYM_WORD_CACHE[factors] = hit
     return hit
 
 
 def symmetrize_factors(factors):
-    """e(l_1 ... l_k) as a fresh TensorElement: ``sym_word_table`` copied."""
-    return TensorElement._of(dict(sym_word_table(tuple(factors))))
+    """e(l_1 ... l_k), the factors in any order, as a fresh TensorElement:
+    ``sym_word_table`` copied."""
+    factors = tuple(sorted(factors, key=lambda f: f.sort_key))
+    return TensorElement._of(dict(sym_word_table(factors)))
 
 
 _SYM_PBW_CACHE = {}
-_SYM_CAP_CACHE = {}
 
 
 def sym_table(factors, cap=None):
@@ -187,44 +184,26 @@ def sym_table(factors, cap=None):
     read it and never modify it.  With ``cap``, only the terms of star
     degree <= cap; a cap that cannot bite returns the full entry.
     """
-    if cap is None:
-        hit = _SYM_PBW_CACHE.get(factors)
-        return hit if hit is not None else _sym(factors, 0)
-    least = _least(factors, cap)
-    return _sym(factors, least) if least <= len(factors) else {}
+    return _sym(factors, 0 if cap is None else sum(map(len, factors)) - cap)
 
 
 def _sym(factors, least):
     """``sym_table`` of ``factors`` keeping only its terms of at least
-    ``least`` factors, under the same bound as ``_normal``.
+    ``least`` factors, memoized under the same key as ``_normal``.
 
     A term f t of the recursion has at most len(t) + 1 factors, so m/f is
     read with the bound less 1, and f t is straightened with the bound of m.
     """
-    if least <= 1:
-        cache, key = _SYM_PBW_CACHE, factors
-    elif least > len(factors):
+    if least > len(factors):
         return {}
-    else:
-        cache, key = _SYM_CAP_CACHE, (factors, least)
-    hit = cache.get(key)
+    key = (factors, least if least > 1 else 1)
+    hit = _SYM_PBW_CACHE.get(key)
     if hit is None:
-        k = len(factors)
-        if k == 0:
-            hit = {(): 1}
-        else:
-            hit = {}
-            i = 0
-            while i < k:
-                f = factors[i]
-                j = i
-                while j < k and factors[j] == f:
-                    j += 1
-                rest = _sym(factors[:i] + factors[i + 1 :], least - 1)
-                for t, c in rest.items():
-                    merge(hit, _normal((f,) + t, least).items(), (j - i) * c)
-                i = j
-        cache[key] = hit
+        hit = {} if factors else {(): 1}
+        for f, mult, rest in _first_factors(factors):
+            for t, c in _sym(rest, least - 1).items():
+                merge(hit, _normal((f,) + t, least).items(), mult * c)
+        _SYM_PBW_CACHE[key] = hit
     return hit
 
 

@@ -98,6 +98,18 @@ def test_deep_nesting_is_a_parse_error(capsys, open_, close):
     assert code == 0
 
 
+def test_long_lyndon_atom_is_a_parse_error(capsys):
+    # the standard bracketing of 1...12 nests one level per letter
+    code, out, err = run_cli(capsys, "bracket", "-n", "2", "(" + "1" * 1500 + "2)", "x1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: Lyndon atom of 1501 letters nests deeper than 200")
+    assert "Traceback" not in err
+    code, out, _ = run_cli(capsys, "bracket", "-n", "2", "(" + "1" * 149 + "2)", "x1")
+    assert code == 0
+    assert out == "-(" + "1" * 150 + "2)\n"
+
+
 def test_filtration_refuses_a_deeply_nested_file(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)

@@ -5,17 +5,27 @@ an int vector over one common integer scale.  The reference below is the
 Fraction implementation they replaced: the first-factor recursion with 1/k
 weights and the peel that subtracts Fraction symmetrizations.  The int code
 must give the same stored coefficients, in the same order, on every input.
+e in the word basis is checked against its definition, the average of the
+concatenations over all factor orders.
 """
 
+from collections import Counter
 from fractions import Fraction
-from math import factorial, gcd
+from itertools import permutations
+from math import factorial, gcd, prod
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poissonenv
 from poissonenv import pbw
-from poissonenv.freelie import bracket_basis, generator, lyndon_basis_of_length
+from poissonenv.freelie import (
+    TensorElement,
+    bracket_basis,
+    expand_to_tensor,
+    generator,
+    lyndon_basis_of_length,
+)
 from poissonenv.freepoisson import (
     PoissonElement,
     PoissonMonomial,
@@ -129,6 +139,44 @@ def test_int_table_is_k_factorial_times_sym_pbw():
                 assert all(_stored(c) for c in e.values()), m
                 count += 1
     assert count > 300
+
+
+def reference_sym_word(factors):
+    """e(l_1 ... l_k) in the word basis as the average of the concatenations
+    over every distinct factor order, each standing for prod(mult_f!) of the
+    k! orders."""
+    weight = Fraction(prod(map(factorial, Counter(factors).values())), factorial(len(factors)))
+    out = {}
+    for perm in sorted(set(permutations(factors))):
+        concat = TensorElement.one()
+        for f in perm:
+            concat = concat * expand_to_tensor(f)
+        merge(out, concat.terms.items(), weight)
+    return out
+
+
+# a small pool, so that drawn tuples often repeat a factor
+_WORD_FACTORS = [b for length in range(1, 3) for b in lyndon_basis_of_length(2, length)] + [
+    lyndon_basis_of_length(3, 3)[0]
+]
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(st.sampled_from(_WORD_FACTORS), max_size=5))
+def test_word_space_e_is_the_average_over_factor_orders(factors):
+    want = reference_sym_word(tuple(factors))
+    got = pbw.symmetrize_factors(factors).terms
+    assert got == want
+    assert all(_stored(c) for c in got.values())
+    ordered = tuple(sorted(factors, key=lambda f: f.sort_key))
+    assert pbw.sym_word_table(ordered) == want
+
+
+def test_word_space_e_of_a_long_monomial():
+    # 14 factors: the recursion visits 2 * 14 sub-multisets, not 14! orders
+    g1, g2 = generator(1), generator(2)
+    e = symmetrize(PoissonElement.monomial(PoissonMonomial.of((g1,) * 13 + (g2,))))
+    assert e.terms == {(1,) * a + (2,) + (1,) * (13 - a): Fraction(1, 14) for a in range(14)}
 
 
 def test_returned_dicts_are_fresh_copies():

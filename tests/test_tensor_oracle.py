@@ -13,7 +13,7 @@ from math import factorial
 import pytest
 
 from poissonenv import pbw
-from poissonenv.freelie import expand_to_tensor, lyndon_basis_of_length
+from poissonenv.freelie import TensorElement, expand_to_tensor, lyndon_basis_of_length
 
 sympy = pytest.importorskip("sympy")
 
@@ -77,6 +77,14 @@ def _random_factors(rng, n_gens):
     return tuple(out)
 
 
+def pbw_to_tensor(factors):
+    """The concatenation product of the factors' word expansions."""
+    out = TensorElement.one()
+    for f in factors:
+        out = out * expand_to_tensor(f)
+    return out
+
+
 def _product(factors):
     return sympy.Mul(*(_commutator(_bracketing(f.word)) for f in factors))
 
@@ -92,7 +100,7 @@ def test_pbw_normal_form_matches_sympy_product(n_gens):
         ), factors
         total = sympy.Add(
             *(
-                sympy.Rational(c.numerator, c.denominator) * _to_sympy(pbw.pbw_to_tensor(t))
+                sympy.Rational(c.numerator, c.denominator) * _to_sympy(pbw_to_tensor(t))
                 for t, c in nf.items()
             )
         )
