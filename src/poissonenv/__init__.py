@@ -5,7 +5,6 @@ nil-Poisson filtrations."""
 from .envelope import (
     EnvelopePresentation,
     GradedQuotientPiece,
-    LocalModelElement,
     envelope_truncated,
     gap_witness,
     induced_hom,
@@ -102,7 +101,6 @@ __all__ = [
     "GradedQuotientPiece",
     "LieBasisElement",
     "LieElement",
-    "LocalModelElement",
     "ParseError",
     "PoissonElement",
     "PoissonMonomial",

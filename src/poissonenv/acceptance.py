@@ -1,6 +1,7 @@
 """The acceptance suite: every checkable desk-scale claim, exactly.
 
-Each check returns a CheckResult; all arithmetic is exact rational, so every
+Each check returns (passed, detail), and ``run`` names the result after the
+check's entry in ``ALL_CHECKS``; all arithmetic is exact rational, so every
 comparison is equality with zero tolerance.  The checks are deliberately
 built on independent oracles where the contract demands one (brute-force
 enumeration, left-normed spanning sets, solve-based membership) rather than
@@ -50,10 +51,6 @@ class CheckResult:
     detail: str
 
 
-def _result(name, passed, detail):
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
 # -- 1 -------------------------------------------------------------------
 
 
@@ -67,28 +64,24 @@ def check_witt_lyndon():
             count = len(basis[s])
             expected = witt_number(n, length)
             if count != expected:
-                return _result(
-                    "witt", False, f"count {count} != witt {expected} (n={n}, s={s})"
-                )
+                return False, f"count {count} != witt {expected} (n={n}, s={s})"
             brute = [
                 w
                 for w in it.product(range(1, n + 1), repeat=length)
                 if is_lyndon(w)
             ]
             if sorted(b.word for b in basis[s]) != sorted(brute):
-                return _result("witt", False, f"enumeration mismatch n={n} s={s}")
+                return False, f"enumeration mismatch n={n} s={s}"
             ech = Echelon()
             for tup in it.product(range(1, n + 1), repeat=length):
                 if length >= 2 and tup[-1] == tup[-2]:
                     continue  # innermost bracket vanishes
                 ech.add(_tensor_vector(left_normed_tensor(tup), n))
             if ech.rank != expected:
-                return _result(
-                    "witt",
-                    False,
-                    f"left-normed rank {ech.rank} != witt {expected} (n={n}, s={s})",
+                return False, (
+                    f"left-normed rank {ech.rank} != witt {expected} (n={n}, s={s})"
                 )
-    return _result("witt", True, "n_gens 1..3, star degree <= 5")
+    return True, "n_gens 1..3, star degree <= 5"
 
 
 # -- 2 -------------------------------------------------------------------
@@ -99,18 +92,16 @@ def check_pbw_bijectivity():
         monos = monomials_up_to_total(2, length)
         monos = [m for m in monos if m.total_degree == length]
         if len(monos) != 2**length:
-            return _result(
-                "pbw", False, f"{len(monos)} monomials != 2^{length} words"
-            )
+            return False, f"{len(monos)} monomials != 2^{length} words"
         for w in it.product((1, 2), repeat=length):
             t = TensorElement.word(w)
             if symmetrize(e_inverse(t)) != t:
-                return _result("pbw", False, f"e o e_inverse misses word {w}")
+                return False, f"e o e_inverse misses word {w}"
         for m in monos:
             p = PoissonElement.monomial(m)
             if e_inverse(symmetrize(p)) != p:
-                return _result("pbw", False, f"e_inverse o e misses {m!r}")
-    return _result("pbw", True, "word length <= 6, n_gens = 2")
+                return False, f"e_inverse o e misses {m!r}"
+    return True, "word length <= 6, n_gens = 2"
 
 
 # -- 3 -------------------------------------------------------------------
@@ -131,20 +122,14 @@ def check_symmetrized_filtration():
             ech_f = Echelon.spanning(_tensor_vector(t, 2) for t in filt_basis)
             ech_e = Echelon.spanning(_tensor_vector(t, 2) for t in e_images)
             if ech_f.rank != ech_e.rank:
-                return _result(
-                    "e-filtration", False, f"rank mismatch l={length} n={n}"
-                )
+                return False, f"rank mismatch l={length} n={n}"
             for t in e_images:
                 if not ech_f.contains(_tensor_vector(t, 2)):
-                    return _result(
-                        "e-filtration", False, f"e image escapes F_{n} at l={length}"
-                    )
+                    return False, f"e image escapes F_{n} at l={length}"
             for t in filt_basis:
                 if not ech_e.contains(_tensor_vector(t, 2)):
-                    return _result(
-                        "e-filtration", False, f"F_{n} escapes e image at l={length}"
-                    )
-    return _result("e-filtration", True, "word length <= 5, all n")
+                    return False, f"F_{n} escapes e image at l={length}"
+    return True, "word length <= 5, all n"
 
 
 # -- 4 -------------------------------------------------------------------
@@ -166,10 +151,8 @@ def check_star_component_bigrading():
             by_sym = star_component(pa, pb, p)
             by_star = full.star_part(a.star_degree + b.star_degree + p)
             if by_sym != by_star:
-                return _result(
-                    "bp-bigrading", False, f"extraction mismatch {a!r},{b!r} p={p}"
-                )
-    return _result("bp-bigrading", True, f"{len(pairs)} monomial pairs, p <= 3")
+                return False, f"extraction mismatch {a!r},{b!r} p={p}"
+    return True, f"{len(pairs)} monomial pairs, p <= 3"
 
 
 # -- 5 -------------------------------------------------------------------
@@ -183,12 +166,10 @@ def check_graded_dimensions():
         for n in range(length + 1):
             p_dim = len(monomials_star_total(2, n, length))
             if p_dim != ranks[n] - ranks[n + 1]:
-                return _result(
-                    "graded-dims",
-                    False,
-                    f"dim P_{n} = {p_dim} != {ranks[n]} - {ranks[n+1]} at l={length}",
+                return False, (
+                    f"dim P_{n} = {p_dim} != {ranks[n]} - {ranks[n+1]} at l={length}"
                 )
-    return _result("graded-dims", True, "word length <= 5, n_gens = 2")
+    return True, "word length <= 5, n_gens = 2"
 
 
 # -- 6 -------------------------------------------------------------------
@@ -212,7 +193,7 @@ def check_star_associativity():
         left = star_product(ab, pc)
         right = star_product(pa, bc)
         if left != right:
-            return _result("associativity", False, f"B fails at {a!r},{b!r},{c!r}")
+            return False, f"B fails at {a!r},{b!r},{c!r}"
         # B_i(B_j(a, b), c) and B_i(a, B_j(b, c)) for i, j < 4, one
         # star_components pass each
         ab_p, bc_p = star_components(pa, pb), star_components(pb, pc)
@@ -225,19 +206,15 @@ def check_star_associativity():
                 merge(lhs, left_p[j].get(i, zero).terms.items())
                 merge(rhs, right_p[j].get(i, zero).terms.items())
             if lhs != rhs:
-                return _result(
-                    "associativity", False, f"hbar order {p} fails at {a!r},{b!r},{c!r}"
-                )
+                return False, f"hbar order {p} fails at {a!r},{b!r},{c!r}"
         for alg in algs:
             if max(m.star_degree for m in (a, b, c)) > alg.d:
                 continue
             tl = qz.truncated_product(alg, qz.truncated_product(alg, pa, pb), pc)
             tr = qz.truncated_product(alg, pa, qz.truncated_product(alg, pb, pc))
             if tl != tr:
-                return _result(
-                    "associativity", False, f"truncated d={alg.d} fails"
-                )
-    return _result("associativity", True, f"{len(triples)} monomial triples")
+                return False, f"truncated d={alg.d} fails"
+    return True, f"{len(triples)} monomial triples"
 
 
 # -- 7 -------------------------------------------------------------------
@@ -253,13 +230,13 @@ def check_gap_counterexample():
     for idx in ((1, 2, 3, 4), (2, 3, 4, 1)):
         side, naive = env.gap_witness(idx)
         if not side.is_zero():
-            return _result("gap", False, f"envelope side nonzero for {idx}")
+            return False, f"envelope side nonzero for {idx}"
         if naive.is_zero():
-            return _result("gap", False, f"naive image zero for {idx}")
+            return False, f"naive image zero for {idx}"
     side, naive = env.gap_witness()
     if naive != target:
-        return _result("gap", False, "naive image differs from (13)(24)+(12)(34)")
-    return _result("gap", True, "0 vs (13)(24)+(12)(34) != 0")
+        return False, "naive image differs from (13)(24)+(12)(34)"
+    return True, "0 vs (13)(24)+(12)(34) != 0"
 
 
 # -- 8 -------------------------------------------------------------------
@@ -281,23 +258,17 @@ def check_p1_omega2():
     for label, pres in cases:
         computed, omega2 = env.p1_rank_check(pres)
         if computed != omega2:
-            return _result(
-                "p1-omega2", False, f"{label}: {computed} != {omega2}"
-            )
+            return False, f"{label}: {computed} != {omega2}"
         if pres.relations and not env.envelope_truncated(pres)[1].exact:
-            return _result("p1-omega2", False, f"{label}: not flagged exact")
-    return _result("p1-omega2", True, f"{len(cases)} presentations agree")
+            return False, f"{label}: not flagged exact"
+    return True, f"{len(cases)} presentations agree"
 
 
 # -- 9 -------------------------------------------------------------------
 
 
 def check_local_model():
-    monos = [
-        m
-        for m in monomials_up_to_total(2, 8, max_star=3)
-        if m.poly_degree <= 2 and m.star_degree <= 3
-    ]
+    monos = [m for m in monomials_up_to_total(2, 8, max_star=3) if m.poly_degree <= 2]
     pairs = 0
     for a in monos:
         for b in monos:
@@ -305,9 +276,7 @@ def check_local_model():
                 continue
             pa, pb = PoissonElement.monomial(a), PoissonElement.monomial(b)
             if env.local_model_bracket(pa, pb) != poisson_bracket(pa, pb):
-                return _result(
-                    "local-model", False, f"brackets differ at {a!r},{b!r}"
-                )
+                return False, f"brackets differ at {a!r},{b!r}"
             pairs += 1
     rng = random.Random(17)
     pool = [m for m in monos if m.star_degree <= 1]
@@ -325,11 +294,11 @@ def check_local_model():
             h, lb(f, g)
         )
         if not leibniz.is_zero():
-            return _result("local-model", False, "Leibniz fails")
+            return False, "Leibniz fails"
         jacobi = lb(f, lb(g, h)) + lb(g, lb(h, f)) + lb(h, lb(f, g))
         if not jacobi.is_zero():
-            return _result("local-model", False, "Jacobi fails")
-    return _result("local-model", True, f"{pairs} pairs + 100 random triples")
+            return False, "Jacobi fails"
+    return True, f"{pairs} pairs + 100 random triples"
 
 
 # -- 10 ------------------------------------------------------------------
@@ -342,12 +311,10 @@ def check_filtration_window():
             for n in range(d + 2):
                 rep = qz.commutator_filtration_Q(alg, n, N)
                 if not rep.matches:
-                    return _result(
-                        "filtration-window",
-                        False,
-                        f"d={d} n={n} N={N}: {rep.rank_filtration} != {rep.rank_expected}",
+                    return False, (
+                        f"d={d} n={n} N={N}: {rep.rank_filtration} != {rep.rank_expected}"
                     )
-    return _result("filtration-window", True, "all n <= d <= 3 at N <= 3")
+    return True, "all n <= d <= 3 at N <= 3"
 
 
 # -- 11 ------------------------------------------------------------------
@@ -369,10 +336,8 @@ def check_nc_embedding():
         if ech.add(row):
             count += 1
     if count != len(images):
-        return _result(
-            "nc-embedding", False, f"only {count} of {len(images)} independent"
-        )
-    return _result("nc-embedding", True, f"{len(images)} word images independent")
+        return False, f"only {count} of {len(images)} independent"
+    return True, f"{len(images)} word images independent"
 
 
 # -- 12 ------------------------------------------------------------------
@@ -384,11 +349,9 @@ def check_graded_witness():
         for N in (1, 2, 3):
             for rep in qz.graded_of_Q(alg, N):
                 if not rep.matches:
-                    return _result(
-                        "graded-witness",
-                        False,
+                    return False, (
                         f"graded_of_Q d={d} n={rep.n} N={N}: "
-                        f"{rep.graded_rank} != {rep.envelope_rank}",
+                        f"{rep.graded_rank} != {rep.envelope_rank}"
                     )
     for d in (1, 2, 3):
         cap = 4
@@ -404,12 +367,10 @@ def check_graded_witness():
                 len(monomials_star_total(2, n, t)) for t in range(cap + 1)
             )
             if by_grade.get(n, 0) != expected:
-                return _result(
-                    "graded-witness",
-                    False,
-                    f"associated_graded d={d} grade {n}: {by_grade.get(n, 0)} != {expected}",
+                return False, (
+                    f"associated_graded d={d} grade {n}: {by_grade.get(n, 0)} != {expected}"
                 )
-    return _result("graded-witness", True, "graded ranks match P_n windows, d <= 3")
+    return True, "graded ranks match P_n windows, d <= 3"
 
 
 # -- 13 ------------------------------------------------------------------
@@ -439,7 +400,7 @@ def check_endomorphism_contraction():
             f.apply(A.basis_vec(i)) != A.basis_vec(i) for i in range(A.dim)
         )
         if not (rep.passed and nontrivial):
-            return _result("endo-contraction", False, f"hamiltonian {ham} fails")
+            return False, f"hamiltonian {ham} fails"
         passed += 1
 
     Q = qz.quantized_window_algebra(2, 2, 4)
@@ -453,7 +414,7 @@ def check_endomorphism_contraction():
             f.apply(Q.basis_vec(i)) != Q.basis_vec(i) for i in range(Q.dim)
         )
         if not (rep.passed and nontrivial):
-            return _result("endo-contraction", False, f"inner {u} fails")
+            return False, f"inner {u} fails"
         passed += 1
 
     # scaling the generators is a Poisson endomorphism but not id mod F_1:
@@ -465,8 +426,8 @@ def check_endomorphism_contraction():
     f = filt.EndoMap(cols)
     rep = filt.endo_contraction_check(A, f, chain, use_bracket=True)
     if rep.identity_mod_f1 or not rep.is_endomorphism:
-        return _result("endo-contraction", False, "precondition violation not reported")
-    return _result("endo-contraction", True, f"{passed} nontrivial endomorphisms pass")
+        return False, "precondition violation not reported"
+    return True, f"{passed} nontrivial endomorphisms pass"
 
 
 def _label_monomial(alg, i):
@@ -501,12 +462,10 @@ def check_differential_order():
                 for a in args:
                     val = current(PoissonElement.monomial(a))
                     if not val.is_zero():
-                        return _result(
-                            "order-p",
-                            False,
-                            f"(p+1)-fold commutator nonzero: p={p} b={b!r} a={a!r}",
+                        return False, (
+                            f"(p+1)-fold commutator nonzero: p={p} b={b!r} a={a!r}"
                         )
-    return _result("order-p", True, "B_p has order <= p for p <= 2")
+    return True, "B_p has order <= p for p <= 2"
 
 
 # -- 15 ------------------------------------------------------------------
@@ -517,12 +476,8 @@ def check_star_ideal_topology():
         for m in (1, 2):
             rep = qz.star_ideal_topology_check(2, d, m)
             if not rep.included:
-                return _result(
-                    "star-ideal",
-                    False,
-                    f"J^*{rep.power} escapes I^{m}G + G_>={m} at d={d}",
-                )
-    return _result("star-ideal", True, "inclusions hold for d <= 2, m <= 2")
+                return False, f"J^*{rep.power} escapes I^{m}G + G_>={m} at d={d}"
+    return True, "inclusions hold for d <= 2, m <= 2"
 
 
 ALL_CHECKS = [
@@ -554,6 +509,6 @@ def run(names=None):
         raise ValueError(f"no acceptance checks match {names}")
     results = []
     for name, fn in selected:
-        res = fn()
-        results.append(CheckResult(name=name, passed=res.passed, detail=res.detail))
+        passed, detail = fn()
+        results.append(CheckResult(name=name, passed=passed, detail=detail))
     return results

@@ -313,17 +313,6 @@ def p1_rank_check(pres):
     return computed, len(window) - len(window_rows)
 
 
-@dataclass(frozen=True)
-class LocalModelElement:
-    """An element of the local model A (x) SL_+V, A polynomial on the letters."""
-
-    value: PoissonElement
-
-
-def _as_poisson(a):
-    return a.value if isinstance(a, LocalModelElement) else a
-
-
 def _de_rham(p):
     """The factor-slot differential of the local model.
 
@@ -344,9 +333,8 @@ def local_model_bracket(f, g):
 
     For polynomial coefficients this coincides with the free Poisson bracket.
     """
-    wrap = isinstance(f, LocalModelElement) or isinstance(g, LocalModelElement)
-    df = _de_rham(_as_poisson(f))
-    dg = _de_rham(_as_poisson(g))
+    df = _de_rham(f)
+    dg = _de_rham(g)
     out = {}
     for (m1, leg1), c1 in df.items():
         for (m2, leg2), c2 in dg.items():
@@ -357,8 +345,7 @@ def local_model_bracket(f, g):
                 PoissonElement.monomial(m1, c1), PoissonElement.monomial(m2, c2)
             )
             merge(out, multiply(coeff, PoissonElement.from_lie(br)).terms.items())
-    out = PoissonElement._of(out)
-    return LocalModelElement(out) if wrap else out
+    return PoissonElement._of(out)
 
 
 def induced_hom(images, a):
@@ -377,9 +364,8 @@ def induced_hom(images, a):
                 raise ValueError(f"unassigned generator x{tree}") from None
         return poisson_bracket(theta_tree(tree[0]), theta_tree(tree[1]))
 
-    p = _as_poisson(a)
     out = {}
-    for m, c in p.terms.items():
+    for m, c in a.terms.items():
         acc = PoissonElement.one(c)
         for f in m.factors:
             acc = multiply(acc, theta_tree(f.bracketing))

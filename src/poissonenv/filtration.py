@@ -65,18 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .linalg import Echelon, SpanSolver, _clean, merge
-
-
-def _table_mul(table, v, w):
-    """Product of coordinate dicts under a structure-constant table."""
-    out = {}
-    for i, ci in v.items():
-        for j, cj in w.items():
-            row = table.get((i, j))
-            if row:
-                merge(out, row.items(), ci * cj)
-    return out
+from .linalg import Echelon, SpanSolver, _clean, bilinear, linear, merge
 
 
 def _is_index(x, dim):
@@ -135,16 +124,6 @@ def _packed(table, powers):
     return out
 
 
-def _combine(rows, coeffs, out=None):
-    """``out`` plus sum_m coeffs[m] rows[m], a missing row being 0."""
-    out = {} if out is None else out
-    for m, c in coeffs.items():
-        row = rows.get(m)
-        if row:
-            merge(out, row.items(), c)
-    return out
-
-
 def _report_first_digit(i, j, t, dim, sides):
     """Raise ``ValueError`` at the first failing triple (i, j, k) of a pair
     whose packed comparison differs, ``sides`` holding each identity's name
@@ -182,14 +161,7 @@ class FiniteAlgebra:
     degrees = None
 
     def mul(self, v, w):
-        out = {}
-        row = self._row
-        for i, c1 in v.items():
-            for j, c2 in w.items():
-                r = row(i, j)
-                if r:
-                    merge(out, r.items(), c1 * c2)
-        return out
+        return bilinear(v, w, self._row)
 
     def commutator(self, v, w):
         """[v, w] in one pass: row(i, j) - row(j, i) for every index pair."""
@@ -281,7 +253,7 @@ class TruncatedAlgebra(FiniteAlgebra):
     def brk(self, v, w):
         if self.bracket is None:
             raise ValueError("algebra carries no bracket")
-        return _table_mul(self.bracket, v, w)
+        return bilinear(v, w, lambda i, j: self.bracket.get((i, j)))
 
     def _check_indices(self, product, bracket):
         dim = self.dim
@@ -330,7 +302,8 @@ class TruncatedAlgebra(FiniteAlgebra):
             Pi = P_left.get(i, {})
             for j in rest:
                 # (e_i e_j) v = e_i (e_j v)
-                lhs, rhs = _combine(Pv, P.get((i, j), {})), _combine(Pi, Pv.get(j, {}))
+                lhs = linear(P.get((i, j), {}), Pv.get)
+                rhs = linear(Pv.get(j, {}), Pi.get)
                 if lhs != rhs:
                     _report_first_digit(i, j, t, dim, [("associativity", lhs, rhs)])
         if self.bracket is None:
@@ -348,11 +321,11 @@ class TruncatedAlgebra(FiniteAlgebra):
             for j in range(dim):
                 ij = B.get((i, j), {})
                 # Jacobi: {e_i, {e_j, v}} = {e_j, {e_i, v}} + {{e_i, e_j}, v}
-                jac = _combine(Bv, ij, _combine(B_left.get(j, {}), Bvi))
+                jac = linear(ij, Bv.get, linear(Bvi, B_left.get(j, {}).get))
                 # Leibniz: {e_i, e_j v} = e_j {e_i, v} + {e_i, e_j} v
-                leib = _combine(Pv, ij, _combine(P_left.get(j, {}), Bvi))
-                jac_rhs = _combine(Bi, Bv.get(j, {}))
-                leib_rhs = _combine(Bi, Pv.get(j, {}))
+                leib = linear(ij, Pv.get, linear(Bvi, P_left.get(j, {}).get))
+                jac_rhs = linear(Bv.get(j, {}), Bi.get)
+                leib_rhs = linear(Pv.get(j, {}), Bi.get)
                 if jac != jac_rhs or leib != leib_rhs:
                     sides = [("Jacobi", jac, jac_rhs), ("Leibniz", leib, leib_rhs)]
                     _report_first_digit(i, j, t, dim, sides)
@@ -648,11 +621,7 @@ class EndoMap:
         self._cols = [_clean(col) for col in columns]
 
     def apply(self, vec):
-        out = {}
-        cols = self._cols
-        for j, c in vec.items():
-            merge(out, cols[j].items(), c)
-        return out
+        return linear(vec, self._cols.__getitem__)
 
     def columns(self):
         return [dict(col) for col in self._cols]

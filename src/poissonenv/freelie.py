@@ -21,9 +21,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .linalg import Combination, Echelon, SpanSolver, merge
-
-Word = tuple  # tuple of 1-based generator indices
+from .linalg import Combination, Echelon, SpanSolver, bilinear, linear, merge
 
 
 def is_lyndon(word):
@@ -262,10 +260,9 @@ def expand_to_tensor(a):
     """Image of a Lie element under the inclusion LV in TV."""
     if isinstance(a, LieBasisElement):
         return _expand_tree(a.bracketing)
-    out = {}
-    for b, c in a.terms.items():
-        merge(out, _expand_tree(b.bracketing).terms.items(), c)
-    return TensorElement._of(out)
+    return TensorElement._of(
+        linear(a.terms, lambda b: _expand_tree(b.bracketing).terms)
+    )
 
 
 def _word_index(word, n_gens):
@@ -361,11 +358,9 @@ def bracket_basis(a, b):
 
 def lie_bracket(a, b):
     """Lie bracket of two Lie elements, in the Lyndon basis."""
-    out = {}
-    for x, cx in a.terms.items():
-        for y, cy in b.terms.items():
-            merge(out, bracket_basis(x, y).terms.items(), cx * cy)
-    return LieElement._of(out)
+    return LieElement._of(
+        bilinear(a.terms, b.terms, lambda x, y: bracket_basis(x, y).terms)
+    )
 
 
 def left_normed_tensor(letters):

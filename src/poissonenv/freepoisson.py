@@ -32,7 +32,7 @@ from operator import attrgetter
 
 from . import pbw
 from .freelie import TensorElement, bracket_basis, generator, lyndon_basis_of_length
-from .linalg import ONE, Combination, int_row, merge, quotient
+from .linalg import Combination, bilinear, int_row, linear, merge, quotient
 
 
 class PoissonMonomial:
@@ -136,7 +136,7 @@ class PoissonElement(Combination):
 
     @classmethod
     def generator(cls, i):
-        return cls._of({PoissonMonomial.of((generator(i),)): ONE})
+        return cls._of({PoissonMonomial.of((generator(i),)): 1})
 
     @classmethod
     def from_lie(cls, a):
@@ -206,19 +206,12 @@ def _bracket_monomials(m1, m2):
 def poisson_bracket(a, b):
     """The biderivation extending the Lie bracket; raises star degree by
     the brackets' +1 on each paired factor."""
-    out = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            merge(out, _bracket_monomials(m1, m2).items(), c1 * c2)
-    return PoissonElement._of(out)
+    return PoissonElement._of(bilinear(a.terms, b.terms, _bracket_monomials))
 
 
 def symmetrize(a):
     """The PBW symmetrization map e into the tensor algebra."""
-    out = {}
-    for m, c in a.terms.items():
-        merge(out, pbw.sym_word_table(m.factors).items(), c)
-    return TensorElement._of(out)
+    return TensorElement._of(linear(a.terms, lambda m: pbw.sym_word_table(m.factors)))
 
 
 def e_inverse(t):
@@ -405,11 +398,9 @@ def star_product(a, b):
 def _star_sum(a, b, cap):
     """The star product of ``a`` and ``b`` summed pair by pair, with the
     terms of star degree > cap dropped when ``cap`` is given."""
-    out = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            merge(out, _star_monomials(m1, m2, cap).items(), c1 * c2)
-    return PoissonElement._of(out)
+    return PoissonElement._of(
+        bilinear(a.terms, b.terms, lambda m1, m2: _star_monomials(m1, m2, cap))
+    )
 
 
 def star_components(a, b):

@@ -3,21 +3,22 @@
 A vector is a coordinate dict, column -> nonzero coefficient, and a
 combination stores only its nonzero terms.  This module owns how a sparse
 exact row is updated and eliminated: ``merge`` is the one add-and-drop-zero
-step, ``Combination`` the one base of the algebra elements, and ``Echelon``
-the one elimination routine (rank is ``Echelon.spanning(rows).rank``, and
-``SpanSolver`` feeds its rows through it).  ``Echelon.copy`` starts a new
-span from one already eliminated, so a caller that holds a subspace grows
-a larger one without adding its rows again: the filtration chain of a
-graded algebra is closed from its deepest piece up, each piece grown from
-a copy of the one below it, and ``associated_graded`` picks each grade's
-rows independent modulo a copy of the piece below.  Elimination is
-deterministic: it always clears the smallest column index of the row at
-hand; there is no other pivot rule and no column order to choose.  It runs
-on integers: ``Echelon`` scales each row it is given to integers once,
-clears columns by integer cross-multiplication and stores every pivot row
-once, as primitive integers; ``basis`` derives the rows normalized to
-pivot 1 when it is read.  ``normal_form`` is the one residue routine.  No
-floating point anywhere.
+step, ``linear`` and ``bilinear`` the one linear and bilinear extension of
+a table of rows, ``Combination`` the one base of the algebra elements, and
+``Echelon`` the one elimination routine (rank is
+``Echelon.spanning(rows).rank``, and ``SpanSolver`` feeds its rows through
+it).  ``Echelon.copy`` starts a new span from one already eliminated, so a
+caller that holds a subspace grows a larger one without adding its rows
+again: the filtration chain of a graded algebra is closed from its deepest
+piece up, each piece grown from a copy of the one below it, and
+``associated_graded`` picks each grade's rows independent modulo a copy of
+the piece below.  Elimination is deterministic: it always clears the
+smallest column index of the row at hand; there is no other pivot rule and
+no column order to choose.  It runs on integers: ``Echelon`` scales each
+row it is given to integers once, clears columns by integer
+cross-multiplication and stores every pivot row once, as primitive
+integers; ``basis`` derives the rows normalized to pivot 1 when it is read.
+``normal_form`` is the one residue routine.  No floating point anywhere.
 
 A stored coefficient is an ``int`` exactly when its value is integral, and
 otherwise a reduced ``fractions.Fraction``; never a Fraction with
@@ -42,9 +43,6 @@ from math import gcd, lcm
 # int, so a stored coefficient c satisfies ``type(c) in (int, Rational)``,
 # and ``isinstance(c, Rational)`` is False for most of them.
 Rational = Fraction
-
-ZERO = 0
-ONE = 1
 
 
 def canonical(q):
@@ -124,6 +122,38 @@ def merge(acc, items, scale=1):
                 continue
         acc[k] = w.numerator if type(w) is Fraction and w.denominator == 1 else w
     return acc
+
+
+def linear(v, table, out=None):
+    """``out`` plus sum_k v[k] table(k), for a coordinate dict ``v`` and
+    ``table(k)`` the row of key k: a dict of stored coefficients, or None
+    or empty for 0.  ``out`` is updated in place and returned; without it
+    the result is a new dict.
+
+    Loops that keep their own copy, one reason each:
+    - ``FiniteAlgebra.commutator`` merges two rows per pair in one pass;
+    - ``multiply``, ``TensorElement.__mul__``, ``_Parser.mul`` join two keys, no table;
+    - ``star_component``, ``star_components`` filter or split each row;
+    - ``pbw._normal``, ``pbw._sym`` scale by multiplicity in their memo.
+    """
+    out = {} if out is None else out
+    for k, c in v.items():
+        row = table(k)
+        if row:
+            merge(out, row.items(), c)
+    return out
+
+
+def bilinear(v, w, table):
+    """sum_{i,j} v[i] w[j] table(i, j) as a new dict, for coordinate dicts
+    ``v`` and ``w``, each row read as in ``linear``."""
+    out = {}
+    for i, ci in v.items():
+        for j, cj in w.items():
+            row = table(i, j)
+            if row:
+                merge(out, row.items(), ci * cj)
+    return out
 
 
 class Combination:
@@ -316,7 +346,7 @@ class SpanSolver:
         self.rows = list(rows)
         self._ech = Echelon()
         for i, row in enumerate(self.rows):
-            res = self._ech.normal_form({**row, dim + i: ONE})
+            res = self._ech.normal_form({**row, dim + i: 1})
             if min(res) < dim:
                 self._ech.add(res)
 
@@ -325,4 +355,4 @@ class SpanSolver:
         res = self._ech.normal_form(target)
         if res and min(res) < self.dim:
             return None
-        return [-res.get(self.dim + i, ZERO) for i in range(len(self.rows))]
+        return [-res.get(self.dim + i, 0) for i in range(len(self.rows))]

@@ -38,7 +38,7 @@ from .freepoisson import (
     multiply,
     poisson_bracket,
 )
-from .linalg import Echelon, merge
+from .linalg import Echelon, linear, merge
 
 
 @dataclass(frozen=True)
@@ -76,10 +76,8 @@ def nc_embed(alg, w):
             raise ValueError(f"letter {i} outside 1..{alg.n_gens}")
     out = {MONOMIAL_ONE: 1}
     for i in w:
-        x, acc = PoissonMonomial.of((generator(i),)), {}
-        for m, c in out.items():
-            merge(acc, _star_monomials(m, x, alg.d).items(), c)
-        out = acc
+        x = PoissonMonomial.of((generator(i),))
+        out = linear(out, lambda m: _star_monomials(m, x, alg.d))
     return PoissonElement._of(out)
 
 

@@ -12,7 +12,7 @@ FUNCS = dict(acceptance.ALL_CHECKS)
 
 @pytest.mark.parametrize("name", NAMES)
 def test_acceptance_criterion(name):
-    result = FUNCS[name]()
-    status = "PASS" if result.passed else "FAIL"
-    print(f"{status} {name}: {result.detail}")
-    assert result.passed, f"{name}: {result.detail}"
+    passed, detail = FUNCS[name]()
+    status = "PASS" if passed else "FAIL"
+    print(f"{status} {name}: {detail}")
+    assert passed, f"{name}: {detail}"

@@ -441,7 +441,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(
         acc,
         "ALL_CHECKS",
-        [("00-forced", lambda: acc.CheckResult("00-forced", False, "forced"))],
+        [("00-forced", lambda: (False, "forced"))],
     )
     code, out, _ = run_cli(capsys, "verify")
     assert code == 3

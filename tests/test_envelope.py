@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from poissonenv import envelope, quantize
 from poissonenv.envelope import (
     EnvelopePresentation,
-    LocalModelElement,
     _sv_partial,
     _window_part,
     envelope_truncated,
@@ -213,14 +212,6 @@ def test_local_model_agrees_with_free_bracket():
         for b in pool:
             pa, pb = PoissonElement.monomial(a), PoissonElement.monomial(b)
             assert local_model_bracket(pa, pb) == poisson_bracket(pa, pb)
-
-
-def test_local_model_wrapper_type():
-    a = LocalModelElement(gen(1))
-    b = LocalModelElement(gen(2))
-    out = local_model_bracket(a, b)
-    assert isinstance(out, LocalModelElement)
-    assert out.value == lie((1, 2))
 
 
 def test_induced_hom_identity():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from poissonenv.envelope import _window_part
 from poissonenv.freelie import TensorElement
-from poissonenv.linalg import Echelon, Rational, SpanSolver, merge
+from poissonenv.linalg import Echelon, Rational, SpanSolver, bilinear, linear, merge
 from poissonenv.quantize import _rank_inside
 
 
@@ -217,6 +217,60 @@ def test_merge_matches_the_multiplying_loop(scale, values, data):
     assert got == want
     assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
     assert all(type(v) is int or v.denominator != 1 for v in got.values())
+
+
+def _naive_sum(pairs):
+    """sum c * row over the (c, row) pairs, a row None or empty for 0, added
+    term by term in Fractions; zeros dropped, integral values as ints."""
+    total = {}
+    for c, row in pairs:
+        for k, x in (row or {}).items():
+            total[k] = total.get(k, 0) + Fraction(c) * x
+    return {k: _canonical(v) for k, v in total.items() if v}
+
+
+def _stored(values):
+    return values.filter(bool).map(lambda q: _canonical(Fraction(q)))
+
+
+def _rows(values):
+    """A row: None, empty, or a sparse dict of stored coefficients."""
+    row = st.dictionaries(st.integers(0, 6), _stored(values), max_size=4)
+    return st.one_of(st.none(), st.just({}), row)
+
+
+def _negated(row):
+    return None if row is None else {k: -c for k, c in row.items()}
+
+
+@pytest.mark.parametrize("values", [_INTS, _FRACTIONS], ids=["int", "fraction"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_linear_and_bilinear_match_the_double_sum(values, data):
+    keys, coeff = st.integers(0, 4), _stored(values)
+    # key 5 carries the negated row of key 0 and the same coefficient, so
+    # the two rows cancel
+    table = data.draw(st.dictionaries(keys, _rows(values)))
+    table[5] = _negated(table.get(0))
+    v = data.draw(st.dictionaries(keys, coeff))
+    v[5] = v.setdefault(0, data.draw(coeff))
+    out = data.draw(st.dictionaries(st.integers(0, 6), coeff))
+    want = _naive_sum([(1, out)] + [(c, table.get(k)) for k, c in v.items()])
+    assert linear(v, table.get) == _naive_sum((c, table.get(k)) for k, c in v.items())
+    got = linear(v, table.get, out)
+    assert got is out
+    pair_table = data.draw(st.dictionaries(st.tuples(keys, keys), _rows(values)))
+    for j in range(5):
+        pair_table[5, j] = _negated(pair_table.get((0, j)))
+    w = data.draw(st.dictionaries(keys, coeff))
+    terms = [
+        (ci * cj, pair_table.get((i, j))) for i, ci in v.items() for j, cj in w.items()
+    ]
+    got2 = bilinear(v, w, lambda i, j: pair_table.get((i, j)))
+    for result, expected in ((got, want), (got2, _naive_sum(terms))):
+        assert result == expected
+        # stored coefficients only: no zeros, no Fraction with denominator 1
+        assert all(c and (type(c) is int or c.denominator != 1) for c in result.values())
 
 
 _BIG = 10**17
