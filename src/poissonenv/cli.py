@@ -104,15 +104,22 @@ def cmd_star(args):
 def _read_presentation(path, d, N):
     with open(path) as fp:
         lines = [
-            line.strip()
-            for line in fp
+            (number, line.strip())
+            for number, line in enumerate(fp, 1)
             if line.strip() and not line.strip().startswith("#")
         ]
-    if not lines or not lines[0].startswith("gens "):
+    header = lines[0][1].split() if lines else []
+    count = header[1] if len(header) == 2 and header[0] == "gens" else ""
+    if not (count.isascii() and count.isdigit()):
         raise ValueError("presentation file must start with 'gens N'")
-    n_gens = int(lines[0].split()[1])
-    relations = tuple(parse(line, n_gens) for line in lines[1:])
-    return EnvelopePresentation(n_gens=n_gens, relations=relations, d=d, N=N)
+    n_gens = int(count)
+    relations = []
+    for number, line in lines[1:]:
+        try:
+            relations.append(parse(line, n_gens))
+        except ParseError as exc:
+            raise ParseError(f"{exc.message} on line {number}", exc.position) from None
+    return EnvelopePresentation(n_gens=n_gens, relations=tuple(relations), d=d, N=N)
 
 
 def cmd_envelope(args):
@@ -310,7 +317,8 @@ def main(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OverflowError, OSError, KeyError) as exc:
+        # an OverflowError is a count too large for a range, such as -n 10**20
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

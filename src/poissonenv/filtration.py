@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .linalg import Echelon, SpanSolver, _clean, bilinear, linear, merge
+from .linalg import Echelon, SpanSolver, _clean, _coefficient, bilinear, linear, merge
 
 
 def _is_index(x, dim):
@@ -89,21 +89,35 @@ def _integer_table(table):
     return out, scale
 
 
-def _nonzero(name, table):
+def _stored(name, table, dim):
     """Copy of a structure-constant table as stored coefficients, without
-    zeros or empty rows.  A float or a bool constant raises ``TypeError``
-    naming its (i, j, k) entry: it is not the rational its user meant."""
+    zeros or empty rows, in one walk over its entries, zeros included: an
+    index outside [0, dim) raises ``ValueError``, and a float or a bool
+    constant ``TypeError`` naming its (i, j, k) entry, as it is not the
+    rational its user meant."""
     out = {}
     for key, row in table.items():
+        if not (
+            type(key) is tuple and len(key) == 2 and all(_is_index(x, dim) for x in key)
+        ):
+            raise ValueError(f"{name} entry {key!r} has an index outside [0, {dim})")
+        stored = {}
         for k, c in row.items():
+            if not _is_index(k, dim):
+                raise ValueError(
+                    f"{name} entry {key!r} -> {k!r} has an index outside [0, {dim})"
+                )
             if isinstance(c, (bool, float, complex)):
                 raise TypeError(
                     f"{name} entry {(*key, k)}: coefficient {c!r} is a"
                     f" {type(c).__name__}; use an int, a Fraction or a string"
                 )
-        row = _clean(row)
-        if row:
-            out[key] = row
+            if type(c) is not int:
+                c = _coefficient(c)
+            if c:
+                stored[k] = c
+        if stored:
+            out[key] = stored
     return out
 
 
@@ -206,13 +220,13 @@ class TruncatedAlgebra(FiniteAlgebra):
     ``product[(i, j)]`` is the coordinate dict of basis_i * basis_j; an
     optional ``bracket`` table makes it a Poisson algebra.
 
-    Every construction validates the tables: first that ``unit`` and every
-    table index lie in [0, dim), then the unit law, associativity and (when a
-    bracket is present) antisymmetry, Jacobi and Leibniz on all basis triples,
-    raising ``ValueError`` at the first failing one.  The checks run on
-    integer copies P and B of the tables, each scaled by the lcm of its
-    denominators (every identity is homogeneous in the constants, so none
-    changes).
+    Every construction validates the tables: first the label count and the
+    unit, then each table's indices and constants entry by entry, then the
+    unit law, associativity and (when a bracket is present) antisymmetry,
+    Jacobi and Leibniz on all basis triples, raising ``ValueError`` at the
+    first failing one.  The checks run on integer copies P and B of the
+    tables, each scaled by the lcm of its denominators (every identity is
+    homogeneous in the constants, so none changes).
 
     Each identity is checked once per basis pair (i, j) for every k at once,
     by Kronecker substitution.  Let b be the largest absolute row sum of P
@@ -238,12 +252,12 @@ class TruncatedAlgebra(FiniteAlgebra):
         self.dim = dim
         self.labels = list(labels)
         self.unit = unit
-        self.product = _nonzero("product", product)
-        self.bracket = None if bracket is None else _nonzero("bracket", bracket)
         if len(self.labels) != dim:
             raise ValueError("label count must match dim")
-        # indices are checked on the tables as given, zero entries included
-        self._check_indices(product, bracket)
+        if not _is_index(unit, dim):
+            raise ValueError(f"unit {unit!r} is not a basis index in [0, {dim})")
+        self.product = _stored("product", product, dim)
+        self.bracket = None if bracket is None else _stored("bracket", bracket, dim)
         self._validate()
 
     # -- arithmetic on coordinate dicts ------------------------------------
@@ -254,30 +268,6 @@ class TruncatedAlgebra(FiniteAlgebra):
         if self.bracket is None:
             raise ValueError("algebra carries no bracket")
         return bilinear(v, w, lambda i, j: self.bracket.get((i, j)))
-
-    def _check_indices(self, product, bracket):
-        dim = self.dim
-        if not _is_index(self.unit, dim):
-            raise ValueError(f"unit {self.unit!r} is not a basis index in [0, {dim})")
-        tables = [("product", product)]
-        if bracket is not None:
-            tables.append(("bracket", bracket))
-        for name, table in tables:
-            for key, row in table.items():
-                if not (
-                    type(key) is tuple
-                    and len(key) == 2
-                    and all(_is_index(x, dim) for x in key)
-                ):
-                    raise ValueError(
-                        f"{name} entry {key!r} has an index outside [0, {dim})"
-                    )
-                for k in row:
-                    if not _is_index(k, dim):
-                        raise ValueError(
-                            f"{name} entry {key!r} -> {k!r} has an index "
-                            f"outside [0, {dim})"
-                        )
 
     def _validate(self):
         dim, unit = self.dim, self.unit
@@ -367,8 +357,8 @@ class TruncatedAlgebra(FiniteAlgebra):
                 and all(isinstance(r, list) and len(r) == 4 for r in rows)
             ):
                 raise ValueError(f"{name} is not a list of [i, j, k, coeff] entries")
-            # entries for the same (i, j, k) add up; the constructor drops the
-            # zero sums once the index check has seen every entry
+            # entries for the same (i, j, k) add up; the constructor's walk
+            # checks the index of every entry, zero sums included, then drops them
             t = {}
             for i, j, k, c in rows:
                 # a list index is no dict key, and a float or a bool no index

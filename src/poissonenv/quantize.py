@@ -31,12 +31,11 @@ from .freepoisson import (
     MONOMIAL_ONE,
     PoissonElement,
     PoissonMonomial,
+    _bracket_monomials,
     _star_monomials,
     _star_sum,
     monomials_star_total,
     monomials_up_to_total,
-    multiply,
-    poisson_bracket,
 )
 from .linalg import Echelon, linear, merge
 
@@ -381,7 +380,8 @@ def envelope_window_algebra(pres, max_total):
     presentation, as a TruncatedAlgebra with bracket.
 
     Basis vectors are the non-pivot monomials of the windowed ideal blocks;
-    products and brackets are computed in SLV and reduced to normal form.
+    each basis pair's product and bracket are read off the monomial tables
+    of SLV and reduced to normal form.
     The zero algebra has no unit, so a whole-window ideal is a ValueError.
     """
     if not pres.homogeneous:
@@ -408,9 +408,9 @@ def envelope_window_algebra(pres, max_total):
         )
     gindex = {m: i for i, m in enumerate(basis)}
 
-    def reduce_element(element):
+    def reduce_terms(terms):
         out = {}
-        for m, c in element.terms.items():
+        for m, c in terms.items():
             if m.star_degree > d or m.total_degree > max_total:
                 continue
             cols, index, ech = blocks[(m.star_degree, m.total_degree)]
@@ -421,13 +421,11 @@ def envelope_window_algebra(pres, max_total):
     product = {}
     bracket = {}
     for i, m1 in enumerate(basis):
-        e1 = PoissonElement.monomial(m1)
         for j, m2 in enumerate(basis):
-            e2 = PoissonElement.monomial(m2)
-            row = reduce_element(multiply(e1, e2))
+            row = reduce_terms({PoissonMonomial.of(m1.factors + m2.factors): 1})
             if row:
                 product[(i, j)] = row
-            row = reduce_element(poisson_bracket(e1, e2))
+            row = reduce_terms(_bracket_monomials(m1, m2))
             if row:
                 bracket[(i, j)] = row
     return TruncatedAlgebra(

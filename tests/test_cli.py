@@ -209,6 +209,44 @@ def test_envelope_bad_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("header", ["gens 2.5", "gens 3 x", "gens", "gens -1", "gens ²"])
+def test_envelope_refuses_a_header_that_is_not_gens_and_an_integer(
+    tmp_path, capsys, header
+):
+    # the header is the word gens and an ASCII digit string, nothing more:
+    # not a float, a trailing word, a sign or a superscript digit
+    path = tmp_path / "pres.txt"
+    path.write_text(f"{header}\nx1*x2\n")
+    code, out, err = run_cli(capsys, "envelope", str(path), "-d", "1", "-N", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: presentation file must start with 'gens N'\n"
+
+
+def test_envelope_names_the_file_line_of_a_relation_that_fails_to_parse(
+    tmp_path, capsys
+):
+    # comment and blank lines count: the bad relation is on line 4 of the file
+    path = tmp_path / "pres.txt"
+    path.write_text("# a quadric\ngens 2\n\nx1*x2 + \n")
+    code, out, err = run_cli(capsys, "envelope", str(path), "-d", "1", "-N", "2")
+    assert (code, out) == (2, "")
+    assert err == "parse error: expected an expression on line 4 at offset 7\n"
+
+
+def test_a_generator_count_too_large_to_enumerate_is_a_domain_error(tmp_path, capsys):
+    # the count reaches range() and combinations_with_replacement(), which
+    # raise OverflowError, not ValueError
+    huge = "99999999999999999999"
+    code, out, err = run_cli(capsys, "graded", "-n", huge, "-d", "0", "-N", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: Python int too large to convert to C ssize_t\n"
+    path = tmp_path / "pres.txt"
+    path.write_text(f"gens {huge}\nx1\n")
+    code, out, err = run_cli(capsys, "envelope", str(path), "-d", "1", "-N", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: Python int too large to convert to C ssize_t\n"
+
+
 def test_filtration_command(tmp_path, capsys):
     path = tmp_path / "alg.json"
     with open(path, "w") as fp:

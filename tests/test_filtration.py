@@ -940,6 +940,23 @@ def test_validation_rejects_out_of_range_indices():
         TruncatedAlgebra(2, ["1", "x"], 0, bad_key)
 
 
+def test_a_table_with_two_defects_reports_the_entry_met_first():
+    # a zero entry with an index past dim, then a float constant: one walk
+    # over the entries in table order reports the index
+    two = {**_dual_numbers(), (1, 1): {2: 0, 1: 0.5}}
+    with pytest.raises(ValueError, match=r"^product entry \(1, 1\) -> 2 has an index"):
+        TruncatedAlgebra(2, ["1", "x"], 0, two)
+    # in the other order the float is met first
+    two[1, 1] = {1: 0.5, 2: 0}
+    with pytest.raises(TypeError, match=r"^product entry \(1, 1, 1\): coefficient 0.5"):
+        TruncatedAlgebra(2, ["1", "x"], 0, two)
+    # the label count and the unit are checked before any table entry
+    with pytest.raises(ValueError, match="^label count must match dim$"):
+        TruncatedAlgebra(2, ["1"], 0, two)
+    with pytest.raises(ValueError, match=r"^unit 2 is not a basis index in \[0, 2\)$"):
+        TruncatedAlgebra(2, ["1", "x"], 2, two)
+
+
 def test_endo_apply_matches_entry_scan():
     alg = poisson_window_algebra(2, 2, 4)
     label_index = {lab: i for i, lab in enumerate(alg.labels)}

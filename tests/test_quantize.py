@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonenv import clear_caches, pbw, quantize
+from poissonenv.envelope import EnvelopePresentation, _generators_up_to, ideal_block
 from poissonenv.filtration import span_closure
 from poissonenv.freelie import LieBasisElement, LieElement, TensorElement
 from poissonenv.linalg import Echelon, merge
@@ -18,6 +19,7 @@ from poissonenv.freepoisson import (
     monomials_star_maxpoly,
     monomials_star_total,
     multiply,
+    poisson_bracket,
     star_component,
     star_product,
 )
@@ -26,6 +28,7 @@ from poissonenv.quantize import (
     UWindow,
     _star_power_included,
     commutator_filtration_Q,
+    envelope_window_algebra,
     graded_of_Q,
     nc_embed,
     poisson_window_algebra,
@@ -235,9 +238,6 @@ def test_window_algebra_builders_validate():
 
 
 def test_envelope_window_algebra_quotient():
-    from poissonenv.envelope import EnvelopePresentation
-    from poissonenv.quantize import envelope_window_algebra
-
     pres = EnvelopePresentation(
         2, (multiply(gen(1), gen(1)),), 1, 3
     )
@@ -249,13 +249,90 @@ def test_envelope_window_algebra_quotient():
 
 
 def test_envelope_window_algebra_of_the_whole_window_is_refused():
-    from poissonenv.envelope import EnvelopePresentation, envelope_truncated
-    from poissonenv.quantize import envelope_window_algebra
+    from poissonenv.envelope import envelope_truncated
 
     pres = EnvelopePresentation(2, (PoissonElement.one(),), 1, 2)
     assert [p.quotient_rank for p in envelope_truncated(pres)] == [0, 0]
     with pytest.raises(ValueError, match="generate the whole window"):
         envelope_window_algebra(pres, 3)
+
+
+def _element_level_window_algebra(pres, max_total):
+    """Labels and tables of the window algebra, each basis pair wrapped as
+    two PoissonElements, multiplied and bracketed, and reduced to normal form
+    in its windowed ideal block: the reference for the monomial tables."""
+    d = pres.d
+    gens = _generators_up_to(pres, d)
+    blocks, basis = {}, []
+    for total in range(max_total + 1):
+        for q in range(min(d, total) + 1):
+            cols, ech = ideal_block(pres, q, total, gens)
+            index = {m: i for i, m in enumerate(cols)}
+            blocks[q, total] = cols, index, ech
+            monos = monomials_star_total(pres.n_gens, q, total)
+            basis += [m for m in monos if index[m] not in ech.rows]
+    gindex = {m: i for i, m in enumerate(basis)}
+
+    def reduce(element):
+        out = {}
+        for m, c in element.terms.items():
+            if m.star_degree <= d and m.total_degree <= max_total:
+                cols, index, ech = blocks[m.star_degree, m.total_degree]
+                for i, v in ech.normal_form({index[m]: c}).items():
+                    merge(out, [(gindex[cols[i]], v)])
+        return out
+
+    product, bracket = {}, {}
+    for i, m1 in enumerate(basis):
+        e1 = PoissonElement.monomial(m1)
+        for j, m2 in enumerate(basis):
+            e2 = PoissonElement.monomial(m2)
+            for table, row in [
+                (product, reduce(multiply(e1, e2))),
+                (bracket, reduce(poisson_bracket(e1, e2))),
+            ]:
+                if row:
+                    table[i, j] = row
+    return [repr(m) for m in basis], product, bracket
+
+
+def _assert_window_algebra_matches_elements(pres, max_total):
+    alg = envelope_window_algebra(pres, max_total)
+    labels, product, bracket = _element_level_window_algebra(pres, max_total)
+    assert alg.labels == labels
+    assert alg.product == product
+    assert alg.bracket == bracket
+
+
+@pytest.mark.parametrize(
+    "n_gens, d, max_total, quadric",
+    # the shapes of the benchmark's presented workload with a two-term
+    # quadric, and poisson_window_algebra(2, 2, 4), the window with no relation
+    [(2, 1, 5, True), (2, 2, 4, True), (3, 1, 2, True), (3, 2, 2, True), (2, 2, 4, False)],
+)
+def test_window_algebra_matches_the_element_level_loop(n_gens, d, max_total, quadric):
+    relations = (gen(1) * gen(2) + 2 * gen(1) * gen(1),) if quadric else ()
+    pres = EnvelopePresentation(n_gens, relations, d, 2 if quadric else 0)
+    _assert_window_algebra_matches_elements(pres, max_total)
+
+
+@st.composite
+def _homogeneous_quadrics(draw):
+    n = draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3, unique=True))
+    coeffs = st.sampled_from((-2, -1, 1, 2, Fraction(1, 2)))
+    quadric = sum((draw(coeffs) * gen(i) * gen(j) for i, j in chosen), PoissonElement.zero())
+    return n, quadric, draw(st.integers(0, 2)), draw(st.integers(0, 4 if n < 3 else 2))
+
+
+@settings(deadline=None, max_examples=25)
+@given(_homogeneous_quadrics())
+def test_window_algebra_of_a_random_quadric_matches_the_element_level_loop(case):
+    n_gens, quadric, d, max_total = case
+    _assert_window_algebra_matches_elements(
+        EnvelopePresentation(n_gens, (quadric,), d, 2), max_total
+    )
 
 
 def test_unit_edge_cases():
