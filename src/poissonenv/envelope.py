@@ -113,16 +113,16 @@ def poisson_ideal_generators(pres, n):
 
 
 _sort_key = attrgetter("sort_key")
+# a window's monomials share their star degree, so this is ``sort_key``
+# order led by the degree that ``_window_part`` clears from the top
+_window_key = attrgetter("total_degree", "sort_key")
 
 
-def _coords(element, index):
-    out = {}
-    for m, c in element.terms.items():
-        i = index.get(m)
-        if i is None:
-            raise KeyError(f"monomial {m!r} outside ambient window")
-        out[i] = c
-    return out
+def _times(h, terms):
+    """h * g as a term dict, for a monomial h and the terms of g: distinct
+    terms of g give distinct products, so nothing merges."""
+    factors = h.factors
+    return {PoissonMonomial.of(factors + m.factors): c for m, c in terms.items()}
 
 
 def _generators_up_to(pres, n):
@@ -152,8 +152,8 @@ def _generators_up_to(pres, n):
 
 
 def _block_products(pres, n, total, gens_by_degree):
-    """The nonzero products h * g spanning the (star n, total) block of
-    <<I>>: h a monomial, g an ideal generator of star degree <= n."""
+    """The products h * g spanning the (star n, total) block of <<I>>, as
+    term dicts: h a monomial, g an ideal generator of star degree <= n."""
     for m_deg, gens in gens_by_degree.items():
         if m_deg > n:
             continue
@@ -163,7 +163,7 @@ def _block_products(pres, n, total, gens_by_degree):
             if h_total < 0:
                 continue
             for h in monomials_star_total(pres.n_gens, n - m_deg, h_total):
-                yield multiply(PoissonElement.monomial(h), g)
+                yield _times(h, g.terms)
 
 
 def ideal_block(pres, n, total, gens_by_degree):
@@ -178,25 +178,35 @@ def ideal_block(pres, n, total, gens_by_degree):
     block = sorted(monomials_star_total(pres.n_gens, n, total), key=_sort_key)
     index = {m: i for i, m in enumerate(block)}
     products = _block_products(pres, n, total, gens_by_degree)
-    return block, Echelon.spanning(_coords(prod, index) for prod in products)
+    return block, Echelon.spanning(
+        {index[m]: c for m, c in prod.items()} for prod in products
+    )
 
 
 def _window_part(rows, inside, key):
     """A basis of span(rows) intersected with the coordinate span of
     ``inside``, in pivot order: the one carve of a windowed span.
 
-    ``rows`` are dicts over column labels.  The columns that occur are
-    numbered with the ones outside the window first, each side in ``key``
-    order, so elimination clears the outside columns first.  An echelon
-    row's other columns all sort after its pivot, so the rows pivoted
-    inside are exactly the rows supported inside.
+    ``rows`` are dicts over column labels, and ``key(c)`` is a tuple whose
+    first entry is the degree of column c.  The columns that occur are
+    numbered with the ones outside the window first, by descending degree
+    and then ``key``, and the inside ones after them in ``key`` order, so
+    elimination clears the outside columns first, highest degree first.  An
+    echelon row's other columns all sort after its pivot, so the rows
+    pivoted inside are exactly the rows supported inside.  The rows are
+    added by (leading column, length), an empty row last: the order of a
+    Macaulay matrix, which keeps the fill-in of the elimination small.
     """
-    rows = list(rows)
     support = {c for row in rows for c in row}
-    cols = sorted(support, key=lambda c: (c in inside, key(c)))
+    outside = sorted(
+        (c for c in support if c not in inside), key=lambda c: (-key(c)[0], key(c))
+    )
+    cols = outside + sorted((c for c in support if c in inside), key=key)
     index = {c: i for i, c in enumerate(cols)}
-    first = sum(1 for c in cols if c not in inside)
-    ech = Echelon.spanning({index[c]: v for c, v in row.items()} for row in rows)
+    numbered = [{index[c]: v for c, v in row.items()} for row in rows]
+    numbered.sort(key=lambda row: (min(row), len(row)) if row else (len(cols), 0))
+    ech = Echelon.spanning(numbered)
+    first = len(outside)
     return [{cols[i]: v for i, v in row.items()} for row in ech.basis() if min(row) >= first]
 
 
@@ -221,12 +231,12 @@ def _ideal_window_rows(pres, n):
     else:
         slack = pres.max_relation_degree
         products = [
-            multiply(PoissonElement.monomial(h), g)
+            _times(h, g.terms)
             for m_deg, gens in gens_by_degree.items()
             for g in gens
             for h in monomials_star_maxpoly(pres.n_gens, n - m_deg, pres.N + slack)
         ]
-    part = _window_part((prod.terms for prod in products), window_index, _sort_key)
+    part = _window_part(products, window_index, _window_key)
     rows = [{window_index[m]: c for m, c in row.items()} for row in part]
     return rows, window, pres.homogeneous
 
@@ -283,30 +293,30 @@ def p1_rank_check(pres):
     def sv_key(m):
         return tuple(sorted(b.word[0] for b in m.factors))
 
+    def sv_terms(h, terms):
+        return [(sv_key(mono), c) for mono, c in _times(h, terms).items()]
+
     slack = 0 if pres.homogeneous else pres.max_relation_degree
     rows = []
     for f in pres.relations:
-        partials = {i: _sv_partial(f, i) for i in range(1, n + 1)}
+        partials = {i: _sv_partial(f, i).terms for i in range(1, n + 1)}
         for deg in range(pres.N + slack + 1):
             for sv in sv_tuples(n, deg):
-                m_el = PoissonElement.monomial(
-                    PoissonMonomial.of(tuple(generator(a) for a in sv))
-                )
-                # I * Omega^2 rows: m * f * dx_i ^ dx_j
-                mf = multiply(m_el, f)
+                h = PoissonMonomial.of(tuple(generator(a) for a in sv))
+                # I * Omega^2 rows: h * f * dx_i ^ dx_j
+                hf = sv_terms(h, f.terms)
                 for pr in pairs:
-                    rows.append({(sv_key(mono), pr): c for mono, c in mf.terms.items()})
-                # Omega^1 ^ dI rows: m * dx_k ^ df
+                    rows.append({(letters, pr): c for letters, c in hf})
+                # Omega^1 ^ dI rows: h * dx_k ^ df
+                hdf = {b: sv_terms(h, df) for b, df in partials.items()}
                 for k in range(1, n + 1):
                     row = {}
                     for b in range(1, n + 1):
                         if b == k:
                             continue
-                        coeff = multiply(m_el, partials[b])
                         sign = 1 if k < b else -1
                         pr = (k, b) if k < b else (b, k)
-                        terms = coeff.terms.items()
-                        merge(row, (((sv_key(mono), pr), c) for mono, c in terms), sign)
+                        merge(row, (((letters, pr), c) for letters, c in hdf[b]), sign)
                     rows.append(row)
 
     window_rows = _window_part(rows, window, lambda c: (len(c[0]), c[0], c[1]))
@@ -329,7 +339,9 @@ def _de_rham(p):
 
 def local_model_bracket(f, g):
     """{p, q} = phi(Dp ^ Dq): differentiate both arguments, pair the legs
-    through the free Lie bracket, and contract the coefficients.
+    through the free Lie bracket, and contract the coefficients: for each leg
+    pair, the two coefficient monomials and each term of the legs' bracket
+    are joined into one monomial.
 
     For polynomial coefficients this coincides with the free Poisson bracket.
     """
@@ -338,13 +350,10 @@ def local_model_bracket(f, g):
     out = {}
     for (m1, leg1), c1 in df.items():
         for (m2, leg2), c2 in dg.items():
-            br = bracket_basis(leg1, leg2)
-            if br.is_zero():
-                continue
-            coeff = multiply(
-                PoissonElement.monomial(m1, c1), PoissonElement.monomial(m2, c2)
-            )
-            merge(out, multiply(coeff, PoissonElement.from_lie(br)).terms.items())
+            rest = m1.factors + m2.factors
+            terms = bracket_basis(leg1, leg2).terms.items()
+            products = ((PoissonMonomial.of(rest + (b,)), v) for b, v in terms)
+            merge(out, products, c1 * c2)
     return PoissonElement._of(out)
 
 

@@ -221,7 +221,8 @@ class Echelon:
     coefficients, equal to those of Fraction elimination.  Elimination
     always clears the smallest column index of the row being reduced; a
     caller that wants other columns cleared first numbers them first (see
-    ``envelope._window_part``).
+    ``envelope._window_part``, which numbers the columns outside a window
+    first, highest degree first, and adds its rows by leading column).
     """
 
     def __init__(self):

@@ -33,6 +33,9 @@ CASES = {
     "envelope-inhomogeneous": [
         "envelope", "data/pres_inhomogeneous.txt", "-d", "2", "-N", "3"
     ],
+    "envelope-inhomogeneous-cubic": [
+        "envelope", "data/pres_inhomogeneous_cubic.txt", "-d", "2", "-N", "4", "--json"
+    ],
     "gap-witness": ["gap-witness"],
     "filtration": ["filtration", "data/poisson_window_2_1_3.json"],
     "filtration-noncommutative": ["filtration", "data/quantized_window_2_1_4.json"],

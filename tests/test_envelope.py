@@ -18,7 +18,7 @@ from poissonenv.envelope import (
     p1_rank_check,
     poisson_ideal_generators,
 )
-from poissonenv.freelie import LieBasisElement, LieElement
+from poissonenv.freelie import LieBasisElement, LieElement, bracket_basis
 from poissonenv.freepoisson import (
     PoissonElement,
     PoissonMonomial,
@@ -214,6 +214,43 @@ def test_local_model_agrees_with_free_bracket():
             assert local_model_bracket(pa, pb) == poisson_bracket(pa, pb)
 
 
+def _element_level_local_model_bracket(f, g):
+    """The local-model bracket built from elements, the reference loop: per
+    leg pair, the coefficient monomials multiplied as elements and then
+    times the Lie bracket of the legs embedded by ``from_lie``."""
+    df = envelope._de_rham(f)
+    dg = envelope._de_rham(g)
+    out = {}
+    for (m1, leg1), c1 in df.items():
+        for (m2, leg2), c2 in dg.items():
+            br = bracket_basis(leg1, leg2)
+            if br.is_zero():
+                continue
+            coeff = multiply(
+                PoissonElement.monomial(m1, c1), PoissonElement.monomial(m2, c2)
+            )
+            merge(out, multiply(coeff, PoissonElement.from_lie(br)).terms.items())
+    return PoissonElement._of(out)
+
+
+_LOCAL_MODEL_POOL = monomials_star_maxpoly(3, 0, 2) + monomials_star_maxpoly(3, 1, 2)
+_SMALL_ELEMENTS = st.dictionaries(
+    st.sampled_from(_LOCAL_MODEL_POOL),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+    min_size=1,
+    max_size=3,
+).map(PoissonElement)
+
+
+@settings(deadline=None, max_examples=60)
+@given(f=_SMALL_ELEMENTS, g=_SMALL_ELEMENTS)
+def test_local_model_matches_the_element_level_loop(f, g):
+    # 1-3 terms of star degree <= 1 and poly degree <= 2 in 3 generators
+    got = local_model_bracket(f, g)
+    assert got == _element_level_local_model_bracket(f, g)
+    assert got == poisson_bracket(f, g)
+
+
 def test_induced_hom_identity():
     images = {1: gen(1), 2: gen(2)}
     a = multiply(gen(1), lie((1, 2))) + Fraction(1, 3) * lie((1, 1, 2))
@@ -276,7 +313,7 @@ def _rank(rows, cols):
 @settings(deadline=None, max_examples=80)
 @given(rows=_CARVE_ROWS, inside=st.frozensets(st.integers(0, _CARVE_COLS - 1)))
 def test_window_part_is_the_windowed_span(rows, inside):
-    part = _window_part(rows, inside, lambda c: -c)
+    part = _window_part(rows, inside, lambda c: (c % 3, -c))
     span = Echelon.spanning(rows)
     for row in part:
         assert row and set(row) <= inside
@@ -311,13 +348,22 @@ class _KeyEchelon:
         return [self.rows[c] for c in sorted(self.rows, key=self.key)]
 
 
-def _reference_carve(groups, inside, key):
-    """Each group of rows eliminated outside-first under ``key``, keeping
+def _reference_carve(groups, inside, degree, key):
+    """Each group of rows eliminated outside-first, the outside columns by
+    descending ``degree`` and then ``key``, the inside ones by ``key``, and
+    the rows added by (leading column, length), an empty row last; keeps
     the basis rows whose every column lies inside."""
+
+    def col_key(c):
+        return (True, 0, key(c)) if inside(c) else (False, -degree(c), key(c))
+
+    def row_key(row):
+        return (0, col_key(min(row, key=col_key)), len(row)) if row else (1,)
+
     out = []
     for rows in groups:
-        ech = _KeyEchelon(lambda c: (inside(c), key(c)))
-        for row in rows:
+        ech = _KeyEchelon(col_key)
+        for row in sorted(rows, key=row_key):
             ech.add(row)
         out.extend(row for row in ech.basis() if all(inside(c) for c in row))
     return out
@@ -348,7 +394,10 @@ def _reference_ideal_rows(pres, n):
         ]
         groups = [products]
     return _reference_carve(
-        groups, lambda m: m.poly_degree <= pres.N, lambda m: m.sort_key
+        groups,
+        lambda m: m.poly_degree <= pres.N,
+        lambda m: m.total_degree,
+        lambda m: m.sort_key,
     )
 
 
@@ -387,7 +436,10 @@ def _reference_omega2_rank(pres):
                 rows.append(row)
     window = [sv for deg in range(N + 1) for sv in sv_tuples(n, deg)]
     kept = _reference_carve(
-        [rows], lambda c: len(c[0]) <= N, lambda c: (len(c[0]), c[0], c[1])
+        [rows],
+        lambda c: len(c[0]) <= N,
+        lambda c: len(c[0]),
+        lambda c: (len(c[0]), c[0], c[1]),
     )
     return len(window) * len(pairs) - len(kept)
 
@@ -537,24 +589,36 @@ def _poly(*terms):
     return out
 
 
+# 2x1 + x1^2x3 + 2x1x2^2 and -x3^2 + x1^2x2 - x1x3^2, the slow
+# inhomogeneous presentation (tests/data/pres_inhomogeneous_cubic.txt)
+_CUBIC = (
+    _poly((2, (1,)), (1, (1, 1, 3)), (2, (1, 2, 2))),
+    _poly((-1, (3, 3)), (1, (1, 1, 2)), (-1, (1, 3, 3))),
+)
+
+
 @pytest.mark.parametrize(
     "relations, ranks",
-    [
-        ((_poly((1, (1, 2)), (-1, (3,))),), [16, 25, 36]),
-        (
-            (
-                _poly((2, (1,)), (1, (1, 1, 3)), (2, (1, 2, 2))),
-                _poly((-1, (3, 3)), (1, (1, 1, 2)), (-1, (1, 3, 3))),
-            ),
-            [18, 26, 34],
-        ),
-    ],
+    [((_poly((1, (1, 2)), (-1, (3,))),), [16, 25, 36]), (_CUBIC, [18, 26, 34])],
 )
 def test_inhomogeneous_p0_rank_equals_the_standard_monomials(relations, ranks):
     # x1*x2 - x3 and the slow two-relation presentation, at N = 3, 4, 5
     for N, rank in zip((3, 4, 5), ranks):
         assert _p0_rank(3, relations, N) == rank, N
         assert _standard_monomial_count(3, relations, N) == rank, N
+
+
+@pytest.mark.parametrize(
+    "N, ranks, p1", [(3, [18, 12, 46], (12, 12)), (4, [26, 13, 49], (13, 13))]
+)
+def test_the_slow_inhomogeneous_presentation_keeps_its_ranks(N, ranks, p1):
+    # every piece at d = 2, and the two-form check, as the column-ordered
+    # carve computed them before the degree-ordered one
+    pres = EnvelopePresentation(3, _CUBIC, 2, N)
+    pieces = envelope_truncated(pres)
+    assert [p.quotient_rank for p in pieces] == ranks
+    assert not any(p.exact for p in pieces)
+    assert p1_rank_check(pres) == p1
 
 
 # -- right-normed generators against every insertion position ---------------

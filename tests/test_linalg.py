@@ -140,9 +140,10 @@ def test_echelon_normal_form_clears_pivots():
 
 def test_echelon_column_order_intersection():
     # span{(1,1,0), (0,1,1)} meets {first coordinate = 0} in (0,1,1); the
-    # window carve clears the outside column first, whatever its label
+    # window carve clears the outside column first, whatever its label (the
+    # key leads with a column's degree, here the same for every column)
     rows = [{"c": 1, "a": 1}, {"a": 1, "b": 1}]
-    assert _window_part(rows, {"a", "b"}, str) == [{"a": 1, "b": 1}]
+    assert _window_part(rows, {"a", "b"}, lambda c: (1, c)) == [{"a": 1, "b": 1}]
 
 
 def test_kernel_of_dependent_columns():
