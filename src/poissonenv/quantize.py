@@ -14,9 +14,12 @@ is graded by total letter count, so windows by total degree are honest
 finite quotients and the computed chains restrict exactly.  The windowed
 claims, F_n equal to the star >= n tail and F_n/F_{n+1} of the rank of P_n,
 are read off one kept comparison per window and SV-part bound
-(``UWindow.window``), where each tail is a coordinate span.  ``nc_embed``
-and ``truncated_product`` work in symmetric coordinates, with the capped
-star product of ``freepoisson``.
+(``UWindow.window``), where each tail is a coordinate span and the ranks of
+every level come from one bottom-up projection of the graded chain.  The
+star-ideal check eliminates nothing: the grading makes its ranks counts of
+monomials (``_star_power_included``).  ``nc_embed`` and
+``truncated_product`` work in symmetric coordinates, with the capped star
+product of ``freepoisson``.
 """
 
 from __future__ import annotations
@@ -36,8 +39,17 @@ from .freepoisson import (
     _star_sum,
     monomials_star_total,
     monomials_up_to_total,
+    plus_tuples,
 )
 from .linalg import Echelon, linear, merge
+
+
+def _require_ints(**args):
+    """Refuse a bool or non-int argument with a ``TypeError`` naming it, before
+    a comparison or a range reads it as a number it is not."""
+    for name, value in args.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,6 +61,7 @@ class QuantizedAlgebra:
     d: int
 
     def __post_init__(self):
+        _require_ints(n_gens=self.n_gens, d=self.d)
         if self.n_gens < 1 or self.d < 0:
             raise ValueError("need n_gens >= 1 and d >= 0")
 
@@ -170,7 +183,13 @@ class UWindow(FiniteAlgebra):
     def poisson_span(self, monomials):
         """Echelon of the e-images of window monomials, star-truncated: each
         row is the int table k! e(m) capped at d, as a span does not depend
-        on row scales."""
+        on row scales.
+
+        No library computation calls it, as the grading fixes every rank
+        it would give (``window``, ``_star_power_included``).  It stays as
+        the tests' independent reference for those ranks and as an entry
+        point that the benchmark's tracer wraps by name.
+        """
         return Echelon.spanning(
             self._cut(pbw.sym_table(m.factors, self.d)) for m in monomials
         )
@@ -184,15 +203,34 @@ class UWindow(FiniteAlgebra):
         span is the star >= n tail, the span of their e-images: capped e
         keeps the total, never lowers the star degree, never raises the
         SV-part degree and is unitriangular in the factor count, so it maps
-        the span of those tuples onto itself.  ``ranks[n]`` is the rank of
-        F_n inside the span of ``tails[0]``.
+        the span of those tuples onto itself.
+
+        ``ranks[n]`` is the rank of F_n inside the span of ``tails[0]``:
+        the rank of F_n less that of its rows cut to the columns outside,
+        as that cut is a projection whose kernel is the intersection.
+        ``ranks[0]`` is ``len(tails[0])``, as F_0 is the whole window.  For
+        n >= 1 the graded chain is closed from the deepest piece up, F_n
+        from a copy of F_{n+1} (``Echelon.copy``), so the rows of F_n are
+        those of F_{n+1}, the same objects at the same pivots, and some
+        more: one running cut, walked from n = d + 1 down to n = 1, adds
+        only the rows of F_n whose pivot F_{n+1} lacks.
         """
         hit = self._windows.get(max_poly)
         if hit is None:
             window = [i for i, m in enumerate(self.monomials) if m.poly_degree <= max_poly]
             tails = [[i for i in window if self.stars[i] >= n] for n in range(self.d + 2)]
             inside = set(window)
-            ranks = [_rank_inside(f, inside) for f in self.filtration(self.d + 1)]
+            chain = self.filtration(self.d + 1)
+            ranks = [len(window)] + [0] * (self.d + 1)
+            cut = Echelon()
+            above = {}
+            for n in range(self.d + 1, 0, -1):
+                rows = chain[n].rows
+                for col, row in rows.items():
+                    if col not in above:
+                        cut.add({c: v for c, v in row.items() if c not in inside})
+                ranks[n] = len(rows) - cut.rank
+                above = rows
             hit = self._windows[max_poly] = (tails, ranks)
         return hit
 
@@ -205,14 +243,6 @@ def u_window(n_gens, d, max_total):
     if key not in _UWINDOW_CACHE:
         _UWINDOW_CACHE[key] = UWindow(n_gens, d, max_total)
     return _UWINDOW_CACHE[key]
-
-
-def _rank_inside(ech, inside):
-    """dim(span ech & the coordinate span of the columns ``inside``): the
-    rank of ``ech`` less the rank of its rows cut to the columns outside,
-    as that cut is a projection whose kernel is the intersection."""
-    cut = ({c: v for c, v in row.items() if c not in inside} for row in ech.rows.values())
-    return ech.rank - Echelon.spanning(cut).rank
 
 
 @dataclass
@@ -314,8 +344,10 @@ def star_ideal_topology_check(n_gens, d, m):
     term x1*(12) of SV-degree 1).  The containment target is a coordinate
     subspace in Poisson coordinates: monomials with SV-part degree >= m or
     star degree >= m.  The test of J^{*N} reads totals up to N + 2; the
-    inclusion itself is ``_star_power_included``.
+    inclusion itself is ``_star_power_included``, a count over the factor
+    tuples of positive star, so no window is built.
     """
+    _require_ints(n_gens=n_gens, d=d, m=m)
     if n_gens < 1 or d < 0:
         raise ValueError(f"need n_gens >= 1 and d >= 0, got {n_gens} and {d}")
     if m < 1:
@@ -323,29 +355,43 @@ def star_ideal_topology_check(n_gens, d, m):
     alpha = max(2, d)
     power = m * alpha**d + d
     max_total = power + _EXTRA_TOTALS
-    included = _star_power_included(u_window(n_gens, d, max_total), power, m)
+    included = _star_power_included(n_gens, d, m, power, max_total)
     return StarIdealReport(d, m, alpha, power, max_total, included)
 
 
-def _star_power_included(win, power, m):
-    """Whether J^{*power} lies in the e-image span of the window monomials
-    of total >= power with SV-part degree >= m or star degree >= m.
+def _star_power_included(n_gens, d, m, power, max_total):
+    """Whether, in the window of Q^(d) in ``n_gens`` generators cut to total
+    ``max_total``, J^{*power} lies in the e-image span of the window
+    monomials of total >= power with SV-part degree >= m or star degree
+    >= m.
 
-    J^{*power} is the coordinate span of the window tuples of total
-    >= power: the window is graded by total and generated by the letters,
-    of total 1, so J^{*power} holds every tuple of total >= power and no
-    vector of a lower total.  Capped e keeps the total, so the target lies
-    in that span, and the inclusion holds exactly when their ranks agree.
+    1. J^{*power} is the coordinate span of the window tuples of total
+       >= power: the window is graded by total and generated by the
+       letters, of total 1, so J^{*power} holds every tuple of total
+       >= power and no vector of a lower total.
+    2. Capped e keeps the total, so the target lies in that span, and it
+       is unitriangular in the factor count, so the e-images of distinct
+       monomials are independent: the target's rank is its number of
+       monomials.  The inclusion holds exactly when every window monomial
+       of total in [power, max_total] has SV-part degree >= m or star
+       degree >= m.
+    3. A monomial is an SV part, any tuple of poly letters, times a plus
+       part, a tuple of positive-star factors of star <= d, and its total
+       is poly + the plus part's letters.  A monomial of SV-part degree
+       < m and star < m, the only kind that can fail, exists at total t
+       exactly when some plus part of star q <= min(d, m - 1) has
+       0 <= t - letters < m.
+
+    At d = 1, m = 2 and power 3 the plus part (12) of 2 letters fails with
+    t = 3: x1*(12) has SV-part degree 1.  One generator has no factor of
+    positive star, so there the inclusion holds.
     """
-    target = win.poisson_span(
-        [
-            mono
-            for mono in win.monomials
-            if mono.total_degree >= power
-            and (mono.poly_degree >= m or mono.star_degree >= m)
-        ]
-    )
-    return target.rank == sum(t >= power for t in win.totals)
+    for q in range(min(d, m - 1) + 1):
+        for plus in plus_tuples(n_gens, q):
+            letters = sum(len(b.word) for b in plus)
+            if max(power, letters) <= min(max_total, letters + m - 1):
+                return False
+    return True
 
 
 # -- finite window algebras (structure-constant form) ------------------------

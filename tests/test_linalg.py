@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from poissonenv.envelope import _window_part
 from poissonenv.freelie import TensorElement
 from poissonenv.linalg import Echelon, Rational, SpanSolver, bilinear, linear, merge
-from poissonenv.quantize import _rank_inside
 
 
 def mat(rows):
@@ -567,11 +566,16 @@ def test_span_solver_rebuilds_combinations_and_refuses_the_rest(data):
 @settings(deadline=None, max_examples=60)
 @given(data=st.data())
 def test_intersection_rank_is_the_dimension_formula(data):
-    # the intersection with a coordinate span, by the projection rank
+    # the intersection with a coordinate span, by the projection rank that
+    # UWindow.window reads: the rank less that of the rows cut to the
+    # columns outside
     a = Echelon.spanning(data.draw(st.lists(_ROWS, max_size=6)))
     inside = data.draw(st.sets(st.integers(0, _COLS - 1)))
     units = [{c: 1} for c in inside]
     a_rows = _snapshot(a)
     want = a.rank + len(inside) - Echelon.spanning(a.basis() + units).rank
-    assert _rank_inside(a, inside) == want
+    cut = Echelon.spanning(
+        {c: v for c, v in row.items() if c not in inside} for row in a.rows.values()
+    )
+    assert a.rank - cut.rank == want
     assert _snapshot(a) == a_rows

@@ -216,6 +216,33 @@ def test_star_ideal_check_small():
 @pytest.mark.parametrize(
     "args, message",
     [
+        ((True, 1, 1), "n_gens must be an int, got True"),
+        ((2, 1.0, 1), "d must be an int, got 1.0"),
+        ((2, 1, True), "m must be an int, got True"),
+        ((2, 1, "2"), "m must be an int, got '2'"),
+    ],
+)
+def test_star_ideal_check_refuses_a_non_int(args, message):
+    # a bool would be read as 0 or 1, and a float d fails in no count
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        star_ideal_topology_check(*args)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2.0, 1), "n_gens must be an int, got 2.0"),
+        ((2, False), "d must be an int, got False"),
+    ],
+)
+def test_quantized_algebra_refuses_a_non_int(args, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        QuantizedAlgebra(*args)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
         ((0, 1, 1), "need n_gens >= 1 and d >= 0, got 0 and 1"),
         ((2, -1, 1), "need n_gens >= 1 and d >= 0, got 2 and -1"),
         ((2, 1, 0), "need m >= 1, got 0"),
@@ -510,35 +537,51 @@ def test_counted_inclusion_equals_the_product_built_one(n_gens, d, m, data):
     bound = m * max(2, d) ** d + d
     power = data.draw(st.integers(1, min(bound, 7)), label="power")
     win = u_window(n_gens, d, power + quantize._EXTRA_TOTALS)
-    assert _star_power_included(win, power, m) == _reference_included(win, power, m)
+    counted = _star_power_included(n_gens, d, m, power, win.max_total)
+    assert counted == _reference_included(win, power, m)
 
 
-@pytest.mark.parametrize("config", [(2, 1, 1), (2, 2, 1), (3, 1, 1)])
-def test_star_ideal_check_eliminates_only_the_target(monkeypatch, config):
-    # no power of J is built: no window product, one elimination
-    spans = []
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 7), st.data())
+def test_e_images_of_distinct_monomials_are_independent(n_gens, d, max_total, data):
+    # the lemma the counted inclusion rests on: capped e is unitriangular in
+    # the factor count, so any set of window monomials keeps its size
+    win = u_window(n_gens, d, max_total)
+    picks = data.draw(
+        st.lists(st.integers(0, win.dim - 1), unique=True, max_size=40), label="picks"
+    )
+    assert win.poisson_span([win.monomials[i] for i in picks]).rank == len(picks)
 
-    class Recording(Echelon):
-        @classmethod
-        def spanning(cls, rows):
-            spans.append(Echelon.spanning(rows))
-            return spans[-1]
 
-    def no_mul(self, v, w):
-        raise AssertionError("UWindow.mul called")
+@pytest.mark.parametrize("config", [(2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 1, 2), (3, 2, 2)])
+def test_star_ideal_check_builds_no_window(monkeypatch, config):
+    # the inclusion is a count over plus parts: no window, no elimination,
+    # no e-image table, and nothing kept for a later window
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
 
-    monkeypatch.setattr(quantize, "Echelon", Recording)
-    monkeypatch.setattr(UWindow, "mul", no_mul)
+        return call
+
+    monkeypatch.setattr(quantize, "u_window", refuse("u_window"))
+    monkeypatch.setattr(UWindow, "__init__", refuse("UWindow"))
+    monkeypatch.setattr(Echelon, "add", refuse("Echelon.add"))
+    monkeypatch.setattr(pbw, "sym_table", refuse("pbw.sym_table"))
+    cached = dict(quantize._UWINDOW_CACHE)
     assert star_ideal_topology_check(*config).included
-    assert len(spans) == 1
+    assert quantize._UWINDOW_CACHE == cached
 
 
 def test_star_power_below_the_bound_is_not_included():
     # the docstring's case: at d = 1 the literal order 1 would give the bound
     # N = 3 for m = 2, and x1 * x1 * x2 picks up x1*(12) of SV-degree 1
     win = u_window(2, 1, 3 + quantize._EXTRA_TOTALS)
-    assert not _star_power_included(win, 3, 2)
+    assert not _star_power_included(2, 1, 2, 3, win.max_total)
     assert not _reference_included(win, 3, 2)
+    # one generator has no factor of positive star, so no such term
+    win = u_window(1, 1, 3 + quantize._EXTRA_TOTALS)
+    assert _star_power_included(1, 1, 2, 3, win.max_total)
+    assert _reference_included(win, 3, 2)
 
 
 @pytest.mark.parametrize(
@@ -551,6 +594,11 @@ def test_star_power_below_the_bound_is_not_included():
         ((2, 2, 1), (6, 8, True)),
         ((3, 1, 1), (3, 5, True)),
         ((2, 2, 2), (10, 12, True)),
+        ((3, 2, 2), (10, 12, True)),
+        ((2, 3, 1), (30, 32, True)),
+        ((4, 2, 2), (10, 12, True)),
+        # no elimination finishes this one; power and max_total by the formula
+        ((3, 3, 1), (30, 32, True)),
     ],
 )
 def test_star_ideal_reports_are_pinned(config, pinned):
@@ -769,18 +817,18 @@ def test_u_window_refuses_a_domain_error(shape, message):
 
 def test_window_comparison_is_built_once_per_bound(monkeypatch):
     # graded_of_Q and every level of commutator_filtration_Q read one kept
-    # comparison per SV-part bound, with one projection rank per level
+    # comparison per SV-part bound, whose ranks come from one running cut
     alg = QuantizedAlgebra(2, 2)
     win = UWindow(2, 2, 2 + 2 * alg.d)
     monkeypatch.setitem(quantize._UWINDOW_CACHE, (2, 2, win.max_total), win)
-    projected = []
-    rank = quantize._rank_inside
+    cuts = []
 
-    def counting(ech, inside):
-        projected.append(inside)
-        return rank(ech, inside)
+    class Counting(Echelon):
+        def __init__(self):
+            super().__init__()
+            cuts.append(self)
 
-    monkeypatch.setattr(quantize, "_rank_inside", counting)
+    monkeypatch.setattr(quantize, "Echelon", Counting)
     for _ in range(2):
         graded_of_Q(alg, 2)
         for n in range(alg.d + 2):
@@ -789,14 +837,36 @@ def test_window_comparison_is_built_once_per_bound(monkeypatch):
     tails, ranks = win.window(2)
     assert win.window(2) is win._windows[2]
     assert len(tails) == len(ranks) == alg.d + 2
-    assert len(projected) == alg.d + 2
-    assert all(inside == set(tails[0]) for inside in projected)
+    assert len(cuts) == 1
+    chain = win.filtration(alg.d + 1)
+    inside = set(tails[0])
+    assert ranks == [_reference_rank_inside(f, inside) for f in chain]
     assert tails[alg.d + 1] == []
     for n, tail in enumerate(tails):
         # each tail is the star >= n part of the SV-part bound's coordinates
         assert tail == [i for i in tails[0] if win.stars[i] >= n]
     win.window(1)
     assert list(win._windows) == [2, 1]
+    assert len(cuts) == 2
+
+
+def _reference_rank_inside(ech, inside):
+    """dim(span ech & the coordinate span of the columns ``inside``), one
+    elimination per level: the rank of ``ech`` less the rank of its rows
+    cut to the columns outside, as that cut is a projection whose kernel is
+    the intersection."""
+    cut = ({c: v for c, v in row.items() if c not in inside} for row in ech.rows.values())
+    return ech.rank - Echelon.spanning(cut).rank
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+def test_window_ranks_equal_one_projection_per_level(n_gens, d, N):
+    win = u_window(n_gens, d, N + 2 * d)
+    tails, ranks = win.window(N)
+    inside = set(tails[0])
+    chain = win.filtration(d + 1)
+    assert ranks == [_reference_rank_inside(f, inside) for f in chain]
 
 
 def _reference_intersection_rank(a, b):
