@@ -39,6 +39,14 @@ from .freepoisson import (
 from .linalg import Echelon, merge
 
 
+def _require_ints(**args):
+    """Refuse a bool or non-int argument with a ``TypeError`` naming it, before
+    a comparison or a range reads it as a number it is not."""
+    for name, value in args.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnvelopePresentation:
     """A = polynomial algebra on n_gens generators modulo ``relations``,
@@ -50,6 +58,7 @@ class EnvelopePresentation:
     N: int
 
     def __post_init__(self):
+        _require_ints(n_gens=self.n_gens, d=self.d, N=self.N)
         if self.n_gens < 1:
             raise ValueError("need at least one generator")
         if self.d < 0:

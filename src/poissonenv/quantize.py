@@ -27,7 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import pbw
-from .envelope import EnvelopePresentation, _generators_up_to, ideal_block
+from .envelope import (
+    EnvelopePresentation,
+    _generators_up_to,
+    _require_ints,
+    ideal_block,
+)
 from .filtration import FiniteAlgebra, TruncatedAlgebra, filtration_chain
 from .freelie import generator
 from .freepoisson import (
@@ -42,14 +47,6 @@ from .freepoisson import (
     plus_tuples,
 )
 from .linalg import Echelon, linear, merge
-
-
-def _require_ints(**args):
-    """Refuse a bool or non-int argument with a ``TypeError`` naming it, before
-    a comparison or a range reads it as a number it is not."""
-    for name, value in args.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +104,7 @@ class UWindow(FiniteAlgebra):
     """
 
     def __init__(self, n_gens, d, max_total):
+        _require_ints(n_gens=n_gens, d=d, max_total=max_total)
         if n_gens < 1 or d < 0 or max_total < 0:
             raise ValueError(
                 "need n_gens >= 1, d >= 0 and max_total >= 0,"
@@ -239,6 +237,8 @@ _UWINDOW_CACHE = {}
 
 
 def u_window(n_gens, d, max_total):
+    # a bool would share the cache key of the int it equals
+    _require_ints(n_gens=n_gens, d=d, max_total=max_total)
     key = (n_gens, d, max_total)
     if key not in _UWINDOW_CACHE:
         _UWINDOW_CACHE[key] = UWindow(n_gens, d, max_total)
@@ -425,11 +425,26 @@ def envelope_window_algebra(pres, max_total):
     """PA/P_{>d}A cut to total degree <= max_total, for a homogeneous
     presentation, as a TruncatedAlgebra with bracket.
 
-    Basis vectors are the non-pivot monomials of the windowed ideal blocks;
-    each basis pair's product and bracket are read off the monomial tables
-    of SLV and reduced to normal form.
+    Basis vectors are the non-pivot monomials of the windowed ideal blocks,
+    in order of total degree.  Each basis pair's product and bracket are read
+    off the monomial tables of SLV and reduced to normal form, and only the
+    pairs whose result can be nonzero are computed, each unordered pair once:
+
+    - every term of m1 m2 has star s1 + s2 and total t1 + t2, and every
+      term of {m1, m2} star s1 + s2 + 1 and total t1 + t2, while the window
+      drops exactly the terms of star > d or total > max_total; so a pair
+      with t1 + t2 > max_total or s1 + s2 > d is 0 in both tables, and its
+      bracket is 0 when s1 + s2 >= d (the rule of ``UWindow._row``, with
+      the bracket's +1);
+    - m2 m1 is the monomial m1 m2, so (j, i) has the row of (i, j), and one
+      normal form serves every pair with the same product monomial;
+    - ``bracket_basis`` is antisymmetric, so {m2, m1} is -{m1, m2} term by
+      term and, the normal form being linear, row (j, i) is -row (i, j);
+      {m, m} = 0.
+
     The zero algebra has no unit, so a whole-window ideal is a ValueError.
     """
+    _require_ints(max_total=max_total)
     if not pres.homogeneous:
         raise ValueError("window algebra needs a homogeneous presentation")
     d = pres.d
@@ -466,14 +481,26 @@ def envelope_window_algebra(pres, max_total):
 
     product = {}
     bracket = {}
+    reduced = {}  # product monomial -> its row
     for i, m1 in enumerate(basis):
-        for j, m2 in enumerate(basis):
-            row = reduce_terms({PoissonMonomial.of(m1.factors + m2.factors): 1})
+        for j in range(i, len(basis)):
+            m2 = basis[j]
+            if m1.total_degree + m2.total_degree > max_total:
+                break  # the basis goes by total, so every later j is too
+            star = m1.star_degree + m2.star_degree
+            if star > d:
+                continue
+            m = PoissonMonomial.of(m1.factors + m2.factors)
+            row = reduced.get(m)
+            if row is None:
+                row = reduced[m] = reduce_terms({m: 1})
             if row:
-                product[(i, j)] = row
-            row = reduce_terms(_bracket_monomials(m1, m2))
-            if row:
-                bracket[(i, j)] = row
+                product[(i, j)] = product[(j, i)] = row
+            if star < d and j > i:
+                row = reduce_terms(_bracket_monomials(m1, m2))
+                if row:
+                    bracket[(i, j)] = row
+                    bracket[(j, i)] = {k: -c for k, c in row.items()}
     return TruncatedAlgebra(
         dim=len(basis),
         labels=[repr(m) for m in basis],

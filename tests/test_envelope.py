@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -80,6 +81,20 @@ def test_presentation_validation():
         EnvelopePresentation(2, (lie((1, 2)),), 1, 2)
     with pytest.raises(ValueError):
         EnvelopePresentation(2, (sq(1),), 1, 1)  # window below relation degree
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((2.0, (), 1, 2), "n_gens must be an int, got 2.0"),
+        ((2, (), True, 2), "d must be an int, got True"),
+        ((2, (), 1, 2.0), "N must be an int, got 2.0"),
+    ],
+)
+def test_presentation_refuses_a_non_int(args, message):
+    # a bool d would be read as 0 or 1, and a float fails only inside a range
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        EnvelopePresentation(*args)
 
 
 def test_free_envelope_matches_enumeration():

@@ -243,6 +243,48 @@ def test_quantized_algebra_refuses_a_non_int(args, message):
 @pytest.mark.parametrize(
     "args, message",
     [
+        ((True, 1, 3), "n_gens must be an int, got True"),
+        ((2, True, 3), "d must be an int, got True"),
+        ((2, 1, 3.0), "max_total must be an int, got 3.0"),
+    ],
+)
+@pytest.mark.parametrize("build", [UWindow, u_window])
+def test_u_window_refuses_a_non_int(build, args, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build(*args)
+
+
+def test_cached_u_window_is_not_returned_for_a_bool():
+    # True == 1 and hashes alike, so a bool would find the (2, 1, 3) window
+    u_window(2, 1, 3)
+    cached = dict(quantize._UWINDOW_CACHE)
+    with pytest.raises(TypeError, match="^d must be an int, got True$"):
+        u_window(2, True, 3)
+    assert quantize._UWINDOW_CACHE == cached
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (poisson_window_algebra, (2, True, 3), "d must be an int, got True"),
+        (poisson_window_algebra, (2, 1, True), "max_total must be an int, got True"),
+        (quantized_window_algebra, (2, 1, True), "max_total must be an int, got True"),
+        (quantized_window_algebra, (2, 1.0, 3), "d must be an int, got 1.0"),
+        (
+            envelope_window_algebra,
+            (EnvelopePresentation(2, (), 1, 0), 3.0),
+            "max_total must be an int, got 3.0",
+        ),
+    ],
+)
+def test_window_algebras_refuse_a_non_int(build, args, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        build(*args)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
         ((0, 1, 1), "need n_gens >= 1 and d >= 0, got 0 and 1"),
         ((2, -1, 1), "need n_gens >= 1 and d >= 0, got 2 and -1"),
         ((2, 1, 0), "need m >= 1, got 0"),
@@ -334,8 +376,16 @@ def _assert_window_algebra_matches_elements(pres, max_total):
 @pytest.mark.parametrize(
     "n_gens, d, max_total, quadric",
     # the shapes of the benchmark's presented workload with a two-term
-    # quadric, and poisson_window_algebra(2, 2, 4), the window with no relation
-    [(2, 1, 5, True), (2, 2, 4, True), (3, 1, 2, True), (3, 2, 2, True), (2, 2, 4, False)],
+    # quadric, and poisson_window_algebra(2, 2, 4), the window with no relation,
+    # and (2, 1, 6, False), dim 43, where most pairs lie past the window
+    [
+        (2, 1, 5, True),
+        (2, 2, 4, True),
+        (3, 1, 2, True),
+        (3, 2, 2, True),
+        (2, 2, 4, False),
+        (2, 1, 6, False),
+    ],
 )
 def test_window_algebra_matches_the_element_level_loop(n_gens, d, max_total, quadric):
     relations = (gen(1) * gen(2) + 2 * gen(1) * gen(1),) if quadric else ()
@@ -415,16 +465,47 @@ def test_u_window_filtration_is_computed_once():
     assert long[2] is long[3] is long[4]
 
 
+def _quadric_window_algebra(n_gens, d, max_total):
+    pres = EnvelopePresentation(n_gens, (gen(1) * gen(2) + 2 * gen(1) * gen(1),), d, 2)
+    return envelope_window_algebra(pres, max_total)
+
+
 @pytest.mark.parametrize(
     "build, shape, name",
     [
         (poisson_window_algebra, (2, 1, 3), "poisson_window_2_1_3.json"),
         (quantized_window_algebra, (2, 1, 4), "quantized_window_2_1_4.json"),
+        (_quadric_window_algebra, (2, 2, 4), "envelope_window_2_2_4.json"),
     ],
 )
 def test_window_algebras_match_pinned_files(build, shape, name):
     path = Path(__file__).parent / "data" / name
     assert build(*shape).to_json_dict() == json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "build, shape", [(_quadric_window_algebra, (2, 2, 4)), (poisson_window_algebra, (3, 1, 5))]
+)
+def test_window_algebra_brackets_each_in_window_pair_once(monkeypatch, build, shape):
+    # a bracket past the window is 0 by the gradings, and {m2, m1} is
+    # -{m1, m2}: neither is computed
+    calls = []
+    bracket_monomials = quantize._bracket_monomials
+
+    def record(m1, m2):
+        calls.append((m1, m2))
+        return bracket_monomials(m1, m2)
+
+    monkeypatch.setattr(quantize, "_bracket_monomials", record)
+    alg = build(*shape)
+    _, d, max_total = shape
+    index = {label: i for i, label in enumerate(alg.labels)}
+    pairs = [(index[repr(m1)], index[repr(m2)]) for m1, m2 in calls]
+    assert calls and len(set(pairs)) == len(pairs)
+    for (i, j), (m1, m2) in zip(pairs, calls):
+        assert i < j
+        assert m1.star_degree + m2.star_degree < d
+        assert m1.total_degree + m2.total_degree <= max_total
 
 
 # -- J^{*k} built by products: the reference for the star-ideal check -------
