@@ -245,7 +245,9 @@ class TruncatedAlgebra(FiniteAlgebra):
     below dim, which the lemma rules out, raises ``RuntimeError``.
     Associativity pairs through the unit are skipped, as the unit law
     settles them, and Jacobi and Leibniz pairs (i, j) with {e_i, -} = 0, as
-    every term of theirs is 0.
+    every term of theirs is 0.  Antisymmetry visits only the pairs that are
+    keys of B, each standing for itself and its swap, and names the least
+    failing one, the first of a row-major scan of all pairs.
     """
 
     def __init__(self, dim, labels, unit, product, bracket=None):
@@ -298,10 +300,16 @@ class TruncatedAlgebra(FiniteAlgebra):
                     _report_first_digit(i, j, t, dim, [("associativity", lhs, rhs)])
         if self.bracket is None:
             return
-        for i in range(dim):
-            for j in range(dim):
-                if merge(dict(B.get((i, j), {})), B.get((j, i), {}).items()):
-                    raise ValueError(f"bracket not antisymmetric at {(i, j)}")
+        # {e_i, e_j} + {e_j, e_i} is symmetric in (i, j) and 0 unless one of
+        # them is a key of B, so the failing pairs come in swapped couples
+        # with a key among them; the least is the first of a row-major scan
+        bad = [
+            min(ij, ij[::-1])
+            for ij, row in B.items()
+            if merge(dict(row), B.get(ij[::-1], {}).items())
+        ]
+        if bad:
+            raise ValueError(f"bracket not antisymmetric at {min(bad)}")
         # {v, w} = -{w, v} from here, so {e_m, v} is the one packed bracket
         Bv, B_left = _packed(B, powers), _by_left_index(B)
         # when {e_i, -} = 0 every Jacobi and Leibniz term at (i, j, k) is 0,

@@ -17,8 +17,9 @@ smallest column index of the row at hand; there is no other pivot rule and
 no column order to choose.  It runs on integers: ``Echelon`` scales each
 row it is given to integers once, clears columns by integer
 cross-multiplication and stores every pivot row once, as primitive
-integers; ``basis`` derives the rows normalized to pivot 1 when it is read.
-``normal_form`` is the one residue routine.  No floating point anywhere.
+integers; ``basis`` derives the rows normalized to pivot 1 on its first read
+and keeps them until the span grows.  ``normal_form`` is the one residue
+routine.  No floating point anywhere.
 
 A stored coefficient is an ``int`` exactly when its value is integral, and
 otherwise a reduced ``fractions.Fraction``; never a Fraction with
@@ -214,8 +215,14 @@ class Echelon:
     """Incremental row-echelon container for span/membership computations.
 
     ``rows`` maps each pivot column to its row as primitive integers with
-    a positive pivot, newest pivot last; it is the only stored form, and
-    ``basis`` derives the rows normalized to pivot 1 from it.  A row
+    a positive pivot, newest pivot last; it is the only stored form.
+    ``basis`` derives the rows normalized to pivot 1 from it once per span:
+    the first call keeps the list, later calls return a new list over the
+    same row dicts, and an ``add`` that raises the rank drops it.  A copy
+    shares the kept list until its own span grows.  A row whose pivot is
+    already 1 is the stored row itself, so basis rows are read-only, as the
+    ``pbw.normal_table`` memo entries are: callers read them and never
+    modify them.  A row
     entering ``add``, ``contains`` or ``normal_form`` is scaled once by the
     lcm of its denominators, its zero entries dropped.  Results are stored
     coefficients, equal to those of Fraction elimination.  Elimination
@@ -227,6 +234,7 @@ class Echelon:
 
     def __init__(self):
         self.rows = {}  # pivot col -> row dict, primitive ints, pivot > 0
+        self._basis = None  # basis() of rows, or None until it is read
 
     @classmethod
     def spanning(cls, rows):
@@ -241,10 +249,13 @@ class Echelon:
 
         The row dicts are shared, not copied: a pivot row is never mutated
         after it is inserted, so only the map is new.  It keeps the
-        insertion order, newest pivot last.
+        insertion order, newest pivot last.  The kept ``basis`` list is
+        shared too, and the copy drops it on its first ``add`` that raises
+        the rank.
         """
         out = Echelon()
         out.rows = dict(self.rows)
+        out._basis = self._basis
         return out
 
     @property
@@ -292,6 +303,7 @@ class Echelon:
         if g != 1:
             row = {c: v // g for c, v in row.items()}
         self.rows[col] = row
+        self._basis = None
         return True
 
     def contains(self, row):
@@ -310,13 +322,16 @@ class Echelon:
 
     def basis(self):
         """Current echelon rows normalized to pivot 1, as stored
-        coefficients, ordered by pivot column."""
-        out = []
-        for col in sorted(self.rows):
-            row = self.rows[col]
-            p = row[col]
-            out.append(dict(row) if p == 1 else {c: quotient(v, p) for c, v in row.items()})
-        return out
+        coefficients, ordered by pivot column: a new list of read-only
+        rows, derived once per span."""
+        kept = self._basis
+        if kept is None:
+            kept = self._basis = []
+            for col in sorted(self.rows):
+                row = self.rows[col]
+                p = row[col]
+                kept.append(row if p == 1 else {c: quotient(v, p) for c, v in row.items()})
+        return list(kept)
 
 
 def int_row(row):

@@ -213,6 +213,10 @@ class UWindow(FiniteAlgebra):
         more: one running cut, walked from n = d + 1 down to n = 1, adds
         only the rows of F_n whose pivot F_{n+1} lacks.
         """
+        # checked before the memo lookup: True would share the key of 1
+        _require_ints(max_poly=max_poly)
+        if max_poly < 0:
+            raise ValueError(f"need SV-part bound max_poly >= 0, got {max_poly}")
         hit = self._windows.get(max_poly)
         if hit is None:
             window = [i for i, m in enumerate(self.monomials) if m.poly_degree <= max_poly]
@@ -266,6 +270,7 @@ def commutator_filtration_Q(alg, n, N):
     """Compare F_n of the commutator filtration of Q_X^(d) with the span of
     the star degrees >= n, inside the (star <= d, poly <= N) window: a read
     of the window's kept comparison ``UWindow.window(N)``."""
+    _require_ints(n=n, N=N)
     if n < 0:
         raise ValueError(f"need filtration level n >= 0, got {n}")
     if n > alg.d + 1:
@@ -303,6 +308,7 @@ def graded_of_Q(alg, N):
     the star-n e-images, is len(tails[n]) - len(tails[n + 1]): e is
     injective, so those images meet the star > n tail only in 0.
     """
+    _require_ints(N=N)
     if N < 0:
         raise ValueError(f"need window N >= 0, got {N}")
     tails, ranks = u_window(alg.n_gens, alg.d, N + 2 * alg.d).window(N)

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from poissonenv.filtration import (
@@ -702,6 +702,34 @@ def test_validation_matches_reference_on_large_corruptions(mirrored_only, data):
     kinds = ["mirrored"] if mirrored_only else ["product", "bracket", "mirrored"]
     ref, got = _corrupted_outcomes(data, alg, LARGE_COEFFS, kinds)
     assert got == ref
+
+
+def dense_antisymmetry_message(dim, bracket):
+    """The row-major scan of all dim^2 pairs that ``_validate`` ran before
+    it visited only the bracket's rows: the reference for its message."""
+    for i in range(dim):
+        for j in range(dim):
+            if merge(dict(bracket.get((i, j), {})), bracket.get((j, i), {}).items()):
+                return f"bracket not antisymmetric at {(i, j)}"
+    return None
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data())
+def test_antisymmetry_failure_names_the_pair_of_the_dense_scan(data):
+    name = data.draw(st.sampled_from(["envelope", "graded", "window_43"]))
+    alg = _window_43() if name == "window_43" else SMALL_ALGEBRAS[name]
+    bracket = {k: dict(v) for k, v in alg.bracket.items()}
+    index = st.integers(0, alg.dim - 1)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i, k = data.draw(index), data.draw(index)
+        j = i if data.draw(st.booleans()) else data.draw(index)  # the diagonal too
+        bracket.setdefault((i, j), {})[k] = data.draw(st.sampled_from(CORRUPT_COEFFS[1:]))
+    want = dense_antisymmetry_message(alg.dim, bracket)
+    assume(want is not None)
+    with pytest.raises(ValueError) as exc:
+        TruncatedAlgebra(alg.dim, alg.labels, alg.unit, alg.product, bracket)
+    assert str(exc.value) == want
 
 
 def _cancelling_associativity(N):

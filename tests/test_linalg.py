@@ -533,6 +533,85 @@ def test_rows_added_to_a_copy_leave_the_original_alone(data):
     assert [ech.contains(row) for row in queries] == answers
 
 
+def _derived_basis(ech):
+    """The pivot-1 rows of ``ech``, derived from ``rows`` on every call as
+    ``basis`` did before it kept them: each row divided by its pivot, an
+    integral value an int, in pivot order."""
+    out = []
+    for col in sorted(ech.rows):
+        row = ech.rows[col]
+        p = row[col]
+        out.append({c: v // p if v % p == 0 else Fraction(v, p) for c, v in row.items()})
+    return out
+
+
+def _typed(basis):
+    """Each row's entries in order, each with its type: int against Fraction."""
+    return [[(c, v, type(v)) for c, v in row.items()] for row in basis]
+
+
+_STEPS = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 3), _ROWS),
+    st.tuples(st.just("copy"), st.integers(0, 3)),
+    st.tuples(st.just("basis"), st.integers(0, 3)),
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(steps=st.lists(_STEPS, max_size=25))
+def test_kept_basis_follows_adds_and_copies(steps):
+    # index i picks echelon i modulo the count: copies grow the pool, and
+    # every echelon's basis() is compared after every step, so a kept list
+    # that outlives its span shows at once
+    pool = [Echelon()]
+    for kind, i, *row in steps:
+        ech = pool[i % len(pool)]
+        if kind == "add":
+            ech.add(row[0])
+        elif kind == "copy":
+            pool.append(ech.copy())
+        else:
+            ech.basis().append({0: 1})
+        for e in pool:
+            assert _typed(e.basis()) == _typed(_derived_basis(e))
+
+
+def test_basis_rows_are_kept_until_the_rank_grows():
+    ech = Echelon.spanning([{0: 2, 1: 3}, {1: 1, 2: 5}])
+    first, again = ech.basis(), ech.basis()
+    assert first is not again
+    assert all(a is b for a, b in zip(first, again, strict=True))
+    # a pivot-1 row is the stored row itself
+    assert again[1] is ech.rows[1]
+    assert not ech.add({0: 4, 1: 6})  # inside the span: nothing changes
+    assert all(a is b for a, b in zip(first, ech.basis(), strict=True))
+    assert ech.add({3: 1})
+    assert _typed(ech.basis()) == _typed(_derived_basis(ech))
+    assert len(ech.basis()) == 3
+
+
+def test_adding_to_a_copy_leaves_the_original_basis():
+    ech = Echelon.spanning([{0: 2, 1: 3}, {2: 1}])
+    before = ech.basis()
+    copy = ech.copy()
+    assert all(a is b for a, b in zip(before, copy.basis(), strict=True))
+    assert copy.add({1: 1})
+    assert _typed(copy.basis()) == _typed(_derived_basis(copy))
+    assert len(copy.basis()) == 3
+    after = ech.basis()
+    assert _typed(after) == _typed(before) == _typed(_derived_basis(ech))
+    assert all(a is b for a, b in zip(before, after, strict=True))
+
+
+def test_appending_to_the_basis_list_leaves_the_next_call():
+    ech = Echelon.spanning([{0: 1, 1: 2}, {1: 3}])
+    got = ech.basis()
+    got.append({5: 1})
+    got.pop(0)
+    assert _typed(ech.basis()) == _typed(_derived_basis(ech))
+    assert len(ech.basis()) == 2
+
+
 def _combine(coeffs, rows):
     out = {}
     for c, row in zip(coeffs, rows):

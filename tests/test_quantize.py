@@ -283,6 +283,33 @@ def test_window_algebras_refuse_a_non_int(build, args, message):
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda alg: commutator_filtration_Q(alg, True, 1), "n must be an int, got True"),
+        (lambda alg: commutator_filtration_Q(alg, 1, True), "N must be an int, got True"),
+        (lambda alg: commutator_filtration_Q(alg, 1.0, 1), "n must be an int, got 1.0"),
+        (lambda alg: graded_of_Q(alg, 1.5), "N must be an int, got 1.5"),
+        (lambda alg: u_window(2, 1, 3).window(1.5), "max_poly must be an int, got 1.5"),
+    ],
+)
+def test_window_entry_points_refuse_a_non_int(call, message):
+    # each names the argument its caller passed, before any window is built
+    win = u_window(2, 1, 3)
+    kept = dict(win._windows)
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(QuantizedAlgebra(2, 1))
+    assert win._windows == kept
+
+
+def test_window_refuses_a_negative_bound():
+    win = u_window(2, 1, 3)
+    kept = dict(win._windows)
+    with pytest.raises(ValueError, match=r"^need SV-part bound max_poly >= 0, got -1$"):
+        win.window(-1)
+    assert win._windows == kept
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         ((0, 1, 1), "need n_gens >= 1 and d >= 0, got 0 and 1"),
