@@ -36,15 +36,7 @@ from .freepoisson import (
     poisson_bracket,
     sv_tuples,
 )
-from .linalg import Echelon, merge
-
-
-def _require_ints(**args):
-    """Refuse a bool or non-int argument with a ``TypeError`` naming it, before
-    a comparison or a range reads it as a number it is not."""
-    for name, value in args.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise TypeError(f"{name} must be an int, got {value!r}")
+from .linalg import Echelon, _require_ints, merge
 
 
 @dataclass(frozen=True)
@@ -116,6 +108,7 @@ def poisson_ideal_generators(pres, n):
     brackets ending in f.  Together with monomial multiples (of all
     lower-degree generators) these span the windowed Poisson ideal.
     """
+    _require_ints(n=n)
     if n < 0:
         raise ValueError(f"star degree {n} is negative")
     return _generators_up_to(pres, n)[n]
@@ -266,21 +259,6 @@ def envelope_truncated(pres):
     return [_quotient_piece(pres, n) for n in range(pres.d + 1)]
 
 
-def _sv_partial(f, i):
-    """d/dx_i of a commutative polynomial (star-degree-0 PoissonElement)."""
-    out = {}
-    for m, c in f.terms.items():
-        letters = [b.word[0] for b in m.factors]
-        count = letters.count(i)
-        if not count:
-            continue
-        rest = list(letters)
-        rest.remove(i)
-        mono = PoissonMonomial.of(tuple(generator(j) for j in rest))
-        out[mono] = out.get(mono, 0) + c * count
-    return PoissonElement(out)
-
-
 def p1_rank_check(pres):
     """Star-degree-1 rank of the envelope vs. the rank of windowed Omega^2.
 
@@ -308,7 +286,8 @@ def p1_rank_check(pres):
     slack = 0 if pres.homogeneous else pres.max_relation_degree
     rows = []
     for f in pres.relations:
-        partials = {i: _sv_partial(f, i).terms for i in range(1, n + 1)}
+        legs = _legs(f)
+        partials = {b: legs.get(generator(b), {}) for b in range(1, n + 1)}
         for deg in range(pres.N + slack + 1):
             for sv in sv_tuples(n, deg):
                 h = PoissonMonomial.of(tuple(generator(a) for a in sv))
@@ -343,6 +322,16 @@ def _de_rham(p):
         for i, f in enumerate(m.factors):
             rest = PoissonMonomial.of(m.factors[:i] + m.factors[i + 1 :])
             merge(out, [((rest, f), c)])
+    return out
+
+
+def _legs(p):
+    """``_de_rham(p)`` grouped by Lie leg, as leg -> {coefficient monomial:
+    coefficient}.  For a commutative polynomial p the leg x_i holds
+    d/dx_i p."""
+    out = {}
+    for (rest, leg), c in _de_rham(p).items():
+        out.setdefault(leg, {})[rest] = c
     return out
 
 
@@ -403,7 +392,6 @@ def gap_witness(indices=(1, 2, 3, 4)):
     """
     if len(set(indices)) != 4 or len(indices) != 4 or min(indices) < 1:
         raise ValueError(f"need 4 distinct generator indices >= 1, got {indices}")
-    n_gens = max(indices)
     a1, a2, a3, a4 = (PoissonElement.generator(i) for i in indices)
 
     t1 = poisson_bracket(a1, multiply(a3, poisson_bracket(a2, a4)))
@@ -415,12 +403,7 @@ def gap_witness(indices=(1, 2, 3, 4)):
         # tree: a commutative polynomial (leaf) or a pair of trees; value is
         # an element of A (x) L as leg -> polynomial coefficient
         if isinstance(tree, PoissonElement):
-            out = {}
-            for i in range(1, n_gens + 1):
-                da = _sv_partial(tree, i)
-                if not da.is_zero():
-                    out[generator(i)] = da
-            return out
+            return {leg: PoissonElement._of(t) for leg, t in _legs(tree).items()}
         left = naive_tree(tree[0])
         right = naive_tree(tree[1])
         out = {}
@@ -428,10 +411,7 @@ def gap_witness(indices=(1, 2, 3, 4)):
             for leg2, c2 in right.items():
                 for b, v in bracket_basis(leg1, leg2).terms.items():
                     coeff = v * multiply(c1, c2)
-                    if b in out:
-                        out[b] = out[b] + coeff
-                    else:
-                        out[b] = coeff
+                    out[b] = out[b] + coeff if b in out else coeff
         return out
 
     def transport(coeff, *trees):

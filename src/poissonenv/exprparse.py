@@ -36,10 +36,11 @@ from .freelie import (
 from .freepoisson import (
     PoissonElement,
     PoissonMonomial,
+    _monomial_product,
     poisson_bracket,
     star_product,
 )
-from .linalg import canonical, merge, quotient
+from .linalg import _require_ints, canonical, merge, product, quotient
 
 
 class ParseError(ValueError):
@@ -95,10 +96,6 @@ def _tokenize(src):
 _MAX_NESTING = 200
 
 
-def _monomial_product(m1, m2):
-    return PoissonMonomial.of(m1.factors + m2.factors)
-
-
 class _Parser:
     """Recursive descent over term dicts.
 
@@ -129,22 +126,11 @@ class _Parser:
             raise ParseError(f"expected {value!r}", at)
 
     # -- semantic helpers ---------------------------------------------------
-    def mul(self, a, b):
-        join = self.join
-        if len(a) == 1 and len(b) == 1:
-            ((k1, c1),) = a.items()
-            ((k2, c2),) = b.items()
-            return {join(k1, k2): canonical(c1 * c2)}
-        out = {}
-        for k1, c1 in a.items():
-            merge(out, [(join(k1, k2), c2) for k2, c2 in b.items()], c1)
-        return out
-
     def bracket(self, a, b, kind, at):
         if self.tensor:
             if kind == "{":
                 raise ParseError("Poisson bracket is not a tensor operation", at)
-            return merge(self.mul(a, b), self.mul(b, a).items(), -1)
+            return merge(product(a, b, add), product(b, a, add).items(), -1)
         if kind == "{":
             return poisson_bracket(PoissonElement._of(a), PoissonElement._of(b)).terms
         la = _as_lie(a)
@@ -185,7 +171,7 @@ class _Parser:
     def prod(self):
         """A product of signed operands.  Scalars, generators and (in poisson
         mode) Lyndon atoms fold into one coefficient and one factor list;
-        only compound operands go through ``mul``.  Concatenation does not
+        only compound operands go through ``product``.  Concatenation does not
         commute, so in tensor mode the letters read so far are multiplied in
         before each compound operand."""
         tokens = self.tokens
@@ -216,9 +202,9 @@ class _Parser:
                         operand = self.atom(kind, at)
                     if tensor and factors:
                         run = {tuple(factors): 1}
-                        out = run if out is None else self.mul(out, run)
+                        out = run if out is None else product(out, run, add)
                         factors = []
-                    out = operand if out is None else self.mul(out, operand)
+                    out = operand if out is None else product(out, operand, self.join)
             if tokens[self.pos][0] != "*":
                 break
             self.pos += 1
@@ -228,7 +214,7 @@ class _Parser:
         if out is None:
             return {key: canonical(coeff)}
         if factors:
-            out = self.mul(out, {key: 1})
+            out = product(out, {key: 1}, self.join)
         if coeff != 1:
             out = {k: canonical(c * coeff) for k, c in out.items()}
         return out
@@ -310,10 +296,12 @@ def parse(src, n_gens, mode="poisson"):
     """Parse ``src`` into a PoissonElement (or TensorElement in tensor mode).
 
     Raises ParseError (with a byte offset) on bad syntax or unknown
-    generators, and ValueError on an unknown mode or ``n_gens < 1``.
+    generators, ValueError on an unknown mode or ``n_gens < 1``, and
+    TypeError on a bool or non-int ``n_gens``.
     """
     if mode not in ("poisson", "tensor"):
         raise ValueError(f"unknown mode {mode!r}")
+    _require_ints(n_gens=n_gens)
     if n_gens < 1:
         raise ValueError(f"need n_gens >= 1, got {n_gens}")
     return _Parser(src, n_gens, mode).parse()

@@ -65,7 +65,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .linalg import Echelon, SpanSolver, _clean, _coefficient, bilinear, linear, merge
+from .linalg import (
+    Echelon,
+    SpanSolver,
+    _clean,
+    _coefficient,
+    _require_ints,
+    bilinear,
+    linear,
+    merge,
+)
 
 
 def _is_index(x, dim):
@@ -251,6 +260,7 @@ class TruncatedAlgebra(FiniteAlgebra):
     """
 
     def __init__(self, dim, labels, unit, product, bracket=None):
+        _require_ints(dim=dim)
         self.dim = dim
         self.labels = list(labels)
         self.unit = unit

@@ -19,9 +19,18 @@ tuple of them hashes in C; equality stays by value.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product as cartesian
+from operator import add
 
-from .linalg import Combination, Echelon, SpanSolver, bilinear, linear, merge
+from .linalg import (
+    Combination,
+    Echelon,
+    SpanSolver,
+    _require_ints,
+    bilinear,
+    linear,
+    product,
+)
 
 
 def is_lyndon(word):
@@ -130,11 +139,7 @@ class TensorElement(Combination):
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                merge(out, [(w1 + w2, c1 * c2)])
-        return TensorElement._of(out)
+        return TensorElement._of(product(self.terms, other.terms, add))
 
     def word_lengths(self):
         return sorted({len(w) for w in self.terms})
@@ -204,6 +209,7 @@ def lyndon_basis(n_gens, max_star_degree):
 
     The count in degree s is the Witt number W(s+1) over n_gens letters.
     """
+    _require_ints(n_gens=n_gens, max_star_degree=max_star_degree)
     if n_gens < 1:
         raise ValueError("need at least one generator")
     if max_star_degree < 0:
@@ -229,6 +235,7 @@ def _mobius(n):
 
 def witt_number(n_gens, length):
     """Dimension of the word-length-``length`` piece of the free Lie algebra."""
+    _require_ints(n_gens=n_gens, length=length)
     if length < 1:
         raise ValueError(f"need word length >= 1, got {length}")
     total = 0
@@ -294,8 +301,11 @@ def rewrite_in_basis(t, n_gens=None):
     """Lyndon-basis coordinates of a tensor element, or None if not in LV.
 
     Raises ValueError on a letter outside 1..n_gens (n_gens defaults to the
-    largest letter).
+    largest letter).  A given ``n_gens`` that is a bool or not an int raises
+    TypeError.
     """
+    if n_gens is not None:
+        _require_ints(n_gens=n_gens)
     if t.is_zero():
         return LieElement.zero()
     if () in t.terms:
@@ -396,6 +406,7 @@ def tensor_filtration_basis(n_gens, word_len, n):
     products of Lyndon basis expansions) is reduced to a basis by exact
     elimination, in a deterministic order.
     """
+    _require_ints(n_gens=n_gens, word_len=word_len, n=n)
     if word_len < 1:
         raise ValueError("word_len must be positive")
     picked = []
@@ -404,7 +415,7 @@ def tensor_filtration_basis(n_gens, word_len, n):
         if word_len - len(comp) < n:
             continue  # max achievable star degree falls short
         pools = [lyndon_basis_of_length(n_gens, part) for part in comp]
-        for combo in product(*pools):
+        for combo in cartesian(*pools):
             if sum(b.star_degree for b in combo) < n:
                 continue
             t = TensorElement.one()

@@ -32,7 +32,16 @@ from operator import attrgetter
 
 from . import pbw
 from .freelie import TensorElement, bracket_basis, generator, lyndon_basis_of_length
-from .linalg import Combination, bilinear, int_row, linear, merge, quotient
+from .linalg import (
+    Combination,
+    _require_ints,
+    bilinear,
+    int_row,
+    linear,
+    merge,
+    product,
+    quotient,
+)
 
 
 class PoissonMonomial:
@@ -175,13 +184,14 @@ class PoissonElement(Combination):
         return format_poisson(self)
 
 
+def _monomial_product(m1, m2):
+    """The commutative product of two monomials: the join of ``multiply``."""
+    return PoissonMonomial.of(m1.factors + m2.factors)
+
+
 def multiply(a, b):
     """Commutative product; both gradings add."""
-    out = {}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            merge(out, [(PoissonMonomial.of(m1.factors + m2.factors), c1 * c2)])
-    return PoissonElement._of(out)
+    return PoissonElement._of(product(a.terms, b.terms, _monomial_product))
 
 
 _BRACKET_MONO_CACHE = {}
@@ -431,8 +441,9 @@ def star_component(a, b, p):
     only the B_p terms of each pair's star table, those of sym degree
     sym m1 + sym m2 - p, are summed.  On star-homogeneous inputs it is also
     the component raising star degree by exactly p.  A negative p raises
-    ``ValueError``.
+    ``ValueError``, a bool or non-int p ``TypeError``.
     """
+    _require_ints(p=p)
     if p < 0:
         raise ValueError(f"need p >= 0, got {p}")
     out = {}

@@ -4,7 +4,8 @@ A vector is a coordinate dict, column -> nonzero coefficient, and a
 combination stores only its nonzero terms.  This module owns how a sparse
 exact row is updated and eliminated: ``merge`` is the one add-and-drop-zero
 step, ``linear`` and ``bilinear`` the one linear and bilinear extension of
-a table of rows, ``Combination`` the one base of the algebra elements, and
+a table of rows, ``product`` the one product of two dicts by a join of
+their keys, ``Combination`` the one base of the algebra elements, and
 ``Echelon`` the one elimination routine (rank is
 ``Echelon.spanning(rows).rank``, and ``SpanSolver`` feeds its rows through
 it).  ``Echelon.copy`` starts a new span from one already eliminated, so a
@@ -55,6 +56,14 @@ def canonical(q):
 def quotient(n, d):
     """n / d for ints, d > 0, as a stored coefficient."""
     return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _require_ints(**args):
+    """Refuse a bool or non-int argument with a ``TypeError`` naming it, before
+    a comparison or a range reads it as a number it is not."""
+    for name, value in args.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _coefficient(c):
@@ -133,9 +142,9 @@ def linear(v, table, out=None):
 
     Loops that keep their own copy, one reason each:
     - ``FiniteAlgebra.commutator`` merges two rows per pair in one pass;
-    - ``multiply``, ``TensorElement.__mul__``, ``_Parser.mul`` join two keys, no table;
+    - ``product`` joins two keys, no table;
     - ``star_component``, ``star_components`` filter or split each row;
-    - ``pbw._normal``, ``pbw._sym`` scale by multiplicity in their memo.
+    - ``pbw._normal``, ``pbw.sym_table`` scale by multiplicity in their memo.
     """
     out = {} if out is None else out
     for k, c in v.items():
@@ -154,6 +163,23 @@ def bilinear(v, w, table):
             row = table(i, j)
             if row:
                 merge(out, row.items(), ci * cj)
+    return out
+
+
+def product(a, b, join):
+    """sum_{i,j} a[i] b[j] join(i, j) as a new dict, for coordinate dicts
+    ``a`` and ``b`` and ``join`` the product of two keys as one key: the
+    commutative product of monomials (``freepoisson.multiply``) or the
+    concatenation of words (``TensorElement.__mul__``, the parser).  A
+    single term times a single term is one key; otherwise each left term
+    is one ``merge``."""
+    if len(a) == 1 and len(b) == 1:
+        ((k1, c1),) = a.items()
+        ((k2, c2),) = b.items()
+        return {join(k1, k2): canonical(c1 * c2)}
+    out = {}
+    for k1, c1 in a.items():
+        merge(out, [(join(k1, k2), c2) for k2, c2 in b.items()], c1)
     return out
 
 

@@ -25,34 +25,20 @@ applied to the straightened letters of the word.  The star product in
 ``freepoisson`` does not come through here: it multiplies in symmetric
 coordinates directly.
 
-Capping.  ``normal_table`` and ``sym_table`` take an optional ``cap`` and
-then return only the terms of star degree <= cap (the sum of the factors'
-star degrees).  This is exact:
-
-* A swap keeps a term's star degree and its factor count.  A bracket term
-  has one factor fewer and star degree one more, since the bracket of two
-  Lie basis elements of star degrees a and b is a combination of basis
-  elements of star degree a + b + 1.  So star + factor count, which is the
-  letter count, is the same for every term of ``normal_table(t)``, and a
-  term has star degree <= cap exactly when it has at least
-  letters(t) - cap factors.  Each sub-table the straightening reads (the swapped tuple, each
-  bracket tuple) has the same star + factor count, so it is read with the
-  same least factor count: a capped table needs only capped sub-tables.
-* e never lowers star degree and keeps the letter count: k! e(m) is a sum
-  of straightened reorderings of m.  In the recursion
-  k! e(m) = sum_f mult_f f ((k-1)! e(m/f)), a term of f t has at most
-  len(t) + 1 factors, so (k-1)! e(m/f) is read with the least count less 1
-  and f t straightened with that of m.
-
-Carrying the least factor count, instead of the room cap - star, keeps one
-bound for the whole recursion, and each table has one memo keyed by
-(factors, least count).  The no-bite rule is a normalization of that key:
-every term of a nonempty t's table has a factor, so a least count <= 1,
-which is star(t) + len(t) - 1 <= cap, keeps every term and is filed as 1,
-the full table, and a cap that cannot bite returns the full memo entry
-itself.  The uncapped call passes the count 0, so the empty tuple's table
-is {(): 1}; a least count above len(t), a cap below star(t), gives an
-empty dict.  One recursion body serves both paths (``_normal``, ``_sym``).
+Capping.  ``normal_table`` takes an optional ``cap`` and then returns only
+the terms of star degree <= cap (the sum of the factors' star degrees).
+This is exact: a swap keeps a term's star degree and factor count, and a
+bracket term has one factor fewer and star degree one more.  So star +
+factor count, the letter count, is the same for every term of
+``normal_table(t)`` and for every sub-table its straightening reads, and a
+term has star degree <= cap exactly when it has at least letters(t) - cap
+factors.  That least factor count is one bound for the whole recursion,
+and the memo is keyed by (factors, least count).  Every term of a nonempty
+t's table has a factor, so a least count <= 1 (a cap of at least
+star(t) + len(t) - 1) keeps every term and is filed as 1: a cap that
+cannot bite returns the full memo entry itself.  The uncapped call passes
+the count 0, so the empty tuple's table is {(): 1}; a least count above
+len(t), a cap below star(t), gives an empty dict.
 
 ``sym_word_table`` computes e in the word basis by the same first-factor
 recursion, e(m) = (1/k) sum_f mult_f f e(m/f) with f expanded to words, so
@@ -168,7 +154,7 @@ def symmetrize_factors(factors):
 _SYM_PBW_CACHE = {}
 
 
-def sym_table(factors, cap=None):
+def sym_table(factors):
     """k! e(m) of the monomial m of a nondecreasing k-factor tuple, in PBW
     coordinates, as ints (memoized).
 
@@ -181,29 +167,15 @@ def sym_table(factors, cap=None):
     and ``normal_table`` has integer coefficients, so every entry is an int.
     The recursion is the definitional average over all orders, grouped by
     which factor comes first.  The table is the memo entry itself: callers
-    read it and never modify it.  With ``cap``, only the terms of star
-    degree <= cap; a cap that cannot bite returns the full entry.
+    read it and never modify it.
     """
-    return _sym(factors, 0 if cap is None else sum(map(len, factors)) - cap)
-
-
-def _sym(factors, least):
-    """``sym_table`` of ``factors`` keeping only its terms of at least
-    ``least`` factors, memoized under the same key as ``_normal``.
-
-    A term f t of the recursion has at most len(t) + 1 factors, so m/f is
-    read with the bound less 1, and f t is straightened with the bound of m.
-    """
-    if least > len(factors):
-        return {}
-    key = (factors, least if least > 1 else 1)
-    hit = _SYM_PBW_CACHE.get(key)
+    hit = _SYM_PBW_CACHE.get(factors)
     if hit is None:
         hit = {} if factors else {(): 1}
         for f, mult, rest in _first_factors(factors):
-            for t, c in _sym(rest, least - 1).items():
-                merge(hit, _normal((f,) + t, least).items(), mult * c)
-        _SYM_PBW_CACHE[key] = hit
+            for t, c in sym_table(rest).items():
+                merge(hit, normal_table((f,) + t).items(), mult * c)
+        _SYM_PBW_CACHE[factors] = hit
     return hit
 
 

@@ -27,12 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import pbw
-from .envelope import (
-    EnvelopePresentation,
-    _generators_up_to,
-    _require_ints,
-    ideal_block,
-)
+from .envelope import EnvelopePresentation, _generators_up_to, ideal_block
 from .filtration import FiniteAlgebra, TruncatedAlgebra, filtration_chain
 from .freelie import generator
 from .freepoisson import (
@@ -46,7 +41,7 @@ from .freepoisson import (
     monomials_up_to_total,
     plus_tuples,
 )
-from .linalg import Echelon, linear, merge
+from .linalg import Echelon, _require_ints, linear, merge
 
 
 @dataclass(frozen=True)
@@ -97,10 +92,10 @@ class UWindow(FiniteAlgebra):
     exactly when their ``totals`` sum past ``max_total`` or their ``stars``
     past ``d`` (see ``_row``).
 
-    Every table the window reads, straightened product or e-image, is
-    capped at star degree ``d`` (``pbw``), so nothing past the window is
-    computed.  The chain is kept, and so is ``window(N)``, the star tails
-    of each SV-part bound N with the chain's ranks inside them.
+    Every straightened product the window reads is capped at star degree
+    ``d`` (``pbw``), so nothing past the window is computed.  The chain is
+    kept, and so is ``window(N)``, the star tails of each SV-part bound N
+    with the chain's ranks inside them.
     """
 
     def __init__(self, n_gens, d, max_total):
@@ -131,17 +126,13 @@ class UWindow(FiniteAlgebra):
         ``filtration_chain`` closes the window's chain from the bottom up."""
         return self.totals
 
-    def _cut(self, table):
-        """A PBW table of the window, by coordinate.  The table is capped at
-        star degree d and of total <= max_total, which straightening and e
-        keep, so every term is a tuple that ``index`` holds."""
-        index = self.index
-        return {index[t]: c for t, c in table.items()}
-
     def mono_mul(self, t1, t2):
         """The product of two window tuples whose totals fit the window:
-        their concatenation straightened with the cap d, by coordinate."""
-        return self._cut(pbw.normal_table(t1 + t2, self.d))
+        their concatenation straightened with the cap d, by coordinate.  The
+        table is of star <= d and of total <= max_total, which straightening
+        keeps, so every term is a tuple that ``index`` holds."""
+        index = self.index
+        return {index[t]: c for t, c in pbw.normal_table(t1 + t2, self.d).items()}
 
     def _row(self, i, j):
         """Coordinate dict of the product of basis vectors i and j, memoized.
@@ -180,16 +171,19 @@ class UWindow(FiniteAlgebra):
 
     def poisson_span(self, monomials):
         """Echelon of the e-images of window monomials, star-truncated: each
-        row is the int table k! e(m) capped at d, as a span does not depend
-        on row scales.
+        row is the int table k! e(m) cut to the window's tuples, as a span
+        does not depend on row scales.  e keeps the total, so the tuples of
+        the table that ``index`` holds are exactly its terms of star <= d.
 
         No library computation calls it, as the grading fixes every rank
         it would give (``window``, ``_star_power_included``).  It stays as
         the tests' independent reference for those ranks and as an entry
         point that the benchmark's tracer wraps by name.
         """
+        index = self.index
         return Echelon.spanning(
-            self._cut(pbw.sym_table(m.factors, self.d)) for m in monomials
+            {index[t]: c for t, c in pbw.sym_table(m.factors).items() if t in index}
+            for m in monomials
         )
 
     def window(self, max_poly):
@@ -198,8 +192,8 @@ class UWindow(FiniteAlgebra):
 
         ``tails[n]``, n = 0 .. d + 1, lists the coordinates of the window
         monomials of SV-part degree <= max_poly and star degree >= n, whose
-        span is the star >= n tail, the span of their e-images: capped e
-        keeps the total, never lowers the star degree, never raises the
+        span is the star >= n tail, the span of their e-images: e cut to star
+        <= d keeps the total, never lowers the star degree, never raises the
         SV-part degree and is unitriangular in the factor count, so it maps
         the span of those tuples onto itself.
 

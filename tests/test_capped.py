@@ -1,4 +1,4 @@
-"""Capped straightening, symmetrization and truncated product.
+"""Capped straightening, pair tables and truncated product.
 
 A cap drops every term of star degree above it.  Each capped result must be
 the full result filtered to star degree <= cap, on every input and at every
@@ -28,15 +28,13 @@ _MONOMIALS = {n: monomials_up_to_total(n, 4) for n in (2, 3)}
 
 
 @st.composite
-def _factor_tuples(draw, nondecreasing=False):
+def _factor_tuples(draw):
     """0-4 Lyndon factors in 2 or 3 generators, at most 6 letters, in any
-    order (nondecreasing when asked)."""
+    order."""
     n = draw(st.sampled_from((2, 3)))
     factors = draw(st.lists(st.sampled_from(_FACTORS[n]), max_size=4))
     while sum(len(f.word) for f in factors) > 6:
         factors.pop()
-    if nondecreasing:
-        factors.sort(key=lambda f: f.sort_key)
     return tuple(factors)
 
 
@@ -69,20 +67,6 @@ def test_capped_normal_table_is_the_full_table_below_the_cap(factors):
             assert got is full
         elif got:
             assert pbw.normal_table(factors, cap) is got
-
-
-@settings(deadline=None, max_examples=80)
-@given(_factor_tuples(nondecreasing=True))
-def test_capped_sym_table_is_the_full_table_below_the_cap(factors):
-    star = star_of(factors)
-    capped = {cap: pbw.sym_table(factors, cap) for cap in _caps(star, len(factors))}
-    full = pbw.sym_table(factors)
-    for cap, got in capped.items():
-        assert got == _below(full, cap), cap
-        if _no_bite(star, len(factors), cap):
-            assert got is full
-        elif got:
-            assert pbw.sym_table(factors, cap) is got
 
 
 _PAIRS = st.sampled_from((2, 3)).flatmap(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from poissonenv import envelope, quantize
 from poissonenv.envelope import (
     EnvelopePresentation,
-    _sv_partial,
+    _legs,
     _window_part,
     envelope_truncated,
     gap_witness,
@@ -19,7 +19,7 @@ from poissonenv.envelope import (
     p1_rank_check,
     poisson_ideal_generators,
 )
-from poissonenv.freelie import LieBasisElement, LieElement, bracket_basis
+from poissonenv.freelie import LieBasisElement, LieElement, bracket_basis, generator
 from poissonenv.freepoisson import (
     PoissonElement,
     PoissonMonomial,
@@ -72,6 +72,14 @@ def test_generators_negative_degree_is_refused():
     pres = EnvelopePresentation(2, (sq(1),), 1, 2)
     with pytest.raises(ValueError, match="negative"):
         poisson_ideal_generators(pres, -1)
+
+
+@pytest.mark.parametrize("n", [True, 1.0])
+def test_generators_refuse_a_non_int_degree(n):
+    # True would be read as star degree 1
+    pres = EnvelopePresentation(2, (sq(1),), 1, 2)
+    with pytest.raises(TypeError, match=f"^n must be an int, got {n}$"):
+        poisson_ideal_generators(pres, n)
 
 
 def test_presentation_validation():
@@ -414,6 +422,40 @@ def _reference_ideal_rows(pres, n):
         lambda m: m.total_degree,
         lambda m: m.sort_key,
     )
+
+
+def _sv_partial(f, i):
+    """d/dx_i of a commutative polynomial (star-degree-0 PoissonElement),
+    letter by letter: the reference for the legs of ``_de_rham``."""
+    out = {}
+    for m, c in f.terms.items():
+        letters = [b.word[0] for b in m.factors]
+        count = letters.count(i)
+        if not count:
+            continue
+        rest = list(letters)
+        rest.remove(i)
+        mono = PoissonMonomial.of(tuple(generator(j) for j in rest))
+        out[mono] = out.get(mono, 0) + c * count
+    return PoissonElement(out)
+
+
+_POLYNOMIALS = st.integers(1, 3).flatmap(
+    lambda n: st.dictionaries(
+        st.sampled_from(monomials_star_maxpoly(n, 0, 3)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool),
+        max_size=4,
+    ).map(lambda terms: (n, PoissonElement(terms)))
+)
+
+
+@settings(deadline=None, max_examples=80)
+@given(_POLYNOMIALS)
+def test_legs_are_the_partial_derivatives(case):
+    # 0-4 terms of poly degree <= 3 in 1-3 letters, the unit included
+    n, f = case
+    partials = {generator(i): _sv_partial(f, i).terms for i in range(1, n + 1)}
+    assert _legs(f) == {leg: terms for leg, terms in partials.items() if terms}
 
 
 def _reference_omega2_rank(pres):

@@ -855,6 +855,32 @@ def _dual_numbers():
     return {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
 
 
+@pytest.mark.parametrize("dim", [True, 1.0])
+def test_constructor_refuses_a_non_int_dim(dim):
+    # a bool dim would be dumped as "dim": true, which load refuses
+    with pytest.raises(TypeError, match=f"^dim must be an int, got {dim}$"):
+        TruncatedAlgebra(dim, ["1"], 0, {(0, 0): {0: 1}})
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1, ["1"], 0, {(0, 0): {0: 1}}),
+        (2, ["1", "x"], 0, _dual_numbers()),
+        (2, ["1", "x"], 0, _dual_numbers(), {}),
+    ],
+    ids=["field", "dual-numbers", "zero-bracket"],
+)
+def test_a_constructed_algebra_survives_a_dump_load_round_trip(args):
+    alg = TruncatedAlgebra(*args)
+    buf = io.StringIO()
+    alg.dump(buf)
+    buf.seek(0)
+    back = TruncatedAlgebra.load(buf)
+    assert (back.dim, back.labels, back.unit) == (alg.dim, alg.labels, alg.unit)
+    assert back.product == alg.product and back.bracket == alg.bracket
+
+
 def _square_zero(n):
     """k + V with V*V = 0, dim V = n: product tables on 1, v_1, ..., v_n."""
     product = {(0, 0): {0: Fraction(1)}}

@@ -1,5 +1,6 @@
 import itertools as it
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -60,6 +61,31 @@ def test_witt_number_refuses_a_length_below_one():
     for length in (0, -1):
         with pytest.raises(ValueError, match=rf"^need word length >= 1, got {length}$"):
             witt_number(2, length)
+
+
+_X12 = TensorElement({(1, 2): 1, (2, 1): -1})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # a non-int generator count never ends the Duval walk
+        (lambda: lyndon_basis(2.5, 1), "n_gens must be an int, got 2.5"),
+        (lambda: lyndon_basis(True, 2), "n_gens must be an int, got True"),
+        (lambda: lyndon_basis(2, 1.0), "max_star_degree must be an int, got 1.0"),
+        # Witt's sum of a non-int count is no integer
+        (lambda: witt_number(2.5, 3), "n_gens must be an int, got 2.5"),
+        (lambda: witt_number(2, True), "length must be an int, got True"),
+        (lambda: tensor_filtration_basis(2.0, 2, 1), "n_gens must be an int, got 2.0"),
+        (lambda: tensor_filtration_basis(2, True, 1), "word_len must be an int, got True"),
+        (lambda: tensor_filtration_basis(2, 2, 0.5), "n must be an int, got 0.5"),
+        (lambda: rewrite_in_basis(_X12, 2.5), "n_gens must be an int, got 2.5"),
+        (lambda: rewrite_in_basis(TensorElement(), True), "n_gens must be an int, got True"),
+    ],
+)
+def test_entry_points_refuse_a_non_int(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_standard_bracketing():

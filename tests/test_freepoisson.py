@@ -243,6 +243,10 @@ def test_star_components_match_per_component_reference(pair):
     # B_p of a negative p is a domain error, not a zero component
     with pytest.raises(ValueError, match=r"^need p >= 0, got -1$"):
         star_component(a, b, -1)
+    # and a non-int p a type error, not a zero component
+    for p in (1.5, True):
+        with pytest.raises(TypeError, match=f"^p must be an int, got {p}$"):
+            star_component(a, b, p)
     total = PoissonElement.zero()
     for c in comps.values():
         total = total + c

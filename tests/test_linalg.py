@@ -1,14 +1,24 @@
 import random
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poissonenv.envelope import _window_part
-from poissonenv.freelie import TensorElement
-from poissonenv.linalg import Echelon, Rational, SpanSolver, bilinear, linear, merge
+from poissonenv.freelie import TensorElement, generator
+from poissonenv.freepoisson import PoissonMonomial, _monomial_product, monomials_up_to_total
+from poissonenv.linalg import (
+    Echelon,
+    Rational,
+    SpanSolver,
+    bilinear,
+    linear,
+    merge,
+    product,
+)
 
 
 def mat(rows):
@@ -271,6 +281,53 @@ def test_linear_and_bilinear_match_the_double_sum(values, data):
         assert result == expected
         # stored coefficients only: no zeros, no Fraction with denominator 1
         assert all(c and (type(c) is int or c.denominator != 1) for c in result.values())
+
+
+def _per_pair_product(a, b, join):
+    """The product loop that merges one joined pair at a time, the
+    reference for ``product``."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            merge(out, [(join(k1, k2), c1 * c2)])
+    return out
+
+
+# words of 0-2 letters joined by concatenation, and monomials of total
+# degree <= 2 in two letters joined by the commutative product: small
+# pools, so many pairs join to the same key
+_JOINS = {
+    "words": ([(), (1,), (2,), (1, 1), (1, 2), (2, 1)], add),
+    "monomials": (monomials_up_to_total(2, 2), _monomial_product),
+}
+
+
+@pytest.mark.parametrize("join", _JOINS, ids=list(_JOINS))
+@pytest.mark.parametrize("values", [_INTS, _FRACTIONS], ids=["int", "fraction"])
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_product_matches_the_per_pair_loop(join, values, data):
+    pool, join = _JOINS[join]
+    terms = st.dictionaries(st.sampled_from(pool), _stored(values), max_size=3)
+    a, b = data.draw(terms), data.draw(terms)
+    got, want = product(a, b, join), _per_pair_product(a, b, join)
+    # the same terms in the same order, of the same types
+    assert list(got.items()) == list(want.items())
+    assert [type(c) for c in got.values()] == [type(c) for c in want.values()]
+
+
+def test_product_drops_the_keys_that_cancel():
+    x1, x2 = (PoissonMonomial.of((generator(i),)) for i in (1, 2))
+    # (x1 + x2)(x1 - x2): the two x1 x2 terms cancel
+    got = product({x1: 1, x2: 1}, {x1: 1, x2: -1}, _monomial_product)
+    assert got == {_monomial_product(x1, x1): 1, _monomial_product(x2, x2): -1}
+    # (x1/2 + x1x1)(x1x1 - x1/2) in words: the two x1x1x1 terms cancel
+    half = Fraction(1, 2)
+    got = product({(1,): half, (1, 1): 1}, {(1, 1): 1, (1,): -half}, add)
+    assert got == {(1, 1, 1, 1): 1, (1, 1): Fraction(-1, 4)}
+    # a single term times a single term, and an integral Fraction stored as an int
+    got = product({(1,): Fraction(2, 3)}, {(2,): Fraction(3, 2)}, add)
+    assert got == {(1, 2): 1} and type(got[(1, 2)]) is int
 
 
 _BIG = 10**17

@@ -102,6 +102,14 @@ def test_parse_refuses_a_nonpositive_generator_count(mode):
         assert not isinstance(info.value, ParseError)
 
 
+@pytest.mark.parametrize("mode", ["poisson", "tensor"])
+@pytest.mark.parametrize("n_gens", [True, 2.5])
+def test_parse_refuses_a_non_int_generator_count(mode, n_gens):
+    # True would parse as one generator
+    with pytest.raises(TypeError, match=f"^n_gens must be an int, got {n_gens}$"):
+        parse("x1*x1", n_gens, mode=mode)
+
+
 def test_parse_unknown_generator():
     with pytest.raises(ParseError) as err:
         parse("x7", 2)

@@ -18,7 +18,8 @@ The independent paths are two.  The word-space identity
 e(a * b) = e(a) e(b) (``tests/test_freepoisson.py``) and the PBW reference
 below: k1! e(m1) times k2! e(m2) from ``pbw.sym_table``, straightened by
 ``pbw.normal_table`` and peeled back by ``pbw.e_inverse_pbw``, with the
-tables capped as in the capped pair table and the peel cut at the cap.
+e-tables cut and the straightening capped as in the capped pair table, and
+the peel cut at the cap.
 """
 
 from collections import Counter
@@ -156,20 +157,25 @@ def test_bernoulli_weights_match_sympy():
         assert all((den * w).denominator == 1 for w in want[: n + 1])
 
 
+def _star(factors):
+    return sum(f.star_degree for f in factors)
+
+
 def _pbw_star_table(m1, m2, cap=None):
     """The pair table of (m1, m2) in PBW coordinates, as {monomial: coeff}:
-    k1! e(m1) and k2! e(m2) from ``sym_table``, capped at cap - star m2 and
-    cap - star m1, the sum of c1 c2 ``normal_table(t1 + t2, cap)`` over
+    k1! e(m1) and k2! e(m2) from ``sym_table``, cut to star <= cap - star m2
+    and cap - star m1, the sum of c1 c2 ``normal_table(t1 + t2, cap)`` over
     their terms, and the full peel of that vector over k1! k2! with its terms
     past the cap dropped: e^{-1} never lowers the star degree, so the terms
     past the cap missing from the vector show only past the cap."""
     f1, f2 = m1.factors, m2.factors
-    cap1 = cap2 = None
+    e1, e2 = pbw.sym_table(f1), pbw.sym_table(f2)
     if cap is not None:
-        cap1, cap2 = cap - m2.star_degree, cap - m1.star_degree
+        e1 = {t: c for t, c in e1.items() if _star(t) <= cap - m2.star_degree}
+        e2 = {t: c for t, c in e2.items() if _star(t) <= cap - m1.star_degree}
     prod = {}
-    for t1, c1 in pbw.sym_table(f1, cap1).items():
-        for t2, c2 in pbw.sym_table(f2, cap2).items():
+    for t1, c1 in e1.items():
+        for t2, c2 in e2.items():
             merge(prod, pbw.normal_table(t1 + t2, cap).items(), c1 * c2)
     scale = factorial(len(f1)) * factorial(len(f2))
     vec = {t: Fraction(c, scale) for t, c in prod.items()}
