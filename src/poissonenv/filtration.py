@@ -77,19 +77,18 @@ from .linalg import (
 )
 
 
-def _is_index(x, dim):
-    return type(x) is int and 0 <= x < dim
-
-
 def _integer_table(table):
     """``table`` times the lcm of its denominators, as int rows without zeros.
 
-    Returns the scaled table and the scale.  The validated identities are
-    homogeneous in the structure constants, so they hold for the scaled table
-    (with the unit law comparing against the scale) iff they hold for
-    ``table``.
+    Returns the scaled table and the scale; a table of ints is returned as
+    it is, with the scale 1.  The validated identities are homogeneous in the
+    structure constants, so they hold for the scaled table (with the unit
+    law comparing against the scale) iff they hold for ``table``.
     """
-    scale = lcm(1, *(c.denominator for row in table.values() for c in row.values()))
+    fractional = [c for row in table.values() for c in row.values() if type(c) is not int]
+    if not fractional:
+        return table, 1
+    scale = lcm(*(c.denominator for c in fractional))
     out = {}
     for key, row in table.items():
         row = {k: c.numerator * (scale // c.denominator) for k, c in row.items() if c}
@@ -103,25 +102,24 @@ def _stored(name, table, dim):
     zeros or empty rows, in one walk over its entries, zeros included: an
     index outside [0, dim) raises ``ValueError``, and a float or a bool
     constant ``TypeError`` naming its (i, j, k) entry, as it is not the
-    rational its user meant."""
+    rational its user meant.  An int constant is taken as it is."""
     out = {}
     for key, row in table.items():
-        if not (
-            type(key) is tuple and len(key) == 2 and all(_is_index(x, dim) for x in key)
-        ):
+        i, j = key if type(key) is tuple and len(key) == 2 else (None, None)
+        if not (type(i) is int and 0 <= i < dim and type(j) is int and 0 <= j < dim):
             raise ValueError(f"{name} entry {key!r} has an index outside [0, {dim})")
         stored = {}
         for k, c in row.items():
-            if not _is_index(k, dim):
+            if not (type(k) is int and 0 <= k < dim):
                 raise ValueError(
                     f"{name} entry {key!r} -> {k!r} has an index outside [0, {dim})"
                 )
-            if isinstance(c, (bool, float, complex)):
-                raise TypeError(
-                    f"{name} entry {(*key, k)}: coefficient {c!r} is a"
-                    f" {type(c).__name__}; use an int, a Fraction or a string"
-                )
             if type(c) is not int:
+                if isinstance(c, (bool, float, complex)):
+                    raise TypeError(
+                        f"{name} entry {(*key, k)}: coefficient {c!r} is a"
+                        f" {type(c).__name__}; use an int, a Fraction or a string"
+                    )
                 c = _coefficient(c)
             if c:
                 stored[k] = c
@@ -135,6 +133,15 @@ def _by_left_index(table):
     out = {}
     for (a, b), row in table.items():
         out.setdefault(a, {})[b] = row
+    return out
+
+
+def _inverted(rows):
+    """``out[m]`` = the keys a of ``rows`` whose row ``rows[a]`` has the key m."""
+    out = {}
+    for a, row in rows.items():
+        for m in row:
+            out.setdefault(m, []).append(a)
     return out
 
 
@@ -252,11 +259,25 @@ class TruncatedAlgebra(FiniteAlgebra):
     least valuation over a pair's differences, Jacobi before Leibniz on a
     tie, is the first failing triple of the full O(dim^3) loop; one not
     below dim, which the lemma rules out, raises ``RuntimeError``.
-    Associativity pairs through the unit are skipped, as the unit law
-    settles them, and Jacobi and Leibniz pairs (i, j) with {e_i, -} = 0, as
-    every term of theirs is 0.  Antisymmetry visits only the pairs that are
-    keys of B, each standing for itself and its swap, and names the least
-    failing one, the first of a row-major scan of all pairs.
+
+    Only the pairs where a side of an identity can be nonzero are visited,
+    in row-major order, so the cost follows the nonzero entries, not dim^2;
+    a skipped pair has both sides 0 and cannot fail, so the first failing
+    pair and its message are those of the full scan.  Associativity pairs
+    through the unit are skipped, as the unit law settles them; any other
+    (i, j) is visited when e_j v has an e_m term with e_i e_m != 0.
+    Jacobi and Leibniz visit an i only if {e_i, -} != 0, and then the j
+    where {e_i, v} meets e_j's row in B or P, or {e_j, v} or e_j v meets
+    e_i's row in B.  A key (i, j) needs no clause of its own: the e_j
+    coordinate of e_j v has the nonzero digit e_j e_unit = e_j, so m = j
+    is such an m.  The candidates come from inverted indexes, m -> the a
+    with a row (a, m), and m -> the j whose packed row has an e_m term.
+    Antisymmetry visits only the pairs that are keys of B, each standing
+    for itself and its swap, and names the least failing one, the first of
+    a row-major scan of all pairs.
+
+    Admission walks each entry once, an int constant taken as it is; the
+    JSON loader reads an int coefficient string with ``int``.
     """
 
     def __init__(self, dim, labels, unit, product, bracket=None):
@@ -266,7 +287,7 @@ class TruncatedAlgebra(FiniteAlgebra):
         self.unit = unit
         if len(self.labels) != dim:
             raise ValueError("label count must match dim")
-        if not _is_index(unit, dim):
+        if not (type(unit) is int and 0 <= unit < dim):
             raise ValueError(f"unit {unit!r} is not a basis index in [0, {dim})")
         self.product = _stored("product", product, dim)
         self.bracket = None if bracket is None else _stored("bracket", bracket, dim)
@@ -298,11 +319,20 @@ class TruncatedAlgebra(FiniteAlgebra):
         # e_m v, with the packed vector v = sum_k t^k e_k, and e_a w as the
         # combination of the rows e_a e_m by the coordinates w_m
         Pv, P_left = _packed(P, powers), _by_left_index(P)
-        # with the unit law holding, every pair through the unit is associative
-        rest = [i for i in range(dim) if i != unit]
-        for i in rest:
-            Pi = P_left.get(i, {})
-            for j in rest:
+        # m -> the j with an e_m term in e_j v
+        Pv_at = _inverted(Pv)
+        # with the unit law holding, every pair through the unit is
+        # associative; of the others, a side can be nonzero only where e_j v
+        # has an e_m term with e_i e_m != 0 (m = j for a key (i, j) of P)
+        for i in sorted(P_left):
+            if i == unit:
+                continue
+            Pi = P_left[i]
+            js = set()
+            for m in Pi:
+                js.update(Pv_at.get(m, ()))
+            js.discard(unit)
+            for j in sorted(js):
                 # (e_i e_j) v = e_i (e_j v)
                 lhs = linear(P.get((i, j), {}), Pv.get)
                 rhs = linear(Pv.get(j, {}), Pi.get)
@@ -322,11 +352,21 @@ class TruncatedAlgebra(FiniteAlgebra):
             raise ValueError(f"bracket not antisymmetric at {min(bad)}")
         # {v, w} = -{w, v} from here, so {e_m, v} is the one packed bracket
         Bv, B_left = _packed(B, powers), _by_left_index(B)
+        # m -> the a with a row (a, m) in B or P, and the j with an e_m term
+        # in {e_j, v}
+        B_at, P_at, Bv_at = _inverted(B_left), _inverted(P_left), _inverted(Bv)
         # when {e_i, -} = 0 every Jacobi and Leibniz term at (i, j, k) is 0,
-        # so only the i with a bracket row are visited
+        # so only the i with a bracket row are visited, and of their pairs
+        # only those where {e_i, v} meets e_j's row in B or P, or {e_j, v} or
+        # e_j v meets e_i's row in B: elsewhere every side is 0
         for i, Bi in sorted(B_left.items()):
             Bvi = Bv.get(i, {})
-            for j in range(dim):
+            js = set()
+            for m in Bvi:
+                js.update(B_at.get(m, ()), P_at.get(m, ()))
+            for m in Bi:
+                js.update(Bv_at.get(m, ()), Pv_at.get(m, ()))
+            for j in sorted(js):
                 ij = B.get((i, j), {})
                 # Jacobi: {e_i, {e_j, v}} = {e_j, {e_i, v}} + {{e_i, e_j}, v}
                 jac = linear(ij, Bv.get, linear(Bvi, B_left.get(j, {}).get))
@@ -380,13 +420,25 @@ class TruncatedAlgebra(FiniteAlgebra):
             t = {}
             for i, j, k, c in rows:
                 # a list index is no dict key, and a float or a bool no index
-                if not all(type(x) is int for x in (i, j, k)):
+                if not (type(i) is int and type(j) is int and type(k) is int):
                     raise ValueError(f"{name} entry {(i, j, k)} has a non-int index")
-                # a float is already rounded, and Fraction(True) is 1: refuse
-                # both rather than load an algebra nobody wrote down; "1/0"
-                # names no number either
+                # an int, or a string of an optional "-" and decimal digits, is
+                # read as an int, with the value Fraction gives it; a float is
+                # already rounded, and Fraction(True) is 1: refuse both rather
+                # than load an algebra nobody wrote down; "1/0" names no number
+                # either, and int refuses a digit string longer than the
+                # interpreter converts, as Fraction does
                 try:
-                    exact = None if isinstance(c, (bool, float, complex)) else Fraction(c)
+                    if type(c) is int:
+                        exact = c
+                    elif type(c) is str and (
+                        c.isdecimal() or (c[:1] == "-" and c[1:].isdecimal())
+                    ):
+                        exact = int(c)
+                    elif isinstance(c, (bool, float, complex)):
+                        exact = None
+                    else:
+                        exact = Fraction(c)
                 except (TypeError, ValueError, ZeroDivisionError):
                     exact = None
                 if exact is None:

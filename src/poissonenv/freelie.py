@@ -175,6 +175,8 @@ class LieElement(Combination):
 
 def lyndon_words(n_gens, max_len):
     """All Lyndon words over 1..n_gens of length <= max_len (Duval, lex order)."""
+    # a non-int letter bound never ends the walk, and True reads as 1
+    _require_ints(n_gens=n_gens, max_len=max_len)
     if n_gens < 1 or max_len < 1:
         return []
     out = []
@@ -194,6 +196,8 @@ _BASIS_CACHE = {}
 
 def lyndon_basis_of_length(n_gens, length):
     """Lyndon basis elements of exact word length, in word order."""
+    # before the lookup: (True, 1) and (2, 1.0) are the keys of (1, 1), (2, 1)
+    _require_ints(n_gens=n_gens, length=length)
     key = (n_gens, length)
     if key not in _BASIS_CACHE:
         _BASIS_CACHE[key] = [

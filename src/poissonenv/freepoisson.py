@@ -206,9 +206,10 @@ def _bracket_monomials(m1, m2):
     for i, f in enumerate(m1.factors):
         rest1 = m1.factors[:i] + m1.factors[i + 1 :]
         for j, g in enumerate(m2.factors):
-            rest2 = m2.factors[:j] + m2.factors[j + 1 :]
-            for b, c in bracket_basis(f, g).terms.items():
-                merge(out, [(PoissonMonomial.of(rest1 + rest2 + (b,)), c)])
+            terms = bracket_basis(f, g).terms
+            if terms:  # an empty row, as {f, f} = 0, builds no list
+                rest = rest1 + m2.factors[:j] + m2.factors[j + 1 :]
+                merge(out, [(PoissonMonomial.of(rest + (b,)), c) for b, c in terms.items()])
     _BRACKET_MONO_CACHE[key] = out
     return out
 
@@ -228,8 +229,8 @@ def e_inverse(t):
     """The inverse of symmetrize: the unique a with symmetrize(a) == t."""
     out = {}
     for w, c in t.terms.items():
-        for factors, v in pbw.e_inverse_word(w).items():
-            merge(out, [(PoissonMonomial.of(factors), c * v)])
+        row = pbw.e_inverse_word(w).items()
+        merge(out, [(PoissonMonomial.of(factors), v) for factors, v in row], c)
     return PoissonElement._of(out)
 
 

@@ -144,7 +144,9 @@ def linear(v, table, out=None):
     - ``FiniteAlgebra.commutator`` merges two rows per pair in one pass;
     - ``product`` joins two keys, no table;
     - ``star_component``, ``star_components`` filter or split each row;
-    - ``pbw._normal``, ``pbw.sym_table`` scale by multiplicity in their memo.
+    - ``pbw._normal``, ``pbw.sym_table`` scale by multiplicity in their memo;
+    - ``freepoisson.e_inverse``, ``_bracket_monomials`` rekey each row's
+      factor tuples as monomials, one ``merge`` per row.
     """
     out = {} if out is None else out
     for k, c in v.items():

@@ -1,11 +1,12 @@
 import io
 import json
 import re
+import sys
 from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poissonenv.filtration import (
@@ -831,6 +832,11 @@ def test_valid_algebras_are_checked_by_pairs_only():
         ("graded", [(0, 2, 5, 1)], "Jacobi fails at (0, 1, 2)"),
         # the pair fails Leibniz at the top digit k = dim - 1 = 42 alone
         ("window_43", [(1, 42, 0, 1)], "Leibniz fails at (1, 1, 42)"),
+        # the first failing pair is reached only through {e_0, v} meeting
+        # e_1's bracket row, {e_1, v} meeting e_0's, or e_1 v meeting e_0's
+        ("envelope", [(0, 2, 2, 1)], "Jacobi fails at (0, 1, 2)"),
+        ("envelope", [(0, 5, 4, 1)], "Jacobi fails at (0, 1, 2)"),
+        ("envelope", [(0, 1, 4, 1)], "Leibniz fails at (0, 1, 2)"),
     ],
 )
 def test_validation_reports_first_failing_triple(which, corruptions, message):
@@ -932,6 +938,14 @@ def _square_zero(n):
             {**_square_zero(5), (3, 4): {5: Fraction(1)}},
             {(1, 2): {3: Fraction(1)}, (2, 1): {3: Fraction(-1)}},
             "Leibniz fails at (1, 2, 4)",
+        ),
+        # x y = 0 but y z = u and x u = l: (x y) z = 0 and x (y z) = l, at a
+        # pair that is not a key of the product table
+        (
+            6,
+            {**_square_zero(5), (2, 3): {4: Fraction(1)}, (1, 4): {5: Fraction(1)}},
+            None,
+            "associativity fails at (1, 2, 3)",
         ),
     ],
 )
@@ -1072,6 +1086,37 @@ def test_json_loads_ints_and_decimal_strings(coeff, value):
     assert alg.product[(1, 1)] == {1: value}
     # an int exactly when integral, otherwise a Fraction
     assert type(alg.product[(1, 1)][1]) is type(value)
+
+
+# the loader's own int read must agree with the running interpreter's
+# Fraction, whose string grammar differs across Python versions
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+_COEFF_ALPHABET = "0123456789٣-+/_ .e"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(_COEFF_ALPHABET, max_size=7))
+@example("1" * (_INT_DIGITS + 1))
+@example("-" + "7" * (_INT_DIGITS + 1))
+@example("٣" * 3)
+@example("-0")
+def test_json_reads_a_coefficient_string_as_fraction_does(coeff):
+    # x*x = c*x is a valid algebra for every rational c
+    data = TruncatedAlgebra(2, ["1", "x"], 0, _dual_numbers()).to_json_dict()
+    data["product"].append([1, 1, 1, coeff])
+    try:
+        want = canonical(Fraction(coeff))
+    except (ValueError, ZeroDivisionError):
+        message = (
+            f"product entry (1, 1, 1): coefficient {coeff!r} is not an int or a"
+            " decimal string"
+        )
+        with pytest.raises(ValueError) as exc:
+            TruncatedAlgebra.from_json_dict(data)
+        assert str(exc.value) == message
+        return
+    got = TruncatedAlgebra.from_json_dict(data).product.get((1, 1), {}).get(1, 0)
+    assert got == want and type(got) is type(want)
 
 
 # -- the shared product of FiniteAlgebra ---------------------------------------

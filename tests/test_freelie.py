@@ -18,6 +18,7 @@ from poissonenv.freelie import (
     lie_bracket,
     lyndon_basis,
     lyndon_basis_of_length,
+    lyndon_words,
     rewrite_in_basis,
     tensor_filtration_basis,
     witt_number,
@@ -81,6 +82,14 @@ _X12 = TensorElement({(1, 2): 1, (2, 1): -1})
         (lambda: tensor_filtration_basis(2, 2, 0.5), "n must be an int, got 0.5"),
         (lambda: rewrite_in_basis(_X12, 2.5), "n_gens must be an int, got 2.5"),
         (lambda: rewrite_in_basis(TensorElement(), True), "n_gens must be an int, got True"),
+        # the Duval walk steps past a non-int letter bound forever
+        (lambda: lyndon_words(2.5, 2), "n_gens must be an int, got 2.5"),
+        (lambda: lyndon_words(True, 2), "n_gens must be an int, got True"),
+        (lambda: lyndon_words(2, 1.5), "max_len must be an int, got 1.5"),
+        # True and 1.0 would share the memo keys of 1
+        (lambda: lyndon_basis_of_length(2.5, 1), "n_gens must be an int, got 2.5"),
+        (lambda: lyndon_basis_of_length(True, 1), "n_gens must be an int, got True"),
+        (lambda: lyndon_basis_of_length(2, 1.0), "length must be an int, got 1.0"),
     ],
 )
 def test_entry_points_refuse_a_non_int(call, message):
