@@ -327,14 +327,9 @@ def check_nc_embedding():
         for w in it.product((1, 2), repeat=length):
             images.append(qz.nc_embed(alg, w))
     index = {}
-    ech = Echelon()
-    count = 0
-    for p in images:
-        row = {}
-        for m, c in p.terms.items():
-            row[index.setdefault(m, len(index))] = c
-        if ech.add(row):
-            count += 1
+    count = Echelon.spanning(
+        {index.setdefault(m, len(index)): c for m, c in p.terms.items()} for p in images
+    ).rank
     if count != len(images):
         return False, f"only {count} of {len(images)} independent"
     return True, f"{len(images)} word images independent"

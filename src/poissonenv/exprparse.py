@@ -21,7 +21,6 @@ Printing emits the same syntax; parse(print(x)) == x on canonical forms.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, attrgetter
 
 from .freelie import (
@@ -310,23 +309,13 @@ def parse(src, n_gens, mode="poisson"):
 # -- printing -----------------------------------------------------------------
 
 
-def format_rational(q):
-    if type(q) is int:
-        return str(q)
-    if type(q) is not Fraction:
-        q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _format_terms(terms):
     """Signed sum of (coefficient, factor text) terms, the factors already
     joined by '*' and the unit's text empty: a coefficient 1 is left out
     before factors, and no terms print as 0."""
     out = []
     for c, factors in terms:
-        text = format_rational(c)
+        text = str(c)
         if text[0] == "-":
             out.append(" - " if out else "-")
             text = text[1:]
@@ -392,7 +381,7 @@ def poisson_to_json(p):
     return {
         "kind": "poisson",
         "terms": [
-            {"coeff": format_rational(terms[m]), "factors": _forms(m)[1]}
+            {"coeff": str(terms[m]), "factors": _forms(m)[1]}
             for m in sorted(terms, key=_sort_key)
         ],
     }
@@ -426,7 +415,7 @@ def tensor_to_json(t):
         word = _WORD_LISTS.get(w)
         if word is None:
             word = _WORD_LISTS[w] = list(w)
-        out.append({"coeff": format_rational(terms[w]), "word": word})
+        out.append({"coeff": str(terms[w]), "word": word})
     return {"kind": "tensor", "terms": out}
 
 

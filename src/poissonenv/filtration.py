@@ -78,23 +78,36 @@ from .linalg import (
 
 
 def _integer_table(table):
-    """``table`` times the lcm of its denominators, as int rows without zeros.
-
-    Returns the scaled table and the scale; a table of ints is returned as
-    it is, with the scale 1.  The validated identities are homogeneous in the
-    structure constants, so they hold for the scaled table (with the unit
-    law comparing against the scale) iff they hold for ``table``.
+    """``table``, stored without zeros, times the lcm of its denominators,
+    as int rows.  Returns the scaled table and the scale; a table of ints is
+    returned as it is, with the scale 1.  The validated identities are
+    homogeneous in the structure constants, so they hold for the scaled
+    table (with the unit law comparing against the scale) iff they hold for
+    ``table``.
     """
     fractional = [c for row in table.values() for c in row.values() if type(c) is not int]
     if not fractional:
         return table, 1
     scale = lcm(*(c.denominator for c in fractional))
-    out = {}
-    for key, row in table.items():
-        row = {k: c.numerator * (scale // c.denominator) for k, c in row.items() if c}
-        if row:
-            out[key] = row
-    return out, scale
+    return {
+        key: {k: c.numerator * (scale // c.denominator) for k, c in row.items()}
+        for key, row in table.items()
+    }, scale
+
+
+def _least_asymmetric(table, sign):
+    """The least pair (i, j), i <= j, where ``table[i, j]`` differs from
+    ``sign`` times ``table[j, i]``, or None.  The condition is symmetric in
+    (i, j) and holds where neither is a key, so the failing pairs come in
+    swapped couples with a key among them: only the keys are read."""
+    return min(
+        (
+            min(ij, ij[::-1])
+            for ij, row in table.items()
+            if merge(dict(row), table.get(ij[::-1], {}).items(), -sign)
+        ),
+        default=None,
+    )
 
 
 def _stored(name, table, dim):
@@ -277,7 +290,7 @@ class TruncatedAlgebra(FiniteAlgebra):
     a row-major scan of all pairs.
 
     Admission walks each entry once, an int constant taken as it is; the
-    JSON loader reads an int coefficient string with ``int``.
+    JSON loader reads each coefficient with ``linalg._coefficient``.
     """
 
     def __init__(self, dim, labels, unit, product, bracket=None):
@@ -340,16 +353,10 @@ class TruncatedAlgebra(FiniteAlgebra):
                     _report_first_digit(i, j, t, dim, [("associativity", lhs, rhs)])
         if self.bracket is None:
             return
-        # {e_i, e_j} + {e_j, e_i} is symmetric in (i, j) and 0 unless one of
-        # them is a key of B, so the failing pairs come in swapped couples
-        # with a key among them; the least is the first of a row-major scan
-        bad = [
-            min(ij, ij[::-1])
-            for ij, row in B.items()
-            if merge(dict(row), B.get(ij[::-1], {}).items())
-        ]
-        if bad:
-            raise ValueError(f"bracket not antisymmetric at {min(bad)}")
+        # the least failing pair is the first of a row-major scan
+        bad = _least_asymmetric(B, -1)
+        if bad is not None:
+            raise ValueError(f"bracket not antisymmetric at {bad}")
         # {v, w} = -{w, v} from here, so {e_m, v} is the one packed bracket
         Bv, B_left = _packed(B, powers), _by_left_index(B)
         # m -> the a with a row (a, m) in B or P, and the j with an e_m term
@@ -422,30 +429,20 @@ class TruncatedAlgebra(FiniteAlgebra):
                 # a list index is no dict key, and a float or a bool no index
                 if not (type(i) is int and type(j) is int and type(k) is int):
                     raise ValueError(f"{name} entry {(i, j, k)} has a non-int index")
-                # an int, or a string of an optional "-" and decimal digits, is
-                # read as an int, with the value Fraction gives it; a float is
-                # already rounded, and Fraction(True) is 1: refuse both rather
-                # than load an algebra nobody wrote down; "1/0" names no number
-                # either, and int refuses a digit string longer than the
-                # interpreter converts, as Fraction does
+                # each coefficient is read by ``_coefficient``, the library's
+                # one reader: an int or an integer string as an int, any other
+                # string as Fraction reads it; a float is already rounded, and
+                # Fraction(True) is 1: refuse both rather than load an algebra
+                # nobody wrote down; "1/0" names no number either
                 try:
-                    if type(c) is int:
-                        exact = c
-                    elif type(c) is str and (
-                        c.isdecimal() or (c[:1] == "-" and c[1:].isdecimal())
-                    ):
-                        exact = int(c)
-                    elif isinstance(c, (bool, float, complex)):
-                        exact = None
-                    else:
-                        exact = Fraction(c)
-                except (TypeError, ValueError, ZeroDivisionError):
-                    exact = None
-                if exact is None:
+                    if type(c) is bool:
+                        raise TypeError
+                    exact = _coefficient(c)
+                except (TypeError, ValueError):
                     raise ValueError(
                         f"{name} entry ({i}, {j}, {k}): coefficient {c!r} is"
                         " not an int or a decimal string"
-                    )
+                    ) from None
                 row = t.setdefault((i, j), {})
                 row[k] = row.get(k, 0) + exact
             return t
@@ -595,13 +592,12 @@ def nil_poisson_filtration(alg):
     raises ``ValueError``."""
     if alg.bracket is None:
         raise ValueError("nil-Poisson filtration needs a bracket")
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            if alg._row(i, j) != alg._row(j, i):
-                raise ValueError(
-                    "nil-Poisson filtration needs a commutative product;"
-                    f" e_i e_j != e_j e_i at {(i, j)}"
-                )
+    bad = _least_asymmetric(alg.product, 1)
+    if bad is not None:
+        raise ValueError(
+            "nil-Poisson filtration needs a commutative product;"
+            f" e_i e_j != e_j e_i at {bad}"
+        )
     return filtration_chain(alg, alg.brk)
 
 

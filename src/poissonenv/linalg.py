@@ -28,7 +28,8 @@ denominator 1, a float or a bool.  Most coefficients are integers, and int
 arithmetic is far cheaper than Fraction arithmetic.  Conversion happens
 once, where a value enters: the constructor of ``Combination`` and the
 scalar of ``__rmul__`` keep an int, turn a Fraction with denominator 1 into
-its numerator, convert a decimal string, refuse a ``float`` or ``complex``
+its numerator, convert a decimal string (an integer one with ``int``, any
+other as ``Fraction`` reads it), refuse a ``float`` or ``complex``
 with ``TypeError``, since a binary float is not the rational its user
 meant, and refuse a zero denominator with ``ValueError``.  Inside the
 library, ``merge``, ``__rmul__`` and ``Echelon`` store an integral result as
@@ -68,9 +69,13 @@ def _require_ints(**args):
 
 def _coefficient(c):
     """``c`` as a stored coefficient: the one conversion of a value entering
-    the library."""
+    the library.  A string of an optional "-" and decimal digits is read
+    with ``int``, which gives it the value ``Fraction`` gives it and, as
+    Fraction does, refuses one longer than the interpreter converts."""
     if type(c) is int:
         return c
+    if type(c) is str and (c.isdecimal() or (c[:1] == "-" and c[1:].isdecimal())):
+        return int(c)
     if isinstance(c, (float, complex)):
         raise TypeError(f"inexact coefficient {c!r}; use an int, a Fraction or a string")
     try:

@@ -412,12 +412,18 @@ def quantized_window_algebra(n_gens, d, max_total):
     """Q_X^(d) cut to total degree <= max_total, in PBW coordinates, as an
     associative TruncatedAlgebra (no bracket table)."""
     win = UWindow(n_gens, d, max_total)
-    pairs = [(i, j) for i in range(win.dim) for j in range(win.dim)]
+    totals, product = win.totals, {}
+    for i in range(win.dim):
+        for j in range(win.dim):
+            if totals[i] + totals[j] > max_total:
+                break  # the basis goes by total, so every later j is too
+            if row := win._row(i, j):
+                product[(i, j)] = row
     return TruncatedAlgebra(
         dim=win.dim,
         labels=[repr(m) for m in win.monomials],
         unit=win.unit,
-        product={ij: row for ij in pairs if (row := win._row(*ij))},
+        product=product,
     )
 
 

@@ -13,8 +13,9 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_filtration import _COEFF_ALPHABET, _INT_DIGITS
 
 from poissonenv.exprparse import (
     format_poisson,
@@ -26,6 +27,7 @@ from poissonenv.exprparse import (
     tensor_to_json,
 )
 from poissonenv.freelie import LieElement, TensorElement, generator
+from poissonenv.linalg import _coefficient, canonical
 from poissonenv.freepoisson import (
     PoissonElement,
     e_inverse,
@@ -179,6 +181,35 @@ def test_ints_and_decimal_strings_enter_as_fractions():
     for c in (Fraction(4), "8/2", "-1", "2.0", True):
         assert _types(PoissonElement.monomial(m, c)) == {m: int}, c
         assert _types(c * LieElement.basis(b)) == {b: int}, c
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.text(_COEFF_ALPHABET, max_size=7))
+@example("1" * (_INT_DIGITS + 1))
+@example("-" + "7" * (_INT_DIGITS + 1))
+@example("٣" * 3)
+@example("-0")
+def test_a_coefficient_string_is_read_as_fraction_reads_it(coeff):
+    # the one reader reads an integer string with int, every other one with
+    # Fraction: the value and the stored type are Fraction's either way
+    m = _POOL[0]
+    try:
+        want = canonical(Fraction(coeff))
+    except ZeroDivisionError:
+        message = f"coefficient {coeff!r} has a zero denominator"
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        got = _coefficient(coeff)
+        assert got == want and type(got) is type(want)
+        terms = PoissonElement.monomial(m, coeff).terms
+        assert terms == ({m: want} if want else {})
+        assert _types(PoissonElement.monomial(m, coeff)) == ({m: type(want)} if want else {})
+        return
+    for read in (_coefficient, lambda c: PoissonElement.monomial(m, c)):
+        with pytest.raises(ValueError) as exc:
+            read(coeff)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

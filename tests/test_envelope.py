@@ -4,12 +4,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poissonenv import envelope, quantize
 from poissonenv.envelope import (
     EnvelopePresentation,
+    _generators_up_to,
     _legs,
     _window_part,
     envelope_truncated,
@@ -19,7 +20,13 @@ from poissonenv.envelope import (
     p1_rank_check,
     poisson_ideal_generators,
 )
-from poissonenv.freelie import LieBasisElement, LieElement, bracket_basis, generator
+from poissonenv.freelie import (
+    LieBasisElement,
+    LieElement,
+    bracket_basis,
+    generator,
+    lyndon_words,
+)
 from poissonenv.freepoisson import (
     PoissonElement,
     PoissonMonomial,
@@ -451,6 +458,7 @@ _POLYNOMIALS = st.integers(1, 3).flatmap(
 
 @settings(deadline=None, max_examples=80)
 @given(_POLYNOMIALS)
+@example((1, PoissonElement({PoissonMonomial.of((generator(1), generator(1))): 1})))
 def test_legs_are_the_partial_derivatives(case):
     # 0-4 terms of poly degree <= 3 in 1-3 letters, the unit included
     n, f = case
@@ -676,6 +684,110 @@ def test_the_slow_inhomogeneous_presentation_keeps_its_ranks(N, ranks, p1):
     assert [p.quotient_rank for p in pieces] == ranks
     assert not any(p.exact for p in pieces)
     assert p1_rank_check(pres) == p1
+
+
+# -- every star piece against a Groebner basis in a product order ----------
+
+
+def _exponents(weights, lo, hi):
+    """The exponent tuples e of positive ``weights`` with lo <= sum_i
+    e_i weights[i] <= hi."""
+    if not weights:
+        return [()] if lo <= 0 <= hi else []
+    w, rest = weights[0], weights[1:]
+    return [
+        (k,) + e for k in range(hi // w + 1) for e in _exponents(rest, lo - k * w, hi - k * w)
+    ]
+
+
+def _product_order_oracle(n_gens, relations, d):
+    """count(n, N): the exact dim of W / (I & W) for the window W of star n
+    and SV-part degree <= N, n <= d, of PA / P_{>d}A.
+
+    SLV cut to star <= d is a polynomial ring in the letters x and the
+    Lyndon elements y of star 1..d, modulo the ideal of the y-monomials of
+    star > d.  Under the product order that compares the x-part by grevlex
+    first, and so by SV-part degree, and then the y-part by grevlex, the
+    window is closed under taking smaller monomials of its star, and the
+    ideal is star-graded; so the standard monomials of a Groebner basis that
+    lie in W count W / (I & W) (Cox, Little and O'Shea, Ideals, Varieties,
+    and Algorithms, ch. 2 secs. 5-9 and ch. 9 sec. 3)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import ProductOrder, grevlex
+
+    words = sorted(lyndon_words(n_gens, d + 1), key=lambda w: (len(w), w))
+    syms = sympy.symbols(f"v:{len(words)}")
+    var = dict(zip(words, syms))
+    y_stars = [len(w) - 1 for w in words[n_gens:]]
+    top = max((m.poly_degree for f in relations for m in f.terms), default=0)
+    pres = EnvelopePresentation(n_gens, relations, d, top)
+    polys = [
+        sum(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(var[b.word] for b in m.factors))
+            for m, c in g.terms.items()
+        )
+        for level in _generators_up_to(pres, d).values()
+        for g in level
+    ]
+    # the y-monomials of star > d whose every divisor by one variable has
+    # star <= d generate the y-monomials of star > d
+    for e in _exponents(y_stars, d + 1, 2 * d):
+        star = sum(k * w for k, w in zip(e, y_stars))
+        if all(star - w <= d for k, w in zip(e, y_stars) if k):
+            polys.append(sympy.Mul(*(y**k for y, k in zip(syms[n_gens:], e))))
+    order = ProductOrder(
+        (grevlex, lambda m: m[:n_gens]), (grevlex, lambda m: m[n_gens:])
+    )
+    basis = sympy.groebner(polys, *syms, order=order).exprs if polys else []
+    leads = [sympy.Poly(g, *syms).monoms(order=order)[0] for g in basis]
+
+    def count(n, N):
+        xs = [e for e in product(range(N + 1), repeat=n_gens) if sum(e) <= N]
+        return sum(
+            not any(all(a >= b for a, b in zip(ex + ey, lead)) for lead in leads)
+            for ex in xs
+            for ey in _exponents(y_stars, n, n)
+        )
+
+    return count
+
+
+def _assert_bounded_by_the_oracle(n_gens, relations, d, Ns):
+    """Every piece's ``quotient_rank`` equals the oracle's count when it is
+    flagged exact and is at least that count otherwise; returns the counts."""
+    count = _product_order_oracle(n_gens, relations, d)
+    counts = []
+    for N in Ns:
+        pieces = envelope_truncated(EnvelopePresentation(n_gens, relations, d, N))
+        counts.append([count(p.star_degree, N) for p in pieces])
+        for p, want in zip(pieces, counts[-1]):
+            if p.exact:
+                assert p.quotient_rank == want, (N, p.star_degree)
+            else:
+                assert p.quotient_rank >= want, (N, p.star_degree)
+    return counts
+
+
+@settings(deadline=None, max_examples=30)
+@given(_presentations().filter(lambda p: p[2] <= 1), st.integers(0, 1))
+def test_every_piece_is_bounded_by_the_product_order_oracle(presentation, extra):
+    n_gens, relations, d = presentation
+    top = max((m.poly_degree for f in relations for m in f.terms), default=0)
+    _assert_bounded_by_the_oracle(n_gens, relations, d, [top + extra])
+
+
+@pytest.mark.parametrize(
+    "relation, counts",
+    [
+        # lower-bound pieces; the library's ranks equal these counts too
+        (_poly((1, (1, 2)), (-1, (3,))), [[16, 24, 89], [25, 35, 126]]),
+        # the quadric x1*x2 - x3*x3, exact pieces
+        (_poly((1, (1, 2)), (-1, (3, 3))), [[16, 25, 95], [25, 36, 132]]),
+    ],
+)
+def test_the_d2_pieces_are_bounded_by_the_product_order_oracle(relation, counts):
+    assert _assert_bounded_by_the_oracle(3, (relation,), 2, [3, 4]) == counts
 
 
 # -- right-normed generators against every insertion position ---------------

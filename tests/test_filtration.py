@@ -14,6 +14,7 @@ from poissonenv.filtration import (
     FiltrationChain,
     FiniteAlgebra,
     TruncatedAlgebra,
+    _least_asymmetric,
     associated_graded,
     commutator_filtration,
     endo_contraction_check,
@@ -312,6 +313,86 @@ def test_nil_poisson_filtration_refuses_a_noncommutative_product():
     message = r"commutative product; e_i e_j != e_j e_i at \(1, 2\)$"
     with pytest.raises(ValueError, match=message):
         nil_poisson_filtration(poisson)
+
+
+def test_nil_poisson_refusal_names_the_least_pair_not_the_first_key():
+    # z x = w, y z = w and x y = w on 1, x, y, z, w, listed in that order:
+    # every triple product is 0, so the product is associative, and the
+    # least of the failing pairs (1, 3), (2, 3) and (1, 2) comes last
+    product = {(3, 1): {4: 1}, (2, 3): {4: 1}, (1, 2): {4: 1}, **_square_zero(4)}
+    alg = TruncatedAlgebra(5, ["1", "x", "y", "z", "w"], 0, product, {})
+    message = r"commutative product; e_i e_j != e_j e_i at \(1, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        nil_poisson_filtration(alg)
+
+
+def test_a_failing_pair_whose_only_key_is_its_swap_is_named_i_before_j():
+    # only (2, 1) is a key, so the scan must name its swap (1, 2)
+    for sign in (-1, 1):
+        assert _least_asymmetric({(2, 1): {0: 1}}, sign) == (1, 2)
+    # {y, x} = x with no {x, y}
+    with pytest.raises(ValueError) as exc:
+        TruncatedAlgebra(3, ["1", "x", "y"], 0, _square_zero(2), {(2, 1): {1: 1}})
+    assert str(exc.value) == "bracket not antisymmetric at (1, 2)"
+    # y x = w with no x y
+    product = {(2, 1): {3: 1}, **_square_zero(3)}
+    alg = TruncatedAlgebra(4, ["1", "x", "y", "w"], 0, product, {})
+    message = r"commutative product; e_i e_j != e_j e_i at \(1, 2\)$"
+    with pytest.raises(ValueError, match=message):
+        nil_poisson_filtration(alg)
+
+
+def _old_antisymmetry_pair(B):
+    """The key scan of ``_validate`` before it shared ``_least_asymmetric``."""
+    bad = [
+        min(ij, ij[::-1])
+        for ij, row in B.items()
+        if merge(dict(row), B.get(ij[::-1], {}).items())
+    ]
+    return min(bad) if bad else None
+
+
+def _old_commutativity_pair(dim, product):
+    """The scan of every pair i < j that ``nil_poisson_filtration`` ran
+    before it shared ``_least_asymmetric``."""
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if product.get((i, j), {}) != product.get((j, i), {}):
+                return (i, j)
+    return None
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_least_asymmetric_names_the_pair_of_the_old_scans(data):
+    dim = data.draw(st.integers(1, 6))
+    sign = data.draw(st.sampled_from((-1, 1)))
+    index = st.integers(0, dim - 1)
+    coeffs = st.sampled_from(CORRUPT_COEFFS[1:])
+    table = {}
+    # a sparse table with table[j, i] = sign table[i, j] ...
+    for _ in range(data.draw(st.integers(0, 6))):
+        i, j = data.draw(index), data.draw(index)
+        if i != j or sign == 1:
+            row = data.draw(st.dictionaries(index, coeffs, min_size=1, max_size=3))
+            table[(i, j)] = row
+            table[(j, i)] = {k: sign * c for k, c in row.items()}
+    # ... then one side of a few swapped couples rewritten, the diagonal too
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(index)
+        j = i if data.draw(st.booleans()) else data.draw(index)
+        row = data.draw(st.dictionaries(index, coeffs, max_size=2))
+        if row:
+            table[(i, j)] = row
+        else:
+            table.pop((i, j), None)
+    got = _least_asymmetric(table, sign)
+    if sign == -1:
+        assert got == _old_antisymmetry_pair(table)
+        want = dense_antisymmetry_message(dim, table)
+        assert want == (None if got is None else f"bracket not antisymmetric at {got}")
+    else:
+        assert got == _old_commutativity_pair(dim, table)
 
 
 def chain_is_admissible(alg, pieces):

@@ -535,6 +535,40 @@ def test_window_algebra_brackets_each_in_window_pair_once(monkeypatch, build, sh
         assert m1.total_degree + m2.total_degree <= max_total
 
 
+@pytest.mark.parametrize("shape", [(2, 1, 4), (2, 3, 4), (3, 3, 4)])
+def test_quantized_window_algebra_is_the_table_of_every_pair(shape):
+    # the table of the window's products over all dim^2 pairs, in row-major
+    # order, entry for entry and in the same order
+    win = UWindow(*shape)
+    pairs = [(i, j) for i in range(win.dim) for j in range(win.dim)]
+    want = {ij: row for ij in pairs if (row := win._row(*ij))}
+    got = quantized_window_algebra(*shape).product
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 4), (3, 1, 3)])
+def test_quantized_window_algebra_asks_no_pair_past_the_total_bound(monkeypatch, shape):
+    # a pair whose totals sum past max_total has the product 0 and is never
+    # asked for; every pair inside the bound is, once
+    calls = []
+    row = UWindow._row
+
+    def record(self, i, j):
+        calls.append((i, j))
+        return row(self, i, j)
+
+    monkeypatch.setattr(UWindow, "_row", record)
+    alg = quantized_window_algebra(*shape)
+    totals = UWindow(*shape).totals
+    inside = [
+        (i, j)
+        for i in range(alg.dim)
+        for j in range(alg.dim)
+        if totals[i] + totals[j] <= shape[2]
+    ]
+    assert calls == inside
+
+
 # -- J^{*k} built by products: the reference for the star-ideal check -------
 
 
