@@ -52,9 +52,14 @@ copy of F_{n+1}.  The lists run out: G_1 = [X, X] has degrees >= 2, and
 in G_n is at least n + 1, and G_n is empty once n reaches the top degree.
 The closure is exact: J_{n+1} is an ideal, and it lies inside J_n because
 J descends, so the closure of G_n together with J_{n+1} is J_n, and the
-rows of J_{n+1} need no maps applied.  The lists running out makes the
-last piece 0, and J stops descending only where it is stable, so the two
-orders give the same pieces.
+rows of J_{n+1} need no maps applied.  It needs the products by the
+generators on one side only.  Let L be the closure of G_n and J_{n+1}
+under x v, x in X: L lies in J_n, and for v in L, v x = x v - [x, v] with
+[x, v] in J_{n+1} <= L by (A), so L is closed on the right too and is the
+two-sided J_n.  For the nil-Poisson filtration the product is commutative,
+and v x = x v.  The lists running out makes the last piece 0, and J stops
+descending only where it is stable, so the two orders give the same pieces.
+F_0 = A is the identity Echelon in either order, with nothing eliminated.
 """
 
 from __future__ import annotations
@@ -196,9 +201,12 @@ class FiniteAlgebra:
     ``degrees``, a grading: a list giving each basis vector its degree, 0
     for the unit and positive for every other one, such that
     basis_i * basis_j lies in degree ``degrees[i] + degrees[j]``.  Those are
-    its only hooks.  The product, the commutator, the ideal closure and
-    ``filtration_chain`` are built on them, once for every subclass; a
-    declared grading lets the chain be built from its deepest level up.
+    its only hooks.  The product, the commutator, the ideal maps and
+    ``filtration_chain`` are built on them, once for every subclass: the
+    products by each generator on both sides (``_ideal_maps``), which
+    ``ideal_close`` closes a span under, and on the left alone
+    (``_left_maps``), which close each piece of a graded chain.  A declared
+    grading lets the chain be built from its deepest level up.
     """
 
     degrees = None
@@ -241,6 +249,11 @@ class FiniteAlgebra:
         for b in self.generators():
             maps += [lambda v, b=b: self.mul(b, v), lambda v, b=b: self.mul(v, b)]
         return maps
+
+    def _left_maps(self):
+        """Products by each generator on the left, the maps that close each
+        piece of a graded chain (see ``filtration_chain``)."""
+        return [lambda v, b=b: self.mul(b, v) for b in self.generators()]
 
 
 class TruncatedAlgebra(FiniteAlgebra):
@@ -543,13 +556,17 @@ def filtration_chain(alg, pair_map):
     ``pair_map`` on the ``FiniteAlgebra`` ``alg``: F_n is the ideal of the
     seed list G_n of the module docstring.
 
-    Without ``alg.degrees`` the pieces are closed top-down, each from its
-    seeds alone, until two ranks agree.  With it, every seed list is built
-    first, and the pieces are closed from the deepest up, each from a copy
-    of the piece below.  A seed list that has not run out by the top degree
-    raises ``RuntimeError``: the declared degrees do not grade ``alg``.
+    F_0 is ``Echelon.identity``.  Without ``alg.degrees`` the pieces are
+    closed top-down, each from its seeds alone under the products by the
+    generators on both sides, until two ranks agree.  With it, every seed
+    list is built first, and the pieces are closed from the deepest up,
+    each from a copy of the piece below under the products by the
+    generators on the left alone, which the module docstring shows exact
+    for the commutator and for the bracket of a commutative product.  A
+    seed list that has not run out by the top degree raises
+    ``RuntimeError``: the declared degrees do not grade ``alg``.
     """
-    pieces = [Echelon.spanning(alg.basis_vec(i) for i in range(alg.dim))]
+    pieces = [Echelon.identity(alg.dim)]
     lists = _seed_lists(alg, pair_map)
     if alg.degrees is None:
         while pieces[-1].rank:
@@ -571,8 +588,12 @@ def filtration_chain(alg, pair_map):
             )
         levels.append(seeds)
     # F_n for n past the last list is 0; each piece above grows from a copy
-    # of the one below, so the maps run only on rows that raise the rank
-    maps = alg._ideal_maps()
+    # of the one below, so the maps run only on rows that raise the rank,
+    # and the products by the generators on the left close it: v x is
+    # x v - [x, v], and [x, v] lies in the copy by (A).  The left side, as
+    # a letter on the left of a PBW tuple straightens in a few swaps, where
+    # one on the right crosses every larger factor
+    maps = alg._left_maps()
     below = Echelon()
     deep = [below]
     for seeds in reversed(levels):

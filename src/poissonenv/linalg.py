@@ -277,6 +277,16 @@ class Echelon:
             ech.add(row)
         return ech
 
+    @classmethod
+    def identity(cls, dim):
+        """Echelon of the whole space on the columns 0 .. dim - 1: the unit
+        rows {i: {i: 1}} in index order.  They are echelon rows already, so
+        nothing is eliminated; ``spanning`` over the unit vectors gives the
+        same rows in the same order."""
+        ech = cls()
+        ech.rows = {i: {i: 1} for i in range(dim)}
+        return ech
+
     def copy(self):
         """An Echelon of the same span that grows on its own.
 

@@ -590,6 +590,14 @@ def test_rows_added_to_a_copy_leave_the_original_alone(data):
     assert [ech.contains(row) for row in queries] == answers
 
 
+@pytest.mark.parametrize("dim", [0, 1, 5])
+def test_identity_is_the_span_of_the_unit_rows_added_in_order(dim):
+    ech = Echelon.identity(dim)
+    assert _snapshot(ech) == _snapshot(Echelon.spanning({i: 1} for i in range(dim)))
+    assert not ech.add({c: c + 1 for c in range(dim)})
+    assert ech.basis() == [{i: 1} for i in range(dim)]
+
+
 def _derived_basis(ech):
     """The pivot-1 rows of ``ech``, derived from ``rows`` on every call as
     ``basis`` did before it kept them: each row divided by its pivot, an

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 from poissonenv import clear_caches, pbw, quantize
 from poissonenv.envelope import EnvelopePresentation, _generators_up_to, ideal_block
-from poissonenv.filtration import span_closure
+from poissonenv.filtration import (
+    _seed_lists,
+    commutator_filtration,
+    nil_poisson_filtration,
+    span_closure,
+)
 from poissonenv.freelie import LieBasisElement, LieElement, TensorElement
 from poissonenv.linalg import Echelon, merge
 from poissonenv.freepoisson import (
@@ -626,6 +631,59 @@ def _same_span(a, b):
         and all(a.contains(row) for row in b.rows.values())
         and all(b.contains(row) for row in a.rows.values())
     )
+
+
+# -- the graded chain's one-sided closure ------------------------------------
+
+
+def _two_sided_chain(win):
+    """F_1, F_2, ... of ``win`` closed from the deepest level up under the
+    products by the letters on both sides, each from a copy of the one
+    below: the reference for the chain's closure by left products alone."""
+    levels = []
+    for seeds in _seed_lists(win, win.commutator):
+        if not seeds:
+            break
+        levels.append(seeds)
+    below = Echelon()
+    deep = [below]
+    for seeds in reversed(levels):
+        below = span_closure(below.copy(), win._ideal_maps(), seeds)
+        deep.append(below)
+    return deep[::-1]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 7))
+def test_left_products_close_each_piece_of_the_graded_chain(n_gens, d, max_total):
+    # v x = x v - [x, v], and [x, v] lies in the piece below by (A) of the
+    # filtration module, so a piece grown from that piece is closed on the
+    # right once it is closed on the left; the grid of the Hilbert property
+    max_total = min(max_total, 9 - 2 * n_gens)
+    win = UWindow(n_gens, d, max_total)
+    want = _two_sided_chain(win)
+    got = win.filtration(len(want))
+    for n, piece in enumerate(want, 1):
+        assert _same_span(got[n], piece), n
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (UWindow, (2, 2, 6)),
+        (quantized_window_algebra, (2, 1, 4)),
+        (poisson_window_algebra, (2, 1, 3)),
+    ],
+    ids=["window", "quantized", "poisson"],
+)
+def test_every_chain_starts_from_the_unit_rows_in_index_order(build, shape):
+    alg = build(*shape)
+    chains = [commutator_filtration(alg)]
+    if getattr(alg, "bracket", None) is not None:
+        chains.append(nil_poisson_filtration(alg))
+    want = list(Echelon.spanning({i: 1} for i in range(alg.dim)).rows.items())
+    for chain in chains:
+        assert list(chain[0].rows.items()) == want
 
 
 @settings(deadline=None, max_examples=30)

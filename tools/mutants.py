@@ -54,6 +54,9 @@ class Mutant(NamedTuple):
 
 
 _VALIDATION = ("tests/test_filtration.py",)
+# the window chains against the Hilbert series, the two-sided closure and
+# the star tails
+_GRADED = "hilbert or left_products or deep_windows or window_reports"
 
 MUTANTS = [
     # -- one coefficient reader --------------------------------------------
@@ -279,6 +282,30 @@ MUTANTS = [
         "        self.rows[col] = row\n        self._basis = None\n",
         "        self.rows[col] = row\n",
         ("tests/test_linalg.py", "-k", "basis or copy"),
+    ),
+    # -- the graded chain's one-sided closure and its F_0 -----------------------
+    Mutant(
+        "graded-closure-from-nothing",
+        "filtration.py",
+        "below = span_closure(below.copy(), maps, seeds)",
+        "below = span_closure(Echelon(), maps, seeds)",
+        ("tests/test_window_hilbert.py", "tests/test_quantize.py", "-k", _GRADED),
+    ),
+    Mutant(
+        "f0-without-its-last-unit-row",
+        "filtration.py",
+        "pieces = [Echelon.identity(alg.dim)]",
+        "pieces = [Echelon.identity(alg.dim - 1)]",
+        ("tests/test_quantize.py", "-k", "unit_rows"),
+    ),
+    Mutant(
+        "graded-closure-by-right-products",
+        "filtration.py",
+        "return [lambda v, b=b: self.mul(b, v) for b in self.generators()]",
+        "return [lambda v, b=b: self.mul(v, b) for b in self.generators()]",
+        ("tests/test_window_hilbert.py", "tests/test_quantize.py", "-k", _GRADED),
+        equivalent="the mirror lemma: x v = v x + [x, v], with [x, v] in the piece"
+        " below, so right products close each piece as well",
     ),
 ]
 
