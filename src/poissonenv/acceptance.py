@@ -383,34 +383,27 @@ def check_endomorphism_contraction():
             out[label_index[repr(m)]] = c
         return out
 
-    # star-1 Hamiltonians: {c,-} raises star degree by 2, so it survives the
-    # d = 2 truncation and its exponential is a nontrivial Poisson endo
-    hams = ["(12)", "x1*(12)", "x2*(12)", "x1*x1*(12)", "x1*x2*(12)"]
-    passed = 0
-    for ham in hams:
-        cols = filt.hamiltonian_derivation(A, coord_vec(ham))
-        f = filt.exp_nilpotent_endo(A, cols)
-        rep = filt.endo_contraction_check(A, f, chain, use_bracket=True)
-        nontrivial = any(
-            f.apply(A.basis_vec(i)) != A.basis_vec(i) for i in range(A.dim)
-        )
-        if not (rep.passed and nontrivial):
-            return False, f"hamiltonian {ham} fails"
-        passed += 1
-
     Q = qz.quantized_window_algebra(2, 2, 4)
     qchain = filt.commutator_filtration(Q)
     qlabel = {lab: i for i, lab in enumerate(Q.labels)}
-    for u in ("(12)", "x1*(12)"):
-        cols = filt.inner_derivation(Q, {qlabel[u]: 1})
-        f = filt.exp_nilpotent_endo(Q, cols)
-        rep = filt.endo_contraction_check(Q, f, qchain, use_bracket=False)
+    # star-1 Hamiltonians: {c,-} raises star degree by 2, so it survives the
+    # d = 2 truncation and its exponential is a nontrivial Poisson endo
+    hams = ["(12)", "x1*(12)", "x2*(12)", "x1*x1*(12)", "x1*x2*(12)"]
+    cases = [
+        (f"hamiltonian {ham}", A, chain, filt.hamiltonian_derivation(A, coord_vec(ham)))
+        for ham in hams
+    ] + [
+        (f"inner {u}", Q, qchain, filt.inner_derivation(Q, {qlabel[u]: 1}))
+        for u in ("(12)", "x1*(12)")
+    ]
+    for name, alg, ch, cols in cases:
+        f = filt.exp_nilpotent_endo(alg, cols)
+        rep = filt.endo_contraction_check(alg, f, ch, use_bracket=alg.bracket is not None)
         nontrivial = any(
-            f.apply(Q.basis_vec(i)) != Q.basis_vec(i) for i in range(Q.dim)
+            f.apply(alg.basis_vec(i)) != alg.basis_vec(i) for i in range(alg.dim)
         )
         if not (rep.passed and nontrivial):
-            return False, f"inner {u} fails"
-        passed += 1
+            return False, f"{name} fails"
 
     # scaling the generators is a Poisson endomorphism but not id mod F_1:
     # the check must report the precondition violation
@@ -422,7 +415,7 @@ def check_endomorphism_contraction():
     rep = filt.endo_contraction_check(A, f, chain, use_bracket=True)
     if rep.identity_mod_f1 or not rep.is_endomorphism:
         return False, "precondition violation not reported"
-    return True, f"{passed} nontrivial endomorphisms pass"
+    return True, f"{len(cases)} nontrivial endomorphisms pass"
 
 
 def _label_monomial(alg, i):

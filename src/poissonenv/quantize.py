@@ -41,7 +41,7 @@ from .freepoisson import (
     monomials_up_to_total,
     plus_tuples,
 )
-from .linalg import Echelon, _require_ints, linear, merge
+from .linalg import Echelon, _require_ints, linear
 
 
 @dataclass(frozen=True)
@@ -433,8 +433,8 @@ def envelope_window_algebra(pres, max_total):
 
     Basis vectors are the non-pivot monomials of the windowed ideal blocks,
     in order of total degree.  Each basis pair's product and bracket are read
-    off the monomial tables of SLV and reduced to normal form, and only the
-    pairs whose result can be nonzero are computed, each unordered pair once:
+    off the monomial tables of SLV, and only the pairs whose result can be
+    nonzero are computed, each unordered pair once:
 
     - every term of m1 m2 has star s1 + s2 and total t1 + t2, and every
       term of {m1, m2} star s1 + s2 + 1 and total t1 + t2, while the window
@@ -442,8 +442,11 @@ def envelope_window_algebra(pres, max_total):
       with t1 + t2 > max_total or s1 + s2 > d is 0 in both tables, and its
       bracket is 0 when s1 + s2 >= d (the rule of ``UWindow._row``, with
       the bracket's +1);
-    - m2 m1 is the monomial m1 m2, so (j, i) has the row of (i, j), and one
-      normal form serves every pair with the same product monomial;
+    - m2 m1 is the monomial m1 m2, so (j, i) has the row of (i, j), and
+      every product and bracket row is read off one normal form per
+      monomial, in its (star, total) ideal block: the product row is that
+      of m1 m2, the bracket row the sum of those of its terms, all of which
+      lie in the window;
     - ``bracket_basis`` is antisymmetric, so {m2, m1} is -{m1, m2} term by
       term and, the normal form being linear, row (j, i) is -row (i, j);
       {m, m} = 0.
@@ -474,20 +477,18 @@ def envelope_window_algebra(pres, max_total):
             " is zero and has no unit"
         )
     gindex = {m: i for i, m in enumerate(basis)}
+    rows = {}  # window monomial -> its normal form, by basis index
 
-    def reduce_terms(terms):
-        out = {}
-        for m, c in terms.items():
-            if m.star_degree > d or m.total_degree > max_total:
-                continue
+    def row_of(m):
+        row = rows.get(m)
+        if row is None:
             cols, index, ech = blocks[(m.star_degree, m.total_degree)]
-            normal = ech.normal_form({index[m]: c})
-            merge(out, ((gindex[cols[i]], v) for i, v in normal.items()))
-        return out
+            normal = ech.normal_form({index[m]: 1})
+            row = rows[m] = {gindex[cols[i]]: c for i, c in normal.items()}
+        return row
 
     product = {}
     bracket = {}
-    reduced = {}  # product monomial -> its row
     for i, m1 in enumerate(basis):
         for j in range(i, len(basis)):
             m2 = basis[j]
@@ -496,15 +497,10 @@ def envelope_window_algebra(pres, max_total):
             star = m1.star_degree + m2.star_degree
             if star > d:
                 continue
-            m = PoissonMonomial.of(m1.factors + m2.factors)
-            row = reduced.get(m)
-            if row is None:
-                row = reduced[m] = reduce_terms({m: 1})
-            if row:
+            if row := row_of(PoissonMonomial.of(m1.factors + m2.factors)):
                 product[(i, j)] = product[(j, i)] = row
             if star < d and j > i:
-                row = reduce_terms(_bracket_monomials(m1, m2))
-                if row:
+                if row := linear(_bracket_monomials(m1, m2), row_of):
                     bracket[(i, j)] = row
                     bracket[(j, i)] = {k: -c for k, c in row.items()}
     return TruncatedAlgebra(

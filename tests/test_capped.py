@@ -7,7 +7,7 @@ star + length - 1, where nothing is dropped and the full memo entry itself
 comes back, and one past it.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poissonenv import pbw
@@ -57,6 +57,7 @@ def _no_bite(star, length, cap):
 
 @settings(deadline=None, max_examples=80)
 @given(_factor_tuples())
+@example((_FACTORS[2][1], _FACTORS[2][0]))
 def test_capped_normal_table_is_the_full_table_below_the_cap(factors):
     star = star_of(factors)
     capped = {cap: pbw.normal_table(factors, cap) for cap in _caps(star, len(factors))}

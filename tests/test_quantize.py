@@ -540,6 +540,30 @@ def test_window_algebra_brackets_each_in_window_pair_once(monkeypatch, build, sh
         assert m1.total_degree + m2.total_degree <= max_total
 
 
+@pytest.mark.parametrize(
+    "n_gens, relation, max_total",
+    [
+        (2, gen(1) * gen(2) + 2 * gen(1) * gen(1), 4),
+        (3, gen(1) * gen(2) - gen(3) * gen(3), 5),
+    ],
+)
+def test_window_algebra_reduces_each_monomial_once(monkeypatch, n_gens, relation, max_total):
+    # every product and bracket row is read off one kept normal form per
+    # window monomial, so no block reduces the same unit row twice
+    calls = []
+    normal_form = Echelon.normal_form
+
+    def record(self, row):
+        calls.append((self, tuple(row.items())))
+        return normal_form(self, row)
+
+    monkeypatch.setattr(Echelon, "normal_form", record)
+    envelope_window_algebra(EnvelopePresentation(n_gens, (relation,), 2, 2), max_total)
+    keys = [(id(ech), row) for ech, row in calls]
+    assert keys and len(set(keys)) == len(keys)
+    assert all(len(row) == 1 and row[0][1] == 1 for _, row in calls)
+
+
 @pytest.mark.parametrize("shape", [(2, 1, 4), (2, 3, 4), (3, 3, 4)])
 def test_quantized_window_algebra_is_the_table_of_every_pair(shape):
     # the table of the window's products over all dim^2 pairs, in row-major
@@ -928,7 +952,8 @@ def test_u_window_skips_only_pairs_that_cannot_fit(shape):
 
 def test_u_window_straightens_no_product_past_the_star_bound():
     # a pair whose star degrees sum past d has the row 0 by the grading
-    # alone, so its concatenation is never straightened or memoized
+    # alone, so its concatenation is never straightened or memoized, nor is
+    # the pair kept with an empty row
     clear_caches()
     win = UWindow(2, 1, 6)
     stars, totals = [m.star_degree for m in win.monomials], win.totals
@@ -945,7 +970,7 @@ def test_u_window_straightens_no_product_past_the_star_bound():
     assert all(t != product for t, _ in pbw._NORMAL_CACHE)
     for i, j in over:
         assert win.mul({i: 1}, {j: 1}) == {} == win.commutator({i: 1}, {j: 1})
-    assert pbw._NORMAL_CACHE == {}
+    assert pbw._NORMAL_CACHE == {} == win._rows
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 6), (3, 1, 5), (2, 3, 7), (3, 2, 5)])

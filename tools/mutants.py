@@ -57,6 +57,8 @@ _VALIDATION = ("tests/test_filtration.py",)
 # the window chains against the Hilbert series, the two-sided closure and
 # the star tails
 _GRADED = "hilbert or left_products or deep_windows or window_reports"
+# the window's ranks against their references
+_RANKS = "window_ranks or window_reports or deep_windows"
 
 MUTANTS = [
     # -- one coefficient reader --------------------------------------------
@@ -259,6 +261,81 @@ MUTANTS = [
         "bracket[(j, i)] = {k: -c for k, c in row.items()}",
         "bracket[(j, i)] = row",
         ("tests/test_quantize.py", "-k", "window_algebra"),
+    ),
+    # -- one normal form per window monomial ----------------------------------
+    Mutant(
+        "window-row-memo-never-filled",
+        "quantize.py",
+        "row = rows[m] = {gindex",
+        "row = {gindex",
+        ("tests/test_quantize.py", "-k", "window_algebra"),
+    ),
+    Mutant(
+        "window-bracket-row-as-product-row",
+        "quantize.py",
+        "linear(_bracket_monomials(m1, m2), row_of)",
+        "row_of(PoissonMonomial.of(m1.factors + m2.factors))",
+        ("tests/test_quantize.py", "-k", "window_algebra"),
+    ),
+    Mutant(
+        "window-row-not-reduced",
+        "quantize.py",
+        "normal = ech.normal_form({index[m]: 1})",
+        "normal = {index[m]: 1}",
+        ("tests/test_quantize.py", "-k", "window_algebra"),
+    ),
+    # -- check 13's one endomorphism loop --------------------------------------
+    Mutant(
+        "endo-check-always-brackets",
+        "acceptance.py",
+        "use_bracket=alg.bracket is not None",
+        "use_bracket=True",
+        ("tests/test_acceptance.py", "-k", "endo"),
+    ),
+    # -- the window's product rows and ranks ------------------------------------
+    Mutant(
+        "window-cut-takes-every-row",
+        "quantize.py",
+        "                    if col not in above:\n",
+        "                    if True:\n",
+        ("tests/test_quantize.py", "-k", _RANKS),
+        equivalent="a row whose pivot F_{n+1} holds is already in the cut, so"
+        " adding it again leaves the rank",
+    ),
+    Mutant(
+        "window-rank-off-by-one",
+        "quantize.py",
+        "ranks[n] = len(rows) - cut.rank",
+        "ranks[n] = len(rows) - cut.rank - (n == 1)",
+        ("tests/test_quantize.py", "-k", _RANKS),
+    ),
+    Mutant(
+        "row-total-clause-inclusive",
+        "quantize.py",
+        "totals[i] + totals[j] > self.max_total",
+        "totals[i] + totals[j] >= self.max_total",
+        ("tests/test_quantize.py", "-k", "u_window"),
+    ),
+    Mutant(
+        "row-star-clause-one-past",
+        "quantize.py",
+        "stars[i] + stars[j] > self.d:",
+        "stars[i] + stars[j] > self.d + 1:",
+        ("tests/test_quantize.py", "-k", "u_window"),
+    ),
+    Mutant(
+        "submultisets-room-strict",
+        "freepoisson.py",
+        "if k + t <= room",
+        "if k + t < room",
+        ("tests/test_freepoisson.py",),
+    ),
+    Mutant(
+        "normal-files-least-as-is",
+        "pbw.py",
+        "(factors, least if least > 1 else 1)",
+        "(factors, least)",
+        ("tests/test_capped.py", "-k", "normal_table"),
     ),
     # -- the star-ideal inclusion count ----------------------------------------
     Mutant(
