@@ -387,11 +387,20 @@ def poisson_to_json(p):
     }
 
 
+def _json_word(letters):
+    """A JSON letter list as a word, refusing a bool or non-int letter with
+    ``TypeError``: ``1.0`` and ``true`` equal the letter 1 but are not it."""
+    word = tuple(letters)
+    for i in word:
+        _require_ints(letter=i)
+    return word
+
+
 def poisson_from_json(data):
     out = {}
     for term in data["terms"]:
         factors = tuple(
-            LieBasisElement.from_word(tuple(f["word"])) for f in term["factors"]
+            LieBasisElement.from_word(_json_word(f["word"])) for f in term["factors"]
         )
         m = PoissonElement.monomial(PoissonMonomial.of(factors), term["coeff"])
         merge(out, m.terms.items())
@@ -422,6 +431,6 @@ def tensor_to_json(t):
 def tensor_from_json(data):
     out = {}
     for term in data["terms"]:
-        w = TensorElement.word(tuple(term["word"]), term["coeff"])
+        w = TensorElement.word(_json_word(term["word"]), term["coeff"])
         merge(out, w.terms.items())
     return TensorElement._of(out)

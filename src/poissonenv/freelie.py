@@ -86,9 +86,17 @@ class LieBasisElement(tuple):
 
     @classmethod
     def from_word(cls, word):
+        """The shared element of a Lyndon word of int letters.  A float or
+        bool letter is refused with ``TypeError`` before interning: it hashes
+        and compares equal to its int, so the element built from it would be
+        the one every later lookup of the int word returns, printed as
+        ``x1.0`` or ``xTrue``."""
         word = tuple(word)
         elt = _ELEMENT_CACHE.get(word)
         if elt is None:
+            for i in word:
+                if type(i) is not int:
+                    raise TypeError(f"letters must be ints, got the word {word!r}")
             if not is_lyndon(word):
                 raise ValueError(f"{word} is not a Lyndon word")
             if len(word) == 1:

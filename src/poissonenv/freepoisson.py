@@ -27,21 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import attrgetter
 
 from . import pbw
 from .freelie import TensorElement, bracket_basis, generator, lyndon_basis_of_length
-from .linalg import (
-    Combination,
-    _require_ints,
-    bilinear,
-    int_row,
-    linear,
-    merge,
-    product,
-    quotient,
-)
+from .linalg import Combination, _require_ints, bilinear, linear, merge, product, quotient
 
 
 class PoissonMonomial:
@@ -235,6 +226,8 @@ def e_inverse(t):
 
 
 _STAR_MONO_CACHE = {}
+# the star table of a capped pair with no term left
+_EMPTY_TABLE = ({}, 1)
 # (S, f) -> N(S, f), S a nondecreasing factor tuple and f a Lie basis element
 _NESTED_CACHE = {}
 # n -> (D, w) with w[k] = D B_k / k! for k <= n
@@ -307,8 +300,10 @@ def _submultisets(factors, room):
 
 
 def _star_monomials(m1, m2, cap=None):
-    """The star table of a monomial pair, a dict monomial -> coefficient
-    (memoized; callers only read it).
+    """The star table of a monomial pair as (ints, den): the table is the
+    dict monomial -> ints[monomial] / den, with every int nonzero, den > 0
+    and gcd(den, *ints.values()) == 1 (memoized; callers only read it, and
+    ``_int_sum`` sums tables in this form).
 
     For m1 = f_1 ... f_k, e(m1) = (1/k) sum_f mult_f f e(m1/f) over the
     distinct factors f of multiplicity mult_f, so
@@ -323,47 +318,52 @@ def _star_monomials(m1, m2, cap=None):
 
     with k = |S| (``_submultisets``, ``_nested``, ``_bernoulli_weights``).
     Only ``bracket_basis`` and commutative products are used, never PBW
-    coordinates, on ints over one common denominator (``_left_sum``).
+    coordinates, on ints over one common denominator (``_left_sum``), which
+    is reduced once per table.
     When m1 has more factors than m2, the table is read off that of
     (m2, m1) by B_p(m1, m2) = (-1)^p B_p(m2, m1): the antipode of U (-1 on
     Lie elements) reverses products and maps e(a) to e((-1)^sym a).
 
     With ``cap``, only its terms of star degree <= cap, filed under
-    (m1.factors, m2.factors, cap).  A term of f * Q has star degree
-    star f + star Q + k, so (m1/f) * m2 is read at cap - star f and k is
-    at most cap - star f - star Q.  The pair's terms have star degree
-    star m1 + star m2 + p for p < sym m1 + sym m2, so a cap past that reads
-    the full table.
+    (m1.factors, m2.factors, cap); ``({}, 1)`` when none is left.  A term
+    of f * Q has star degree star f + star Q + k, so (m1/f) * m2 is read at
+    cap - star f and k is at most cap - star f - star Q.  The pair's terms
+    have star degree star m1 + star m2 + p for p < sym m1 + sym m2, so a
+    cap past that reads the full table.
     """
     if cap is not None:
         room = cap - m1.star_degree - m2.star_degree
         if room >= max(m1.sym_degree + m2.sym_degree - 1, 0):
             cap = None
         elif room < 0:
-            return {}
+            return _EMPTY_TABLE
     key = (m1.factors, m2.factors) if cap is None else (m1.factors, m2.factors, cap)
     hit = _STAR_MONO_CACHE.get(key)
     if hit is None:
         f1 = m1.factors
         if not f1:
-            hit = {m2: 1}
+            hit = {m2: 1}, 1
         elif m1.sym_degree > m2.sym_degree:
             # the recursion runs over the factors of m1: take the shorter side
             s = m1.sym_degree + m2.sym_degree
-            hit = {
-                m: -c if (s - m.sym_degree) % 2 else c
-                for m, c in _star_monomials(m2, m1, cap).items()
-            }
+            ints, den = _star_monomials(m2, m1, cap)
+            hit = {m: -c if (s - m.sym_degree) % 2 else c for m, c in ints.items()}, den
         else:
             acc, den = _left_sum(f1, m2, cap)
-            hit = {m: quotient(c, den) for m, c in acc.items() if c}
+            ints = {m: c for m, c in acc.items() if c}
+            g = gcd(den, *ints.values())
+            if g != 1:
+                ints = {m: c // g for m, c in ints.items()}
+                den //= g
+            hit = ints, den
         _STAR_MONO_CACHE[key] = hit
     return hit
 
 
 def _left_sum(f1, m2, cap):
     """(acc, den): (1/k) sum_f mult_f f * ((m1/f) * m2) for the monomial m1
-    of the nonempty ``f1``, as an int vector over den."""
+    of the nonempty ``f1``, as an int vector over den that may hold zeros
+    and need not be in lowest terms.  Each sub-table is read as stored."""
     parts = []
     den = 1
     for i, f in enumerate(f1):
@@ -371,7 +371,7 @@ def _left_sum(f1, m2, cap):
             continue
         sub = None if cap is None else cap - f.star_degree
         rest = PoissonMonomial.of(f1[:i] + f1[i + 1 :])
-        ints, d = int_row(_star_monomials(rest, m2, sub))
+        ints, d = _star_monomials(rest, m2, sub)
         d_w, weights = _bernoulli_weights(max((q.sym_degree for q in ints), default=0))
         parts.append((f, f1.count(f), ints, sub, d * d_w, weights))
         den = lcm(den, d * d_w)
@@ -395,6 +395,54 @@ def _left_sum(f1, m2, cap):
     return acc, den * len(f1)
 
 
+def _int_sum(terms):
+    """(acc, den) with acc / den = sum_t n_t * ints_t / d_t over the
+    (n_t, ints_t, d_t) of the list ``terms``: ints n_t and d_t > 0, and
+    ints_t an iterable of (key, int) pairs, such as a star table's items.
+    ``acc`` is a dict of ints over den, the lcm of the d_t, and may hold
+    zeros; a term's items are read once."""
+    if len(terms) == 1:
+        ((n, items, den),) = terms
+        return (dict(items) if n == 1 else {m: v * n for m, v in items}), den
+    den = lcm(*[d for _, _, d in terms])
+    acc = {}
+    get = acc.get
+    for n, items, d in terms:
+        n *= den // d
+        for m, v in items:
+            acc[m] = get(m, 0) + v * n
+    return acc, den
+
+
+def _table_sum(terms):
+    """sum_t n_t * ints_t / d_t over the (n_t, ints_t, d_t) of the list
+    ``terms``, as in ``_int_sum``: a dict of nonzero stored coefficients,
+    each divided once with ``quotient``.  A single term needs no sum; its
+    n and ints are nonzero, as a star table's are."""
+    if len(terms) == 1:
+        ((n, items, den),) = terms
+        if den == 1:
+            return dict(items) if n == 1 else {m: v * n for m, v in items}
+        return {m: quotient(v * n, den) for m, v in items}
+    acc, den = _int_sum(terms)
+    if den == 1:
+        return {m: v for m, v in acc.items() if v}
+    return {m: quotient(v, den) for m, v in acc.items() if v}
+
+
+def _pair_tables(a, b, cap=None):
+    """The ``_int_sum`` terms (n, items, d) of every pair of terms c1 m1 of
+    ``a`` and c2 m2 of ``b``, in the order of a loop over ``a`` then ``b``:
+    c1 c2 times the pair's star table (capped at ``cap``) is n * items / d."""
+    out = []
+    for m1, c1 in a.terms.items():
+        n1, d1 = c1.numerator, c1.denominator
+        for m2, c2 in b.terms.items():
+            ints, den = _star_monomials(m1, m2, cap)
+            out.append((n1 * c2.numerator, ints.items(), d1 * c2.denominator * den))
+    return out
+
+
 def star_product(a, b):
     """The PBW quantized product B(a, b) = e^{-1}(e(a) e(b)).
 
@@ -408,10 +456,10 @@ def star_product(a, b):
 
 def _star_sum(a, b, cap):
     """The star product of ``a`` and ``b`` summed pair by pair, with the
-    terms of star degree > cap dropped when ``cap`` is given."""
-    return PoissonElement._of(
-        bilinear(a.terms, b.terms, lambda m1, m2: _star_monomials(m1, m2, cap))
-    )
+    terms of star degree > cap dropped when ``cap`` is given: the pairs'
+    int tables are summed over one denominator (``_int_sum``), and each
+    coefficient is divided once."""
+    return PoissonElement._of(_table_sum(_pair_tables(a, b, cap)))
 
 
 def star_components(a, b):
@@ -421,39 +469,45 @@ def star_components(a, b):
 
     One pass over the monomial pairs: a term m of the star table of a pair
     (m1, m2) belongs to B_p with p = sym m1 + sym m2 - sym m, so the pieces
-    are disjoint.
+    are disjoint.  Each pair's int table is split by p, and each B_p is
+    summed as ``star_product`` sums the whole.
     """
     if not a.terms or not b.terms:
         return {}
     top = a.sym_degrees()[-1] + b.sym_degrees()[-1]
-    out = {p: {} for p in range(top + 1)}
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            s, c = m1.sym_degree + m2.sym_degree, c1 * c2
-            for m, v in _star_monomials(m1, m2).items():
-                merge(out[s - m.sym_degree], ((m, v),), c)
-    return {p: PoissonElement._of(terms) for p, terms in out.items()}
+    parts = {p: [] for p in range(top + 1)}
+    syms = [m1.sym_degree + m2.sym_degree for m1 in a.terms for m2 in b.terms]
+    for (n, items, d), s in zip(_pair_tables(a, b), syms):
+        split = {}
+        for m, c in items:
+            split.setdefault(s - m.sym_degree, []).append((m, c))
+        for p, part in split.items():
+            parts[p].append((n, part, d))
+    return {p: PoissonElement._of(_table_sum(terms)) for p, terms in parts.items()}
 
 
 def star_component(a, b, p):
     """B_p: the component of the star product dropping sym degree by p.
 
     Applied bilinearly over the sym-homogeneous components of the inputs:
-    only the B_p terms of each pair's star table, those of sym degree
-    sym m1 + sym m2 - p, are summed.  On star-homogeneous inputs it is also
-    the component raising star degree by exactly p.  A negative p raises
-    ``ValueError``, a bool or non-int p ``TypeError``.
+    only the B_p terms of each pair's int table, those of sym degree
+    sym m1 + sym m2 - p, are summed, as ``star_product`` sums the whole.
+    On star-homogeneous inputs it is also the component raising star
+    degree by exactly p.  A negative p raises ``ValueError``, a bool or
+    non-int p ``TypeError``.
     """
     _require_ints(p=p)
     if p < 0:
         raise ValueError(f"need p >= 0, got {p}")
-    out = {}
+    terms = []
     for m1, c1 in a.terms.items():
         for m2, c2 in b.terms.items():
+            ints, den = _star_monomials(m1, m2)
             want = m1.sym_degree + m2.sym_degree - p
-            table = _star_monomials(m1, m2).items()
-            merge(out, ((m, c) for m, c in table if m.sym_degree == want), c1 * c2)
-    return PoissonElement._of(out)
+            items = [(m, c) for m, c in ints.items() if m.sym_degree == want]
+            d = c1.denominator * c2.denominator * den
+            terms.append((c1.numerator * c2.numerator, items, d))
+    return PoissonElement._of(_table_sum(terms))
 
 
 def sv_tuples(n_gens, degree):

@@ -148,7 +148,8 @@ def linear(v, table, out=None):
     Loops that keep their own copy, one reason each:
     - ``FiniteAlgebra.commutator`` merges two rows per pair in one pass;
     - ``product`` joins two keys, no table;
-    - ``star_component``, ``star_components`` filter or split each row;
+    - the star readers (``freepoisson._int_sum``) sum int tables over one
+      denominator and divide each coefficient once;
     - ``pbw._normal``, ``pbw.sym_table`` scale by multiplicity in their memo;
     - ``freepoisson.e_inverse``, ``_bracket_monomials`` rekey each row's
       factor tuples as monomials, one ``merge`` per row.

@@ -31,12 +31,13 @@ from .envelope import EnvelopePresentation, _generators_up_to, ideal_block
 from .filtration import FiniteAlgebra, TruncatedAlgebra, filtration_chain
 from .freelie import generator
 from .freepoisson import (
-    MONOMIAL_ONE,
     PoissonElement,
     PoissonMonomial,
     _bracket_monomials,
+    _int_sum,
     _star_monomials,
     _star_sum,
+    _table_sum,
     monomials_star_total,
     monomials_up_to_total,
     plus_tuples,
@@ -64,7 +65,9 @@ def truncated_product(alg, a, b):
     No term past star degree d is computed: each monomial pair's table is
     built with every intermediate capped at d (``freepoisson._star_monomials``),
     which is exact because no term of the Berezin-Gutt product f * Q has
-    star degree below star f + star Q.
+    star degree below star f + star Q.  The pairs' int tables are summed
+    over the lcm of their denominators, as ``star_product`` sums them, and
+    each coefficient is divided once.
     """
     if a.max_star_degree() > alg.d or b.max_star_degree() > alg.d:
         raise ValueError(f"inputs must have star degree <= {alg.d}")
@@ -74,15 +77,32 @@ def truncated_product(alg, a, b):
 def nc_embed(alg, w):
     """Image of a noncommutative word under the product of the generators:
     the capped star product x_{i1} * ... * x_{ik} of its letters, which is
-    e^{-1} of the word with the ideal of star degrees > d dropped."""
+    e^{-1} of the word with the ideal of star degrees > d dropped.
+
+    The letters are folded in ints over one running denominator: each step
+    sums the int star tables of the current monomials with one letter over
+    the lcm of their denominators (``freepoisson._int_sum``), and each
+    coefficient is divided once, at the end.  A bool or non-int letter
+    raises ``TypeError``, one outside 1..n_gens ``ValueError``.
+    """
     for i in w:
+        if type(i) is not int:
+            raise TypeError(f"letter must be an int, got {i!r}")
         if not 1 <= i <= alg.n_gens:
             raise ValueError(f"letter {i} outside 1..{alg.n_gens}")
-    out = {MONOMIAL_ONE: 1}
-    for i in w:
+    if not w:
+        return PoissonElement.one()
+    # 1 * x = x; each later letter is one int step over the running den
+    terms = [(1, ((PoissonMonomial.of((generator(w[0]),)), 1),), 1)]
+    for i in w[1:]:
         x = PoissonMonomial.of((generator(i),))
-        out = linear(out, lambda m: _star_monomials(m, x, alg.d))
-    return PoissonElement._of(out)
+        acc, den = _int_sum(terms)
+        terms = []
+        for m, c in acc.items():
+            if c:
+                ints, d = _star_monomials(m, x, alg.d)
+                terms.append((c, ints.items(), d * den))
+    return PoissonElement._of(_table_sum(terms))
 
 
 class UWindow(FiniteAlgebra):

@@ -7,10 +7,13 @@ star + length - 1, where nothing is dropped and the full memo entry itself
 comes back, and one past it.
 """
 
+from fractions import Fraction
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poissonenv import pbw
+from poissonenv.exprparse import parse
 from poissonenv.freelie import lyndon_basis_of_length
 from poissonenv.freepoisson import (
     PoissonElement,
@@ -51,6 +54,13 @@ def _below(table, cap):
     return {t: c for t, c in table.items() if star_of(t) <= cap}
 
 
+def _value(table):
+    """The exact value {monomial: ints[monomial] / den} of a stored
+    (ints, den) star table."""
+    ints, den = table
+    return {m: Fraction(c, den) for m, c in ints.items()}
+
+
 def _no_bite(star, length, cap):
     return cap >= star + max(length - 1, 0)
 
@@ -83,7 +93,8 @@ def test_capped_pair_table_is_the_full_table_below_the_cap(pair):
     star = m1.star_degree + m2.star_degree
     for cap in _caps(star, m1.sym_degree + m2.sym_degree):
         got = _star_monomials(m1, m2, cap)
-        assert got == {m: c for m, c in full.items() if m.star_degree <= cap}, cap
+        want = {m: c for m, c in _value(full).items() if m.star_degree <= cap}
+        assert _value(got) == want, cap
         if _no_bite(star, m1.sym_degree + m2.sym_degree, cap):
             assert got is full
 
@@ -95,10 +106,23 @@ def _terms(n):
     return st.lists(st.sampled_from(_MONOMIALS[n]), min_size=1, max_size=2, unique=True)
 
 
+def _monomial(text):
+    (m,) = parse(text, 3).terms
+    return m
+
+
 @settings(deadline=None, max_examples=40)
 @given(
     st.sampled_from((2, 3)).flatmap(lambda n: st.tuples(st.just(n), _terms(n), _terms(n))),
     st.lists(_COEFFS, min_size=4, max_size=4),
+)
+@example(  # the denominators 2, 3 and 5, summed over their lcm
+    (3, [_monomial("x1*x2"), _monomial("(12)")], [_monomial("x1*x2*x3"), _monomial("x3")]),
+    [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), 1],
+)
+@example(  # at d = 1 the pair ((12), (13)) has no term left beside three that do
+    (3, [_monomial("(12)"), _monomial("x1")], [_monomial("(13)"), _monomial("x2")]),
+    [1, 2, -1, 3],
 )
 def test_truncated_product_is_the_star_product_below_d(case, coeffs):
     n, left, right = case

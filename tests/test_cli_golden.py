@@ -41,6 +41,14 @@ CASES = {
     "filtration-noncommutative": ["filtration", "data/quantized_window_2_1_4.json"],
     "graded": ["graded", "-n", "2", "-d", "2", "-N", "1"],
     "ncembed": ["ncembed", "-n", "3", "-d", "2", "1231"],
+    # coefficients over different denominators, summed over one lcm
+    "star-mixed-denominators": [
+        "star", "-n", "3", "-d", "9", "1/2*x1*x2 - 1/3*(12)", "2/5*x2*x3*x1 + x3"
+    ],
+    "bp-mixed-denominators": [
+        "bp", "-n", "3", "-p", "2", "1/2*x1*x2 - 1/3*(12)", "2/5*x2*x3*x1 + x3"
+    ],
+    "ncembed-mixed-denominators": ["ncembed", "-n", "3", "-d", "3", "31213"],
     "verify-01": ["verify", "--suite", "01"],
 }
 

@@ -1,16 +1,18 @@
 import itertools as it
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poissonenv import pbw
+from poissonenv import clear_caches, pbw
 from poissonenv.exprparse import parse
 from poissonenv.freelie import LieBasisElement, TensorElement, _tensor_vector
 from poissonenv.freepoisson import (
+    _STAR_MONO_CACHE,
     PoissonElement,
     e_inverse,
     monomials_star_total,
@@ -22,6 +24,7 @@ from poissonenv.freepoisson import (
     symmetrize,
 )
 from poissonenv.linalg import SpanSolver
+from poissonenv.quantize import QuantizedAlgebra, truncated_product
 
 
 def gen(i):
@@ -163,8 +166,14 @@ def _star_pairs(draw):
     return element(ta), element(tb)
 
 
+# multi-term elements whose coefficients have the denominators 2, 3 and 5,
+# so the pair tables are summed over the lcm of different denominators
+_MIXED = (parse("1/2*x1*x2 - 1/3*(12)", 3), parse("2/5*x2*x3*x1 + x3", 3))
+
+
 @settings(deadline=None, max_examples=40)
 @given(_star_pairs())
+@example(_MIXED)
 def test_star_product_matches_word_space_oracle(pair):
     # B is computed in PBW coordinates; the word-space e and e^-1 are the
     # independent reference
@@ -230,6 +239,7 @@ def reference_star_component(a, b, p):
 
 @settings(deadline=None, max_examples=40)
 @given(_star_pairs())
+@example(_MIXED)
 def test_star_components_match_per_component_reference(pair):
     a, b = pair
     comps = star_components(a, b)
@@ -371,6 +381,7 @@ def test_e_of_e_inverse_is_the_identity_on_random_tensors(t):
 
 @settings(deadline=None, max_examples=40)
 @given(_pairs())
+@example(_MIXED)
 def test_star_component_is_the_piece_of_star_components(pair):
     # on elements homogeneous in neither grading, and past the top p
     a, b = pair
@@ -380,3 +391,21 @@ def test_star_component_is_the_piece_of_star_components(pair):
         assert star_component(a, b, p) == comps.get(p, PoissonElement())
     zero = PoissonElement.zero()
     assert star_component(a, zero, 0).is_zero() and star_component(zero, b, 1).is_zero()
+
+
+@settings(deadline=None, max_examples=30)
+@given(_star_pairs(), st.integers(0, 4))
+@example((gen(1), gen(1)), 0)
+@example(_MIXED, 2)
+def test_every_star_table_is_stored_in_lowest_terms(pair, d):
+    # x1 * x1 sums to 2 x1*x1 over 2 before its table is reduced
+    a, b = pair
+    clear_caches()
+    star_product(a, b)
+    if max(a.max_star_degree(), b.max_star_degree()) <= d:
+        truncated_product(QuantizedAlgebra(3, d), a, b)
+    assert _STAR_MONO_CACHE
+    for ints, den in _STAR_MONO_CACHE.values():
+        assert type(den) is int and den >= 1
+        assert all(type(c) is int and c for c in ints.values())
+        assert gcd(den, *ints.values()) == 1

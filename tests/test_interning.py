@@ -10,21 +10,31 @@ import importlib
 import itertools as it
 import pkgutil
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poissonenv
 from poissonenv import acceptance, freelie, freepoisson, pbw
-from poissonenv.exprparse import format_poisson, poisson_from_json, poisson_to_json
+from poissonenv.exprparse import (
+    format_poisson,
+    parse,
+    poisson_from_json,
+    poisson_to_json,
+    tensor_from_json,
+)
+from poissonenv.freelie import TensorElement
 from poissonenv.freelie import lyndon_basis_of_length
 from poissonenv.freepoisson import (
     PoissonElement,
     PoissonMonomial,
+    e_inverse,
     monomials_star_total,
     multiply,
     poisson_bracket,
     star_product,
 )
+from poissonenv.quantize import QuantizedAlgebra, nc_embed
 
 _FACTORS = [b for length in range(1, 4) for b in lyndon_basis_of_length(3, length)]
 _factor_tuples = st.lists(st.sampled_from(_FACTORS), max_size=5).map(tuple)
@@ -156,3 +166,47 @@ def test_clear_caches_empties_every_table_between_checks():
         assert not any(tables)
         # emptied in place: the modules still hold the very same dicts
         assert all(_module_dicts()[key] is t for key, t in found.items())
+
+
+def _refuse_then_print_x1(call):
+    """``call`` on emptied tables raises TypeError, and the letter x1 built
+    afterwards still prints as x1: the refused letter was not interned."""
+    poissonenv.clear_caches()
+    with pytest.raises(TypeError):
+        call()
+    assert format_poisson(parse("x1*x2 + (12)", 2)) == "x1*x2 + (12)"
+    assert repr(freelie.generator(1)) == "x1"
+
+
+def _poisson_json(letter):
+    factors = [{"word": [letter]}]
+    return {"kind": "poisson", "terms": [{"coeff": "1", "factors": factors}]}
+
+
+def _tensor_json(letter):
+    return {"kind": "tensor", "terms": [{"coeff": "1", "word": [letter, 2]}]}
+
+
+_REFUSED = {
+    "nc_embed": lambda letter: nc_embed(QuantizedAlgebra(2, 1), (letter,)),
+    "from_word": lambda letter: freelie.LieBasisElement.from_word((letter,)),
+    "e_inverse": lambda letter: e_inverse(TensorElement.word((letter, 2))),
+    "poisson_from_json": lambda letter: poisson_from_json(_poisson_json(letter)),
+    "tensor_from_json": lambda letter: tensor_from_json(_tensor_json(letter)),
+}
+
+
+@pytest.mark.parametrize("letter", [1.0, True])
+@pytest.mark.parametrize("name", sorted(_REFUSED))
+def test_a_float_or_bool_letter_is_refused_before_it_is_interned(name, letter):
+    # 1.0 and True hash and compare equal to 1: interned, they would be
+    # filed under the word (1,) and print as x1.0 or xTrue from then on
+    _refuse_then_print_x1(lambda: _REFUSED[name](letter))
+
+
+def test_the_refusal_names_the_word():
+    poissonenv.clear_caches()
+    with pytest.raises(TypeError, match=r"^letters must be ints, got the word \(1\.0, 2\)$"):
+        freelie.LieBasisElement.from_word((1.0, 2))
+    with pytest.raises(TypeError, match=r"^letter must be an int, got True$"):
+        nc_embed(QuantizedAlgebra(2, 1), (1, True))

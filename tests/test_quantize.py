@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poissonenv import clear_caches, pbw, quantize
@@ -1170,6 +1170,7 @@ def test_each_star_tail_is_the_span_of_its_coordinates(n_gens, d, N):
     ),
     st.integers(0, 3),
 )
+@example((3, [3, 1, 2, 1, 3]), 3)  # tables over the denominators 1, 2, 6 and 12
 def test_nc_embed_is_the_capped_e_inverse_of_its_word(case, d):
     n_gens, word = case
     alg = QuantizedAlgebra(n_gens, d)

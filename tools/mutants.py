@@ -375,6 +375,56 @@ MUTANTS = [
         "pieces = [Echelon.identity(alg.dim - 1)]",
         ("tests/test_quantize.py", "-k", "unit_rows"),
     ),
+    # -- star tables as ints over one denominator -------------------------------
+    Mutant(
+        "int-sum-first-denominator",
+        "freepoisson.py",
+        "    den = lcm(*[d for _, _, d in terms])\n",
+        "    den = terms[0][2]\n",
+        ("tests/test_freepoisson.py", "-k", "oracle or star_component"),
+    ),
+    Mutant(
+        "pair-table-drops-the-right-denominator",
+        "freepoisson.py",
+        "d1 * c2.denominator * den",
+        "d1 * den",
+        ("tests/test_freepoisson.py", "-k", "oracle or star_component"),
+    ),
+    Mutant(
+        "star-table-not-reduced",
+        "freepoisson.py",
+        "            g = gcd(den, *ints.values())\n",
+        "            g = 1\n",
+        ("tests/test_freepoisson.py", "-k", "lowest_terms"),
+    ),
+    Mutant(
+        "empty-capped-table-over-zero",
+        "freepoisson.py",
+        "_EMPTY_TABLE = ({}, 1)",
+        "_EMPTY_TABLE = ({}, 0)",
+        ("tests/test_capped.py",),
+    ),
+    Mutant(
+        "nc-embed-final-division-skipped",
+        "quantize.py",
+        "    return PoissonElement._of(_table_sum(terms))\n",
+        "    return PoissonElement._of(_int_sum(terms)[0])\n",
+        ("tests/test_quantize.py", "-k", "nc_embed"),
+    ),
+    Mutant(
+        "nc-embed-running-denominator-dropped",
+        "quantize.py",
+        "terms.append((c, ints.items(), d * den))",
+        "terms.append((c, ints.items(), d))",
+        ("tests/test_quantize.py", "-k", "nc_embed"),
+    ),
+    Mutant(
+        "from-word-interns-a-float",
+        "freelie.py",
+        "                if type(i) is not int:\n",
+        "                if False:\n",
+        ("tests/test_interning.py", "-k", "refused"),
+    ),
     Mutant(
         "graded-closure-by-right-products",
         "filtration.py",
