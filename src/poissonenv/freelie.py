@@ -90,7 +90,10 @@ class LieBasisElement(tuple):
         bool letter is refused with ``TypeError`` before interning: it hashes
         and compares equal to its int, so the element built from it would be
         the one every later lookup of the int word returns, printed as
-        ``x1.0`` or ``xTrue``."""
+        ``x1.0`` or ``xTrue``.  The check runs on a cache miss only, so it
+        guarantees that no such letter is interned, not that every call
+        raises: once the int word is interned, a float or bool word equal
+        to it returns that element."""
         word = tuple(word)
         elt = _ELEMENT_CACHE.get(word)
         if elt is None:

@@ -401,9 +401,6 @@ def _int_sum(terms):
     ints_t an iterable of (key, int) pairs, such as a star table's items.
     ``acc`` is a dict of ints over den, the lcm of the d_t, and may hold
     zeros; a term's items are read once."""
-    if len(terms) == 1:
-        ((n, items, den),) = terms
-        return (dict(items) if n == 1 else {m: v * n for m, v in items}), den
     den = lcm(*[d for _, _, d in terms])
     acc = {}
     get = acc.get
@@ -417,16 +414,13 @@ def _int_sum(terms):
 def _table_sum(terms):
     """sum_t n_t * ints_t / d_t over the (n_t, ints_t, d_t) of the list
     ``terms``, as in ``_int_sum``: a dict of nonzero stored coefficients,
-    each divided once with ``quotient``.  A single term needs no sum; its
-    n and ints are nonzero, as a star table's are."""
+    each divided once with ``quotient``.  A single term, such as a product
+    of two monomials, is divided in one pass with no sum: its n and ints
+    are nonzero, as a star table's are."""
     if len(terms) == 1:
         ((n, items, den),) = terms
-        if den == 1:
-            return dict(items) if n == 1 else {m: v * n for m, v in items}
         return {m: quotient(v * n, den) for m, v in items}
     acc, den = _int_sum(terms)
-    if den == 1:
-        return {m: v for m, v in acc.items() if v}
     return {m: quotient(v, den) for m, v in acc.items() if v}
 
 

@@ -86,8 +86,7 @@ def nc_embed(alg, w):
     raises ``TypeError``, one outside 1..n_gens ``ValueError``.
     """
     for i in w:
-        if type(i) is not int:
-            raise TypeError(f"letter must be an int, got {i!r}")
+        _require_ints(letter=i)
         if not 1 <= i <= alg.n_gens:
             raise ValueError(f"letter {i} outside 1..{alg.n_gens}")
     if not w:

@@ -405,6 +405,20 @@ MUTANTS = [
         ("tests/test_capped.py",),
     ),
     Mutant(
+        "single-table-sum-drops-the-coefficient",
+        "freepoisson.py",
+        "        return {m: quotient(v * n, den) for m, v in items}\n",
+        "        return {m: quotient(v, den) for m, v in items}\n",
+        ("tests/test_freepoisson.py", "-k", "star_component"),
+    ),
+    Mutant(
+        "nc-embed-first-letter-twice",
+        "quantize.py",
+        "    for i in w[1:]:\n",
+        "    for i in w:\n",
+        ("tests/test_quantize.py", "-k", "nc_embed"),
+    ),
+    Mutant(
         "nc-embed-final-division-skipped",
         "quantize.py",
         "    return PoissonElement._of(_table_sum(terms))\n",
