@@ -431,6 +431,6 @@ def tensor_to_json(t):
 def tensor_from_json(data):
     out = {}
     for term in data["terms"]:
-        w = TensorElement.word(_json_word(term["word"]), term["coeff"])
+        w = TensorElement.word(term["word"], term["coeff"])
         merge(out, w.terms.items())
     return TensorElement._of(out)

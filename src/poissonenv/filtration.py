@@ -45,21 +45,44 @@ certificate.  A ``FiltrationChain`` holds the pieces as Echelons, and
 Order of construction.  An algebra without a declared grading closes its
 pieces top-down, F_1, F_2, ..., each ideal from its seeds alone, and stops
 at the first equal ranks.  A positively graded one (``degrees``: the unit
-in degree 0, every other basis vector in a positive one) builds every seed
-list first and closes from the deepest level up, each F_n grown from a
-copy of F_{n+1}.  The lists run out: G_1 = [X, X] has degrees >= 2, and
-[x, s] and g1 s raise the least degree by at least 1, so the least degree
-in G_n is at least n + 1, and G_n is empty once n reaches the top degree.
-The closure is exact: J_{n+1} is an ideal, and it lies inside J_n because
-J descends, so the closure of G_n together with J_{n+1} is J_n, and the
-rows of J_{n+1} need no maps applied.  It needs the products by the
-generators on one side only.  Let L be the closure of G_n and J_{n+1}
-under x v, x in X: L lies in J_n, and for v in L, v x = x v - [x, v] with
-[x, v] in J_{n+1} <= L by (A), so L is closed on the right too and is the
-two-sided J_n.  For the nil-Poisson filtration the product is commutative,
-and v x = x v.  The lists running out makes the last piece 0, and J stops
-descending only where it is stable, so the two orders give the same pieces.
-F_0 = A is the identity Echelon in either order, with nothing eliminated.
+in degree 0, every other basis vector in a positive one) is built one
+degree at a time, every level at once, from the deepest level up
+(``GradedBuild``).  Every seed is homogeneous, so each J_n is graded, and
+at degree t:
+ - F_n takes the degree-t rows of F_{n+1} as they are;
+ - then it adds the degree-t part of G_n;
+ - then x r, for each generator x of degree e >= 1 and each row r of
+   degree t - e that F_n added itself, past those of F_{n+1} (a generator
+   of degree 0 is a multiple of the unit).
+This is J_n.  Let L be the closure of G_n and J_{n+1} under v -> x v, x in
+X: L lies in J_n, and for v in L, v x = x v - [x, v] with [x, v] in
+J_{n+1} <= L by (A), so L is closed on the right too and is the two-sided
+J_n (for the nil-Poisson filtration the product is commutative, and
+v x = x v).  J_{n+1} lies inside J_n because J descends, and it is an
+ideal, so its rows need no products.  x v has degree t when v has degree
+t - e, so the degree-t part of L is that of J_{n+1}, plus that of G_n,
+plus the products by X of the lower degrees, and the rows that F_n added
+itself at a degree span that degree of L modulo J_{n+1}.  The seed
+lists are read by degree too: G_{n+1} of degree t pairs each generator
+with G_n of degree t - e and each g1 of G_1 with G_n of degree t less
+that of g1.  The lists run out: G_1 = [X, X] has degrees >= 2, and [x, s]
+and g1 s raise the least degree by at least 1, so the least degree in G_n
+is at least n + 1.  Each seed is checked to lie in its degree, up to one
+degree past the top, where no vector can, and one that does not raises
+``RuntimeError``: the declared degrees do not grade the algebra.  The
+lists running out makes the last piece 0, and J stops descending only
+where it is stable, so the two orders give the same pieces.  F_0 = A is
+the identity Echelon in either order, with nothing eliminated.
+
+Restriction.  Let A be graded and T a degree.  The quotient of A by its
+degrees above T is a graded algebra, and F_n of that quotient is the
+degree <= T part of F_n of A: the build reads only products whose factors'
+degrees add up to the degree it builds, and below T + 1 those agree in the
+two algebras.  So the state after degree T of the build on A, which is
+its pieces, the rows each added itself at the top degree and the seed
+lists, is that of the build on the quotient, row for row and in the
+same order, and the build on A may go on from it (``quantize.u_window``
+grows each PBW window from a smaller one of the same shape).
 """
 
 from __future__ import annotations
@@ -200,13 +223,14 @@ class FiniteAlgebra:
     narrow ``generators`` to a smaller generating set, and it may declare
     ``degrees``, a grading: a list giving each basis vector its degree, 0
     for the unit and positive for every other one, such that
-    basis_i * basis_j lies in degree ``degrees[i] + degrees[j]``.  Those are
-    its only hooks.  The product, the commutator, the ideal maps and
-    ``filtration_chain`` are built on them, once for every subclass: the
-    products by each generator on both sides (``_ideal_maps``), which
-    ``ideal_close`` closes a span under, and on the left alone
-    (``_left_maps``), which close each piece of a graded chain.  A declared
-    grading lets the chain be built from its deepest level up.
+    basis_i * basis_j lies in degree ``degrees[i] + degrees[j]``, with
+    homogeneous generators.  Those are its only hooks.  The product, the
+    commutator, the ideal maps and ``filtration_chain`` are built on them,
+    once for every subclass: the products by each generator on both sides
+    (``_ideal_maps``), which ``ideal_close`` closes a span under, and on the
+    left alone (``_left_maps``), which close the ideals of a commutative
+    product.  A declared grading lets the chain be built one degree at a
+    time (``GradedBuild``).
     """
 
     degrees = None
@@ -251,8 +275,8 @@ class FiniteAlgebra:
         return maps
 
     def _left_maps(self):
-        """Products by each generator on the left, the maps that close each
-        piece of a graded chain (see ``filtration_chain``)."""
+        """Products by each generator on the left, which close a two-sided
+        ideal when the product is commutative (``nil_poisson_filtration``)."""
         return [lambda v, b=b: self.mul(b, v) for b in self.generators()]
 
 
@@ -532,23 +556,155 @@ def span_closure(ech, maps, seeds):
     return ech
 
 
+def _seed_level(alg, pair_map, gens, first, below):
+    """One step of the recurrence of the module docstring, cut to a linearly
+    independent subset of itself: ``pair_map(x, g)`` for each generator x
+    and each g in ``below(x)``, then ``g1 g`` for each g1 in ``first`` (G_1)
+    and each g in ``below(g1)``.  ``below(a)`` is the list below, or, read
+    by degree (``GradedBuild``), its part that a lifts to the degree built."""
+    level = itertools.chain(
+        (pair_map(x, g) for x in gens for g in below(x)),
+        (alg.mul(g1, g) for g1 in first for g in below(g1)),
+    )
+    ech = Echelon()
+    return [v for v in level if v and ech.add(v)]
+
+
 def _seed_lists(alg, pair_map):
     """G_1, G_2, ... of the module docstring, without end: each list built
     from the generators, G_1 and the list below alone, with ``pair_map``
-    taking a generator first, and cut to a linearly independent subset of
-    itself.  Once a list is empty, every later one is."""
+    taking a generator first.  Once a list is empty, every later one is."""
     # with the generators as G_0, G_1 is [x, G_0]
     gens = seeds = alg.generators()
     first = []
     while True:
-        level = itertools.chain(
-            (pair_map(x, g) for x in gens for g in seeds),
-            (alg.mul(g1, g) for g1 in first for g in seeds),
-        )
-        ech = Echelon()
-        seeds = [v for v in level if v and ech.add(v)]
+        seeds = _seed_level(alg, pair_map, gens, first, lambda a, seeds=seeds: seeds)
         first = first or seeds
         yield seeds
+
+
+class GradedBuild:
+    """The pieces F_1, F_2, ... of a graded algebra's chain, built one degree
+    at a time and resumable (module docstring, "Order of construction").
+
+    ``grow(alg, pair_map)`` builds the degrees after ``top`` up to the top
+    degree of ``alg``.  What it keeps is all that a larger algebra of the
+    same shape needs to go on from there (module docstring,
+    "Restriction"):
+    - ``pieces``: F_1, F_2, ... as Echelons, F_n holding, degree by degree,
+      the rows of F_{n+1} at the same pivots and then its own;
+    - ``raising``: per level, by degree, the pivots of the rows it added
+      itself, past those of the piece below;
+    - ``seeds``: per level n, the nonempty parts of G_n by degree;
+    - ``first``: G_1 whole.
+    Of ``raising`` only the degrees that a later degree reads are kept:
+    those the generators reach back, at least 1, as a larger algebra may
+    gain generators of degree 1 (a PBW window of total 0 has none).  The
+    seed lists are few and short, and kept whole.  ``copy`` gives a build
+    that grows on its own.
+    """
+
+    def __init__(self):
+        self.top = -1
+        self.pieces = []
+        self.raising = []
+        self.seeds = []
+        self.first = []
+
+    def copy(self):
+        out = GradedBuild()
+        out.top = self.top
+        out.pieces = [piece.copy() for piece in self.pieces]
+        out.raising = [dict(r) for r in self.raising]
+        out.seeds = [dict(s) for s in self.seeds]
+        out.first = list(self.first)
+        return out
+
+    def chain(self, dim):
+        """The chain of the degrees built: ``Echelon.identity(dim)``, the
+        pieces, and the zero piece past them."""
+        return FiltrationChain([Echelon.identity(dim), *self.pieces, Echelon()])
+
+    def grow(self, alg, pair_map):
+        """Build the degrees ``top + 1`` .. ``max(alg.degrees)`` and return
+        self; the seed lists are read one degree further, where a seed
+        raises ``RuntimeError``."""
+        degrees = alg.degrees
+        top = max(degrees)
+
+        def degree(v):
+            return degrees[next(iter(v))]
+
+        gens = alg.generators()
+        by_degree = {}  # G_0: the generators by degree
+        for x in gens:
+            if len({degrees[c] for c in x}) != 1:
+                raise RuntimeError(
+                    f"generator {x} is not homogeneous: the declared degrees"
+                    " do not grade the algebra"
+                )
+            by_degree.setdefault(degree(x), []).append(x)
+        lifts = [(x, degree(x)) for x in gens if degree(x)]
+        reach = max([1] + [e for _, e in lifts])
+        for t in range(self.top + 1, top + 1):
+            self._seed(alg, pair_map, gens, by_degree, degree, t)
+            self._close(alg, lifts, t)
+            for by_t in self.raising:
+                by_t.pop(t - reach, None)
+        # no vector has the degree past the top, so a seed there is misplaced
+        self._seed(alg, pair_map, gens, by_degree, degree, top + 1)
+        self.top = top
+        return self
+
+    def _seed(self, alg, pair_map, gens, by_degree, degree, t):
+        """The degree-t parts of G_1, G_2, ..., each read off the parts of
+        the list below; a list that gains its first seed opens a level."""
+        degrees = alg.degrees
+        lists = [by_degree, *self.seeds]
+        n = 1
+        while n <= len(lists):  # a level past the last may open
+            below = lists[n - 1]
+            first = self.first if n > 1 else []
+            level = _seed_level(
+                alg, pair_map, gens, first, lambda a: below.get(t - degree(a), ())
+            )
+            for v in level:
+                if any(degrees[c] != t for c in v):
+                    raise RuntimeError(
+                        f"seed list G_{n} holds a vector outside degree {t}: the"
+                        " declared degrees do not grade the algebra"
+                    )
+            if level:
+                if n == len(lists):
+                    lists.append({})
+                    self.seeds.append(lists[-1])
+                    self.raising.append({})
+                    self.pieces.append(Echelon())
+                lists[n][t] = level
+                if n == 1:
+                    self.first += level
+            n += 1
+
+    def _close(self, alg, lifts, t):
+        """Degree t of every piece, from the deepest up: the degree-t rows
+        of the piece below, then G_n of degree t, then x r for each
+        generator x of degree e and each row r that raised the rank of this
+        piece at degree t - e."""
+        below = ()  # the degree-t rows of the piece below, as (pivot, row)
+        for n in range(len(self.pieces), 0, -1):
+            piece, raising = self.pieces[n - 1], self.raising[n - 1]
+            rows = piece.rows
+            start = len(rows)
+            piece.extend(below)
+            mark = len(rows)
+            for v in self.seeds[n - 1].get(t, ()):
+                piece.add(v)
+            for x, e in lifts:
+                for col in raising.get(t - e, ()):
+                    piece.add(alg.mul(x, rows[col]))
+            if len(rows) > mark:
+                raising[t] = list(itertools.islice(rows, mark, None))
+            below = itertools.islice(rows.items(), start, None)
 
 
 def filtration_chain(alg, pair_map):
@@ -558,48 +714,28 @@ def filtration_chain(alg, pair_map):
 
     F_0 is ``Echelon.identity``.  Without ``alg.degrees`` the pieces are
     closed top-down, each from its seeds alone under the products by the
-    generators on both sides, until two ranks agree.  With it, every seed
-    list is built first, and the pieces are closed from the deepest up,
-    each from a copy of the piece below under the products by the
-    generators on the left alone, which the module docstring shows exact
-    for the commutator and for the bracket of a commutative product.  A
-    seed list that has not run out by the top degree raises
+    generators on both sides (``ideal_close``), until two ranks agree.
+    With it, they are built one degree at a time from the deepest level up
+    (``GradedBuild``), and a seed outside its degree raises
     ``RuntimeError``: the declared degrees do not grade ``alg``.
     """
+    return _chain(alg, pair_map, alg.ideal_close)
+
+
+def _chain(alg, pair_map, close):
+    """``filtration_chain``, with ``close`` taking a seed list to the
+    Echelon of its ideal on the top-down path."""
+    if alg.degrees is not None:
+        return GradedBuild().grow(alg, pair_map).chain(alg.dim)
     pieces = [Echelon.identity(alg.dim)]
     lists = _seed_lists(alg, pair_map)
-    if alg.degrees is None:
-        while pieces[-1].rank:
-            new = alg.ideal_close(next(lists))
-            if new.rank == pieces[-1].rank:
-                # descending chain: equal rank means equal span; stable from here
-                break
-            pieces.append(new)
-        return FiltrationChain(pieces)
-    top = max(alg.degrees)
-    levels = []
-    for n, seeds in enumerate(lists, 1):
-        if not seeds:
+    while pieces[-1].rank:
+        new = close(next(lists))
+        if new.rank == pieces[-1].rank:
+            # descending chain: equal rank means equal span; stable from here
             break
-        if n >= top:  # the least degree in G_n is at least n + 1
-            raise RuntimeError(
-                f"seed list G_{n} is not empty, but the declared degrees end"
-                f" at {top}: they do not grade the algebra"
-            )
-        levels.append(seeds)
-    # F_n for n past the last list is 0; each piece above grows from a copy
-    # of the one below, so the maps run only on rows that raise the rank,
-    # and the products by the generators on the left close it: v x is
-    # x v - [x, v], and [x, v] lies in the copy by (A).  The left side, as
-    # a letter on the left of a PBW tuple straightens in a few swaps, where
-    # one on the right crosses every larger factor
-    maps = alg._left_maps()
-    below = Echelon()
-    deep = [below]
-    for seeds in reversed(levels):
-        below = span_closure(below.copy(), maps, seeds)
-        deep.append(below)
-    return FiltrationChain(pieces + deep[::-1])
+        pieces.append(new)
+    return FiltrationChain(pieces)
 
 
 def commutator_filtration(alg):
@@ -619,7 +755,10 @@ def nil_poisson_filtration(alg):
             "nil-Poisson filtration needs a commutative product;"
             f" e_i e_j != e_j e_i at {bad}"
         )
-    return filtration_chain(alg, alg.brk)
+    # every right product repeats a left one, so the left products close
+    # each ideal, and in the worklist's order they add the same rows
+    maps = alg._left_maps()
+    return _chain(alg, alg.brk, lambda seeds: span_closure(Echelon(), maps, seeds))
 
 
 def associated_graded(alg, chain):

@@ -138,7 +138,13 @@ class TensorElement(Combination):
 
     @classmethod
     def word(cls, w, coeff=1):
-        return cls({tuple(w): coeff})
+        """The element ``coeff`` times the word ``w``.  A bool or non-int
+        letter raises ``TypeError``: ``1.0`` and ``True`` equal the letter 1,
+        so the word would compare equal to the int one and print otherwise."""
+        w = tuple(w)
+        for i in w:
+            _require_ints(letter=i)
+        return cls({w: coeff})
 
     @classmethod
     def one(cls):
@@ -267,7 +273,7 @@ _EXPAND_CACHE = {}
 
 def _expand_tree(tree):
     if isinstance(tree, int):
-        return TensorElement.word((tree,))
+        return TensorElement._of({(tree,): 1})
     key = tree
     out = _EXPAND_CACHE.get(key)
     if out is None:

@@ -97,6 +97,14 @@ class PoissonMonomial:
             _MONOMIALS[factors] = m
         return m
 
+    @classmethod
+    def _of_sorted(cls, factors):
+        """``of`` for a tuple already in factor order: nothing to sort."""
+        m = _MONOMIALS.get(factors)
+        if m is None:
+            m = _MONOMIALS[factors] = cls(factors)
+        return m
+
     def __hash__(self):
         return self._hash
 

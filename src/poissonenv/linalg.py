@@ -10,12 +10,13 @@ their keys, ``Combination`` the one base of the algebra elements, and
 ``Echelon.spanning(rows).rank``, and ``SpanSolver`` feeds its rows through
 it).  ``Echelon.copy`` starts a new span from one already eliminated, so a
 caller that holds a subspace grows a larger one without adding its rows
-again: the filtration chain of a graded algebra is closed from its deepest
-piece up, each piece grown from a copy of the one below it, and
-``associated_graded`` picks each grade's rows independent modulo a copy of
-the piece below.  Elimination is deterministic: it always clears the
-smallest column index of the row at hand; there is no other pivot rule and
-no column order to choose.  It runs on integers: ``Echelon`` scales each
+again: a PBW window grown from a smaller one goes on from copies of its
+chain's pieces, and ``associated_graded`` picks each grade's rows
+independent modulo a copy of the piece below.  ``Echelon.extend`` takes
+echelon rows of another span as they are: each piece of a graded chain
+takes those of the piece below, one degree at a time.  Elimination is
+deterministic: it always clears the smallest column index of the row at
+hand; there is no other pivot rule and no column order to choose.  It runs on integers: ``Echelon`` scales each
 row it is given to integers once, clears columns by integer
 cross-multiplication and stores every pivot row once, as primitive
 integers; ``basis`` derives the rows normalized to pivot 1 on its first read
@@ -301,6 +302,15 @@ class Echelon:
         out.rows = dict(self.rows)
         out._basis = self._basis
         return out
+
+    def extend(self, items):
+        """Insert ``items``, (pivot, row) pairs of echelon rows, as they are:
+        each row's pivot is its least column and none of them has a row
+        here, so they stay echelon rows, independent of the others, and
+        nothing is eliminated.  ``filtration.GradedBuild`` gives each piece
+        the rows of the piece below this way."""
+        self.rows.update(items)
+        self._basis = None
 
     @property
     def rank(self):

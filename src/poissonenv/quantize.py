@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from . import pbw
 from .envelope import EnvelopePresentation, _generators_up_to, ideal_block
-from .filtration import FiniteAlgebra, TruncatedAlgebra, filtration_chain
+from .filtration import FiniteAlgebra, GradedBuild, TruncatedAlgebra
 from .freelie import generator
 from .freepoisson import (
     PoissonElement,
@@ -39,8 +39,8 @@ from .freepoisson import (
     _star_sum,
     _table_sum,
     monomials_star_total,
-    monomials_up_to_total,
     plus_tuples,
+    sv_tuples,
 )
 from .linalg import Echelon, _require_ints, linear
 
@@ -115,6 +115,15 @@ class UWindow(FiniteAlgebra):
     ``d`` (``pbw``), so nothing past the window is computed.  The chain is
     kept, and so is ``window(N)``, the star tails of each SV-part bound N
     with the chain's ranks inside them.
+
+    A window is grown one total at a time (``_grow``): the monomials of a
+    total come after those of the lower ones, from SV and plus parts each
+    built once, so a window of a lower total of the same shape is a prefix
+    of it, with the same coordinates and products, and its chain is the
+    total <= T part of this one's (the restriction of the ``filtration``
+    module docstring).  ``u_window`` grows each window from a cached
+    smaller one (``_grown``); a window built alone is grown the same way
+    from nothing, so the two have the same rows in the same order.
     """
 
     def __init__(self, n_gens, d, max_total):
@@ -126,23 +135,72 @@ class UWindow(FiniteAlgebra):
             )
         self.n_gens = n_gens
         self.d = d
-        self.max_total = max_total
-        self.monomials = monomials_up_to_total(n_gens, max_total, d)
-        self.tuples = [m.factors for m in self.monomials]
-        self.index = {t: i for i, t in enumerate(self.tuples)}
-        self.totals = [m.total_degree for m in self.monomials]
-        self.stars = [m.star_degree for m in self.monomials]
+        # the SV parts of each degree and the plus parts of each star
+        # degree, with their letter counts, each built once, when a total
+        # first needs it
+        self._sv, self._plus = [], []
+        self.monomials, self.tuples, self.totals, self.stars = [], [], [], []
+        self.index = {}
+        self._rows = {}
+        self._below = None
+        self.max_total = -1
+        self._grow(max_total)
+        # after the monomials, which refuse a generator count too large to
+        # enumerate before this list would try to hold it
         self.letters = [(generator(i),) for i in range(1, n_gens + 1)]
+
+    @classmethod
+    def _grown(cls, below, max_total):
+        """The window of ``below``'s shape cut at ``max_total``, which is
+        above ``below.max_total``: ``below``'s coordinates copied and grown,
+        its product rows shared, as ``_row`` reads none past a window's own
+        bounds, and its chain continued when this one's is asked for."""
+        win = cls.__new__(cls)
+        win.n_gens, win.d, win.letters = below.n_gens, below.d, below.letters
+        win._sv, win._plus = list(below._sv), list(below._plus)
+        win.monomials, win.tuples = list(below.monomials), list(below.tuples)
+        win.totals, win.stars = list(below.totals), list(below.stars)
+        win.index = dict(below.index)
+        win._rows = below._rows
+        win._below = below
+        win.max_total = below.max_total
+        win._grow(max_total)
+        return win
+
+    def _grow(self, max_total):
+        """Append the monomials of each total past ``self.max_total`` up to
+        ``max_total``: by star degree, then plus part, then SV part, each
+        factor tuple already in factor order."""
+        n_gens = self.n_gens
+        for t in range(self.max_total + 1, max_total + 1):
+            self._sv.append([tuple(generator(i) for i in sv) for sv in sv_tuples(n_gens, t)])
+            for q in range(len(self._plus), min(self.d, t) + 1):
+                self._plus.append(
+                    [(plus, sum(len(b.word) for b in plus)) for plus in plus_tuples(n_gens, q)]
+                )
+            for q in range(min(self.d, t) + 1):
+                for plus, letters in self._plus[q]:
+                    if letters > t:
+                        continue
+                    for sv in self._sv[t - letters]:
+                        m = PoissonMonomial._of_sorted(sv + plus)
+                        self.index[m.factors] = len(self.tuples)
+                        self.monomials.append(m)
+                        self.tuples.append(m.factors)
+                        self.totals.append(t)
+                        self.stars.append(q)
+        self.max_total = max_total
         self.dim = len(self.tuples)
         self.unit = self.index[()]
-        self._rows = {}
         self._windows = {}
-        self._chain = None
+        self._inside = {}
+        self._chain = self._build = None
 
     @property
     def degrees(self):
         """The grading by total letter count, which straightening keeps:
-        ``filtration_chain`` closes the window's chain from the bottom up."""
+        the window's chain is built one total at a time
+        (``filtration.GradedBuild``)."""
         return self.totals
 
     def mono_mul(self, t1, t2):
@@ -179,13 +237,22 @@ class UWindow(FiniteAlgebra):
     def filtration(self, levels):
         """Commutator filtration chain F_0 .. F_levels (list of Echelons).
 
-        The chain comes from ``filtration_chain`` with the letters as
-        generators, computed on the first call and kept for later ones.
-        Callers index the list once per row, and a list index is cheaper
-        than a ``FiltrationChain`` one.
+        The chain is built one total at a time, with the letters as
+        generators (``filtration.GradedBuild``), on the first call, and kept
+        for later ones.  A window grown from a smaller one goes on from a
+        copy of that window's build.  Callers index the list once per row,
+        and a list index is cheaper than a ``FiltrationChain`` one.
         """
         if self._chain is None:
-            self._chain = filtration_chain(self, self.commutator)
+            below = self._below
+            if below is None:
+                build = GradedBuild()
+            else:
+                below.filtration(0)
+                build = below._build.copy()
+            self._build = build.grow(self, self.commutator)
+            self._chain = build.chain(self.dim)
+            self._below = None
         return [self._chain[n] for n in range(levels + 1)]
 
     def poisson_span(self, monomials):
@@ -220,11 +287,10 @@ class UWindow(FiniteAlgebra):
         the rank of F_n less that of its rows cut to the columns outside,
         as that cut is a projection whose kernel is the intersection.
         ``ranks[0]`` is ``len(tails[0])``, as F_0 is the whole window.  For
-        n >= 1 the graded chain is closed from the deepest piece up, F_n
-        from a copy of F_{n+1} (``Echelon.copy``), so the rows of F_n are
-        those of F_{n+1}, the same objects at the same pivots, and some
-        more: one running cut, walked from n = d + 1 down to n = 1, adds
-        only the rows of F_n whose pivot F_{n+1} lacks.
+        n >= 1 the rows of F_n are those of F_{n+1}, the same objects at the
+        same pivots, and some more (``filtration.GradedBuild``): one running
+        cut, walked from n = d + 1 down to n = 1, adds only the rows of F_n
+        whose pivot F_{n+1} lacks.
         """
         # checked before the memo lookup: True would share the key of 1
         _require_ints(max_poly=max_poly)
@@ -249,17 +315,61 @@ class UWindow(FiniteAlgebra):
             hit = self._windows[max_poly] = (tails, ranks)
         return hit
 
+    def tails_inside(self, max_poly):
+        """``inside[n]``, n = 0 .. d + 1: whether ``tails[n]`` of
+        ``window(max_poly)`` lies in F_n (``_tails_inside``), computed once
+        per bound and kept beside it."""
+        tails, _ = self.window(max_poly)  # refuses a bool before the lookup
+        hit = self._inside.get(max_poly)
+        if hit is None:
+            chain = self.filtration(self.d + 1)
+            hit = self._inside[max_poly] = _tails_inside(tails, self.stars, chain)
+        return hit
+
+
+def _tails_inside(tails, stars, chain):
+    """``inside[n]``: whether the coordinates ``tails[n]`` lie in
+    ``chain[n]``, for each n below ``len(tails)``, where ``tails[n]`` holds
+    the coordinates of star degree >= n.
+
+    The pieces are nested, ``chain[k] <= chain[n]`` for k >= n, and
+    ``tails[n]`` is the union, over k >= n, of its coordinates of star
+    exactly k.  So each coordinate is checked once, against the piece of
+    its star degree, and ``tails[n]`` lies in ``chain[n]`` when every
+    k >= n passes.  Where one fails, ``tails[n]`` is checked against
+    ``chain[n]`` directly, so each answer is the inclusion itself.
+    """
+    levels = range(len(tails))
+    exact = [all(chain[k].contains({i: 1}) for i in tails[k] if stars[i] == k) for k in levels]
+    return [
+        all(exact[n:]) or all(chain[n].contains({i: 1}) for i in tails[n])
+        for n in levels
+    ]
+
 
 _UWINDOW_CACHE = {}
 
 
 def u_window(n_gens, d, max_total):
+    """``UWindow(n_gens, d, max_total)``, cached.  A new one is grown from
+    the cached window of the same shape with the largest total below
+    ``max_total`` (``UWindow._grown``), or from nothing when there is none,
+    so the order of the requests changes no window."""
     # a bool would share the cache key of the int it equals
     _require_ints(n_gens=n_gens, d=d, max_total=max_total)
     key = (n_gens, d, max_total)
-    if key not in _UWINDOW_CACHE:
-        _UWINDOW_CACHE[key] = UWindow(n_gens, d, max_total)
-    return _UWINDOW_CACHE[key]
+    win = _UWINDOW_CACHE.get(key)
+    if win is None:
+        below = max(
+            (t for n, e, t in _UWINDOW_CACHE if (n, e) == (n_gens, d) and t < max_total),
+            default=None,
+        )
+        if below is None:
+            win = UWindow(n_gens, d, max_total)
+        else:
+            win = UWindow._grown(_UWINDOW_CACHE[(n_gens, d, below)], max_total)
+        _UWINDOW_CACHE[key] = win
+    return win
 
 
 @dataclass
@@ -282,7 +392,8 @@ class FiltrationWindowReport:
 def commutator_filtration_Q(alg, n, N):
     """Compare F_n of the commutator filtration of Q_X^(d) with the span of
     the star degrees >= n, inside the (star <= d, poly <= N) window: a read
-    of the window's kept comparison ``UWindow.window(N)``."""
+    of the window's kept comparison ``UWindow.window(N)`` and of its kept
+    inclusions ``UWindow.tails_inside(N)``."""
     _require_ints(n=n, N=N)
     if n < 0:
         raise ValueError(f"need filtration level n >= 0, got {n}")
@@ -292,13 +403,12 @@ def commutator_filtration_Q(alg, n, N):
         raise ValueError(f"need window N >= 0, got {N}")
     win = u_window(alg.n_gens, alg.d, N + 2 * alg.d)
     tails, ranks = win.window(N)
-    piece = win.filtration(n)[n]
     return FiltrationWindowReport(
         n=n,
         N=N,
         rank_filtration=ranks[n],
         rank_expected=len(tails[n]),
-        tail_inside_filtration=all(piece.contains({i: 1}) for i in tails[n]),
+        tail_inside_filtration=win.tails_inside(N)[n],
     )
 
 

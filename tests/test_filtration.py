@@ -14,6 +14,7 @@ from poissonenv.filtration import (
     FiltrationChain,
     FiniteAlgebra,
     TruncatedAlgebra,
+    _chain,
     _least_asymmetric,
     associated_graded,
     commutator_filtration,
@@ -1343,6 +1344,29 @@ def test_seed_chain_spans_the_basis_recursion(source, data):
     assert_same_spans(got, basis_recursion_chain(alg, pair_map))
 
 
+def _assert_nil_poisson_rows_are_the_two_sided_ones(alg):
+    """The nil-Poisson chain, closed by left products, against the same chain
+    closed by the products on both sides: with a commutative product each
+    right image repeats the left one pushed just before it, which the
+    worklist pops first, so the two add the same rows in the same order."""
+    got = nil_poisson_filtration(alg)
+    want = _chain(alg, alg.brk, alg.ideal_close)
+    assert got.length == want.length
+    for a, b in zip(got.pieces, want.pieces):
+        assert list(a.rows.items()) == list(b.rows.items())
+
+
+@settings(deadline=None, max_examples=30)
+@given(_envelope_algebras())
+def test_nil_poisson_left_closure_adds_the_two_sided_rows(alg):
+    _assert_nil_poisson_rows_are_the_two_sided_ones(alg)
+
+
+@pytest.mark.parametrize("shape", [(2, 1, 3), (3, 1, 4), (2, 3, 7)])
+def test_nil_poisson_left_closure_of_a_window_adds_the_two_sided_rows(shape):
+    _assert_nil_poisson_rows_are_the_two_sided_ones(poisson_window_algebra(*shape))
+
+
 # -- the bottom-up chain of a graded algebra ------------------------------------
 
 
@@ -1368,7 +1392,8 @@ def test_bottom_up_window_chain_is_the_top_down_one(shape):
 
 class MisgradedBorel(TruncatedAlgebra):
     """The Borel algebra 1, e11, e12 declaring degrees 0, 1, 2: e11 e12 = e12
-    breaks them, and its seed lists G_n = [e12] never run out."""
+    breaks them, and its seed lists G_n = [e12] never run out.  G_1 read at
+    degree 3, one past the top, holds [e11, e12] = e12 of degree 2."""
 
     degrees = [0, 1, 2]
 
@@ -1376,6 +1401,23 @@ class MisgradedBorel(TruncatedAlgebra):
 def test_a_wrong_grading_stops_the_bottom_up_chain():
     alg = borel_algebra()
     wrong = MisgradedBorel(alg.dim, alg.labels, alg.unit, alg.product)
-    message = r"^seed list G_2 is not empty, but the declared degrees end at 2"
+    message = r"^seed list G_1 holds a vector outside degree 3"
     with pytest.raises(RuntimeError, match=message):
         commutator_filtration(wrong)
+
+
+class MixedGenerator(TruncatedAlgebra):
+    """k[x]/(x^3) graded by the power of x, generated by x + x^2, which has
+    no single degree to be read in."""
+
+    degrees = [0, 1, 2]
+
+    def generators(self):
+        return [{1: 1, 2: 1}]
+
+
+def test_a_generator_outside_one_degree_stops_the_graded_build():
+    alg = truncated_polynomial_algebra(3)
+    mixed = MixedGenerator(alg.dim, alg.labels, alg.unit, alg.product)
+    with pytest.raises(RuntimeError, match=r"is not homogeneous"):
+        commutator_filtration(mixed)

@@ -9,6 +9,7 @@ when the tables are emptied and the instances are built again.
 import importlib
 import itertools as it
 import pkgutil
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -210,3 +211,14 @@ def test_the_refusal_names_the_word():
         freelie.LieBasisElement.from_word((1.0, 2))
     with pytest.raises(TypeError, match=r"^letter must be an int, got True$"):
         nc_embed(QuantizedAlgebra(2, 1), (1, True))
+
+
+@pytest.mark.parametrize("letter", [1.0, True, "1"])
+def test_a_tensor_word_refuses_a_non_int_letter_whatever_is_cached(letter):
+    # the int word built first: the refusal reads the letters, not a cache
+    TensorElement.word((1, 2))
+    message = rf"^letter must be an int, got {re.escape(repr(letter))}$"
+    with pytest.raises(TypeError, match=message):
+        TensorElement.word((letter, 2))
+    with pytest.raises(TypeError, match=message):
+        tensor_from_json(_tensor_json(letter))

@@ -32,6 +32,7 @@ from poissonenv.quantize import (
     QuantizedAlgebra,
     UWindow,
     _star_power_included,
+    _tails_inside,
     commutator_filtration_Q,
     envelope_window_algebra,
     graded_of_Q,
@@ -1176,3 +1177,103 @@ def test_nc_embed_is_the_capped_e_inverse_of_its_word(case, d):
     alg = QuantizedAlgebra(n_gens, d)
     got = nc_embed(alg, tuple(word))
     assert got == e_inverse(TensorElement.word(word)).star_truncate(d)
+
+
+# -- windows grown one total at a time -----------------------------------------
+
+
+def _assert_same_window(got, want):
+    """Two windows of one shape and total alike: their coordinates, the rows
+    of every chain piece in their insertion order, the ranks, the chain
+    length, and the comparison and inclusions of every SV-part bound."""
+    assert got.tuples == want.tuples and got.dim == want.dim
+    levels = want.d + 1
+    assert [e.rank for e in got.filtration(levels)] == [
+        e.rank for e in want.filtration(levels)
+    ]
+    assert got._chain.length == want._chain.length
+    for a, b in zip(got._chain.pieces, want._chain.pieces):
+        assert list(a.rows.items()) == list(b.rows.items())
+    for N in range(want.max_total + 1):
+        assert got.window(N) == want.window(N), N
+        assert got.tails_inside(N) == want.tails_inside(N), N
+
+
+@st.composite
+def _grown_shapes(draw):
+    """(n_gens, d, T0, T) with T0 < T, on the grid of the Hilbert property."""
+    n_gens = draw(st.integers(1, 3))
+    top = 9 - 2 * n_gens
+    below = draw(st.integers(0, top - 1))
+    return n_gens, draw(st.integers(0, 3)), below, draw(st.integers(below + 1, top))
+
+
+@settings(deadline=None, max_examples=40)
+@given(_grown_shapes(), st.booleans())
+@example((2, 2, 4, 5), False)  # one total on, the smaller chain built on the way
+@example((3, 1, 2, 3), True)
+def test_a_grown_window_is_the_window_built_alone(shape, chain_first):
+    # the window of total T0 is the total <= T0 part of that of total T, so
+    # the larger one goes on from it; its rows are the same either way
+    n_gens, d, below, total = shape
+    small = UWindow(n_gens, d, below)
+    if chain_first:
+        small.filtration(d + 1)
+    _assert_same_window(UWindow._grown(small, total), UWindow(n_gens, d, total))
+
+
+@pytest.mark.parametrize("order", [(3, 4, 5), (5, 4, 3), (4, 5, 3), (3, 5, 4)])
+def test_any_order_of_requests_gives_the_same_windows(monkeypatch, order):
+    # each request grows from the largest cached total below it, or from
+    # nothing; the first one's chain is built before the others are asked
+    monkeypatch.setattr(quantize, "_UWINDOW_CACHE", {})
+    for k, total in enumerate(order):
+        win = u_window(3, 1, total)
+        if k == 0:
+            win.window(1)
+    for total in order:
+        _assert_same_window(u_window(3, 1, total), UWindow(3, 1, total))
+
+
+def test_a_window_reads_no_shared_row_past_its_bounds(monkeypatch):
+    # the windows of one shape share their product rows, and a larger one
+    # files rows that are 0 in a smaller one
+    monkeypatch.setattr(quantize, "_UWINDOW_CACHE", {})
+    small = u_window(2, 2, 4)
+    large = u_window(2, 2, 6)
+    assert large._rows is small._rows
+    for i in range(large.dim):
+        for j in range(large.dim):
+            large._row(i, j)
+    for i in range(small.dim):
+        for j in range(small.dim):
+            if small.totals[i] + small.totals[j] > 4 or small.stars[i] + small.stars[j] > 2:
+                assert small._row(i, j) == {}, (i, j)
+            else:
+                assert small._row(i, j) == large._row(i, j), (i, j)
+
+
+def test_a_failed_nested_tail_inclusion_falls_back_to_the_direct_check():
+    # F_2 = 0 under a whole F_1: the star-2 coordinates fail against F_2,
+    # yet tails[0] and tails[1] lie in F_0 and F_1
+    whole = Echelon.identity(5)
+    stars = [0, 1, 1, 2, 2]
+    tails = [[i for i in range(5) if stars[i] >= n] for n in range(4)]
+    chain = [whole, whole, Echelon(), Echelon()]
+    assert _tails_inside(tails, stars, chain) == [True, True, False, True]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 3))
+@example(2, 2, 1)
+def test_nested_tail_inclusions_equal_the_direct_check(n_gens, d, N):
+    # on the window's chain, and on the chain shifted by one level, where
+    # the star-exactly-k coordinates fail against their pieces
+    N = min(N, 5 - n_gens)
+    win = u_window(n_gens, d, N + 2 * d)
+    tails, _ = win.window(N)
+    chain = win.filtration(d + 1)
+    for pieces in (chain, chain[1:] + chain[-1:]):
+        direct = [all(pieces[n].contains({i: 1}) for i in tails[n]) for n in range(d + 2)]
+        assert _tails_inside(tails, win.stars, pieces) == direct
+    assert win.tails_inside(N) == [True] * (d + 2)

@@ -364,8 +364,8 @@ MUTANTS = [
     Mutant(
         "graded-closure-from-nothing",
         "filtration.py",
-        "below = span_closure(below.copy(), maps, seeds)",
-        "below = span_closure(Echelon(), maps, seeds)",
+        "            piece.extend(below)\n",
+        "            piece.extend(())\n",
         ("tests/test_window_hilbert.py", "tests/test_quantize.py", "-k", _GRADED),
     ),
     Mutant(
@@ -442,11 +442,50 @@ MUTANTS = [
     Mutant(
         "graded-closure-by-right-products",
         "filtration.py",
-        "return [lambda v, b=b: self.mul(b, v) for b in self.generators()]",
-        "return [lambda v, b=b: self.mul(v, b) for b in self.generators()]",
+        "piece.add(alg.mul(x, rows[col]))",
+        "piece.add(alg.mul(rows[col], x))",
         ("tests/test_window_hilbert.py", "tests/test_quantize.py", "-k", _GRADED),
         equivalent="the mirror lemma: x v = v x + [x, v], with [x, v] in the piece"
         " below, so right products close each piece as well",
+    ),
+    Mutant(
+        "nil-poisson-closure-by-right-products",
+        "filtration.py",
+        "return [lambda v, b=b: self.mul(b, v) for b in self.generators()]",
+        "return [lambda v, b=b: self.mul(v, b) for b in self.generators()]",
+        ("tests/test_filtration.py", "-k", "nil_poisson"),
+        equivalent="the product is checked commutative first, so each right"
+        " product is the left one",
+    ),
+    # -- windows grown one total at a time ---------------------------------------
+    Mutant(
+        "frontier-total-skipped",
+        "filtration.py",
+        "for t in range(self.top + 1, top + 1):",
+        "for t in range(self.top + 2, top + 1):",
+        ("tests/test_quantize.py", "-k", "grown_window"),
+    ),
+    Mutant(
+        "sibling-above-taken",
+        "quantize.py",
+        "if (n, e) == (n_gens, d) and t < max_total",
+        "if (n, e) == (n_gens, d) and t > max_total",
+        ("tests/test_quantize.py", "-k", "any_order"),
+    ),
+    Mutant(
+        "shared-row-read-past-the-bounds",
+        "quantize.py",
+        "        totals, stars = self.totals, self.stars\n        if totals[i]",
+        "        if (i, j) in self._rows:\n            return self._rows[(i, j)]\n"
+        "        totals, stars = self.totals, self.stars\n        if totals[i]",
+        ("tests/test_quantize.py", "-k", "shared_row"),
+    ),
+    Mutant(
+        "nested-inclusion-no-fallback",
+        "quantize.py",
+        "all(exact[n:]) or all(chain[n].contains({i: 1}) for i in tails[n])",
+        "all(exact[n:])",
+        ("tests/test_quantize.py", "-k", "tail_inclusion"),
     ),
 ]
 
