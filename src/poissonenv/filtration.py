@@ -79,10 +79,10 @@ degrees above T is a graded algebra, and F_n of that quotient is the
 degree <= T part of F_n of A: the build reads only products whose factors'
 degrees add up to the degree it builds, and below T + 1 those agree in the
 two algebras.  So the state after degree T of the build on A, which is
-its pieces, the rows each added itself at the top degree and the seed
+its pieces, the rows each added itself at each degree and the seed
 lists, is that of the build on the quotient, row for row and in the
 same order, and the build on A may go on from it (``quantize.u_window``
-grows each PBW window from a smaller one of the same shape).
+builds each PBW window's chain on from a smaller one of the same shape).
 """
 
 from __future__ import annotations
@@ -597,11 +597,7 @@ class GradedBuild:
       itself, past those of the piece below;
     - ``seeds``: per level n, the nonempty parts of G_n by degree;
     - ``first``: G_1 whole.
-    Of ``raising`` only the degrees that a later degree reads are kept:
-    those the generators reach back, at least 1, as a larger algebra may
-    gain generators of degree 1 (a PBW window of total 0 has none).  The
-    seed lists are few and short, and kept whole.  ``copy`` gives a build
-    that grows on its own.
+    ``copy`` gives a build that grows on its own.
     """
 
     def __init__(self):
@@ -645,12 +641,9 @@ class GradedBuild:
                 )
             by_degree.setdefault(degree(x), []).append(x)
         lifts = [(x, degree(x)) for x in gens if degree(x)]
-        reach = max([1] + [e for _, e in lifts])
         for t in range(self.top + 1, top + 1):
             self._seed(alg, pair_map, gens, by_degree, degree, t)
             self._close(alg, lifts, t)
-            for by_t in self.raising:
-                by_t.pop(t - reach, None)
         # no vector has the degree past the top, so a seed there is misplaced
         self._seed(alg, pair_map, gens, by_degree, degree, top + 1)
         self.top = top

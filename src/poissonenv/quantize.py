@@ -112,18 +112,18 @@ class UWindow(FiniteAlgebra):
     past ``d`` (see ``_row``).
 
     Every straightened product the window reads is capped at star degree
-    ``d`` (``pbw``), so nothing past the window is computed.  The chain is
-    kept, and so is ``window(N)``, the star tails of each SV-part bound N
-    with the chain's ranks inside them.
+    ``d`` and memoized by ``pbw``, so nothing past the window is computed
+    and the window keeps no product of its own.  The chain is kept, and so
+    is ``window(N)``, the star tails of each SV-part bound N with the
+    chain's ranks inside them.
 
-    A window is grown one total at a time (``_grow``): the monomials of a
-    total come after those of the lower ones, from SV and plus parts each
-    built once, so a window of a lower total of the same shape is a prefix
-    of it, with the same coordinates and products, and its chain is the
-    total <= T part of this one's (the restriction of the ``filtration``
-    module docstring).  ``u_window`` grows each window from a cached
-    smaller one (``_grown``); a window built alone is grown the same way
-    from nothing, so the two have the same rows in the same order.
+    The monomials are ordered by total, then star degree, then plus part,
+    then SV part, so a window of a lower total of the same shape is a
+    prefix of this one, with the same coordinates and products, and its
+    chain is the total <= T part of this one's (the restriction of the
+    ``filtration`` module docstring).  ``u_window`` builds each window's
+    chain on from that of a cached smaller one (``_grown``); the rows are
+    the same, in the same order, as those of a window built alone.
     """
 
     def __init__(self, n_gens, d, max_total):
@@ -135,66 +135,48 @@ class UWindow(FiniteAlgebra):
             )
         self.n_gens = n_gens
         self.d = d
+        self.max_total = max_total
         # the SV parts of each degree and the plus parts of each star
-        # degree, with their letter counts, each built once, when a total
-        # first needs it
-        self._sv, self._plus = [], []
+        # degree, with their letter counts, each built once and each factor
+        # tuple already in factor order
+        sv = [
+            [tuple(generator(i) for i in s) for s in sv_tuples(n_gens, t)]
+            for t in range(max_total + 1)
+        ]
+        plus = [
+            [(p, sum(len(b.word) for b in p)) for p in plus_tuples(n_gens, q)]
+            for q in range(min(d, max_total) + 1)
+        ]
         self.monomials, self.tuples, self.totals, self.stars = [], [], [], []
-        self.index = {}
-        self._rows = {}
-        self._below = None
-        self.max_total = -1
-        self._grow(max_total)
-        # after the monomials, which refuse a generator count too large to
-        # enumerate before this list would try to hold it
-        self.letters = [(generator(i),) for i in range(1, n_gens + 1)]
-
-    @classmethod
-    def _grown(cls, below, max_total):
-        """The window of ``below``'s shape cut at ``max_total``, which is
-        above ``below.max_total``: ``below``'s coordinates copied and grown,
-        its product rows shared, as ``_row`` reads none past a window's own
-        bounds, and its chain continued when this one's is asked for."""
-        win = cls.__new__(cls)
-        win.n_gens, win.d, win.letters = below.n_gens, below.d, below.letters
-        win._sv, win._plus = list(below._sv), list(below._plus)
-        win.monomials, win.tuples = list(below.monomials), list(below.tuples)
-        win.totals, win.stars = list(below.totals), list(below.stars)
-        win.index = dict(below.index)
-        win._rows = below._rows
-        win._below = below
-        win.max_total = below.max_total
-        win._grow(max_total)
-        return win
-
-    def _grow(self, max_total):
-        """Append the monomials of each total past ``self.max_total`` up to
-        ``max_total``: by star degree, then plus part, then SV part, each
-        factor tuple already in factor order."""
-        n_gens = self.n_gens
-        for t in range(self.max_total + 1, max_total + 1):
-            self._sv.append([tuple(generator(i) for i in sv) for sv in sv_tuples(n_gens, t)])
-            for q in range(len(self._plus), min(self.d, t) + 1):
-                self._plus.append(
-                    [(plus, sum(len(b.word) for b in plus)) for plus in plus_tuples(n_gens, q)]
-                )
-            for q in range(min(self.d, t) + 1):
-                for plus, letters in self._plus[q]:
+        for t in range(max_total + 1):
+            for q in range(min(d, t) + 1):
+                for p, letters in plus[q]:
                     if letters > t:
                         continue
-                    for sv in self._sv[t - letters]:
-                        m = PoissonMonomial._of_sorted(sv + plus)
-                        self.index[m.factors] = len(self.tuples)
+                    for s in sv[t - letters]:
+                        m = PoissonMonomial._of_sorted(s + p)
                         self.monomials.append(m)
                         self.tuples.append(m.factors)
                         self.totals.append(t)
                         self.stars.append(q)
-        self.max_total = max_total
+        self.index = {t: i for i, t in enumerate(self.tuples)}
         self.dim = len(self.tuples)
         self.unit = self.index[()]
+        # after the monomials, which refuse a generator count too large to
+        # enumerate before this list would try to hold it
+        self.letters = [(generator(i),) for i in range(1, n_gens + 1)]
         self._windows = {}
         self._inside = {}
-        self._chain = self._build = None
+        self._chain = self._build = self._below = None
+
+    @classmethod
+    def _grown(cls, below, max_total):
+        """The window of ``below``'s shape cut at ``max_total``, which is
+        above ``below.max_total``, whose chain goes on from ``below``'s when
+        it is asked for: ``below``'s coordinates are a prefix of its own."""
+        win = cls(below.n_gens, below.d, max_total)
+        win._below = below
+        return win
 
     @property
     def degrees(self):
@@ -212,22 +194,20 @@ class UWindow(FiniteAlgebra):
         return {index[t]: c for t, c in pbw.normal_table(t1 + t2, self.d).items()}
 
     def _row(self, i, j):
-        """Coordinate dict of the product of basis vectors i and j, memoized.
+        """Coordinate dict of the product of basis vectors i and j.
 
         It is 0, and nothing is straightened, exactly when the totals of i
         and j sum past ``max_total`` or their star degrees past ``d``:
         straightening keeps the total, a swap keeps a term's star degree and
         a bracket raises it by 1, and a pair inside both bounds keeps its
         sorted concatenation, with coefficient 1.  Inside the bounds only the
-        terms of star <= d are straightened (``mono_mul``).
+        terms of star <= d are straightened (``mono_mul``), through the memo
+        of ``pbw.normal_table``.
         """
         totals, stars = self.totals, self.stars
         if totals[i] + totals[j] > self.max_total or stars[i] + stars[j] > self.d:
             return {}
-        row = self._rows.get((i, j))
-        if row is None:
-            row = self._rows[(i, j)] = self.mono_mul(self.tuples[i], self.tuples[j])
-        return row
+        return self.mono_mul(self.tuples[i], self.tuples[j])
 
     def generators(self):
         """The letters x_1 .. x_n inside the window, which generate the
@@ -351,10 +331,10 @@ _UWINDOW_CACHE = {}
 
 
 def u_window(n_gens, d, max_total):
-    """``UWindow(n_gens, d, max_total)``, cached.  A new one is grown from
-    the cached window of the same shape with the largest total below
-    ``max_total`` (``UWindow._grown``), or from nothing when there is none,
-    so the order of the requests changes no window."""
+    """``UWindow(n_gens, d, max_total)``, cached.  A new one builds its
+    chain on from that of the cached window of the same shape with the
+    largest total below ``max_total`` (``UWindow._grown``), or from nothing
+    when there is none, so the order of the requests changes no window."""
     # a bool would share the cache key of the int it equals
     _require_ints(n_gens=n_gens, d=d, max_total=max_total)
     key = (n_gens, d, max_total)

@@ -951,12 +951,16 @@ def test_u_window_skips_only_pairs_that_cannot_fit(shape):
     assert win.mul({}, {0: Fraction(1)}) == {} == win.commutator({0: Fraction(1)}, {})
 
 
-def test_u_window_straightens_no_product_past_the_star_bound():
+def test_u_window_straightens_no_product_past_the_star_bound(monkeypatch):
     # a pair whose star degrees sum past d has the row 0 by the grading
-    # alone, so its concatenation is never straightened or memoized, nor is
-    # the pair kept with an empty row
+    # alone, so its concatenation is never straightened or memoized
     clear_caches()
     win = UWindow(2, 1, 6)
+
+    def refuse(t1, t2):
+        raise AssertionError(f"straightened {t1 + t2}")
+
+    monkeypatch.setattr(win, "mono_mul", refuse)
     stars, totals = [m.star_degree for m in win.monomials], win.totals
     over = [
         (i, j)
@@ -971,7 +975,7 @@ def test_u_window_straightens_no_product_past_the_star_bound():
     assert all(t != product for t, _ in pbw._NORMAL_CACHE)
     for i, j in over:
         assert win.mul({i: 1}, {j: 1}) == {} == win.commutator({i: 1}, {j: 1})
-    assert pbw._NORMAL_CACHE == {} == win._rows
+    assert pbw._NORMAL_CACHE == {}
 
 
 @pytest.mark.parametrize("shape", [(2, 2, 6), (3, 1, 5), (2, 3, 7), (3, 2, 5)])
@@ -1222,6 +1226,17 @@ def test_a_grown_window_is_the_window_built_alone(shape, chain_first):
     _assert_same_window(UWindow._grown(small, total), UWindow(n_gens, d, total))
 
 
+@pytest.mark.parametrize("shape", [(2, 2, 4, 6), (3, 1, 2, 4)])
+def test_a_window_grown_after_the_memos_are_cleared_is_the_window_built_alone(shape):
+    # a window reads its products only through pbw's memo, so a chain that
+    # goes on from a sibling's build after the memo is emptied is the same
+    n_gens, d, below, total = shape
+    small = UWindow(n_gens, d, below)
+    small.filtration(d + 1)
+    clear_caches()
+    _assert_same_window(UWindow._grown(small, total), UWindow(n_gens, d, total))
+
+
 @pytest.mark.parametrize("order", [(3, 4, 5), (5, 4, 3), (4, 5, 3), (3, 5, 4)])
 def test_any_order_of_requests_gives_the_same_windows(monkeypatch, order):
     # each request grows from the largest cached total below it, or from
@@ -1235,13 +1250,12 @@ def test_any_order_of_requests_gives_the_same_windows(monkeypatch, order):
         _assert_same_window(u_window(3, 1, total), UWindow(3, 1, total))
 
 
-def test_a_window_reads_no_shared_row_past_its_bounds(monkeypatch):
-    # the windows of one shape share their product rows, and a larger one
-    # files rows that are 0 in a smaller one
+def test_a_smaller_window_has_the_rows_of_a_larger_one_inside_its_bounds(monkeypatch):
+    # the smaller window is a prefix of the larger one, and the larger one
+    # straightens, into pbw's memo, products that are 0 in the smaller one
     monkeypatch.setattr(quantize, "_UWINDOW_CACHE", {})
     small = u_window(2, 2, 4)
     large = u_window(2, 2, 6)
-    assert large._rows is small._rows
     for i in range(large.dim):
         for j in range(large.dim):
             large._row(i, j)

@@ -473,14 +473,6 @@ MUTANTS = [
         ("tests/test_quantize.py", "-k", "any_order"),
     ),
     Mutant(
-        "shared-row-read-past-the-bounds",
-        "quantize.py",
-        "        totals, stars = self.totals, self.stars\n        if totals[i]",
-        "        if (i, j) in self._rows:\n            return self._rows[(i, j)]\n"
-        "        totals, stars = self.totals, self.stars\n        if totals[i]",
-        ("tests/test_quantize.py", "-k", "shared_row"),
-    ),
-    Mutant(
         "nested-inclusion-no-fallback",
         "quantize.py",
         "all(exact[n:]) or all(chain[n].contains({i: 1}) for i in tails[n])",
