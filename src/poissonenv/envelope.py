@@ -30,6 +30,7 @@ from .freelie import LieElement, bracket_basis, generator
 from .freepoisson import (
     PoissonElement,
     PoissonMonomial,
+    _sv_parts,
     monomials_star_maxpoly,
     monomials_star_total,
     multiply,
@@ -289,8 +290,8 @@ def p1_rank_check(pres):
         legs = _legs(f)
         partials = {b: legs.get(generator(b), {}) for b in range(1, n + 1)}
         for deg in range(pres.N + slack + 1):
-            for sv in sv_tuples(n, deg):
-                h = PoissonMonomial.of(tuple(generator(a) for a in sv))
+            for sv in _sv_parts(n, deg):
+                h = PoissonMonomial._of_sorted(sv)
                 # I * Omega^2 rows: h * f * dx_i ^ dx_j
                 hf = sv_terms(h, f.terms)
                 for pr in pairs:

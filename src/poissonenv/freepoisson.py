@@ -517,6 +517,13 @@ def sv_tuples(n_gens, degree):
     return list(combinations_with_replacement(range(1, n_gens + 1), degree))
 
 
+def _sv_parts(n_gens, degree):
+    """``sv_tuples`` as generator tuples.  A generator sorts before every
+    factor of positive star, so an SV part then a plus part is in factor
+    order, and the enumerators intern it with ``PoissonMonomial._of_sorted``."""
+    return [tuple(generator(i) for i in sv) for sv in sv_tuples(n_gens, degree)]
+
+
 def plus_tuples(n_gens, star):
     """Multisets of positive-star Lyndon elements with star degrees summing
     to ``star``, as nondecreasing factor tuples."""
@@ -544,37 +551,42 @@ def plus_tuples(n_gens, star):
     return out
 
 
+def _plus_parts(n_gens, star):
+    """The plus parts of ``plus_tuples``, each with its letter count."""
+    return [(p, sum(len(b.word) for b in p)) for p in plus_tuples(n_gens, star)]
+
+
 def monomials_star_total(n_gens, star, total):
-    """All monomials with the exact star degree and total letter count."""
+    """All monomials with the exact star degree and total letter count, by
+    plus part, then SV part."""
     out = []
-    for plus in plus_tuples(n_gens, star):
-        lie_letters = sum(len(b.word) for b in plus)
-        poly = total - lie_letters
-        if poly < 0:
-            continue
-        for sv in sv_tuples(n_gens, poly):
-            out.append(PoissonMonomial.of(tuple(generator(i) for i in sv) + plus))
+    for p, letters in _plus_parts(n_gens, star):
+        if letters <= total:
+            sv = _sv_parts(n_gens, total - letters)
+            out += [PoissonMonomial._of_sorted(s + p) for s in sv]
     return out
 
 
 def monomials_up_to_total(n_gens, max_total, max_star=None):
     """All monomials with total letter count <= max_total (and star degree
-    <= max_star, when given), by total, then by star degree."""
+    <= max_star, when given), by total, then star degree: the blocks of
+    ``monomials_star_total`` in turn.  The SV parts of each degree and the
+    plus parts of each star degree are built once per call."""
+    top = max_total if max_star is None else min(max_total, max_star)
+    sv = [_sv_parts(n_gens, t) for t in range(max_total + 1)]
+    plus = [_plus_parts(n_gens, q) for q in range(top + 1)]
     out = []
-    for total in range(max_total + 1):
-        cap = total if max_star is None else min(total, max_star)
-        for q in range(cap + 1):
-            out.extend(monomials_star_total(n_gens, q, total))
+    for t in range(max_total + 1):
+        for parts in plus[: t + 1]:
+            for p, letters in parts:
+                if letters <= t:
+                    out += [PoissonMonomial._of_sorted(s + p) for s in sv[t - letters]]
     return out
 
 
 def monomials_star_maxpoly(n_gens, star, max_poly):
-    """All monomials with the exact star degree and SV-part degree <= max_poly."""
-    out = []
-    for plus in plus_tuples(n_gens, star):
-        for p in range(max_poly + 1):
-            for sv in sv_tuples(n_gens, p):
-                out.append(
-                    PoissonMonomial.of(tuple(generator(i) for i in sv) + plus)
-                )
-    return out
+    """All monomials with the exact star degree and SV-part degree <= max_poly,
+    by plus part, then SV-part degree, then SV part."""
+    sv = [s for k in range(max_poly + 1) for s in _sv_parts(n_gens, k)]
+    plus = plus_tuples(n_gens, star)
+    return [PoissonMonomial._of_sorted(s + p) for p in plus for s in sv]

@@ -35,12 +35,12 @@ from .freepoisson import (
     PoissonMonomial,
     _bracket_monomials,
     _int_sum,
+    _plus_parts,
     _star_monomials,
     _star_sum,
     _table_sum,
     monomials_star_total,
-    plus_tuples,
-    sv_tuples,
+    monomials_up_to_total,
 )
 from .linalg import Echelon, _require_ints, linear
 
@@ -117,13 +117,14 @@ class UWindow(FiniteAlgebra):
     is ``window(N)``, the star tails of each SV-part bound N with the
     chain's ranks inside them.
 
-    The monomials are ordered by total, then star degree, then plus part,
-    then SV part, so a window of a lower total of the same shape is a
-    prefix of this one, with the same coordinates and products, and its
-    chain is the total <= T part of this one's (the restriction of the
-    ``filtration`` module docstring).  ``u_window`` builds each window's
-    chain on from that of a cached smaller one (``_grown``); the rows are
-    the same, in the same order, as those of a window built alone.
+    The monomials are those of ``monomials_up_to_total`` with star cap d,
+    ordered by total, then star degree, then plus part, then SV part, so a
+    window of a lower total of the same shape is a prefix of this one, with
+    the same coordinates and products, and its chain is the total <= T part
+    of this one's (the restriction of the ``filtration`` module docstring).
+    ``u_window`` builds each window's chain on from that of a cached smaller
+    one (``_grown``); the rows are the same, in the same order, as those of
+    a window built alone.
     """
 
     def __init__(self, n_gens, d, max_total):
@@ -136,29 +137,10 @@ class UWindow(FiniteAlgebra):
         self.n_gens = n_gens
         self.d = d
         self.max_total = max_total
-        # the SV parts of each degree and the plus parts of each star
-        # degree, with their letter counts, each built once and each factor
-        # tuple already in factor order
-        sv = [
-            [tuple(generator(i) for i in s) for s in sv_tuples(n_gens, t)]
-            for t in range(max_total + 1)
-        ]
-        plus = [
-            [(p, sum(len(b.word) for b in p)) for p in plus_tuples(n_gens, q)]
-            for q in range(min(d, max_total) + 1)
-        ]
-        self.monomials, self.tuples, self.totals, self.stars = [], [], [], []
-        for t in range(max_total + 1):
-            for q in range(min(d, t) + 1):
-                for p, letters in plus[q]:
-                    if letters > t:
-                        continue
-                    for s in sv[t - letters]:
-                        m = PoissonMonomial._of_sorted(s + p)
-                        self.monomials.append(m)
-                        self.tuples.append(m.factors)
-                        self.totals.append(t)
-                        self.stars.append(q)
+        self.monomials = monomials_up_to_total(n_gens, max_total, d)
+        self.tuples = [m.factors for m in self.monomials]
+        self.totals = [m.total_degree for m in self.monomials]
+        self.stars = [m.star_degree for m in self.monomials]
         self.index = {t: i for i, t in enumerate(self.tuples)}
         self.dim = len(self.tuples)
         self.unit = self.index[()]
@@ -496,8 +478,7 @@ def _star_power_included(n_gens, d, m, power, max_total):
     positive star, so there the inclusion holds.
     """
     for q in range(min(d, m - 1) + 1):
-        for plus in plus_tuples(n_gens, q):
-            letters = sum(len(b.word) for b in plus)
+        for _, letters in _plus_parts(n_gens, q):
             if max(power, letters) <= min(max_total, letters + m - 1):
                 return False
     return True
@@ -560,9 +541,12 @@ def envelope_window_algebra(pres, max_total):
       term and, the normal form being linear, row (j, i) is -row (i, j);
       {m, m} = 0.
 
-    The zero algebra has no unit, so a whole-window ideal is a ValueError.
+    A negative ``max_total`` is a ValueError, and so is a whole-window
+    ideal, since the zero algebra has no unit.
     """
     _require_ints(max_total=max_total)
+    if max_total < 0:
+        raise ValueError(f"need max_total >= 0, got {max_total}")
     if not pres.homogeneous:
         raise ValueError("window algebra needs a homogeneous presentation")
     d = pres.d

@@ -10,17 +10,22 @@ from hypothesis import strategies as st
 
 from poissonenv import clear_caches, pbw
 from poissonenv.exprparse import parse
-from poissonenv.freelie import LieBasisElement, TensorElement, _tensor_vector
+from poissonenv.freelie import LieBasisElement, TensorElement, _tensor_vector, generator
 from poissonenv.freepoisson import (
     _STAR_MONO_CACHE,
     PoissonElement,
+    PoissonMonomial,
     e_inverse,
+    monomials_star_maxpoly,
     monomials_star_total,
+    monomials_up_to_total,
     multiply,
+    plus_tuples,
     poisson_bracket,
     star_component,
     star_components,
     star_product,
+    sv_tuples,
     symmetrize,
 )
 from poissonenv.linalg import SpanSolver
@@ -409,3 +414,74 @@ def test_every_star_table_is_stored_in_lowest_terms(pair, d):
         assert type(den) is int and den >= 1
         assert all(type(c) is int and c for c in ints.values())
         assert gcd(den, *ints.values()) == 1
+
+
+def _plain_part(sv, plus):
+    return PoissonMonomial.of(tuple(generator(i) for i in sv) + plus)
+
+
+def _plain_star_total(n_gens, star, total):
+    """The monomials of one star degree and total as the plain loop forms
+    them: each plus part of ``plus_tuples`` times each SV part of
+    ``sv_tuples`` that makes up the total, interned by the sorting
+    ``PoissonMonomial.of``."""
+    out = []
+    for plus in plus_tuples(n_gens, star):
+        poly = total - sum(len(b.word) for b in plus)
+        if poly >= 0:
+            out += [_plain_part(sv, plus) for sv in sv_tuples(n_gens, poly)]
+    return out
+
+
+def _plain_up_to_total(n_gens, max_total, max_star):
+    cap = max_total if max_star is None else max_star
+    return [
+        m
+        for t in range(max_total + 1)
+        for q in range(min(t, cap) + 1)
+        for m in _plain_star_total(n_gens, q, t)
+    ]
+
+
+def _plain_star_maxpoly(n_gens, star, max_poly):
+    return [
+        _plain_part(sv, plus)
+        for plus in plus_tuples(n_gens, star)
+        for k in range(max_poly + 1)
+        for sv in sv_tuples(n_gens, k)
+    ]
+
+
+def _ids(monos):
+    return [id(m) for m in monos]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(0, 7), st.one_of(st.none(), st.integers(0, 3)))
+@example(2, 5, None)  # the unit, pure SV, pure plus and mixed monomials
+@example(3, 4, 2)
+def test_each_enumerator_is_the_plain_sv_times_plus_loop(n_gens, total, max_star):
+    # the same interned monomials, in the loop's order
+    got = monomials_up_to_total(n_gens, total, max_star)
+    assert _ids(got) == _ids(_plain_up_to_total(n_gens, total, max_star))
+    for q in range(4):
+        got = monomials_star_total(n_gens, q, total)
+        assert _ids(got) == _ids(_plain_star_total(n_gens, q, total))
+        got = monomials_star_maxpoly(n_gens, q, total)
+        assert _ids(got) == _ids(_plain_star_maxpoly(n_gens, q, total))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 3), st.integers(0, 7), st.one_of(st.none(), st.integers(0, 3)))
+@example(2, 5, None)
+def test_every_enumerated_monomial_is_in_factor_order(n_gens, total, max_star):
+    # the enumerators intern through ``_of_sorted``, which does not sort: an
+    # unsorted tuple would be a second monomial beside the canonical one
+    monos = monomials_up_to_total(n_gens, total, max_star)
+    for q in range(4):
+        monos += monomials_star_total(n_gens, q, total)
+        monos += monomials_star_maxpoly(n_gens, q, total)
+    for m in monos:
+        keys = [f.sort_key for f in m.factors]
+        assert keys == sorted(keys)
+        assert PoissonMonomial.of(reversed(m.factors)) is m

@@ -23,6 +23,7 @@ from poissonenv.freepoisson import (
     e_inverse,
     monomials_star_maxpoly,
     monomials_star_total,
+    monomials_up_to_total,
     multiply,
     poisson_bracket,
     star_component,
@@ -329,6 +330,28 @@ def test_star_ideal_check_refuses_a_domain_error(args, message):
     # d < 0 a float power
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         star_ideal_topology_check(*args)
+
+
+@pytest.mark.parametrize(
+    "build, args, message",
+    [
+        (poisson_window_algebra, (2, 1, -1), "need max_total >= 0, got -1"),
+        (
+            envelope_window_algebra,
+            (EnvelopePresentation(2, (multiply(gen(1), gen(1)),), 1, 3), -1),
+            "need max_total >= 0, got -1",
+        ),
+        (
+            quantized_window_algebra,
+            (2, 1, -1),
+            "need n_gens >= 1, d >= 0 and max_total >= 0, got 2, 1 and -1",
+        ),
+    ],
+)
+def test_window_algebras_refuse_a_negative_total(build, args, message):
+    # an empty window, not relations that generate the whole of it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(*args)
 
 
 def test_window_algebra_builders_validate():
@@ -1029,6 +1052,18 @@ def test_deep_windows_match_the_star_tail_and_the_graded_envelope(n_gens, d, N):
         assert commutator_filtration_Q(alg, n, N).matches, n
     assert all(rep.matches for rep in graded_of_Q(alg, N))
     _assert_reports_match_the_reference(n_gens, d, N)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 7))
+@example(2, 2, 5)
+def test_a_window_reads_its_coordinates_off_the_one_enumerator(n_gens, d, max_total):
+    win = UWindow(n_gens, d, max_total)
+    monos = monomials_up_to_total(n_gens, max_total, d)
+    assert win.monomials == monos
+    assert win.tuples == [m.factors for m in monos]
+    assert win.totals == [m.total_degree for m in monos]
+    assert win.stars == [m.star_degree for m in monos]
 
 
 @pytest.mark.parametrize(

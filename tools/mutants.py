@@ -337,6 +337,21 @@ MUTANTS = [
         "(factors, least)",
         ("tests/test_capped.py", "-k", "normal_table"),
     ),
+    # -- the one monomial enumerator --------------------------------------------
+    Mutant(
+        "enumerator-letters-bound-strict",
+        "freepoisson.py",
+        "                if letters <= t:\n",
+        "                if letters < t:\n",
+        ("tests/test_freepoisson.py", "-k", "enumerat"),
+    ),
+    Mutant(
+        "enumerator-plus-part-first",
+        "freepoisson.py",
+        "out += [PoissonMonomial._of_sorted(s + p) for s in sv[t - letters]]",
+        "out += [PoissonMonomial._of_sorted(p + s) for s in sv[t - letters]]",
+        ("tests/test_freepoisson.py", "-k", "enumerat"),
+    ),
     # -- the star-ideal inclusion count ----------------------------------------
     Mutant(
         "star-power-room",
